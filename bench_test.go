@@ -371,52 +371,6 @@ func BenchmarkSingleRXMoveIncremental(b *testing.B) {
 	}
 }
 
-// Batch pair: 64 independent paper-room instances, a sequential Allocate
-// loop vs SolveBatch's warm-worker pool. Results are byte-identical (see
-// internal/alloc's equivalence suite); the ratio is pure throughput.
-
-func batchBenchItems() []alloc.BatchItem {
-	set := scenario.Default()
-	insts := set.RandomInstances(stats.NewRand(2), 64)
-	items := make([]alloc.BatchItem, len(insts))
-	for i, inst := range insts {
-		items[i] = alloc.BatchItem{Env: set.Env(inst, nil), Budget: 1.19}
-	}
-	return items
-}
-
-func BenchmarkBatchSequential(b *testing.B) {
-	items := batchBenchItems()
-	policy := alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k, it := range items {
-			if _, err := policy.Allocate(it.Env, it.Budget); err != nil {
-				b.Fatalf("item %d: %v", k, err)
-			}
-		}
-	}
-}
-
-func BenchmarkBatchSolve(b *testing.B) {
-	items := batchBenchItems()
-	policy := alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// 0 workers = all cores; on a single-core box the win is the warm
-		// per-worker scratch alone, on multicore the fan-out stacks on top.
-		out, err := alloc.SolveBatch(context.Background(), policy, items, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != len(items) {
-			b.Fatalf("%d results", len(out))
-		}
-	}
-}
-
 // Service-grade churn benchmarks: the PR 10 headline. ChurnDecisions1024
 // measures sustained allocation decisions/sec on the building-scale floor
 // (N=1024 TXs, 256 tenancy slots) with the workload engine churning the
@@ -507,9 +461,9 @@ func BenchmarkChurnFrames(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := node.RunChurn(context.Background(), node.ChurnConfig{
+		res, err := node.RunContext(context.Background(), node.Config{
 			Setup:         scenario.Default(),
-			Workload:      sp,
+			Workload:      &sp,
 			Budget:        1.19,
 			Sync:          clock.MethodNLOSVLC,
 			Rounds:        3,

@@ -7,19 +7,15 @@ import (
 	"fmt"
 	"log"
 
-	"densevlc/internal/core"
+	"densevlc/internal/alloc"
 	"densevlc/internal/geom"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
+	"densevlc/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
-
-	sys, err := core.NewSystem(core.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// RX1 crosses the room at gantry speed along the y = 1.25 corridor,
 	// staying clear of the three parked receivers on the scenario-3 spots.
@@ -34,12 +30,17 @@ func main() {
 		mobility.Static{Pos: fixed[3]},
 	}
 
-	res, err := sys.Simulate(core.SimulateOptions{
-		Trajectories:  traj,
-		Budget:        1.19,
-		Rounds:        12,
-		RoundDuration: 1.0,
-		Seed:          7,
+	// The paper's deployment and κ = 1.3 heuristic; the controller
+	// re-measures with 2% channel-estimate noise every round.
+	res, err := sim.Run(sim.Config{
+		Setup:            scenario.Default(),
+		Trajectories:     traj,
+		Policy:           alloc.Heuristic{Kappa: 1.3, AllowPartial: true},
+		Budget:           1.19,
+		Rounds:           12,
+		RoundDuration:    1.0,
+		MeasurementNoise: 0.02,
+		Seed:             7,
 	})
 	if err != nil {
 		log.Fatal(err)

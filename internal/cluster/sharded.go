@@ -61,29 +61,6 @@ func (s Sharded) Allocate(env *alloc.Env, budget units.Watts) (channel.Swings, e
 	return got.Clone(), nil // detach from the workspace buffer
 }
 
-// NewBatchWorker implements alloc.BatchSolver: each batch worker holds a
-// private Workspace, so a batch of instances over the same floor reuses
-// formation scratch, sub-environments and the stitch buffer instead of
-// rebuilding them per item. Every item is solved all-dirty — the workspace
-// sub-plan cache never leaks between instances — so results match Allocate
-// bit for bit.
-func (s Sharded) NewBatchWorker() alloc.BatchWorker {
-	w := NewWorkspace(s.Spec, s.Inner, s.Workers)
-	w.BoundaryTolerance = s.BoundaryTolerance
-	return &batchWorker{w: w}
-}
-
-type batchWorker struct{ w *Workspace }
-
-// Solve implements alloc.BatchWorker.
-func (b *batchWorker) Solve(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
-	got, err := b.w.Solve(env, budget)
-	if err != nil {
-		return nil, err
-	}
-	return got.Clone(), nil // detach from the workspace buffer
-}
-
 // Workspace is the reusable state of a sharded solver: the clustering and
 // its formation scratch, one sub-environment per cluster (channel matrices
 // resized only when the topology changes), the per-cluster solution cache,

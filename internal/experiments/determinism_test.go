@@ -52,7 +52,7 @@ func TestParallelDeterminism(t *testing.T) {
 	defer restore()
 
 	// Every generator that fans out, plus speedup's timing table.
-	names := []string{"fig6", "fig8", "fig10", "fig11", "speedup", "adaptation", "resilience", "clusterscale", "incremental", "churn"}
+	names := []string{"fig6", "fig8", "fig10", "fig11", "speedup", "adaptation", "adaptivekappa", "resilience", "clusterscale", "incremental", "churn"}
 	for _, name := range names {
 		g, ok := Lookup(name)
 		if !ok {

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"strings"
 
-	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
 	"densevlc/internal/parallel"
 )
 
@@ -116,14 +114,6 @@ func fanOut[T any](o Options, n int, fn func(i int) T) []T {
 		panic(err)
 	}
 	return out
-}
-
-// solveBatch solves a batch of independent allocation problems on the
-// option's worker pool, with warm per-worker solver state when the policy
-// supports it (alloc.BatchSolver). Results are byte-identical to a
-// sequential Allocate loop at any worker count.
-func solveBatch(o Options, policy alloc.Policy, items []alloc.BatchItem) ([]channel.Swings, error) {
-	return alloc.SolveBatch(context.Background(), policy, items, o.Workers)
 }
 
 func (o Options) instances() int {

@@ -141,28 +141,25 @@ func AdaptiveKappaStudy(opts Options) Table {
 		Header: []string{"P_C,tot [W]", "κ=1.3 [Mb/s]", "adaptive [Mb/s]", "gain [%]"},
 	}
 	// Environments are read-only for both policies, so they are built once
-	// and batched: each worker solves a contiguous chunk on warm per-policy
-	// scratch, byte-identical to the sequential loop this replaces.
+	// and the instances fan out over the worker pool; results come back in
+	// instance order, byte-identical to a sequential loop.
 	envs := make([]*alloc.Env, len(insts))
 	for ii, inst := range insts {
 		envs[ii] = set.Env(inst, nil)
 	}
 	for _, budget := range budgets {
-		items := make([]alloc.BatchItem, len(envs))
-		for ii, env := range envs {
-			items[ii] = alloc.BatchItem{Env: env, Budget: budget}
-		}
 		means := make([]float64, len(policies))
 		for pi, p := range policies {
-			swings, err := solveBatch(opts, p, items)
-			if err != nil {
-				continue
+			sys := fanOut(opts, len(envs), func(ii int) float64 {
+				s, err := p.Allocate(envs[ii], budget)
+				if err != nil {
+					return math.NaN() // one failed instance voids the policy's mean
+				}
+				return alloc.Evaluate(envs[ii], s).SumThroughput.Bps() / 1e6
+			})
+			if m := stats.Mean(sys); !math.IsNaN(m) {
+				means[pi] = m
 			}
-			var sys []float64
-			for ii, s := range swings {
-				sys = append(sys, alloc.Evaluate(envs[ii], s).SumThroughput.Bps()/1e6)
-			}
-			means[pi] = stats.Mean(sys)
 		}
 		gain := 0.0
 		if means[0] > 0 {

@@ -60,7 +60,6 @@ var physicsPkgs = map[string]bool{
 	"precode":  true,
 	"scenario": true,
 	"sim":      true,
-	"core":     true,
 	"mobility": true,
 	"mac":      true,
 }

@@ -62,6 +62,11 @@ type Hub struct {
 	txFailed  []bool
 	rxKeep    []float64
 	clockSkew []units.Seconds
+	// rxVacant marks the fleet slots a churn workload holds free. It is
+	// kept apart from rxKeep so occupancy and chaos blockage compose: a
+	// vacant slot is dark whatever its attenuation, and a churn step never
+	// clears a blockage.
+	rxVacant []bool
 
 	pilotCh []chan PilotEvent
 	rxCh    []chan Reception
@@ -102,6 +107,7 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 		txFailed:  make([]bool, n),
 		rxKeep:    make([]float64, m),
 		clockSkew: make([]units.Seconds, n),
+		rxVacant:  make([]bool, m),
 	}
 	for j := range hub.serves {
 		hub.serves[j] = -1
@@ -121,10 +127,10 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 func (h *Hub) Setup() scenario.Setup { return h.setup }
 
 // gainLocked returns the faulted channel gain from tx to rx: zero when the
-// transmitter's LED is dark, attenuated when the receiver is shadowed.
-// Callers hold h.mu.
+// transmitter's LED is dark or the receiver's slot is vacant, attenuated
+// when the receiver is shadowed. Callers hold h.mu.
 func (h *Hub) gainLocked(tx, rx int) float64 {
-	if h.txFailed[tx] {
+	if h.txFailed[tx] || h.rxVacant[rx] {
 		return 0
 	}
 	return h.h.Gain(tx, rx) * h.rxKeep[rx]
@@ -163,6 +169,16 @@ func (h *Hub) SetRXAttenuation(rx int, keep float64) {
 		keep = 1
 	}
 	h.rxKeep[rx] = keep
+}
+
+// setOccupied records which receiver slots hold a user; the rest are
+// vacant and their photodiodes dark.
+func (h *Hub) setOccupied(occupied []bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, on := range occupied {
+		h.rxVacant[i] = !on
+	}
 }
 
 // SkewClock implements chaos.Target: transmitter tx's trigger clock steps by

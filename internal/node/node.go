@@ -138,7 +138,7 @@ type ControllerConfig struct {
 	Injector *chaos.Injector
 	// BeforeRound, when non-nil, runs on the controller goroutine at each
 	// round boundary before the hub's clock advances — the churn engine's
-	// hook: it steps the population and flips slot attenuations so the
+	// hook: it steps the population and marks slot occupancy so the
 	// epoch's pilots already see the arrivals and departures.
 	BeforeRound func(round int, t units.Seconds)
 	// Demand, when non-nil, overrides FramesPerRX per receiver per round

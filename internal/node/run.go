@@ -14,25 +14,40 @@ import (
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
+	"densevlc/internal/stats"
 	"densevlc/internal/transport"
 	"densevlc/internal/units"
+	"densevlc/internal/workload"
 )
 
 // Config wires a full asynchronous deployment.
 type Config struct {
 	Setup        scenario.Setup
 	Trajectories []mobility.Trajectory
-	Policy       alloc.Policy
-	Budget       units.Watts
-	Sync         clock.Method
-	Blocker      channel.Blocker
+	// Workload, when non-nil, replaces Trajectories with a churn-driven
+	// fleet: Fleet tenancy slots whose arrivals, dwell, motion and per-user
+	// traffic come from a workload.Engine seeded by Seed. Mutually
+	// exclusive with Trajectories.
+	Workload *workload.Spec
+	Policy   alloc.Policy
+	Budget   units.Watts
+	Sync     clock.Method
+	Blocker  channel.Blocker
 	// Network carries the control plane; nil selects in-memory. The run
 	// closes it on exit.
 	Network transport.Network
-	// Controller loop parameters.
+	// Controller loop parameters. Under a Workload, FramesPerRX caps each
+	// user's per-round demand (zero: no cap).
 	Rounds        int
 	RoundDuration units.Seconds
 	FramesPerRX   int
+	// AckTimeout bounds the wait for data acknowledgements per ARQ pass
+	// (zero: the ControllerConfig default). The in-memory transport
+	// delivers in microseconds, so tests and benchmarks tighten it.
+	AckTimeout time.Duration
+	// Trigger enables the controller's event-driven re-allocation gate
+	// (zero value: re-solve every round).
+	Trigger mac.Trigger
 	// MeasurementNoise is the channel-estimate relative std.
 	MeasurementNoise float64
 	Seed             int64
@@ -53,6 +68,13 @@ type Result struct {
 	// Trace records the chaos events applied during the run (empty without
 	// a schedule). Its bytes are deterministic for a given seed+schedule.
 	Trace *chaos.Trace
+	// Steps is the workload engine's per-round population summary, index-
+	// aligned with Rounds (nil without Config.Workload).
+	Steps []workload.StepStats
+	// WorkloadTrace is the engine's canonical churn event log (nil without
+	// Config.Workload): byte-identical across runs with the same seed and
+	// spec.
+	WorkloadTrace []byte
 }
 
 // Run spawns the controller, every transmitter and every receiver as
@@ -67,18 +89,38 @@ func Run(cfg Config) (*Result, error) {
 // RunContext is Run under a caller-supplied context: cancelling ctx aborts
 // the round loop and tears the deployment down, in addition to the
 // cfg.Timeout bound.
+//
+// Under cfg.Workload every fleet slot is a receiver goroutine. The engine
+// steps on the controller goroutine at each round boundary
+// (workload.Engine is single-goroutine), and a free slot's photodiode is
+// dark, so the real pilot/report path delivers its dark channel and the
+// allocator withdraws its swing. Slot vacancy and chaos blockage are
+// separate hub state: a chaos rxblock on an occupied slot survives churn
+// steps, and a vacated slot stays dark whatever its chaos attenuation.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if len(cfg.Trajectories) == 0 {
-		return nil, errors.New("node: no receivers")
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
 	}
+	traj := cfg.Trajectories
+	var engine *workload.Engine
+	if cfg.Workload != nil {
+		if len(traj) != 0 {
+			return nil, errors.New("node: Workload and Trajectories are mutually exclusive")
+		}
+		var err error
+		if engine, err = workload.NewEngine(*cfg.Workload, cfg.Setup, cfg.Budget, stats.NewRand(cfg.Seed)); err != nil {
+			return nil, err
+		}
+		traj = engine.Trajectories()
+	}
+	if len(traj) == 0 {
+		return nil, errors.New("node: no receivers")
+	}
 	n := cfg.Setup.Grid.N()
-	m := len(cfg.Trajectories)
+	m := len(traj)
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}
@@ -89,7 +131,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer func() { _ = net.Close() }() // teardown; transport errors have no recovery path here
 
-	hub := NewHub(cfg.Setup, cfg.Trajectories, cfg.Blocker, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
+	// Under a Workload the hub reads slot positions through the engine-
+	// backed trajectories, always from the controller goroutine
+	// (AdvanceTime, after BeforeRound), so the engine's single-goroutine
+	// contract holds.
+	hub := NewHub(cfg.Setup, traj, cfg.Blocker, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
@@ -133,21 +179,48 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
+	ctrl.Trigger = cfg.Trigger
 	injector := chaos.NewInjector(cfg.Chaos)
-	rounds, runErr := RunController(ctx, net.Controller(), hub, ctrl, ControllerConfig{
+	ccfg := ControllerConfig{
 		N: n, M: m,
 		Rounds:        cfg.Rounds,
 		RoundDuration: cfg.RoundDuration,
 		FramesPerRX:   cfg.FramesPerRX,
+		AckTimeout:    cfg.AckTimeout,
 		Injector:      injector,
-	})
+	}
+	var steps []workload.StepStats
+	if engine != nil {
+		dt := cfg.RoundDuration
+		if dt <= 0 {
+			dt = 1
+		}
+		var roundT units.Seconds
+		occupied := make([]bool, m)
+		ccfg.BeforeRound = func(_ int, t units.Seconds) {
+			roundT = t
+			steps = append(steps, engine.Step(t, dt))
+			hub.setOccupied(engine.ActiveMask(occupied))
+		}
+		ccfg.Demand = func(rx int) int {
+			want := engine.Demand(rx, roundT)
+			if cfg.FramesPerRX > 0 && want > cfg.FramesPerRX {
+				want = cfg.FramesPerRX
+			}
+			return want
+		}
+	}
+	rounds, runErr := RunController(ctx, net.Controller(), hub, ctrl, ccfg)
 
 	// Stop the node goroutines and collect.
 	cancel()
 	wg.Wait()
 	close(delivered)
 
-	res := &Result{Rounds: rounds, DeliveredPerRX: make([]int, m), Trace: injector.Trace()}
+	res := &Result{Rounds: rounds, DeliveredPerRX: make([]int, m), Trace: injector.Trace(), Steps: steps}
+	if engine != nil {
+		res.WorkloadTrace = engine.TraceBytes()
+	}
 	for d := range delivered {
 		res.Delivered++
 		if d.RX >= 0 && d.RX < m {

@@ -76,9 +76,9 @@ opt_pat='ProjectCappedSimplex'
 # 32×32 floor (N=1024, M=256), plus the zero-alloc steady-state re-solve.
 cluster_pat='GlobalDecision1024$|ShardedDecision1024$|ShardedSteadyState1024$'
 # The incremental re-allocation pairs: one receiver moving on the full floor
-# (from-scratch rebuild+solve vs column refresh + one dirty cluster), the
-# geometry kernel alone, and the warm-worker batch pair.
-incr_pat='SingleRXMoveFullResolve$|SingleRXMoveIncremental$|MoveRX1024$|BatchSequential$|BatchSolve$'
+# (from-scratch rebuild+solve vs column refresh + one dirty cluster) and the
+# geometry kernel alone.
+incr_pat='SingleRXMoveFullResolve$|SingleRXMoveIncremental$|MoveRX1024$'
 # The churn workload pair: sustained decision throughput on the building-
 # scale floor under population churn, and acknowledged frames per second
 # through the full asynchronous MAC/transport runtime. Their custom metrics
@@ -184,10 +184,6 @@ END {
         printf "  \"frames_per_sec\": %.1f,\n", met["BenchmarkChurnFrames", "frames/s"] >> out
     if (("after", "BenchmarkSingleRXMoveFullResolve") in ns && ("after", "BenchmarkSingleRXMoveIncremental") in ns)
         printf "  \"incremental_speedup\": %.2f,\n", ns["after", "BenchmarkSingleRXMoveFullResolve"] / ns["after", "BenchmarkSingleRXMoveIncremental"] >> out
-    if (("after", "BenchmarkBatchSequential") in ns && ("after", "BenchmarkBatchSolve") in ns)
-        printf "  \"batch_speedup\": %.2f,\n", ns["after", "BenchmarkBatchSequential"] / ns["after", "BenchmarkBatchSolve"] >> out
-    if (("BenchmarkBatchSequential" in allocs) && ("BenchmarkBatchSolve" in allocs) && allocs["BenchmarkBatchSolve"] + 0 > 0)
-        printf "  \"batch_alloc_ratio\": %.2f,\n", allocs["BenchmarkBatchSequential"] / allocs["BenchmarkBatchSolve"] >> out
     if (("after", "BenchmarkGlobalDecision1024") in ns && ("after", "BenchmarkShardedDecision1024") in ns)
         printf "  \"sharded_speedup\": %.2f,\n", ns["after", "BenchmarkGlobalDecision1024"] / ns["after", "BenchmarkShardedDecision1024"] >> out
     printf "  \"benchmarks\": [\n" >> out

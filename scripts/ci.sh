@@ -42,10 +42,11 @@
 #                     full size (N=1024 TXs, M=256 RXs, heuristic per
 #                     cluster) under the race detector, time-bounded so a
 #                     solver regression cannot hang the gate
-#  11. churn smoke  — both engines under the workload engine (-churn) plus
-#                     the churn experiment, all under the race detector and
-#                     time-bounded: population churn exercises the handover
-#                     and admission paths end to end
+#  11. churn smoke  — both engines under the workload engine (-churn), the
+#                     asynchronous runtime with churn and chaos together,
+#                     plus the churn experiment, all under the race detector
+#                     and time-bounded: population churn exercises the
+#                     handover and admission paths end to end
 #  12. short fuzz   — a few seconds of the frame-codec, Manchester
 #                     round-trip, chaos-spec, cluster-spec and workload-spec
 #                     grammar fuzzers, enough to catch regressions on the
@@ -131,12 +132,13 @@ timeout 600 go run -race ./cmd/experiments clusterscale > /dev/null
 
 # Churn smoke: the workload engine end to end through both engines (the
 # synchronous simulator with the incremental trigger, and the asynchronous
-# goroutine-per-node runtime) plus the churn experiment, all under the race
-# detector. timeout(1) bounds the gate the same way the cluster-scale smoke
-# is bounded.
+# goroutine-per-node runtime, alone and composed with a chaos schedule)
+# plus the churn experiment, all under the race detector. timeout(1) bounds
+# the gate the same way the cluster-scale smoke is bounded.
 echo "==> churn smoke (both engines + churn experiment, -race, time-bounded)"
 timeout 600 go run -race ./cmd/densevlc -rounds 6 -udp=false -churn -arrival-rate 1.5 -fleet 6 -incremental > /dev/null
 timeout 600 go run -race ./cmd/densevlc -rounds 4 -udp=false -async -churn -arrival-rate 2 -fleet 4 > /dev/null
+timeout 600 go run -race ./cmd/densevlc -rounds 8 -udp=false -async -churn -arrival-rate 2 -fleet 4 -chaos rx-shadow > /dev/null
 timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
