@@ -2,9 +2,12 @@ package chaos
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"densevlc/internal/channel"
 	"densevlc/internal/stats"
 	"densevlc/internal/testutil"
 	"densevlc/internal/units"
@@ -250,5 +253,152 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(string(a), "rxblock") {
 		t.Errorf("trace missing rxblock entry:\n%s", a)
+	}
+}
+
+// TestFaults pins the shared fault model both runtimes read: keep clamps to
+// [0, 1] with −0 stored as +0, out-of-range indices are ignored, and Mask
+// and Gain agree bit for bit with "dark row, scaled column".
+func TestFaults(t *testing.T) {
+	const n, m = 4, 3
+	negZero := math.Copysign(0, -1)
+	// Variables, not constants, so the expected sum rounds like the
+	// accumulated one.
+	step, back := units.Seconds(5e-6), units.Seconds(-2e-6)
+	tests := []struct {
+		name   string
+		apply  func(f *Faults)
+		failed []int
+		keep   [m]float64
+		skew   [n]units.Seconds
+	}{
+		{
+			name:  "clear",
+			apply: func(*Faults) {},
+			keep:  [m]float64{1, 1, 1},
+		},
+		{
+			name: "keep clamps to [0,1]",
+			apply: func(f *Faults) {
+				f.SetRXAttenuation(0, 1.5)
+				f.SetRXAttenuation(1, -0.2)
+				f.SetRXAttenuation(2, negZero)
+			},
+			keep: [m]float64{1, 0, 0},
+		},
+		{
+			name: "parsed rxblock of -0 stores +0",
+			apply: func(f *Faults) {
+				s, err := Parse("0:rxblock:2:-0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Validate(n, m); err != nil {
+					t.Fatal(err)
+				}
+				NewInjector(s).Apply(0, 0, f)
+			},
+			keep: [m]float64{1, 1, 0},
+		},
+		{
+			name: "out-of-range indices are no-ops",
+			apply: func(f *Faults) {
+				f.FailTX(-1)
+				f.FailTX(n)
+				f.RecoverTX(n)
+				f.SetRXAttenuation(-1, 0)
+				f.SetRXAttenuation(m, 0)
+				f.SkewClock(-1, 1e-6)
+				f.SkewClock(n, 1e-6)
+			},
+			keep: [m]float64{1, 1, 1},
+		},
+		{
+			name: "fail then recover",
+			apply: func(f *Faults) {
+				f.FailTX(2)
+				f.FailTX(1)
+				f.RecoverTX(2)
+			},
+			failed: []int{1},
+			keep:   [m]float64{1, 1, 1},
+		},
+		{
+			name: "skew accumulates",
+			apply: func(f *Faults) {
+				f.SkewClock(3, step)
+				f.SkewClock(3, back)
+				f.SkewClock(0, 1e-6)
+			},
+			keep: [m]float64{1, 1, 1},
+			skew: [n]units.Seconds{1e-6, 0, 0, step + back},
+		},
+		{
+			name: "failed TXs in index order",
+			apply: func(f *Faults) {
+				f.FailTX(3)
+				f.FailTX(0)
+				f.FailTX(2)
+			},
+			failed: []int{0, 2, 3},
+			keep:   [m]float64{1, 1, 1},
+		},
+		{
+			name: "dark row and shadowed column compose",
+			apply: func(f *Faults) {
+				f.FailTX(1)
+				f.SetRXAttenuation(2, 0.25)
+				f.SetRXAttenuation(0, 0.1)
+			},
+			failed: []int{1},
+			keep:   [m]float64{0.1, 1, 0.25},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			f := NewFaults(n, m)
+			tt.apply(f)
+			if got := f.FailedTXs(); !reflect.DeepEqual(got, tt.failed) {
+				t.Errorf("FailedTXs = %v, want %v", got, tt.failed)
+			}
+			for j := -1; j <= n; j++ {
+				var want units.Seconds
+				if j >= 0 && j < n {
+					want = tt.skew[j]
+				}
+				if got := f.Skew(j); got != want {
+					t.Errorf("Skew(%d) = %g, want %g", j, got.S(), want.S())
+				}
+			}
+
+			clear := &channel.Matrix{N: n, M: m, H: make([][]float64, n)}
+			for j := range clear.H {
+				clear.H[j] = make([]float64, m)
+				for i := range clear.H[j] {
+					clear.H[j][i] = 1e-6 * (1 + float64(j) + 0.37*float64(i))
+				}
+			}
+			masked := clear.Clone()
+			f.Mask(masked)
+			dark := map[int]bool{}
+			for _, j := range tt.failed {
+				dark[j] = true
+			}
+			for j := 0; j < n; j++ {
+				for i := 0; i < m; i++ {
+					want := clear.H[j][i] * tt.keep[i]
+					if dark[j] {
+						want = 0
+					}
+					got, gain := masked.H[j][i], f.Gain(clear, j, i)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("Mask[%d][%d] = %g (signbit %v), want %g", j, i, got, math.Signbit(got), want)
+					}
+					if math.Float64bits(gain) != math.Float64bits(want) {
+						t.Errorf("Gain(%d, %d) = %g (signbit %v), want %g", j, i, gain, math.Signbit(gain), want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,14 +2,16 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
+	"densevlc/internal/channel"
 	"densevlc/internal/units"
 )
 
 // Target is what the injector applies faults to: the simulation's model of
-// the physical layer. node.Hub and sim's fault state both implement it.
+// the physical layer. Faults implements it for both runtimes.
 type Target interface {
 	// FailTX turns transmitter tx's LED dark.
 	FailTX(tx int)
@@ -20,6 +22,105 @@ type Target interface {
 	SetRXAttenuation(rx int, keep float64)
 	// SkewClock adds delta to transmitter tx's trigger-clock offset.
 	SkewClock(tx int, delta units.Seconds)
+}
+
+// Faults is what injected faults do to the optical medium, shared by the
+// synchronous engine and the asynchronous hub: a failed TX's LED is dark
+// (zero pilot energy, zero data contribution, zero interference), each RX
+// keeps a fraction of every LOS gain into it (1 = clear, 0 = opaque
+// blockage), and each TX's trigger clock carries a skew that adds to its
+// data-phase offset. Out-of-range indices are ignored. Faults is not safe
+// for concurrent use; node.Hub guards its copy with the hub lock.
+type Faults struct {
+	failed []bool
+	keep   []float64
+	skew   []units.Seconds
+}
+
+// NewFaults returns the fault-free state of n transmitters and m receivers.
+func NewFaults(n, m int) *Faults {
+	f := &Faults{
+		failed: make([]bool, n),
+		keep:   make([]float64, m),
+		skew:   make([]units.Seconds, n),
+	}
+	for i := range f.keep {
+		f.keep[i] = 1
+	}
+	return f
+}
+
+// FailTX implements Target.
+func (f *Faults) FailTX(tx int) {
+	if tx >= 0 && tx < len(f.failed) {
+		f.failed[tx] = true
+	}
+}
+
+// RecoverTX implements Target.
+func (f *Faults) RecoverTX(tx int) {
+	if tx >= 0 && tx < len(f.failed) {
+		f.failed[tx] = false
+	}
+}
+
+// SetRXAttenuation implements Target; keep is clamped to [0, 1], and a
+// negative zero is stored as +0.
+func (f *Faults) SetRXAttenuation(rx int, keep float64) {
+	if rx >= 0 && rx < len(f.keep) {
+		f.keep[rx] = math.Min(1, math.Max(0, keep))
+	}
+}
+
+// SkewClock implements Target: steps accumulate.
+func (f *Faults) SkewClock(tx int, delta units.Seconds) {
+	if tx >= 0 && tx < len(f.skew) {
+		f.skew[tx] += delta
+	}
+}
+
+// Gain returns the faulted gain of link tx→rx of the clear matrix h.
+func (f *Faults) Gain(h *channel.Matrix, tx, rx int) float64 {
+	if f.failed[tx] {
+		return 0
+	}
+	return h.Gain(tx, rx) * f.keep[rx]
+}
+
+// Mask applies the faults to a freshly built channel matrix in place: dark
+// transmitters' rows go to zero, shadowed receivers' columns are scaled.
+//
+//lint:hotpath
+func (f *Faults) Mask(h *channel.Matrix) {
+	for j := 0; j < h.N; j++ {
+		for i := 0; i < h.M; i++ {
+			if f.failed[j] {
+				h.H[j][i] = 0
+				continue
+			}
+			h.H[j][i] *= f.keep[i]
+		}
+	}
+}
+
+// Skew returns transmitter tx's accumulated trigger-clock skew (zero for an
+// out-of-range index).
+func (f *Faults) Skew(tx int) units.Seconds {
+	if tx < 0 || tx >= len(f.skew) {
+		return 0
+	}
+	return f.skew[tx]
+}
+
+// FailedTXs lists the dark transmitters in index order.
+func (f *Faults) FailedTXs() []int {
+	var out []int
+	for j, dark := range f.failed {
+		if dark {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // TraceEntry records one applied event.

@@ -20,6 +20,7 @@ package clock
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"densevlc/internal/units"
@@ -144,6 +145,24 @@ func TriggerError(rng *rand.Rand, m Method, symbolRate units.Hertz) units.Second
 	default:
 		//lint:ignore apipanic documented API contract: MethodNLOSVLC is modelled by package vlcsync, not here
 		panic(fmt.Sprintf("clock: TriggerError does not model %v", m))
+	}
+}
+
+// MemberOffset draws the data-phase trigger offset of a non-leader beamspot
+// member relative to its leader under method m, at the given symbol rate,
+// and reports whether the member free-runs (no common start at all). Under
+// NLOS-VLC the member triggers on the leader's pilot, leaving the 1 Msps
+// sampling-phase quantisation plus noise wobble (the vlcsync-measured
+// ≈0.6 µs scale); under NTP/PTP it keeps |TriggerError|; unsynchronised
+// boards free-run with up to 20 ms of frame-arrival spread.
+func MemberOffset(rng *rand.Rand, m Method, symbolRate units.Hertz) (units.Seconds, bool) {
+	switch m {
+	case MethodNLOSVLC:
+		return units.Seconds(1.2e-6 * rng.Float64()), false
+	case MethodNTPPTP:
+		return units.Seconds(math.Abs(TriggerError(rng, MethodNTPPTP, symbolRate).S())), false
+	default:
+		return units.Seconds(20e-3 * rng.Float64()), true
 	}
 }
 

@@ -163,3 +163,29 @@ func TestMedianPairwiseDelayMinTrials(t *testing.T) {
 		t.Error("n<1 should clamp to 1 trial and return a value")
 	}
 }
+
+// TestMemberOffset pins the one sync-offset model both runtimes draw from:
+// NLOS-VLC members trigger within the 1.2 µs sampling-phase window,
+// NTP/PTP members keep a non-negative trigger error, and only
+// unsynchronised boards free-run (within 20 ms).
+func TestMemberOffset(t *testing.T) {
+	tests := []struct {
+		m       Method
+		max     units.Seconds
+		freeRun bool
+	}{
+		{MethodNLOSVLC, 1.2e-6, false},
+		{MethodNTPPTP, 50e-6, false},
+		{MethodNone, 20e-3, true},
+	}
+	for _, tt := range tests {
+		rng := stats.NewRand(3)
+		for k := 0; k < 200; k++ {
+			off, freeRun := MemberOffset(rng, tt.m, 100e3)
+			if off < 0 || off >= tt.max || freeRun != tt.freeRun {
+				t.Fatalf("%v draw %d: offset %g s, free-run %v; want [0, %g) s, free-run %v",
+					tt.m, k, off.S(), freeRun, tt.max.S(), tt.freeRun)
+			}
+		}
+	}
+}

@@ -193,12 +193,18 @@ func TestHubOccupancyComposesWithAttenuation(t *testing.T) {
 	for _, p := range scenario.Fig7Instance() {
 		traj = append(traj, mobility.Static{Pos: p})
 	}
-	hub := NewHub(setup, traj, nil, clock.MethodNLOSVLC, 0, 1)
+	hub := NewHub(setup, traj, clock.MethodNLOSVLC, 0, 1)
 	clear, _ := hub.Snapshot()
 
-	hub.SetRXAttenuation(0, 0.1)
+	// An unblock lands on the vacant slot at t=1.
+	injector := chaos.NewInjector(chaos.NewSchedule().RXBlock(0, 0, 0.1).RXUnblock(1, 1))
+	if got := hub.applyChaos(injector, 0, 0); got != 1 {
+		t.Fatalf("round 0 applied %d events, want 1", got)
+	}
 	hub.setOccupied([]bool{true, false, true, true})
-	hub.SetRXAttenuation(1, 1) // an unblock lands on the vacant slot
+	if got := hub.applyChaos(injector, 1, 1); got != 1 {
+		t.Fatalf("round 1 applied %d events, want 1", got)
+	}
 	hub.setOccupied([]bool{true, false, true, true})
 	got, _ := hub.Snapshot()
 	for j := 0; j < got.N; j++ {

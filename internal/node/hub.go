@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"densevlc/internal/channel"
+	"densevlc/internal/chaos"
 	"densevlc/internal/clock"
 	"densevlc/internal/frame"
 	"densevlc/internal/geom"
@@ -49,23 +50,16 @@ type Hub struct {
 	positions []mobility.Trajectory
 	now       units.Seconds // virtual time, advanced by the controller
 	h         *channel.Matrix
-	blocker   channel.Blocker
 	swings    []units.Amperes // commanded swing per TX
 	serves    []int           // RX served per TX (-1 = none)
 	leader    []bool          // leader flag per TX
 
-	// Fault state, driven by the chaos injector (the hub implements
-	// chaos.Target). A failed TX's LED is dark: zero pilot energy, zero
-	// data contribution, zero interference. rxKeep scales every LOS gain
-	// into a receiver (1 = clear, 0 = opaque blockage). clockSkew adds to
-	// a transmitter's trigger offset in the data phase.
-	txFailed  []bool
-	rxKeep    []float64
-	clockSkew []units.Seconds
+	// faults is the chaos injector's target (see applyChaos).
+	faults *chaos.Faults
 	// rxVacant marks the fleet slots a churn workload holds free. It is
-	// kept apart from rxKeep so occupancy and chaos blockage compose: a
-	// vacant slot is dark whatever its attenuation, and a churn step never
-	// clears a blockage.
+	// kept apart from the faults so occupancy and chaos blockage compose:
+	// a vacant slot is dark whatever its attenuation, and a churn step
+	// never clears a blockage.
 	rxVacant []bool
 
 	pilotCh []chan PilotEvent
@@ -85,7 +79,7 @@ type airFrame struct {
 }
 
 // NewHub builds the medium for the given deployment.
-func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Blocker,
+func NewHub(setup scenario.Setup, traj []mobility.Trajectory,
 	syncMethod clock.Method, measurementNoise float64, seed int64) *Hub {
 
 	n := setup.Grid.N()
@@ -95,7 +89,6 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 		sync:      syncMethod,
 		rng:       stats.NewRand(seed),
 		positions: traj,
-		blocker:   blocker,
 		swings:    make([]units.Amperes, n),
 		serves:    make([]int, n),
 		leader:    make([]bool, n),
@@ -104,16 +97,11 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 		pending:   map[uint16]*airFrame{},
 		noise:     units.Amperes(math.Sqrt(setup.Params.NoisePower().A2())),
 		meas:      measurementNoise,
-		txFailed:  make([]bool, n),
-		rxKeep:    make([]float64, m),
-		clockSkew: make([]units.Seconds, n),
+		faults:    chaos.NewFaults(n, m),
 		rxVacant:  make([]bool, m),
 	}
 	for j := range hub.serves {
 		hub.serves[j] = -1
-	}
-	for i := range hub.rxKeep {
-		hub.rxKeep[i] = 1
 	}
 	for i := 0; i < m; i++ {
 		hub.pilotCh[i] = make(chan PilotEvent, 2*n)
@@ -127,48 +115,21 @@ func NewHub(setup scenario.Setup, traj []mobility.Trajectory, blocker channel.Bl
 func (h *Hub) Setup() scenario.Setup { return h.setup }
 
 // gainLocked returns the faulted channel gain from tx to rx: zero when the
-// transmitter's LED is dark or the receiver's slot is vacant, attenuated
-// when the receiver is shadowed. Callers hold h.mu.
+// receiver's slot is vacant, otherwise what the chaos faults leave of it.
+// Callers hold h.mu.
 func (h *Hub) gainLocked(tx, rx int) float64 {
-	if h.txFailed[tx] || h.rxVacant[rx] {
+	if h.rxVacant[rx] {
 		return 0
 	}
-	return h.h.Gain(tx, rx) * h.rxKeep[rx]
+	return h.faults.Gain(h.h, tx, rx)
 }
 
-// FailTX implements chaos.Target: transmitter tx's LED goes dark.
-func (h *Hub) FailTX(tx int) {
+// applyChaos fires the injector's due fault events against the medium and
+// returns how many applied.
+func (h *Hub) applyChaos(in *chaos.Injector, round int, t units.Seconds) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if tx >= 0 && tx < len(h.txFailed) {
-		h.txFailed[tx] = true
-	}
-}
-
-// RecoverTX implements chaos.Target: transmitter tx returns to service.
-func (h *Hub) RecoverTX(tx int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if tx >= 0 && tx < len(h.txFailed) {
-		h.txFailed[tx] = false
-	}
-}
-
-// SetRXAttenuation implements chaos.Target: every LOS gain into rx is scaled
-// by keep (clamped to [0, 1]).
-func (h *Hub) SetRXAttenuation(rx int, keep float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if rx < 0 || rx >= len(h.rxKeep) {
-		return
-	}
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > 1 {
-		keep = 1
-	}
-	h.rxKeep[rx] = keep
+	return in.Apply(round, t, h.faults)
 }
 
 // setOccupied records which receiver slots hold a user; the rest are
@@ -179,29 +140,6 @@ func (h *Hub) setOccupied(occupied []bool) {
 	for i, on := range occupied {
 		h.rxVacant[i] = !on
 	}
-}
-
-// SkewClock implements chaos.Target: transmitter tx's trigger clock steps by
-// delta, de-synchronising it from its beamspot.
-func (h *Hub) SkewClock(tx int, delta units.Seconds) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if tx >= 0 && tx < len(h.clockSkew) {
-		h.clockSkew[tx] += delta
-	}
-}
-
-// FailedTXs returns the currently dark transmitters in index order.
-func (h *Hub) FailedTXs() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []int
-	for j, f := range h.txFailed {
-		if f {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // PilotEvents returns receiver i's pilot-measurement stream.
@@ -225,7 +163,7 @@ func (h *Hub) refreshChannelLocked() {
 		p := traj.Position(h.now)
 		xy[i] = geom.V(p.X, p.Y, 0)
 	}
-	h.h = channel.BuildMatrix(h.setup.Emitters(), h.setup.Detectors(xy), h.blocker)
+	h.h = channel.BuildMatrix(h.setup.Emitters(), h.setup.Detectors(xy), nil)
 }
 
 // Positions returns the receivers' current xy positions.
@@ -344,21 +282,16 @@ func (h *Hub) deliver(af *airFrame) {
 		amp := units.Amperes(scale * h.gainLocked(tx, af.rx) * half * half)
 		// A chaos clock step shifts this board's trigger even when the
 		// synchronisation method would otherwise align it.
-		off := h.clockSkew[tx]
+		off, freeRun := h.faults.Skew(tx), false
 		if !h.leader[tx] {
-			switch h.sync {
-			case clock.MethodNLOSVLC:
-				off += units.Seconds(1.2e-6 * h.rng.Float64())
-			case clock.MethodNTPPTP:
-				off += units.Seconds(math.Abs(clock.TriggerError(h.rng, clock.MethodNTPPTP, 100e3).S()))
-			default:
-				off += units.Seconds(20e-3 * h.rng.Float64())
-			}
+			var d units.Seconds
+			d, freeRun = clock.MemberOffset(h.rng, h.sync, 100e3)
+			off += d
 		}
 		txs = append(txs, phy.TXSignal{
 			Amplitude:  amp,
 			Offset:     off,
-			Continuous: h.sync != clock.MethodNLOSVLC && h.sync != clock.MethodNTPPTP && !h.leader[tx],
+			Continuous: freeRun,
 			ClockPPM:   40*h.rng.Float64() - 20,
 		})
 	}

@@ -14,6 +14,7 @@ import (
 	"densevlc/internal/stats"
 	"densevlc/internal/transport"
 	"densevlc/internal/units"
+	"densevlc/internal/workload"
 )
 
 // Delivery is one application payload handed to a receiver, tagged with the
@@ -24,10 +25,10 @@ type Delivery struct {
 	Payload []byte
 }
 
-// RunTX is a transmitter node's event loop: it consumes controller frames
+// runTX is a transmitter node's event loop: it consumes controller frames
 // from its link, keeps its MAC state, and acts on the medium. It returns
 // when the context is cancelled or the link closes.
-func RunTX(ctx context.Context, id int, link transport.NodeLink, hub *Hub) error {
+func runTX(ctx context.Context, id int, link transport.NodeLink, hub *Hub) error {
 	n := mac.NewTXNode(id)
 	for {
 		select {
@@ -57,10 +58,10 @@ func RunTX(ctx context.Context, id int, link transport.NodeLink, hub *Hub) error
 	}
 }
 
-// RunRX is a receiver node's event loop: it assembles channel reports from
+// runRX is a receiver node's event loop: it assembles channel reports from
 // pilot events and acknowledges decoded data frames. Payloads are delivered
 // to out (if non-nil).
-func RunRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub, out chan<- Delivery) error {
+func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub, out chan<- Delivery) error {
 	n := mac.NewRXNode(id, numTX)
 	for {
 		select {
@@ -113,60 +114,13 @@ func RunRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub
 	}
 }
 
-// ControllerConfig parameterises the asynchronous controller loop.
-type ControllerConfig struct {
-	N, M   int
-	Policy alloc.Policy
-	Budget units.Watts
-	// Rounds to run.
-	Rounds int
-	// RoundDuration advances the hub's virtual clock per round (receiver
-	// motion), seconds.
-	RoundDuration units.Seconds
-	// FramesPerRX data frames per receiver per round.
-	FramesPerRX int
-	// MaxAttempts bounds transmissions per frame (1 = no retransmission).
-	MaxAttempts int
-	// ReportTimeout bounds the wait for channel reports per round.
-	ReportTimeout time.Duration
-	// AckTimeout bounds the wait for data acknowledgements per attempt
-	// pass.
-	AckTimeout time.Duration
-	// Injector optionally replays a chaos fault schedule against the hub
-	// at round boundaries (virtual time), keeping the applied-event trace
-	// deterministic even in this asynchronous runtime.
-	Injector *chaos.Injector
-	// BeforeRound, when non-nil, runs on the controller goroutine at each
-	// round boundary before the hub's clock advances — the churn engine's
-	// hook: it steps the population and marks slot occupancy so the
-	// epoch's pilots already see the arrivals and departures.
-	BeforeRound func(round int, t units.Seconds)
-	// Demand, when non-nil, overrides FramesPerRX per receiver per round
-	// (a churn workload's per-user traffic model). Zero-demand receivers
-	// send nothing that round.
-	Demand func(rx int) int
-}
-
-func (c *ControllerConfig) defaults() {
-	if c.Rounds <= 0 {
-		c.Rounds = 5
-	}
-	if c.RoundDuration <= 0 {
-		c.RoundDuration = 1
-	}
-	if c.FramesPerRX <= 0 {
-		c.FramesPerRX = 4
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 2
-	}
-	if c.ReportTimeout <= 0 {
-		c.ReportTimeout = 2 * time.Second
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 2 * time.Second
-	}
-}
+// ARQ and report-collection bounds of the controller loop.
+const (
+	// maxAttempts bounds transmissions per frame (one retransmission).
+	maxAttempts = 2
+	// reportTimeout bounds the wait for channel reports per round.
+	reportTimeout = 2 * time.Second
+)
 
 // RoundStats summarises one asynchronous round.
 type RoundStats struct {
@@ -196,64 +150,70 @@ type RoundStats struct {
 	SystemThroughput units.BitsPerSecond
 }
 
-// RunController drives the asynchronous system: per round it schedules the
-// pilot slots, waits (with a deadline) for every receiver's report,
-// reallocates, pushes the allocation, sends data frames and counts
-// acknowledgements.
-func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
-	ctrl *mac.Controller, cfg ControllerConfig) ([]RoundStats, error) {
+// runController drives the asynchronous system: per round it steps the
+// workload engine (if any), replays the chaos schedule against the hub,
+// schedules the pilot slots, waits (with a deadline) for every receiver's
+// report, reallocates, pushes the allocation, sends data frames and counts
+// acknowledgements. cfg carries RunContext's defaults. It records the chaos
+// trace, the per-round stats and, under a workload, the engine's per-round
+// population steps into res.
+func runController(ctx context.Context, cfg Config, link transport.ControllerLink, hub *Hub,
+	ctrl *mac.Controller, engine *workload.Engine, res *Result) error {
 
-	cfg.defaults()
-	var out []RoundStats
+	injector := chaos.NewInjector(cfg.Chaos)
+	res.Trace = injector.Trace()
+	var occupied []bool
 	// Round metrics reuse one SINR buffer: the per-round scoring path is a
 	// //lint:hotpath contract (see roundThroughput).
-	sinrScratch := make([]float64, cfg.M)
+	sinrScratch := make([]float64, ctrl.M)
 
 	for round := 0; round < cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return err
 		}
 		t := units.Seconds(float64(round) * cfg.RoundDuration.S())
-		if cfg.BeforeRound != nil {
-			cfg.BeforeRound(round, t)
+		// Population churn happens at the round boundary, before the hub's
+		// clock advances, so this epoch's pilots already see the arrivals
+		// and the freed slots.
+		if engine != nil {
+			res.Steps = append(res.Steps, engine.Step(t, cfg.RoundDuration))
+			occupied = engine.ActiveMask(occupied)
+			hub.setOccupied(occupied)
 		}
 		hub.AdvanceTime(t)
 
 		// Fault injection happens at the round boundary, before the pilot
 		// phase, so this epoch's measurements already see the faults and
 		// this epoch's reallocation recovers from them.
-		chaosEvents := 0
-		if cfg.Injector != nil {
-			chaosEvents = cfg.Injector.Apply(round, t, hub)
-		}
+		chaosEvents := hub.applyChaos(injector, round, t)
 
 		// Measurement phase: one pilot slot per TX.
-		for j := 0; j < cfg.N; j++ {
+		for j := 0; j < ctrl.N; j++ {
 			pf, err := ctrl.PilotFrame(j)
 			if err != nil {
-				return out, err
+				return err
 			}
 			wire, err := pf.Serialize()
 			if err != nil {
-				return out, err
+				return err
 			}
 			if err := link.Multicast(wire); err != nil {
-				return out, fmt.Errorf("node: pilot multicast: %w", err)
+				return fmt.Errorf("node: pilot multicast: %w", err)
 			}
 		}
 
 		// Collect reports until all fresh or the deadline passes.
-		deadline := time.After(cfg.ReportTimeout)
+		deadline := time.After(reportTimeout)
 	reports:
 		for !ctrl.HaveFreshReports() {
 			select {
 			case <-ctx.Done():
-				return out, ctx.Err()
+				return ctx.Err()
 			case <-deadline:
 				break reports
 			case raw, ok := <-link.Uplink():
 				if !ok {
-					return out, errors.New("node: uplink closed")
+					return errors.New("node: uplink closed")
 				}
 				m, _, _, err := frame.DecodeMAC(raw)
 				if err != nil {
@@ -269,7 +229,7 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		plan, err := ctrl.ReallocateContext(ctx)
 		rs.DecisionTime = sw.Elapsed()
 		if err != nil {
-			return out, err
+			return err
 		}
 		rs.DeadTXs = len(ctrl.DeadTXs())
 		for _, txs := range plan.ServedBy {
@@ -279,14 +239,14 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		}
 		af, err := ctrl.AllocationFrame(plan)
 		if err != nil {
-			return out, err
+			return err
 		}
 		wire, err := af.Serialize()
 		if err != nil {
-			return out, err
+			return err
 		}
 		if err := link.Multicast(wire); err != nil {
-			return out, fmt.Errorf("node: allocation multicast: %w", err)
+			return fmt.Errorf("node: allocation multicast: %w", err)
 		}
 		for _, txs := range plan.ServedBy {
 			if len(txs) > 0 {
@@ -297,7 +257,7 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		// Data phase with stop-and-wait-per-round ARQ: send every frame,
 		// wait for acknowledgements, retransmit the stragglers until the
 		// attempt budget runs out.
-		arq := mac.NewARQ(cfg.MaxAttempts)
+		arq := mac.NewARQ(maxAttempts)
 		send := func(p mac.PendingFrame) error {
 			df, err := ctrl.DataFrameWithSeq(plan, p.RX, p.Payload, p.Seq)
 			if err != nil {
@@ -314,13 +274,18 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 			rs.FramesSent++
 			return nil
 		}
-		for rx := 0; rx < cfg.M; rx++ {
+		for rx := 0; rx < ctrl.M; rx++ {
 			if len(plan.ServedBy[rx]) == 0 {
 				continue
 			}
 			want := cfg.FramesPerRX
-			if cfg.Demand != nil {
-				want = cfg.Demand(rx)
+			if engine != nil {
+				// A user's own traffic model, capped by FramesPerRX
+				// (zero: no cap). Idle and free slots demand nothing.
+				want = engine.Demand(rx, t)
+				if cfg.FramesPerRX > 0 && want > cfg.FramesPerRX {
+					want = cfg.FramesPerRX
+				}
 			}
 			for k := 0; k < want; k++ {
 				payload := []byte(fmt.Sprintf("round %d frame %d for rx %d", round, k, rx))
@@ -330,30 +295,30 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 				}
 				wire, err := df.Serialize()
 				if err != nil {
-					return out, err
+					return err
 				}
 				if err := link.Multicast(wire); err != nil {
-					return out, err
+					return err
 				}
 				arq.Track(seq, rx, payload, 0)
 				rs.FramesSent++
 			}
 		}
-		for pass := 0; arq.Outstanding() > 0 && pass < cfg.MaxAttempts; pass++ {
+		for pass := 0; arq.Outstanding() > 0 && pass < maxAttempts; pass++ {
 			hubFlush := time.After(cfg.AckTimeout / 2)
 			ackDeadline := time.After(cfg.AckTimeout)
 		acks:
 			for arq.Outstanding() > 0 {
 				select {
 				case <-ctx.Done():
-					return out, ctx.Err()
+					return ctx.Err()
 				case <-hubFlush:
 					hub.FlushPending()
 				case <-ackDeadline:
 					break acks
 				case raw, ok := <-link.Uplink():
 					if !ok {
-						return out, errors.New("node: uplink closed")
+						return errors.New("node: uplink closed")
 					}
 					m, _, _, err := frame.DecodeMAC(raw)
 					if err != nil {
@@ -374,7 +339,7 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 			hub.FlushPending()
 			for _, p := range arq.TakeRetryable() {
 				if err := send(p); err != nil {
-					return out, err
+					return err
 				}
 				rs.Retransmits++
 			}
@@ -386,9 +351,9 @@ func RunController(ctx context.Context, link transport.ControllerLink, hub *Hub,
 		trueH, swings := hub.Snapshot()
 		env := &alloc.Env{Params: hub.Setup().Params, H: trueH, LED: hub.Setup().LED}
 		rs.SystemThroughput = roundThroughput(env, swings, sinrScratch)
-		out = append(out, rs)
+		res.Rounds = append(res.Rounds, rs)
 	}
-	return out, nil
+	return nil
 }
 
 // roundThroughput scores the round's commanded swings against the true

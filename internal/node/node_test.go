@@ -155,7 +155,7 @@ func TestAsyncRunErrors(t *testing.T) {
 
 func TestHubSnapshotAndPositions(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	hub := NewHub(scenario.Default(), asyncTrajectories(), nil, clock.MethodNLOSVLC, 0, 1)
+	hub := NewHub(scenario.Default(), asyncTrajectories(), clock.MethodNLOSVLC, 0, 1)
 	hub.Configure(7, 0, 0.9, true)
 	h, s := hub.Snapshot()
 	if h.N != 36 || s[7][0] != 0.9 {
@@ -175,7 +175,7 @@ func TestHubSnapshotAndPositions(t *testing.T) {
 
 func TestHubPilotDeliversToAllReceivers(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	hub := NewHub(scenario.Default(), asyncTrajectories(), nil, clock.MethodNLOSVLC, 0, 1)
+	hub := NewHub(scenario.Default(), asyncTrajectories(), clock.MethodNLOSVLC, 0, 1)
 	hub.Pilot(7)
 	for i := 0; i < 4; i++ {
 		select {
@@ -188,7 +188,7 @@ func TestHubPilotDeliversToAllReceivers(t *testing.T) {
 		}
 	}
 	// RX1 sits under TX8 (index 7): its gain must dominate the others'.
-	hub2 := NewHub(scenario.Default(), asyncTrajectories(), nil, clock.MethodNLOSVLC, 0, 1)
+	hub2 := NewHub(scenario.Default(), asyncTrajectories(), clock.MethodNLOSVLC, 0, 1)
 	hub2.Pilot(7)
 	g0 := (<-hub2.PilotEvents(0)).Gain
 	g3 := (<-hub2.PilotEvents(3)).Gain

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
 	"densevlc/internal/chaos"
 	"densevlc/internal/clock"
 	"densevlc/internal/mac"
@@ -32,18 +31,20 @@ type Config struct {
 	Policy   alloc.Policy
 	Budget   units.Watts
 	Sync     clock.Method
-	Blocker  channel.Blocker
 	// Network carries the control plane; nil selects in-memory. The run
 	// closes it on exit.
 	Network transport.Network
-	// Controller loop parameters. Under a Workload, FramesPerRX caps each
-	// user's per-round demand (zero: no cap).
+	// Rounds to run (zero: 5), each advancing the hub's virtual clock by
+	// RoundDuration (zero: 1 s).
 	Rounds        int
 	RoundDuration units.Seconds
-	FramesPerRX   int
+	// FramesPerRX is the data frames per receiver per round (zero: 4).
+	// Under a Workload it caps each user's per-round demand instead (zero:
+	// no cap).
+	FramesPerRX int
 	// AckTimeout bounds the wait for data acknowledgements per ARQ pass
-	// (zero: the ControllerConfig default). The in-memory transport
-	// delivers in microseconds, so tests and benchmarks tighten it.
+	// (zero: 2 s). The in-memory transport delivers in microseconds, so
+	// tests and benchmarks tighten it.
 	AckTimeout time.Duration
 	// Trigger enables the controller's event-driven re-allocation gate
 	// (zero value: re-solve every round).
@@ -104,6 +105,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
 	}
+	if cfg.Rounds <= 0 {
+		cfg.Rounds = 5
+	}
+	if cfg.RoundDuration <= 0 {
+		cfg.RoundDuration = 1
+	}
+	if cfg.FramesPerRX <= 0 && cfg.Workload == nil {
+		cfg.FramesPerRX = 4
+	}
+	if cfg.AckTimeout <= 0 {
+		cfg.AckTimeout = 2 * time.Second
+	}
 	traj := cfg.Trajectories
 	var engine *workload.Engine
 	if cfg.Workload != nil {
@@ -133,9 +146,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Under a Workload the hub reads slot positions through the engine-
 	// backed trajectories, always from the controller goroutine
-	// (AdvanceTime, after BeforeRound), so the engine's single-goroutine
-	// contract holds.
-	hub := NewHub(cfg.Setup, traj, cfg.Blocker, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
+	// (AdvanceTime, after the engine steps), so the engine's
+	// single-goroutine contract holds.
+	hub := NewHub(cfg.Setup, traj, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
@@ -163,7 +176,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("node: TX %d link: %w", j, err)
 		}
 		id := j
-		spawn(func() error { return RunTX(ctx, id, link, hub) })
+		spawn(func() error { return runTX(ctx, id, link, hub) })
 	}
 
 	delivered := make(chan Delivery, 1024)
@@ -175,49 +188,19 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("node: RX %d link: %w", i, err)
 		}
 		id := i
-		spawn(func() error { return RunRX(ctx, id, n, link, hub, delivered) })
+		spawn(func() error { return runRX(ctx, id, n, link, hub, delivered) })
 	}
 
 	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
 	ctrl.Trigger = cfg.Trigger
-	injector := chaos.NewInjector(cfg.Chaos)
-	ccfg := ControllerConfig{
-		N: n, M: m,
-		Rounds:        cfg.Rounds,
-		RoundDuration: cfg.RoundDuration,
-		FramesPerRX:   cfg.FramesPerRX,
-		AckTimeout:    cfg.AckTimeout,
-		Injector:      injector,
-	}
-	var steps []workload.StepStats
-	if engine != nil {
-		dt := cfg.RoundDuration
-		if dt <= 0 {
-			dt = 1
-		}
-		var roundT units.Seconds
-		occupied := make([]bool, m)
-		ccfg.BeforeRound = func(_ int, t units.Seconds) {
-			roundT = t
-			steps = append(steps, engine.Step(t, dt))
-			hub.setOccupied(engine.ActiveMask(occupied))
-		}
-		ccfg.Demand = func(rx int) int {
-			want := engine.Demand(rx, roundT)
-			if cfg.FramesPerRX > 0 && want > cfg.FramesPerRX {
-				want = cfg.FramesPerRX
-			}
-			return want
-		}
-	}
-	rounds, runErr := RunController(ctx, net.Controller(), hub, ctrl, ccfg)
+	res := &Result{DeliveredPerRX: make([]int, m)}
+	runErr := runController(ctx, cfg, net.Controller(), hub, ctrl, engine, res)
 
 	// Stop the node goroutines and collect.
 	cancel()
 	wg.Wait()
 	close(delivered)
 
-	res := &Result{Rounds: rounds, DeliveredPerRX: make([]int, m), Trace: injector.Trace(), Steps: steps}
 	if engine != nil {
 		res.WorkloadTrace = engine.TraceBytes()
 	}

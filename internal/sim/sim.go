@@ -83,8 +83,6 @@ type Config struct {
 	// feasibility re-validation against the live channel — when the
 	// geometry revisits a cell. Zero disables caching.
 	CacheQuantum units.Meters
-	// CacheSize bounds the cache entry count (0 selects 256).
-	CacheSize int
 	// Workload, when non-nil, replaces Trajectories with a churn-driven
 	// population: Fleet receiver slots whose tenancy evolves by Poisson
 	// arrivals and exponential dwell (see internal/workload). Free slots
@@ -186,79 +184,6 @@ type Result struct {
 	WorkloadTrace []byte
 }
 
-// faultState is the synchronous engine's model of injected faults; it
-// implements chaos.Target. No locking: sim.Run is single-goroutine.
-type faultState struct {
-	failed []bool
-	keep   []float64
-	skew   []units.Seconds
-}
-
-func newFaultState(n, m int) *faultState {
-	f := &faultState{
-		failed: make([]bool, n),
-		keep:   make([]float64, m),
-		skew:   make([]units.Seconds, n),
-	}
-	for i := range f.keep {
-		f.keep[i] = 1
-	}
-	return f
-}
-
-func (f *faultState) FailTX(tx int) {
-	if tx >= 0 && tx < len(f.failed) {
-		f.failed[tx] = true
-	}
-}
-
-func (f *faultState) RecoverTX(tx int) {
-	if tx >= 0 && tx < len(f.failed) {
-		f.failed[tx] = false
-	}
-}
-
-func (f *faultState) SetRXAttenuation(rx int, keep float64) {
-	if rx < 0 || rx >= len(f.keep) {
-		return
-	}
-	f.keep[rx] = math.Min(1, math.Max(0, keep))
-}
-
-func (f *faultState) SkewClock(tx int, delta units.Seconds) {
-	if tx >= 0 && tx < len(f.skew) {
-		f.skew[tx] += delta
-	}
-}
-
-// mask applies the fault state to a freshly built channel matrix in place:
-// dark transmitters radiate nothing, shadowed receivers see attenuated
-// gains.
-//
-//lint:hotpath
-func (f *faultState) mask(h *channel.Matrix) {
-	for j := 0; j < h.N; j++ {
-		for i := 0; i < h.M; i++ {
-			if f.failed[j] {
-				h.H[j][i] = 0
-				continue
-			}
-			h.H[j][i] *= f.keep[i]
-		}
-	}
-}
-
-// failedTXs lists the dark transmitters in index order.
-func (f *faultState) failedTXs() []int {
-	var out []int
-	for j, dark := range f.failed {
-		if dark {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Run executes the simulation.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.withDefaults(); err != nil {
@@ -296,7 +221,7 @@ func Run(cfg Config) (*Result, error) {
 	ctrl.Trigger = cfg.Trigger
 	var cache *alloc.GeoCache
 	if cfg.CacheQuantum > 0 {
-		cache = alloc.NewGeoCache(cfg.CacheQuantum, cfg.CacheSize)
+		cache = alloc.NewGeoCache(cfg.CacheQuantum, 0)
 	}
 	liveTX := make([]bool, n)
 	txNodes := make([]*mac.TXNode, n)
@@ -323,7 +248,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}
-	faults := newFaultState(n, m)
+	faults := chaos.NewFaults(n, m)
 	injector := chaos.NewInjector(cfg.Chaos)
 
 	res := &Result{Trace: injector.Trace()}
@@ -358,7 +283,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		dets := cfg.Setup.Detectors(pos)
 		trueH := channel.BuildMatrix(emitters, dets, cfg.Blocker)
-		faults.mask(trueH)
+		faults.Mask(trueH)
 		if engine != nil {
 			// Free slots' photodiodes are dark: the allocator must never
 			// grant a departed user swing.
@@ -447,11 +372,15 @@ func Run(cfg Config) (*Result, error) {
 
 		// --- Decision phase. ---
 		trueEnv := &alloc.Env{Params: cfg.Setup.Params, H: trueH, LED: cfg.Setup.LED}
+		failed := faults.FailedTXs()
 		var plan mac.Plan
 		var err error
 		if cache != nil {
 			for j := range liveTX {
-				liveTX[j] = !faults.failed[j]
+				liveTX[j] = true
+			}
+			for _, j := range failed {
+				liveTX[j] = false
 			}
 			key := cache.Key(pos, liveTX)
 			if s, ok := cache.Get(key, trueEnv, cfg.Budget); ok {
@@ -509,7 +438,7 @@ func Run(cfg Config) (*Result, error) {
 			ActiveTXs:   active,
 			Swings:      cmdSwings,
 			ChaosEvents: chaosEvents,
-			FailedTXs:   faults.failedTXs(),
+			FailedTXs:   failed,
 		}
 		if engine != nil {
 			activeMask = engine.ActiveMask(activeMask)
@@ -520,7 +449,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if cfg.WaveformPHY {
-			per, goodput, err := dataPhase(cfg, rng, ctrl, plan, txNodes, trueH, faults.skew)
+			per, goodput, err := dataPhase(cfg, rng, ctrl, plan, txNodes, trueH, faults)
 			if err != nil {
 				return nil, err
 			}
@@ -552,11 +481,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// dataPhase runs the waveform-level frame exchange for each beamspot. skew
-// carries per-TX trigger-clock steps injected by the chaos layer; they add to
-// whatever offset the synchronisation method produces.
+// dataPhase runs the waveform-level frame exchange for each beamspot. The
+// faults' per-TX trigger-clock skew adds to whatever offset the
+// synchronisation method produces.
 func dataPhase(cfg Config, rng *rand.Rand, ctrl *mac.Controller, plan mac.Plan,
-	txNodes []*mac.TXNode, trueH *channel.Matrix, skew []units.Seconds) (per []float64, goodput []units.BitsPerSecond, err error) {
+	txNodes []*mac.TXNode, trueH *channel.Matrix, faults *chaos.Faults) (per []float64, goodput []units.BitsPerSecond, err error) {
 
 	p := cfg.Setup.Params
 	scale := p.Responsivity.APerW() * p.WallPlugEfficiency * p.DynamicResistance.Ohms()
@@ -614,27 +543,12 @@ func dataPhase(cfg Config, rng *rand.Rand, ctrl *mac.Controller, plan mac.Plan,
 					return phy.TXTiming{Offset: units.Seconds(r.Float64() * 10e-3), Continuous: true, ClockPPM: ppm}
 				}
 				tx := members[idx]
-				var off units.Seconds
-				if len(skew) > tx {
-					off = skew[tx]
-				}
+				off := faults.Skew(tx)
 				if tx == leader {
 					return phy.TXTiming{Offset: off, ClockPPM: ppm}
 				}
-				switch cfg.Sync {
-				case clock.MethodNLOSVLC:
-					// Sampling-phase quantisation at 1 Msps plus noise
-					// wobble (the vlcsync-measured ≈0.6 µs scale).
-					off += units.Seconds(r.Float64() * 1.2e-6)
-					return phy.TXTiming{Offset: off, ClockPPM: ppm}
-				case clock.MethodNTPPTP:
-					off += units.Seconds(math.Abs(clock.TriggerError(r, clock.MethodNTPPTP, 100e3).S()))
-					return phy.TXTiming{Offset: off, ClockPPM: ppm}
-				default:
-					// Unsynchronised boards free-run entirely.
-					off += units.Seconds(20e-3 * r.Float64())
-					return phy.TXTiming{Offset: off, Continuous: true, ClockPPM: ppm}
-				}
+				d, freeRun := clock.MemberOffset(r, cfg.Sync, 100e3)
+				return phy.TXTiming{Offset: off + d, Continuous: freeRun, ClockPPM: ppm}
 			},
 		}
 		resPER, err := link.MeasurePER(cfgPER, all)

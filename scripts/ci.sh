@@ -34,7 +34,8 @@
 #                     incremental-vs-scratch equivalence properties also get
 #                     an explicit -race invocation (see below)
 #   9. chaos smoke  — one fault-injected end-to-end run per engine
-#                     (tx-blackout preset) plus the resilience experiment;
+#                     (tx-blackout preset), a clock-skew run through the
+#                     waveform data phase, plus the resilience experiment;
 #                     goroutine teardown after each run is the leak
 #                     checker's territory and is asserted by the -race
 #                     suites in step 8
@@ -118,9 +119,10 @@ go test -race -run 'TestIncrementalVsScratch' \
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
 # runtime error, and the dedicated chaos tests assert the recovery properties.
-echo "==> chaos smoke (tx-blackout, both engines + resilience experiment)"
+echo "==> chaos smoke (tx-blackout, both engines; clock-skew through the waveform data phase; resilience experiment)"
 go run ./cmd/densevlc -rounds 4 -udp=false -chaos tx-blackout > /dev/null
 go run ./cmd/densevlc -rounds 4 -udp=false -async -chaos tx-blackout > /dev/null
+go run ./cmd/densevlc -rounds 4 -udp=false -waveform -chaos clock-skew > /dev/null
 go run ./cmd/experiments -quick resilience > /dev/null
 
 # Cluster-scale smoke: the full building floor (N=1024, M=256) through the
