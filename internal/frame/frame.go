@@ -102,10 +102,19 @@ func NewSerializeBuffer() *SerializeBuffer {
 // Bytes returns the assembled frame.
 func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
 
-// AppendBytes grows the tail by n bytes and returns the fresh region.
+// AppendBytes grows the tail by n zeroed bytes and returns the fresh
+// region.
 func (b *SerializeBuffer) AppendBytes(n int) []byte {
 	old := len(b.buf)
-	b.buf = append(b.buf, make([]byte, n)...)
+	if cap(b.buf)-old < n {
+		// One allocation in every build: append(b.buf, make(...)...) costs
+		// two under the race detector, which disables the fused form.
+		grown := make([]byte, old, 2*cap(b.buf)+n)
+		copy(grown, b.buf)
+		b.buf = grown
+	}
+	b.buf = b.buf[:old+n]
+	clear(b.buf[old:])
 	return b.buf[old:]
 }
 
@@ -226,14 +235,13 @@ func (m MAC) SerializeTo(b *SerializeBuffer) error {
 	if len(m.Payload) > MaxPayload {
 		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(m.Payload))
 	}
-	coded := rs.Encode(m.Payload)
-	body := b.AppendBytes(MACHeaderLen + len(coded))
+	body := b.AppendBytes(AirLen(len(m.Payload)))
 	body[0] = SFD
 	binary.BigEndian.PutUint16(body[1:3], uint16(len(m.Payload)))
 	binary.BigEndian.PutUint16(body[3:5], m.Dst)
 	binary.BigEndian.PutUint16(body[5:7], m.Src)
 	binary.BigEndian.PutUint16(body[7:9], m.Protocol)
-	copy(body[9:], coded)
+	rs.EncodeInto(body[MACHeaderLen:], m.Payload)
 	return nil
 }
 

@@ -330,3 +330,46 @@ func TestAirLenMatchesSerializedLength(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// reportSizedMAC is a MAC frame with a 2093-byte payload, the size of a
+// building-scale channel report (11 Reed–Solomon blocks).
+func reportSizedMAC() MAC {
+	payload := make([]byte, 2093)
+	rand.New(rand.NewSource(14)).Read(payload)
+	return MAC{Dst: 0xFFFF, Src: 3, Protocol: 0x0801, Payload: payload}
+}
+
+func TestSerializeMACIsHeaderThenEncodedPayload(t *testing.T) {
+	m := reportSizedMAC()
+	raw, err := SerializeMAC(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{SFD, 0x08, 0x2D, 0xFF, 0xFF, 0x00, 0x03, 0x08, 0x01}
+	want = append(want, rs.Encode(m.Payload)...)
+	if !bytes.Equal(raw, want) {
+		t.Fatal("SerializeMAC is not SFD‖Length‖Dst‖Src‖Protocol‖rs.Encode(Payload)")
+	}
+}
+
+func TestMACCodecAllocations(t *testing.T) {
+	m := reportSizedMAC()
+	raw, err := SerializeMAC(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := SerializeMAC(m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("SerializeMAC of a %d-byte payload: %v allocs/op, want ≤ 2", len(m.Payload), n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := DecodeMAC(raw); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeMAC of a clean %d-byte payload: %v allocs/op, want ≤ 1", len(m.Payload), n)
+	}
+}

@@ -17,14 +17,6 @@ import (
 	"densevlc/internal/workload"
 )
 
-// Delivery is one application payload handed to a receiver, tagged with the
-// receiver so conformance tests can compare per-RX goodput against the
-// allocator's predictions.
-type Delivery struct {
-	RX      int
-	Payload []byte
-}
-
 // runTX is a transmitter node's event loop: it consumes controller frames
 // from its link, keeps its MAC state, and acts on the medium. It returns
 // when the context is cancelled or the link closes.
@@ -59,9 +51,10 @@ func runTX(ctx context.Context, id int, link transport.NodeLink, hub *Hub) error
 }
 
 // runRX is a receiver node's event loop: it assembles channel reports from
-// pilot events and acknowledges decoded data frames. Payloads are delivered
-// to out (if non-nil).
-func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub, out chan<- Delivery) error {
+// pilot events and acknowledges decoded data frames. It counts each payload
+// handed to the application in *delivered, which only this goroutine
+// writes; the caller reads it after the goroutine has exited.
+func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub, delivered *int) error {
 	n := mac.NewRXNode(id, numTX)
 	for {
 		select {
@@ -98,11 +91,8 @@ func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub
 			// payload is nil for deduplicated retransmissions: the ACK
 			// above still goes out, but the application sees each frame
 			// exactly once.
-			if out != nil && payload != nil {
-				select {
-				case out <- Delivery{RX: id, Payload: payload}:
-				default:
-				}
+			if payload != nil {
+				*delivered++
 			}
 		// Drain the downlink so control multicast does not back up; data
 		// physically reaches receivers through the hub, not the wire.

@@ -245,3 +245,36 @@ func TestAsyncRunARQRecoversFromUplinkLoss(t *testing.T) {
 			res.Delivered, totalSent-totalRetries)
 	}
 }
+
+func TestAsyncRunCountsEveryDelivery(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	// 4 RXs × 64 frames × 5 rounds offers 1280 frames, more than any
+	// fixed delivery buffer the count once went through. Every frame
+	// crosses the waveform PHY, so the run takes about a minute under the
+	// race detector; the timeout leaves room for that.
+	res, err := Run(Config{
+		Setup:            scenario.Default(),
+		Trajectories:     asyncTrajectories(),
+		Budget:           1.19,
+		Sync:             clock.MethodNLOSVLC,
+		Rounds:           5,
+		FramesPerRX:      64,
+		AckTimeout:       500 * time.Millisecond,
+		MeasurementNoise: 0.02,
+		Seed:             3,
+		Timeout:          5 * time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := 0
+	for _, r := range res.Rounds {
+		acked += r.FramesAckd
+	}
+	if res.Delivered <= 1024 {
+		t.Errorf("delivered %d payloads, want more than 1024 of the %d offered", res.Delivered, 4*64*5)
+	}
+	if res.Delivered < acked {
+		t.Errorf("delivered %d payloads but %d frames were acknowledged", res.Delivered, acked)
+	}
+}

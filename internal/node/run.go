@@ -179,7 +179,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		spawn(func() error { return runTX(ctx, id, link, hub) })
 	}
 
-	delivered := make(chan Delivery, 1024)
+	res := &Result{DeliveredPerRX: make([]int, m)}
 	for i := 0; i < m; i++ {
 		link, err := net.NewNode()
 		if err != nil {
@@ -187,28 +187,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			wg.Wait()
 			return nil, fmt.Errorf("node: RX %d link: %w", i, err)
 		}
-		id := i
+		id, delivered := i, &res.DeliveredPerRX[i]
 		spawn(func() error { return runRX(ctx, id, n, link, hub, delivered) })
 	}
 
 	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
 	ctrl.Trigger = cfg.Trigger
-	res := &Result{DeliveredPerRX: make([]int, m)}
 	runErr := runController(ctx, cfg, net.Controller(), hub, ctrl, engine, res)
 
-	// Stop the node goroutines and collect.
+	// Stop the node goroutines; once they have exited, their delivery
+	// counters are final.
 	cancel()
 	wg.Wait()
-	close(delivered)
 
 	if engine != nil {
 		res.WorkloadTrace = engine.TraceBytes()
 	}
-	for d := range delivered {
-		res.Delivered++
-		if d.RX >= 0 && d.RX < m {
-			res.DeliveredPerRX[d.RX]++
-		}
+	for _, d := range res.DeliveredPerRX {
+		res.Delivered += d
 	}
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		return res, runErr

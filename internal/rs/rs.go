@@ -1,6 +1,8 @@
 package rs
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -30,7 +32,31 @@ var (
 // ready; a package-level initializer expression would run before them.
 var generator []byte
 
-func init() { generator = buildGenerator(ParityBytes) }
+// remHi and remLo are the LFSR feedback tables of remainder: for a feedback
+// byte f, remHi[f] packs f·g₁..f·g₈ and remLo[f] packs f·g₉..f·g₁₆,
+// big-endian, matching the register's two halves.
+var remHi, remLo [fieldSize]uint64
+
+// rootMul[i][b] is b·α^i: the per-root multiply tables the dirty path
+// evaluates the 16 syndromes with.
+var rootMul [ParityBytes][fieldSize]byte
+
+// The LFSR and syndrome tables derive from generator and the GF tables, so
+// they are built here, right after generator. gf256.go's init has filled
+// the GF tables by then (init functions run in file-name order); a table
+// file sorting before gf256.go would build them all zeros.
+func init() {
+	generator = buildGenerator(ParityBytes)
+	for f := 0; f < fieldSize; f++ {
+		for j := 1; j <= 8; j++ {
+			remHi[f] |= uint64(gfMul(byte(f), generator[j])) << (8 * (8 - j))
+			remLo[f] |= uint64(gfMul(byte(f), generator[8+j])) << (8 * (8 - j))
+		}
+		for i := range rootMul {
+			rootMul[i][f] = gfMul(byte(f), gfExp(i))
+		}
+	}
+}
 
 func buildGenerator(nparity int) []byte {
 	g := []byte{1}
@@ -47,30 +73,32 @@ func buildGenerator(nparity int) []byte {
 	return g
 }
 
+// remainder returns data·x¹⁶ mod g(x), coefficients high-order first: the
+// systematic parity of data. The 16-byte shift register is two uint64s
+// (hi holds the eight high-order coefficients), so each input byte costs
+// one feedback lookup per half, two shifts and two XORs.
+//
+//lint:hotpath
+func remainder(data []byte) [ParityBytes]byte {
+	var hi, lo uint64
+	for _, d := range data {
+		f := d ^ byte(hi>>56)
+		hi = (hi<<8 | lo>>56) ^ remHi[f]
+		lo = lo<<8 ^ remLo[f]
+	}
+	var r [ParityBytes]byte
+	binary.BigEndian.PutUint64(r[:8], hi)
+	binary.BigEndian.PutUint64(r[8:], lo)
+	return r
+}
+
 // EncodeBlock appends the 16 parity bytes for one data block of at most 200
 // bytes, returning data‖parity. The input is not modified.
 func EncodeBlock(data []byte) ([]byte, error) {
 	if len(data) > MaxDataPerBlock {
 		return nil, ErrBlockTooLong
 	}
-	// Systematic encoding: remainder of data·x¹⁶ divided by g(x).
-	rem := make([]byte, ParityBytes)
-	for _, d := range data {
-		factor := d ^ rem[0]
-		copy(rem, rem[1:])
-		rem[ParityBytes-1] = 0
-		if factor != 0 {
-			lf := logTable[factor]
-			for j := 1; j < len(generator); j++ {
-				if generator[j] != 0 {
-					rem[j-1] ^= expTable[lf+logTable[generator[j]]]
-				}
-			}
-		}
-	}
-	out := make([]byte, 0, len(data)+ParityBytes)
-	out = append(out, data...)
-	return append(out, rem...), nil
+	return Encode(data), nil
 }
 
 // DecodeBlock corrects up to 8 byte errors in a block produced by
@@ -83,20 +111,33 @@ func DecodeBlock(block []byte) (data []byte, corrected int, err error) {
 	if len(block) > MaxDataPerBlock+ParityBytes {
 		return nil, 0, ErrBlockTooLong
 	}
-	msg := append([]byte(nil), block...)
+	k := len(block) - ParityBytes
+	rem := remainder(block[:k])
+	if rem == [ParityBytes]byte(block[k:]) {
+		return bytes.Clone(block[:k]), 0, nil
+	}
+	return correct(block, rem)
+}
 
-	// Syndromes S_i = r(α^i), i = 0..15.
+// correct decodes a block whose parity disagrees with rem, the remainder of
+// its data portion. It works on a copy; the block is not modified.
+func correct(block []byte, rem [ParityBytes]byte) (data []byte, corrected int, err error) {
+	k := len(block) - ParityBytes
+	// r mod g = (data·x¹⁶ mod g) + parity, since deg(parity) < 16; and
+	// g(α^i) = 0 gives the syndromes S_i = r(α^i) = (r mod g)(α^i).
+	for i := range rem {
+		rem[i] ^= block[k+i]
+	}
 	syndromes := make([]byte, ParityBytes)
-	clean := true
 	for i := range syndromes {
-		syndromes[i] = polyEval(msg, gfExp(i))
-		if syndromes[i] != 0 {
-			clean = false
+		mul := &rootMul[i]
+		var y byte
+		for _, c := range rem {
+			y = mul[y] ^ c
 		}
+		syndromes[i] = y
 	}
-	if clean {
-		return msg[:len(msg)-ParityBytes], 0, nil
-	}
+	msg := append([]byte(nil), block...)
 
 	// Berlekamp–Massey: find the error-locator polynomial Λ (low-order
 	// first, Λ[0] = 1).
@@ -146,13 +187,12 @@ func DecodeBlock(block []byte) (data []byte, corrected int, err error) {
 		msg[pos] ^= magnitude
 	}
 
-	// Verify: all syndromes of the corrected word must vanish.
-	for i := 0; i < ParityBytes; i++ {
-		if polyEval(msg, gfExp(i)) != 0 {
-			return nil, 0, ErrTooManyErrors
-		}
+	// Verify: the corrected word must be a codeword, i.e. its data must
+	// re-encode to its parity.
+	if remainder(msg[:k]) != [ParityBytes]byte(msg[k:]) {
+		return nil, 0, ErrTooManyErrors
 	}
-	return msg[:len(msg)-ParityBytes], numErrors, nil
+	return msg[:k], numErrors, nil
 }
 
 // berlekampMassey returns the error-locator polynomial (low-order first)
@@ -227,58 +267,61 @@ func chienSearch(lambda []byte, msgLen int) []int {
 // "⌈x/200⌉ × 16 B" Reed–Solomon field. The block structure is implicit in
 // the length, so Decode can invert it knowing only the payload length.
 func Encode(data []byte) []byte {
-	nblocks := (len(data) + MaxDataPerBlock - 1) / MaxDataPerBlock
-	if nblocks == 0 {
-		nblocks = 1 // a zero-length payload still carries one parity group
-	}
-	out := make([]byte, 0, len(data)+nblocks*ParityBytes)
-	for b := 0; b < nblocks; b++ {
-		lo := b * MaxDataPerBlock
-		hi := lo + MaxDataPerBlock
-		if hi > len(data) {
-			hi = len(data)
-		}
-		enc, err := EncodeBlock(data[lo:hi])
-		if err != nil {
-			// Unreachable: blocks are cut to MaxDataPerBlock above.
-			//lint:ignore apipanic EncodeBlock only fails on oversized blocks, which the slicing above rules out
-			panic(err)
-		}
-		out = append(out, enc...)
-	}
+	out := make([]byte, len(data)+Overhead(len(data)))
+	EncodeInto(out, data)
 	return out
+}
+
+// EncodeInto writes Encode(data) into dst, block by block, without
+// allocating. dst must be exactly len(data)+Overhead(len(data)) bytes and
+// must not overlap data.
+//
+//lint:hotpath
+func EncodeInto(dst, data []byte) {
+	if len(dst) != len(data)+Overhead(len(data)) {
+		//lint:ignore apipanic length mismatch is a caller bug; callers size dst with Overhead
+		panic("rs: EncodeInto: dst length is not len(data)+Overhead(len(data))")
+	}
+	for {
+		n := min(len(data), MaxDataPerBlock)
+		copy(dst, data[:n])
+		rem := remainder(data[:n])
+		copy(dst[n:], rem[:])
+		data, dst = data[n:], dst[n+ParityBytes:]
+		if len(data) == 0 {
+			return // a zero-length payload still carries one parity group
+		}
+	}
 }
 
 // Decode reverses Encode given the original data length, correcting up to
 // 8 byte errors per 216-byte block. It returns the recovered payload and
-// the total number of corrected byte errors.
+// the total number of corrected byte errors. Clean blocks are checked in
+// place and copied once, straight into the result.
 func Decode(encoded []byte, dataLen int) ([]byte, int, error) {
 	if dataLen < 0 {
 		return nil, 0, fmt.Errorf("rs: negative data length %d", dataLen)
 	}
-	nblocks := (dataLen + MaxDataPerBlock - 1) / MaxDataPerBlock
-	if nblocks == 0 {
-		nblocks = 1
-	}
-	if want := dataLen + nblocks*ParityBytes; len(encoded) != want {
+	if want := dataLen + Overhead(dataLen); len(encoded) != want {
 		return nil, 0, fmt.Errorf("rs: encoded length %d does not match data length %d (want %d)", len(encoded), dataLen, want)
 	}
 	out := make([]byte, 0, dataLen)
 	total := 0
-	off := 0
-	for b := 0; b < nblocks; b++ {
-		dlen := MaxDataPerBlock
-		if rem := dataLen - b*MaxDataPerBlock; rem < dlen {
-			dlen = rem
+	for b := 0; len(encoded) > 0; b++ {
+		dlen := min(dataLen-len(out), MaxDataPerBlock)
+		block := encoded[:dlen+ParityBytes]
+		encoded = encoded[dlen+ParityBytes:]
+		rem := remainder(block[:dlen])
+		if rem == [ParityBytes]byte(block[dlen:]) {
+			out = append(out, block[:dlen]...)
+			continue
 		}
-		blockLen := dlen + ParityBytes
-		data, corrected, err := DecodeBlock(encoded[off : off+blockLen])
+		data, corrected, err := correct(block, rem)
 		if err != nil {
 			return nil, 0, fmt.Errorf("rs: block %d: %w", b, err)
 		}
 		out = append(out, data...)
 		total += corrected
-		off += blockLen
 	}
 	return out, total, nil
 }

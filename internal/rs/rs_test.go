@@ -2,6 +2,8 @@ package rs
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -318,4 +320,266 @@ func BenchmarkDecodeBlockEightErrors(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// polyEval evaluates polynomial p (coefficients high-order first) at x.
+func polyEval(p []byte, x byte) byte {
+	var y byte
+	for _, c := range p {
+		y = gfMul(y, x) ^ c
+	}
+	return y
+}
+
+// refEncodeBlock is the reference encoder the LFSR replaced: a byte-slice
+// shift register walking 16 log/exp products per input byte.
+func refEncodeBlock(data []byte) ([]byte, error) {
+	if len(data) > MaxDataPerBlock {
+		return nil, ErrBlockTooLong
+	}
+	rem := make([]byte, ParityBytes)
+	for _, d := range data {
+		factor := d ^ rem[0]
+		copy(rem, rem[1:])
+		rem[ParityBytes-1] = 0
+		if factor != 0 {
+			lf := logTable[factor]
+			for j := 1; j < len(generator); j++ {
+				if generator[j] != 0 {
+					rem[j-1] ^= expTable[lf+logTable[generator[j]]]
+				}
+			}
+		}
+	}
+	out := make([]byte, 0, len(data)+ParityBytes)
+	out = append(out, data...)
+	return append(out, rem...), nil
+}
+
+// refDecodeBlock is the reference decoder the LFSR replaced: 16 full-block
+// polyEval syndromes, the shared Berlekamp–Massey/Chien/Forney core, and a
+// full-block syndrome re-check.
+func refDecodeBlock(block []byte) (data []byte, corrected int, err error) {
+	if len(block) < ParityBytes {
+		return nil, 0, fmt.Errorf("rs: block of %d bytes shorter than parity", len(block))
+	}
+	if len(block) > MaxDataPerBlock+ParityBytes {
+		return nil, 0, ErrBlockTooLong
+	}
+	msg := append([]byte(nil), block...)
+	syndromes := make([]byte, ParityBytes)
+	clean := true
+	for i := range syndromes {
+		syndromes[i] = polyEval(msg, gfExp(i))
+		if syndromes[i] != 0 {
+			clean = false
+		}
+	}
+	if clean {
+		return msg[:len(msg)-ParityBytes], 0, nil
+	}
+	lambda := berlekampMassey(syndromes)
+	numErrors := len(lambda) - 1
+	if numErrors > MaxCorrectableErrors {
+		return nil, 0, ErrTooManyErrors
+	}
+	positions := chienSearch(lambda, len(msg))
+	if len(positions) != numErrors {
+		return nil, 0, ErrTooManyErrors
+	}
+	omega := make([]byte, ParityBytes)
+	for i := 0; i < ParityBytes; i++ {
+		var acc byte
+		for j := 0; j <= i && j < len(lambda); j++ {
+			acc ^= gfMul(lambda[j], syndromes[i-j])
+		}
+		omega[i] = acc
+	}
+	lambdaPrime := make([]byte, 0, len(lambda)/2+1)
+	for i := 1; i < len(lambda); i += 2 {
+		lambdaPrime = append(lambdaPrime, lambda[i])
+	}
+	for _, pos := range positions {
+		x := gfExp(len(msg) - 1 - pos)
+		xInv := gfInv(x)
+		num := polyEvalLow(omega, xInv)
+		den := polyEvalLow(lambdaPrime, gfMul(xInv, xInv))
+		if den == 0 {
+			return nil, 0, ErrTooManyErrors
+		}
+		msg[pos] ^= gfMul(x, gfDiv(num, den))
+	}
+	for i := 0; i < ParityBytes; i++ {
+		if polyEval(msg, gfExp(i)) != 0 {
+			return nil, 0, ErrTooManyErrors
+		}
+	}
+	return msg[:len(msg)-ParityBytes], numErrors, nil
+}
+
+// refEncode and refDecode are the reference multi-block codec, built on the
+// reference block kernels with the same block layout as Encode/Decode.
+func refEncode(data []byte) []byte {
+	var out []byte
+	for {
+		n := min(len(data), MaxDataPerBlock)
+		enc, err := refEncodeBlock(data[:n])
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, enc...)
+		if data = data[n:]; len(data) == 0 {
+			return out
+		}
+	}
+}
+
+func refDecode(encoded []byte, dataLen int) ([]byte, int, error) {
+	if len(encoded) != dataLen+Overhead(dataLen) {
+		return nil, 0, fmt.Errorf("rs: encoded length %d does not match data length %d", len(encoded), dataLen)
+	}
+	out := make([]byte, 0, dataLen)
+	total := 0
+	for len(encoded) > 0 {
+		dlen := min(dataLen-len(out), MaxDataPerBlock)
+		data, corrected, err := refDecodeBlock(encoded[:dlen+ParityBytes])
+		if err != nil {
+			return nil, 0, err
+		}
+		out = append(out, data...)
+		total += corrected
+		encoded = encoded[dlen+ParityBytes:]
+	}
+	return out, total, nil
+}
+
+// randomReceived returns a received word for the equivalence tests: a
+// codeword of a random 0–200-byte payload with 0 to t+5 byte errors, or
+// (one time in eight) a block of random garbage.
+func randomReceived(rng *rand.Rand) []byte {
+	n := rng.Intn(MaxDataPerBlock + 1)
+	if rng.Intn(8) == 0 {
+		block := make([]byte, n+ParityBytes)
+		rng.Read(block)
+		return block
+	}
+	data := make([]byte, n)
+	rng.Read(data)
+	block, err := refEncodeBlock(data)
+	if err != nil {
+		panic(err)
+	}
+	nerr := rng.Intn(MaxCorrectableErrors + 6)
+	for _, p := range rng.Perm(len(block))[:min(nerr, len(block))] {
+		block[p] ^= byte(1 + rng.Intn(255))
+	}
+	return block
+}
+
+// checkSameDecode fails unless the decoder under test and the reference
+// agree on the data, the correction count and the error class.
+func checkSameDecode(t testing.TB, what string, gotData []byte, gotN int, gotErr error, wantData []byte, wantN int, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrTooManyErrors) != errors.Is(wantErr, ErrTooManyErrors) {
+		t.Fatalf("%s: err = %v, reference %v", what, gotErr, wantErr)
+	}
+	if gotN != wantN || !bytes.Equal(gotData, wantData) {
+		t.Fatalf("%s: decoded %d corrections %x, reference %d corrections %x", what, gotN, gotData, wantN, wantData)
+	}
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]byte, rng.Intn(3*MaxDataPerBlock+2))
+		rng.Read(data)
+		if len(data) <= MaxDataPerBlock {
+			got, err := EncodeBlock(data)
+			want, wantErr := refEncodeBlock(data)
+			if err != nil || wantErr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("EncodeBlock(%d bytes) differs from the reference", len(data))
+			}
+		}
+		if !bytes.Equal(Encode(data), refEncode(data)) {
+			t.Fatalf("Encode(%d bytes) differs from the reference", len(data))
+		}
+	}
+}
+
+func TestDecodeMatchesReference(t *testing.T) {
+	const trials = 100000
+	rng := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < trials; trial++ {
+		block := randomReceived(rng)
+		snapshot := append([]byte(nil), block...)
+		data, n, err := DecodeBlock(block)
+		wantData, wantN, wantErr := refDecodeBlock(block)
+		checkSameDecode(t, fmt.Sprintf("block %d (%d bytes)", trial, len(block)), data, n, err, wantData, wantN, wantErr)
+		if !bytes.Equal(block, snapshot) {
+			t.Fatalf("block %d: DecodeBlock mutated its input", trial)
+		}
+	}
+
+	// Multi-block: a payload of up to five blocks, each block independently
+	// clean, corrupted or garbage.
+	for trial := 0; trial < trials/20; trial++ {
+		dataLen := rng.Intn(5*MaxDataPerBlock + 1)
+		data := make([]byte, dataLen)
+		rng.Read(data)
+		enc := Encode(data)
+		for rest, done := enc, 0; len(rest) > 0; {
+			dlen := min(dataLen-done, MaxDataPerBlock)
+			block := rest[:dlen+ParityBytes]
+			switch rng.Intn(4) {
+			case 0:
+				rng.Read(block)
+			case 1:
+				for _, p := range rng.Perm(len(block))[:rng.Intn(MaxCorrectableErrors+6)] {
+					block[p] ^= byte(1 + rng.Intn(255))
+				}
+			}
+			rest, done = rest[len(block):], done+dlen
+		}
+		got, n, err := Decode(enc, dataLen)
+		want, wantN, wantErr := refDecode(enc, dataLen)
+		checkSameDecode(t, fmt.Sprintf("payload %d (%d bytes)", trial, dataLen), got, n, err, want, wantN, wantErr)
+	}
+}
+
+// FuzzDecodeBlockMatchesReference asserts the LFSR decoder agrees with the
+// log/exp reference on arbitrary blocks: same data, same correction count,
+// same error class.
+func FuzzDecodeBlockMatchesReference(f *testing.F) {
+	enc, _ := refEncodeBlock([]byte("seed data for the fuzzer"))
+	f.Add(enc)
+	f.Add(make([]byte, ParityBytes))
+	f.Add(make([]byte, MaxDataPerBlock+ParityBytes))
+	f.Fuzz(func(t *testing.T, block []byte) {
+		data, n, err := DecodeBlock(block)
+		wantData, wantN, wantErr := refDecodeBlock(block)
+		checkSameDecode(t, "fuzz block", data, n, err, wantData, wantN, wantErr)
+	})
+}
+
+func TestRemainderAndEncodeIntoDoNotAllocate(t *testing.T) {
+	data := make([]byte, 2093)
+	rand.New(rand.NewSource(5)).Read(data)
+	dst := make([]byte, len(data)+Overhead(len(data)))
+	var sink [ParityBytes]byte
+	if n := testing.AllocsPerRun(100, func() { sink = remainder(data[:MaxDataPerBlock]) }); n != 0 {
+		t.Errorf("remainder: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeInto(dst, data) }); n != 0 {
+		t.Errorf("EncodeInto: %v allocs/op, want 0", n)
+	}
+	_ = sink
+}
+
+func TestEncodeIntoRejectsWrongLength(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("EncodeInto accepted a short destination")
+		}
+	}()
+	EncodeInto(make([]byte, 10), make([]byte, 10))
 }
