@@ -1,7 +1,8 @@
 // Package dsp implements the signal-processing blocks of DenseVLC's PHY:
 // Manchester/OOK modulation, the 7th-order Butterworth anti-aliasing filter
-// of the RX front-end (Sec. 7.1), ADC quantisation, and the correlators used
-// for preamble and synchronisation-pilot detection.
+// of the RX front-end (Sec. 7.1), ADC quantisation, and the fused
+// correlation-peak search (CorrelationPeak) that detects the frame preamble
+// and the synchronisation pilot.
 package dsp
 
 import (

@@ -133,34 +133,55 @@ func (l *Link) Transmit(mac frame.MAC, txs []TXSignal) ([]float64, int, error) {
 	dur := lead + float64(len(chips))*l.chipDur + maxOff + 8*l.chipDur
 	n := int(dur * l.cfg.SampleRate.Hz())
 
-	phase := l.rng.Float64() / l.cfg.SampleRate.Hz()
+	fs := l.cfg.SampleRate.Hz()
+	phase := l.rng.Float64() / fs
 	samples := make([]float64, n)
-	for k := range samples {
-		t := phase + float64(k)/l.cfg.SampleRate.Hz()
-		v := 0.0
-		for _, tx := range txs {
-			ct := t - lead - tx.Offset.S()
-			chipDur := l.chipDur * (1 + tx.ClockPPM*1e-6)
-			if tx.Continuous {
-				idx := int(math.Floor(ct/chipDur)) % len(chips)
-				if idx < 0 {
-					idx += len(chips)
+	// Transmitter-outer synthesis: each samples[k] starts at 0 and adds the
+	// transmitters in input order, exactly the sum a sample-outer loop forms,
+	// and noise is added last in sample order so the RNG stream is unchanged.
+	for _, tx := range txs {
+		off := tx.Offset.S()
+		chipDur := l.chipDur * (1 + tx.ClockPPM*1e-6)
+		amp := tx.Amplitude.A()
+		if tx.Continuous {
+			// The chip count floor(ct/chipDur) advances by at most one per
+			// sample, so its index into the repeating frame is carried along
+			// instead of reduced modulo len(chips) every sample; any other
+			// step takes the modulo.
+			var c, idx int
+			for k := range samples {
+				ct := phase + float64(k)/fs - lead - off
+				next := int(math.Floor(ct / chipDur))
+				switch {
+				case k > 0 && next == c:
+				case k > 0 && next == c+1:
+					if idx++; idx == len(chips) {
+						idx = 0
+					}
+				default:
+					if idx = next % len(chips); idx < 0 {
+						idx += len(chips)
+					}
 				}
-				v += tx.Amplitude.A() * chips[idx]
-				continue
+				c = next
+				samples[k] += amp * chips[idx]
 			}
+			continue
+		}
+		for k := range samples {
+			ct := phase + float64(k)/fs - lead - off
 			if ct < 0 {
 				continue
 			}
-			idx := int(ct / chipDur)
-			if idx < len(chips) {
-				v += tx.Amplitude.A() * chips[idx]
+			if idx := int(ct / chipDur); idx < len(chips) {
+				samples[k] += amp * chips[idx]
 			}
 		}
-		if l.cfg.NoiseStd > 0 {
-			v += l.cfg.NoiseStd.A() * l.rng.NormFloat64()
+	}
+	if l.cfg.NoiseStd > 0 {
+		for k := range samples {
+			samples[k] += l.cfg.NoiseStd.A() * l.rng.NormFloat64()
 		}
-		samples[k] = v
 	}
 
 	if l.cfg.FrontEnd {
@@ -206,9 +227,9 @@ func aggregateAmplitude(txs []TXSignal) float64 {
 // corrections applied.
 func (l *Link) Receive(samples []float64, rawLen int) (frame.MAC, int, error) {
 	tmpl := dsp.Upsample(frame.PreambleChips(), l.spc)
-	corr := dsp.CrossCorrelate(samples, tmpl)
-	peak, peakV := dsp.FindPeak(corr)
-	if peak < 0 || peakV < 0.5 {
+	peak, peakV := dsp.CorrelationPeak(samples, tmpl)
+	// Written as !(≥) so that a NaN correlation is not a detection.
+	if peak < 0 || !(peakV >= 0.5) {
 		return frame.MAC{}, 0, fmt.Errorf("%w: best correlation %.2f", ErrNoPreamble, peakV)
 	}
 

@@ -2,11 +2,13 @@ package phy
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"densevlc/internal/channel"
+	"densevlc/internal/dsp"
 	"densevlc/internal/frame"
 	"densevlc/internal/stats"
 	"densevlc/internal/units"
@@ -14,7 +16,7 @@ import (
 
 // paperLink builds the Table 5 link: 100 Ksymbols/s OOK, 1 Msps ADC, noise
 // sqrt(N0·B) with Table 1's N0 and B = 1 MHz.
-func paperLink(t *testing.T, seed int64) *Link {
+func paperLink(t testing.TB, seed int64) *Link {
 	t.Helper()
 	l, err := NewLink(Config{
 		SymbolRate: 100e3,
@@ -294,4 +296,196 @@ func TestAnalyticPERMatchesWaveform(t *testing.T) {
 // channelFramePER forwards to the analytic model.
 func channelFramePER(sinr float64, payload int, bt float64) float64 {
 	return channel.FramePER(sinr, payload, bt)
+}
+
+// refTransmit is the sample-outer synthesis Link.Transmit replaced: for
+// each sample it sums the transmitters in input order and adds that
+// sample's noise draw. Transmit must produce the same stream bit for bit.
+func refTransmit(l *Link, mac frame.MAC, txs []TXSignal) ([]float64, int, error) {
+	chips, rawLen, err := airChips(mac)
+	if err != nil {
+		return nil, 0, err
+	}
+	lead := 24 * l.chipDur
+	maxOff := 0.0
+	for _, tx := range txs {
+		if !tx.Continuous && tx.Offset.S() > maxOff {
+			maxOff = tx.Offset.S()
+		}
+	}
+	dur := lead + float64(len(chips))*l.chipDur + maxOff + 8*l.chipDur
+	n := int(dur * l.cfg.SampleRate.Hz())
+
+	phase := l.rng.Float64() / l.cfg.SampleRate.Hz()
+	samples := make([]float64, n)
+	for k := range samples {
+		t := phase + float64(k)/l.cfg.SampleRate.Hz()
+		v := 0.0
+		for _, tx := range txs {
+			ct := t - lead - tx.Offset.S()
+			chipDur := l.chipDur * (1 + tx.ClockPPM*1e-6)
+			if tx.Continuous {
+				idx := int(math.Floor(ct/chipDur)) % len(chips)
+				if idx < 0 {
+					idx += len(chips)
+				}
+				v += tx.Amplitude.A() * chips[idx]
+				continue
+			}
+			if ct < 0 {
+				continue
+			}
+			idx := int(ct / chipDur)
+			if idx < len(chips) {
+				v += tx.Amplitude.A() * chips[idx]
+			}
+		}
+		if l.cfg.NoiseStd > 0 {
+			v += l.cfg.NoiseStd.A() * l.rng.NormFloat64()
+		}
+		samples[k] = v
+	}
+
+	if l.cfg.FrontEnd {
+		ac := dsp.NewACCoupler(1e3, l.cfg.SampleRate.Hz())
+		lp, err := dsp.ButterworthLowpass(7, 0.4*l.cfg.SampleRate.Hz(), l.cfg.SampleRate.Hz())
+		if err != nil {
+			return nil, 0, err
+		}
+		for i, s := range samples {
+			samples[i] = lp.Process(ac.Process(s))
+		}
+	}
+	if l.cfg.ADCBits > 0 {
+		fs := 4 * aggregateAmplitude(txs)
+		if fs <= 0 {
+			fs = 4 * l.cfg.NoiseStd.A()
+		}
+		adc := dsp.ADC{Bits: l.cfg.ADCBits, FullScale: fs}
+		for i, s := range samples {
+			samples[i] = adc.Quantize(s)
+		}
+	}
+	return samples, rawLen, nil
+}
+
+// randomTXSet draws 1–16 transmitters mixing frame-aligned and continuous
+// (free-running) ones, with offsets from negative to 10 ms and clock errors
+// within ±20 ppm; the first draws pin the extremes.
+func randomTXSet(rng *rand.Rand) []TXSignal {
+	txs := make([]TXSignal, 1+rng.Intn(16))
+	for i := range txs {
+		tx := TXSignal{
+			Amplitude:  units.Amperes(strongAmplitude * (0.05 + rng.Float64())),
+			Continuous: rng.Intn(2) == 0,
+			ClockPPM:   40*rng.Float64() - 20,
+		}
+		switch rng.Intn(4) {
+		case 0: // aligned within the NLOS sync error
+			tx.Offset = units.Seconds(1.2e-6 * rng.Float64())
+		case 1: // starts early
+			tx.Offset = units.Seconds(-50e-6 * rng.Float64())
+		case 2: // up to a free-running board's 10 ms
+			tx.Offset = units.Seconds(10e-3 * rng.Float64())
+		}
+		switch i {
+		case 0:
+			tx.ClockPPM = 20
+		case 1:
+			tx.ClockPPM = -20
+		case 2:
+			tx.Offset = 10e-3
+		}
+		txs[i] = tx
+	}
+	return txs
+}
+
+func TestTransmitMatchesReference(t *testing.T) {
+	noise := units.Amperes(math.Sqrt(7.02e-23 * 1e6))
+	rng := stats.NewRand(15)
+	for c := 0; c < 200; c++ {
+		cfg := Config{SymbolRate: 100e3, SampleRate: 1e6}
+		if c%2 == 0 {
+			cfg.NoiseStd = noise
+		}
+		if c%4 >= 2 {
+			cfg.FrontEnd, cfg.ADCBits = true, 12
+		}
+		mac := frame.MAC{Dst: 1, Src: 2, Payload: make([]byte, rng.Intn(48))}
+		rng.Read(mac.Payload)
+		txs := randomTXSet(rng)
+
+		seed := rng.Int63()
+		got, err := NewLink(cfg, stats.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewLink(cfg, stats.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, gLen, gErr := got.Transmit(mac, txs)
+		ws, wLen, wErr := refTransmit(want, mac, txs)
+		if gErr != nil || wErr != nil {
+			t.Fatalf("case %d: Transmit err %v, reference err %v", c, gErr, wErr)
+		}
+		if gLen != wLen || len(gs) != len(ws) {
+			t.Fatalf("case %d: rawLen %d / %d samples, reference %d / %d", c, gLen, len(gs), wLen, len(ws))
+		}
+		for k := range ws {
+			if math.Float64bits(gs[k]) != math.Float64bits(ws[k]) {
+				t.Fatalf("case %d (%+v, %d TXs): sample %d = %v, reference %v", c, cfg, len(txs), k, gs[k], ws[k])
+			}
+		}
+		// Both links must leave their RNGs at the same point.
+		if got.rng.Int63() != want.rng.Int63() {
+			t.Fatalf("case %d: RNG streams diverged", c)
+		}
+	}
+}
+
+func TestReceiveRejectsNonFiniteCapture(t *testing.T) {
+	// A NaN amplitude leaves no window with usable energy; a +Inf one makes
+	// the correlation NaN from lag 0 on. Neither may pass as a preamble.
+	mac := frame.MAC{Dst: 1, Src: 2, Payload: []byte("non-finite light")}
+	for _, amp := range []float64{math.NaN(), math.Inf(1)} {
+		l := paperLink(t, 13)
+		_, _, err := l.TransmitReceive(mac, []TXSignal{{Amplitude: units.Amperes(amp)}})
+		if !errors.Is(err, ErrNoPreamble) {
+			t.Errorf("amplitude %v: err = %v, want ErrNoPreamble", amp, err)
+		}
+	}
+}
+
+// BenchmarkLinkTransmitReceive runs room-async's frame shape through the
+// link: a four-TX beamspot, aligned within the NLOS sync error, under
+// twelve free-running interferers from the other beamspots, captured as
+// ≈3600 samples at 1 Msps.
+func BenchmarkLinkTransmitReceive(b *testing.B) {
+	rng := stats.NewRand(1)
+	var txs []TXSignal
+	for i := 0; i < 16; i++ {
+		tx := TXSignal{
+			Amplitude: units.Amperes(strongAmplitude / 2 * (0.5 + rng.Float64())),
+			Offset:    units.Seconds(1.2e-6 * rng.Float64()),
+			ClockPPM:  40*rng.Float64() - 20,
+		}
+		if i >= 4 {
+			tx.Amplitude /= 8
+			tx.Offset = units.Seconds(10e-3 * rng.Float64())
+			tx.Continuous = true
+		}
+		txs = append(txs, tx)
+	}
+	mac := frame.MAC{Dst: 1, Src: 2, Payload: make([]byte, 15)}
+	l := paperLink(b, 2)
+	if _, _, err := l.TransmitReceive(mac, txs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.TransmitReceive(mac, txs)
+	}
 }

@@ -155,9 +155,9 @@ func (s *Session) Synchronize(f Follower) Result {
 		samples[k] = v + noiseStd*s.rng.NormFloat64()
 	}
 
-	corr := dsp.CrossCorrelate(samples, s.template)
-	peak, peakV := dsp.FindPeak(corr)
-	if peak < 0 || peakV < s.cfg.threshold() {
+	peak, peakV := dsp.CorrelationPeak(samples, s.template)
+	// Written as !(≥) so that a NaN correlation is not a detection.
+	if peak < 0 || !(peakV >= s.cfg.threshold()) {
 		return Result{Correlation: peakV}
 	}
 

@@ -259,3 +259,27 @@ func TestSynchronizeBeamspot(t *testing.T) {
 		t.Errorf("empty beamspot = %+v", empty)
 	}
 }
+
+func TestSynchronizeRejectsNonFinitePilot(t *testing.T) {
+	// A non-finite pilot amplitude leaves the correlation NaN or without
+	// usable window energy; neither may count as a detection. The last
+	// follower's pilot starts on the first sample (a path "delay" of minus
+	// the 16-chip lead-in), so the NaN correlation sits at lag 0 where the
+	// leader ID still decodes: only the threshold test can reject it.
+	const leadIn = -16 * 5e-6
+	for _, f := range []Follower{
+		{SNR: math.NaN(), PathDelay: 19e-9},
+		{SNR: math.Inf(1), PathDelay: 19e-9},
+		{SNR: math.Inf(1), PathDelay: leadIn},
+	} {
+		s, err := NewSession(paperConfig(), stats.NewRand(11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			if r := s.Synchronize(f); r.Detected {
+				t.Fatalf("%+v: exchange %d detected with correlation %v", f, i, r.Correlation)
+			}
+		}
+	}
+}

@@ -30,8 +30,9 @@ baseline="${2-HEAD}"
 # internal/optimize/fastpath_test.go, internal/cluster/workspace_test.go,
 # internal/mac/sharded_test.go and trigger_test.go, the incremental
 # kernels in internal/channel/incremental_test.go and
-# internal/scenario/mover_test.go, and the Reed–Solomon encoder kernels in
-# internal/rs/rs_test.go) must carry the //lint:hotpath annotation,
+# internal/scenario/mover_test.go, the Reed–Solomon encoder kernels in
+# internal/rs/rs_test.go, and the preamble-correlation peak search in
+# internal/dsp/correlate_test.go) must carry the //lint:hotpath annotation,
 # so vlclint's hotalloc analyzer proves statically what AllocsPerRun samples
 # dynamically. Keep this list in sync with those tests.
 echo "==> hotpath/AllocsPerRun alignment"
@@ -52,7 +53,8 @@ for fn in \
     '(*densevlc/internal/channel.Matrix).ColumnInto' \
     '(*densevlc/internal/scenario.Mover).MoveRX' \
     'densevlc/internal/rs.remainder' \
-    'densevlc/internal/rs.EncodeInto'; do
+    'densevlc/internal/rs.EncodeInto' \
+    'densevlc/internal/dsp.CorrelationPeak'; do
     if ! grep -qxF "$fn" <<<"$hot"; then
         echo "bench.sh: $fn is AllocsPerRun-gated but not //lint:hotpath-annotated (see: go run ./cmd/vlclint -graph ./...)" >&2
         exit 1

@@ -50,7 +50,8 @@
 #                     handover and admission paths end to end
 #  12. short fuzz   — a few seconds of the frame-codec, MAC-decode,
 #                     Reed–Solomon block-decode and reference-equivalence,
-#                     Manchester round-trip, chaos-spec, cluster-spec and
+#                     Manchester round-trip, correlation-peak reference-
+#                     equivalence, chaos-spec, cluster-spec and
 #                     workload-spec grammar fuzzers, enough to catch
 #                     regressions on the seeded corpora plus fresh mutations
 set -euo pipefail
@@ -146,13 +147,14 @@ timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, Reed–Solomon decoder, Manchester demodulator, chaos spec, cluster spec, workload spec)"
+echo "==> short fuzz (frame codec, Reed–Solomon decoder, Manchester demodulator, correlation peak, chaos spec, cluster spec, workload spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeMAC$' -fuzztime=5s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeBlock$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzDecodeBlockMatchesReference$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
+go test -run='^$' -fuzz='^FuzzCorrelationPeakMatchesReference$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
 go test -run='^$' -fuzz='^FuzzWorkloadSpec$' -fuzztime=5s ./internal/workload/
