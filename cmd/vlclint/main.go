@@ -32,8 +32,9 @@
 // above; record an audited interprocedural finding in the baseline file
 // instead (-baseline filters findings through it, -update-baseline rewrites
 // it, keeping audited reasons and marking new entries UNAUDITED). -graph
-// dumps the module call graph with hot-path annotations — scripts/bench.sh
-// greps it to keep the static and dynamic zero-alloc gates aligned.
+// dumps the module call graph with hot-path annotations for debugging — the
+// alignment of the static and dynamic zero-alloc gates is checked by
+// internal/lint's TestHotpathAlignment.
 // -timing reports per-rule wall clock and surviving finding counts on
 // stderr in suite order (the shared call-graph build is accounted
 // separately as "callgraph"), so a slow analyzer shows up before it slows

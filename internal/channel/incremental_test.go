@@ -123,8 +123,8 @@ func TestColumnIntoMatchesColumn(t *testing.T) {
 
 // TestUpdateColumnIsAllocationFree pins the steady-state incremental path:
 // a receiver move costs N gain evaluations and zero heap allocations
-// (//lint:hotpath proves this statically; keep scripts/bench.sh's alignment
-// list in sync).
+// (//lint:hotpath proves this statically; keep internal/lint's
+// TestHotpathAlignment list in sync).
 func TestUpdateColumnIsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	emitters := testEmitters(12)

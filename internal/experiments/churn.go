@@ -18,7 +18,8 @@ import (
 // incremental trigger path. Columns are deterministic counts and means —
 // admissions, rejections, beamspot handovers, population, throughput — so
 // the table doubles as a golden regression for the whole churn path;
-// scripts/bench.sh carries the decisions/sec and frames/sec headline.
+// bench/'s floor-churn workload measures the wall-clock side, and
+// CHANGES.md (PR 10) keeps the historical decisions/sec and frames/sec.
 func ChurnStudy(opts Options) Table {
 	set := scenario.Default()
 	rates := []float64{0.2, 0.5, 1.0, 2.0}
@@ -100,6 +101,6 @@ func ChurnStudy(opts Options) Table {
 		"each row is one seeded end-to-end run: arrivals draw Poisson(rate) per epoch, sessions dwell exp(12 s), users roam at 0.25 m/s with bursty traffic",
 		"rejections come from two gates: slot exhaustion (fleet 8) and the admission capacity gate (0.2 W minimum share of the 1.19 W budget, so at most 5 users)",
 		"handovers count leader (LED) re-assignments of continuously present users; reassignments any serving-set change — the controller's trigger path re-solves only when reported gains move 5%",
-		"counts and means are fully deterministic per seed; BENCH_pr10.json carries the sustained decisions/sec and frames/sec headline")
+		"counts and means are fully deterministic per seed; bench/'s floor-churn workload measures the wall-clock side; CHANGES.md (PR 10) keeps the historical decisions/sec and frames/sec")
 	return t
 }

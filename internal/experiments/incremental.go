@@ -34,7 +34,8 @@ func (p *countedPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Sw
 // quantised-geometry cache that replays decisions when the loop revisits a
 // position cell. Columns are deterministic counts and means — no timing —
 // so the table doubles as a golden regression for the trigger and cache
-// policies; scripts/bench.sh carries the wall-clock side of the story.
+// policies; bench/'s floor-churn workload measures the wall-clock side, and
+// CHANGES.md (PR 9) keeps the historical speedups.
 func IncrementalStudy(opts Options) Table {
 	set := scenario.Default()
 	fixed := scenario.Scenario3.RXPositions()
@@ -147,6 +148,6 @@ func IncrementalStudy(opts Options) Table {
 	t.Notes = append(t.Notes,
 		"the trigger row trades solves for staleness: below-threshold epochs reuse the cached plan, the MaxStaleEpochs bound forces an occasional refresh",
 		"the cache row replays lap one's decisions on lap two — hits are byte-identical to the solves they memoised, re-validated against the live channel before adoption",
-		"solver work, not wall-clock, is the deterministic proxy here; BENCH_pr9.json carries the measured speedups")
+		"solver work, not wall-clock, is the deterministic proxy here; bench/'s floor-churn workload measures the wall-clock side; CHANGES.md (PR 9) keeps the historical speedups")
 	return t
 }

@@ -142,8 +142,9 @@ func (g *CallGraph) SortedNodes() []*FuncNode {
 
 // Dump writes the graph in the stable text form `cmd/vlclint -graph` prints:
 // one node line per function — flag column first (`hot`, `boundary`, or `-`)
-// — followed by one indented `-> callee` line per edge. scripts/bench.sh
-// greps this output to assert the AllocsPerRun-gated kernels stay annotated.
+// — followed by one indented `-> callee` line per edge. It is a human
+// debugging view; TestHotpathAlignment checks the AllocsPerRun-gated kernels
+// stay annotated through Nodes directly.
 func (g *CallGraph) Dump(w io.Writer) {
 	nodes := g.SortedNodes()
 	edges := 0

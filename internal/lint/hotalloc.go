@@ -21,7 +21,7 @@ import (
 // contain a heap-allocating construct. Traversal stops at functions
 // annotated //lint:hotpath-boundary <reason> (audited: e.g. a documented
 // cold fallback) and at the module boundary (standard-library callees are
-// covered by the dynamic AllocsPerRun gates, which scripts/bench.sh ties
+// covered by the dynamic AllocsPerRun gates, which TestHotpathAlignment ties
 // back to these annotations).
 //
 // Flagged constructs: make, new, append (no static capacity evidence),

@@ -2,23 +2,38 @@ package lint
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+// loadModule type-checks the whole module once per test binary, so the
+// module-wide tests share one Load; it skips in -short mode.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short mode")
+	}
+	module.once.Do(func() { module.pkgs, module.err = Load([]string{"./..."}) })
+	if module.err != nil {
+		t.Fatalf("Load: %v", module.err)
+	}
+	if len(module.pkgs) == 0 {
+		t.Fatal("Load returned no packages")
+	}
+	return module.pkgs
+}
 
 // TestRepoIsClean is the self-hosting gate: vlclint must run clean over the
 // entire module, so a finding introduced anywhere fails this test (and
 // scripts/ci.sh) immediately.
 func TestRepoIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	pkgs, err := Load([]string{"./..."})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("Load returned no packages")
-	}
+	pkgs := loadModule(t)
 	// Every deterministic package must actually be in the load set, so the
 	// determinism rules cannot silently rot if a package is renamed.
 	present := map[string]bool{}
@@ -57,6 +72,46 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, e := range stale {
 		t.Errorf("stale baseline entry (no finding matches): %s", e)
+	}
+}
+
+// TestHotpathAlignment keeps the static and dynamic zero-alloc gates
+// aligned: every function a testing.AllocsPerRun test pins to 0 allocs/op
+// must carry //lint:hotpath, so the hotalloc analyzer proves statically what
+// AllocsPerRun samples dynamically. The pins live in
+// internal/alloc/kernel_test.go, internal/optimize/fastpath_test.go,
+// internal/cluster/workspace_test.go, internal/mac/sharded_test.go and
+// trigger_test.go, internal/channel/incremental_test.go,
+// internal/scenario/mover_test.go, internal/rs/rs_test.go and
+// internal/dsp/correlate_test.go; keep this list in sync with them.
+func TestHotpathAlignment(t *testing.T) {
+	pinned := []struct{ id, test string }{
+		{"(*densevlc/internal/alloc.problem).Value", "alloc.TestGradientAllocationFree"},
+		{"(*densevlc/internal/alloc.problem).Gradient", "alloc.TestGradientAllocationFree"},
+		{"(*densevlc/internal/alloc.problem).ValueGradient", "alloc.TestGradientAllocationFree"},
+		{"(*densevlc/internal/alloc.problem).Project", "alloc.TestGradientAllocationFree"},
+		{"densevlc/internal/optimize.ProjectCappedSimplex", "optimize.TestProjectionAllocationFree"},
+		{"densevlc/internal/optimize.ProjectCappedSimplexScratch", "optimize.TestProjectionAllocationFree"},
+		{"(*densevlc/internal/cluster.Workspace).refresh", "cluster.TestWorkspaceSteadyStateIsAllocationFree"},
+		{"densevlc/internal/cluster.sliceInto", "cluster.TestWorkspaceSteadyStateIsAllocationFree"},
+		{"densevlc/internal/cluster.stitchInto", "cluster.TestWorkspaceSteadyStateIsAllocationFree"},
+		{"(*densevlc/internal/mac.Controller).fillEnv", "mac.TestRefreshEnvIsAllocationFree"},
+		{"(*densevlc/internal/mac.Controller).refreshRXDirty", "mac.TestTriggerSkipIsAllocationFree"},
+		{"(*densevlc/internal/channel.Matrix).UpdateColumn", "channel.TestUpdateColumnIsAllocationFree"},
+		{"(*densevlc/internal/channel.Matrix).ColumnInto", "channel.TestUpdateColumnIsAllocationFree"},
+		{"(*densevlc/internal/scenario.Mover).MoveRX", "scenario.TestMoveRXIsAllocationFree"},
+		{"densevlc/internal/rs.remainder", "rs.TestRemainderAndEncodeIntoDoNotAllocate"},
+		{"densevlc/internal/rs.EncodeInto", "rs.TestRemainderAndEncodeIntoDoNotAllocate"},
+		{"densevlc/internal/dsp.CorrelationPeak", "dsp.TestCorrelationPeakDoesNotAllocate"},
+	}
+	nodes := NewModule(loadModule(t)).Graph.Nodes
+	for _, p := range pinned {
+		switch n := nodes[p.id]; {
+		case n == nil:
+			t.Errorf("%s: no such function in the call graph (renamed?); %s pins it to 0 allocs/op", p.id, p.test)
+		case !n.Hot:
+			t.Errorf("%s: not //lint:hotpath, yet %s pins it to 0 allocs/op", p.id, p.test)
+		}
 	}
 }
 

@@ -20,7 +20,10 @@
 #                     "Interprocedural analysis" and "Concurrency
 #                     discipline")
 #   6. go test      — the full unit/integration/property/golden suite,
-#                     with a statement-coverage profile (coverage.out)
+#                     with a statement-coverage profile (coverage.out);
+#                     it includes internal/lint's TestHotpathAlignment,
+#                     which fails when a testing.AllocsPerRun-pinned
+#                     function is renamed or loses //lint:hotpath
 #   7. coverage gate — total coverage must not fall below
 #                     scripts/coverage_baseline.txt; raise the baseline
 #                     when coverage durably improves, never lower it to

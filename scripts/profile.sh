@@ -7,8 +7,8 @@
 #     ./scripts/profile.sh [bench-regexp]
 #
 # The default regexp is the Fig. 11 sweep — the macro workload the PR 4
-# fast-path work targets; pass e.g. 'OptimalDecision$' to profile a single
-# allocation decision instead.
+# fast-path work targets; pass e.g. 'GlobalDecision1024$' to profile a single
+# building-scale allocation decision instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
