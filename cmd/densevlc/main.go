@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -231,7 +232,7 @@ func printTrace(tr *chaos.Trace) {
 // receiver is its own goroutine reacting to the frames it receives, the
 // controller works with timeouts — the distributed prototype's shape.
 func runAsync(cfg node.Config) {
-	res, err := node.Run(cfg)
+	res, err := node.RunContext(context.Background(), cfg)
 	if err != nil {
 		log.Fatalf("async run: %v", err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -26,7 +27,7 @@ func main() {
 
 	for _, loss := range []float64{0, 0.3} {
 		net := transport.NewLossyNetwork(transport.NewMemNetwork(), 0, loss, 42)
-		res, err := node.Run(node.Config{
+		res, err := node.RunContext(context.Background(), node.Config{
 			Setup:            scenario.Default(),
 			Trajectories:     traj,
 			Budget:           1.19,

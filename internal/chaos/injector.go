@@ -141,13 +141,6 @@ type Trace struct {
 	entries []TraceEntry
 }
 
-// Entries returns a copy of the applied-event log.
-func (t *Trace) Entries() []TraceEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]TraceEntry(nil), t.entries...)
-}
-
 // Len returns the number of applied events.
 func (t *Trace) Len() int {
 	t.mu.Lock()

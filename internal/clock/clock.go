@@ -1,6 +1,6 @@
 // Package clock models the timing subsystem of DenseVLC's transmitters:
-// free-running oscillators with offset and drift, and the trigger-time
-// error of the synchronisation methods the paper compares (Sec. 6.1):
+// the trigger-time error of the synchronisation methods the paper compares
+// (Sec. 6.1):
 //
 //   - no synchronisation: each BeagleBone starts transmitting when the
 //     Ethernet frame arrives, so trigger times spread by network/OS jitter
@@ -11,8 +11,7 @@
 //     half a symbol period of loop-granularity ambiguity.
 //
 // The NLOS-VLC method of Sec. 6.2 is modelled mechanistically (waveform
-// level) in package vlcsync; this package covers the clock-based baselines
-// and the oscillator model both share.
+// level) in package vlcsync; this package covers the clock-based baselines.
 //
 // Times carry units.Seconds and rates units.Hertz; only the internal
 // jitter constants and dimensionless ratios stay bare float64.
@@ -25,51 +24,6 @@ import (
 
 	"densevlc/internal/units"
 )
-
-// Clock is a free-running local oscillator: local = (1+drift)·t + offset.
-type Clock struct {
-	// Offset is the initial phase error against true time.
-	Offset units.Seconds
-	// DriftPPM is the frequency error in parts per million (typical
-	// crystal: ±20 ppm).
-	DriftPPM float64
-}
-
-// NewClock draws a clock with Gaussian offset (std offsetStd) and uniform
-// drift in ±driftPPM.
-func NewClock(rng *rand.Rand, offsetStd units.Seconds, driftPPM float64) Clock {
-	return Clock{
-		Offset:   units.Seconds(offsetStd.S() * rng.NormFloat64()),
-		DriftPPM: driftPPM * (2*rng.Float64() - 1),
-	}
-}
-
-// LocalTime converts true time to this clock's local reading.
-func (c Clock) LocalTime(t units.Seconds) units.Seconds {
-	return units.Seconds(t.S()*(1+c.DriftPPM*1e-6)) + c.Offset
-}
-
-// TrueTime converts a local reading back to true time.
-func (c Clock) TrueTime(local units.Seconds) units.Seconds {
-	return units.Seconds((local - c.Offset).S() / (1 + c.DriftPPM*1e-6))
-}
-
-// Discipline slews the clock toward zero offset, leaving a residual error
-// (what NTP/PTP achieve): offset becomes a fresh Gaussian with the given
-// residual std.
-func (c *Clock) Discipline(rng *rand.Rand, residualStd units.Seconds) {
-	c.Offset = units.Seconds(residualStd.S() * rng.NormFloat64())
-}
-
-// Step applies an abrupt timing fault to the oscillator: the offset jumps by
-// delta and the frequency error by driftPPM. This is the chaos layer's clock
-// event (package chaos, KindClockStep) — a BeagleBone whose NTP discipline
-// glitches or whose crystal shifts with temperature steps exactly like this,
-// and the beamspot it leads loses symbol alignment until re-synchronised.
-func (c *Clock) Step(delta units.Seconds, driftPPM float64) {
-	c.Offset += delta
-	c.DriftPPM += driftPPM
-}
 
 // Method identifies a synchronisation scheme of the paper's comparison.
 type Method int
@@ -115,15 +69,6 @@ const (
 	// disciplined clock once per symbol, so starts quantise to about half
 	// a period on average.
 	PTPLoopFraction = 0.5
-)
-
-// Typed views of the jitter calibration constants, for callers crossing
-// into the units system.
-const (
-	// OSJitter is OSJitterStd as a typed duration.
-	OSJitter units.Seconds = OSJitterStd
-	// PTPResidual is PTPResidualStd as a typed duration.
-	PTPResidual units.Seconds = PTPResidualStd
 )
 
 // TriggerError draws the trigger-time error of one transmitter for a

@@ -8,68 +8,6 @@ import (
 	"densevlc/internal/units"
 )
 
-func TestClockConversionRoundTrip(t *testing.T) {
-	c := Clock{Offset: 1e-3, DriftPPM: 20}
-	for _, tt := range []units.Seconds{0, 1, 100, 1e4} {
-		local := c.LocalTime(tt)
-		back := c.TrueTime(local)
-		if math.Abs((back - tt).S()) > 1e-9 {
-			t.Errorf("round trip at %v: %v", tt, back)
-		}
-	}
-}
-
-func TestClockDrift(t *testing.T) {
-	c := Clock{DriftPPM: 20}
-	// After 1 s a 20 ppm clock gains 20 µs.
-	if got := c.LocalTime(1) - 1; math.Abs(got.S()-20e-6) > 1e-12 {
-		t.Errorf("drift gain = %v", got)
-	}
-}
-
-func TestNewClockWithinBounds(t *testing.T) {
-	rng := stats.NewRand(1)
-	for i := 0; i < 100; i++ {
-		c := NewClock(rng, 1e-3, 20)
-		if math.Abs(c.DriftPPM) > 20 {
-			t.Fatalf("drift %v out of bounds", c.DriftPPM)
-		}
-	}
-}
-
-func TestDiscipline(t *testing.T) {
-	rng := stats.NewRand(2)
-	offsets := make([]float64, 500)
-	for i := range offsets {
-		c := Clock{Offset: 0.5}
-		c.Discipline(rng, 5e-6)
-		offsets[i] = math.Abs(c.Offset.S())
-	}
-	med := stats.Median(offsets)
-	// Median |N(0,σ)| = 0.674σ ≈ 3.4 µs.
-	if med < 2e-6 || med > 5e-6 {
-		t.Errorf("disciplined offset median = %v", med)
-	}
-}
-
-func TestStep(t *testing.T) {
-	c := Clock{Offset: 1e-6, DriftPPM: 5}
-	c.Step(3e-6, -2)
-	if c.Offset != 4e-6 || c.DriftPPM != 3 {
-		t.Errorf("after step: offset=%v drift=%v", c.Offset, c.DriftPPM)
-	}
-	// A stepped clock reads local time consistently with its new state.
-	want := Clock{Offset: 4e-6, DriftPPM: 3}.LocalTime(10)
-	if got := c.LocalTime(10); got != want {
-		t.Errorf("LocalTime after step = %v, want %v", got, want)
-	}
-	// Steps compose additively.
-	c.Step(-4e-6, -3)
-	if c.Offset != 0 || c.DriftPPM != 0 {
-		t.Errorf("steps did not compose: offset=%v drift=%v", c.Offset, c.DriftPPM)
-	}
-}
-
 func TestTable4NoSyncMedian(t *testing.T) {
 	// Table 4: 10.040 µs median at 100 Ksymbols/s without synchronisation.
 	rng := stats.NewRand(3)

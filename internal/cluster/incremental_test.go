@@ -10,7 +10,7 @@ import (
 )
 
 // TestIncrementalVsScratchAllDirty is the workspace equivalence property:
-// SolveDirty with every cluster dirty equals a plain Solve bit for bit,
+// SolveDirtyContext with every cluster dirty equals a plain Solve bit for bit,
 // whatever formation and worker count — the dirty plumbing may only skip
 // work, never change results.
 func TestIncrementalVsScratchAllDirty(t *testing.T) {
@@ -31,7 +31,7 @@ func TestIncrementalVsScratchAllDirty(t *testing.T) {
 			if _, err := w.Solve(env, paperBudget); err != nil {
 				t.Fatal(err)
 			}
-			got, err := w.SolveDirty(env, paperBudget, allDirty)
+			got, err := w.SolveDirtyContext(context.Background(), env, paperBudget, allDirty)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestWorkspaceDirtyRefreshFollowsGains(t *testing.T) {
 	// Drift every gain (keeping the formation stable enough to reuse) while
 	// claiming everything is clean: the workspace must keep the cached
 	// stitch untouched.
-	cached, err := w.SolveDirty(env, paperBudget, func(int) bool { return false })
+	cached, err := w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWorkspaceDirtyRefreshFollowsGains(t *testing.T) {
 			env.H.H[j][i] *= 1.001
 		}
 	}
-	cached, err = w.SolveDirty(env, paperBudget, func(int) bool { return false })
+	cached, err = w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWorkspaceDirtyRefreshFollowsGains(t *testing.T) {
 
 	// Now mark everything dirty: the refresh must pick up the drifted gains
 	// and reproduce a from-scratch solve on the same matrix.
-	got, err := w.SolveDirty(env, paperBudget, func(int) bool { return true })
+	got, err := w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestWorkspaceDirtyRefreshFollowsGains(t *testing.T) {
 	assertSameSwings(t, got, want, "dirty re-solve after drift")
 }
 
-// TestSolveContextHonoursCancellation: a cancelled context aborts the solve
-// on both the serial and the parallel path.
+// TestSolveContextHonoursCancellation: a cancelled context aborts
+// SolveDirtyContext on both the serial and the parallel path.
 func TestSolveContextHonoursCancellation(t *testing.T) {
 	rng := stats.NewRand(79)
 	setup := scenario.Default()
@@ -107,7 +107,7 @@ func TestSolveContextHonoursCancellation(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 4} {
 		w := NewWorkspace(Spec{Threshold: 0.6}, alloc.Heuristic{AllowPartial: true}, workers)
-		if _, err := w.SolveContext(ctx, env, paperBudget); err == nil {
+		if _, err := w.SolveDirtyContext(ctx, env, paperBudget, nil); err == nil {
 			t.Errorf("workers=%d: cancelled solve returned nil error", workers)
 		}
 	}

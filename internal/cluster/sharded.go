@@ -113,31 +113,20 @@ func (w *Workspace) Clustering() *Clustering { return &w.clus }
 // swing matrix aliases the workspace stitch buffer — it is valid until the
 // next Solve; callers that retain it must Clone.
 func (w *Workspace) Solve(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
-	//lint:ignore ctxflow context-free convenience wrapper over SolveContext, which accepts the caller's context
+	//lint:ignore ctxflow context-free convenience wrapper over SolveDirtyContext, which accepts the caller's context
 	return w.SolveDirtyContext(context.Background(), env, budget, nil)
 }
 
-// SolveContext is Solve under the caller's context: cancellation stops the
-// per-cluster fan-out between cluster solves.
-func (w *Workspace) SolveContext(ctx context.Context, env *alloc.Env, budget units.Watts) (channel.Swings, error) {
-	return w.SolveDirtyContext(ctx, env, budget, nil)
-}
-
-// SolveDirty is Solve with per-cluster reuse: clusters for which dirty
-// returns false — and whose membership survived re-formation unchanged —
-// keep their cached sub-solution instead of re-solving. A nil dirty marks
-// every cluster dirty. Membership changes force a re-solve regardless, so a
-// stale cache can never leak across topologies.
-func (w *Workspace) SolveDirty(env *alloc.Env, budget units.Watts, dirty func(c int) bool) (channel.Swings, error) {
-	//lint:ignore ctxflow context-free convenience wrapper over SolveDirtyContext, which accepts the caller's context
-	return w.SolveDirtyContext(context.Background(), env, budget, dirty)
-}
-
-// SolveDirtyContext is SolveDirty under the caller's context. Clean
-// clusters skip both the re-solve and the sub-environment refresh — their
-// cached sub-plans were computed from the gains they already hold — so a
-// steady-state epoch costs formation, the dirty check and the stitch, not
-// O(N·M) copying.
+// SolveDirtyContext is Solve under the caller's context, with per-cluster
+// reuse: clusters for which dirty returns false — and whose membership
+// survived re-formation unchanged — keep their cached sub-solution instead
+// of re-solving. A nil dirty marks every cluster dirty. Membership changes
+// force a re-solve regardless, so a stale cache can never leak across
+// topologies. Clean clusters skip both the re-solve and the sub-environment
+// refresh — their cached sub-plans were computed from the gains they
+// already hold — so a steady-state epoch costs formation, the dirty check
+// and the stitch, not O(N·M) copying. Cancellation stops the per-cluster
+// fan-out between cluster solves.
 func (w *Workspace) SolveDirtyContext(ctx context.Context, env *alloc.Env, budget units.Watts, dirty func(c int) bool) (channel.Swings, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestWorkspaceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestWorkspaceDirtyCache checks SolveDirty's reuse contract: clean clusters
+// TestWorkspaceDirtyCache checks SolveDirtyContext's reuse contract: clean clusters
 // keep their cached sub-solution (the inner policy is not consulted), dirty
 // clusters re-solve, and the stitched result always equals a fresh solve.
 func TestWorkspaceDirtyCache(t *testing.T) {
@@ -89,7 +90,7 @@ func TestWorkspaceDirtyCache(t *testing.T) {
 	}
 
 	// All clean: zero policy calls, identical stitched output.
-	again, err := w.SolveDirty(env, paperBudget, func(int) bool { return false })
+	again, err := w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestWorkspaceDirtyCache(t *testing.T) {
 
 	// One dirty cluster: exactly one policy call, same output (gains are
 	// unchanged, so the re-solve reproduces the cache).
-	got, err := w.SolveDirty(env, paperBudget, func(c int) bool { return c == 1 })
+	got, err := w.SolveDirtyContext(context.Background(), env, paperBudget, func(c int) bool { return c == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestWorkspaceDirtyCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = w.SolveDirty(env2, paperBudget, func(int) bool { return false })
+	got, err = w.SolveDirtyContext(context.Background(), env2, paperBudget, func(int) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,11 @@ func TestWorkspaceSteadyStateIsAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(100, func() {
-			if _, err := w.SolveDirty(env, paperBudget, clean); err != nil {
+			if _, err := w.SolveDirtyContext(context.Background(), env, paperBudget, clean); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%v: steady-state SolveDirty allocates %.1f times, want 0", sp, n)
+			t.Errorf("%v: steady-state SolveDirtyContext allocates %.1f times, want 0", sp, n)
 		}
 	}
 }

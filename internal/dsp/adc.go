@@ -37,15 +37,6 @@ func (a ADC) Quantize(x float64) float64 {
 	return code * step
 }
 
-// QuantizeAll quantises a block of samples into a new slice.
-func (a ADC) QuantizeAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = a.Quantize(x)
-	}
-	return out
-}
-
 // StepSize returns one LSB in volts.
 func (a ADC) StepSize() float64 {
 	if a.Bits <= 0 || a.FullScale <= 0 {

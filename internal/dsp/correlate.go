@@ -101,42 +101,3 @@ func dot8(w, t []float64) [8]float64 {
 	}
 	return [8]float64{d0, d1, d2, d3, d4, d5, d6, d7}
 }
-
-// DetectEdge returns the index of the first sample where the signal crosses
-// the threshold upward (previous sample below, current at or above), or −1.
-// The NLOS sync receivers run this on the filtered photodiode stream to
-// time-stamp the pilot's leading edge at their sampling resolution.
-func DetectEdge(xs []float64, threshold float64) int {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] < threshold && xs[i] >= threshold {
-			return i
-		}
-	}
-	return -1
-}
-
-// MovingAverage smooths xs with a centred window of the given width
-// (clamped at the edges). Width < 2 returns a copy.
-func MovingAverage(xs []float64, width int) []float64 {
-	out := make([]float64, len(xs))
-	if width < 2 {
-		copy(out, xs)
-		return out
-	}
-	half := width / 2
-	for i := range xs {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		sum := 0.0
-		for j := lo; j <= hi; j++ {
-			sum += xs[j]
-		}
-		out[i] = sum / float64(hi-lo+1)
-	}
-	return out
-}

@@ -86,13 +86,16 @@ func TestButterworthErrors(t *testing.T) {
 
 func TestChainReset(t *testing.T) {
 	c, _ := ButterworthLowpass(4, 100e3, 1e6)
-	a := c.ProcessAll([]float64{1, 1, 1, 1})
-	c.Reset()
-	b := c.ProcessAll([]float64{1, 1, 1, 1})
+	var a, b [4]float64
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Reset did not restore initial state")
-		}
+		a[i] = c.Process(1)
+	}
+	c.Reset()
+	for i := range b {
+		b[i] = c.Process(1)
+	}
+	if a != b {
+		t.Fatal("Reset did not restore initial state")
 	}
 }
 
@@ -285,10 +288,6 @@ func TestADCQuantize(t *testing.T) {
 	if (ADC{}).StepSize() != 0 {
 		t.Error("zero-valued ADC step")
 	}
-	q := a.QuantizeAll([]float64{0.1, 0.2})
-	if len(q) != 2 {
-		t.Error("QuantizeAll length")
-	}
 }
 
 func TestCrossCorrelateFindsTemplate(t *testing.T) {
@@ -337,40 +336,5 @@ func TestCrossCorrelateNormalization(t *testing.T) {
 	corr := CrossCorrelate(signal, tmpl)
 	if math.Abs(corr[0]-1) > 1e-12 {
 		t.Errorf("corr = %v, want 1", corr[0])
-	}
-}
-
-func TestDetectEdge(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.9, 1.0, 0.2}
-	if got := DetectEdge(xs, 0.5); got != 3 {
-		t.Errorf("edge at %d, want 3", got)
-	}
-	if got := DetectEdge(xs, 2); got != -1 {
-		t.Errorf("missing edge should give -1, got %d", got)
-	}
-	if DetectEdge(nil, 0.5) != -1 {
-		t.Error("empty input")
-	}
-	// Starting above threshold is not an upward crossing.
-	if got := DetectEdge([]float64{1, 1, 1}, 0.5); got != -1 {
-		t.Errorf("no crossing, got %d", got)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 1, 4, 1, 1}
-	out := MovingAverage(xs, 3)
-	if math.Abs(out[2]-2) > 1e-12 {
-		t.Errorf("centre = %v, want 2", out[2])
-	}
-	if math.Abs(out[0]-1) > 1e-12 {
-		t.Errorf("edge = %v", out[0])
-	}
-	// Width < 2 copies.
-	same := MovingAverage(xs, 1)
-	for i := range xs {
-		if same[i] != xs[i] {
-			t.Fatal("width 1 should copy")
-		}
 	}
 }

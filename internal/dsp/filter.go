@@ -66,15 +66,6 @@ func (c *Chain) Process(x float64) float64 {
 	return x
 }
 
-// ProcessAll filters a block of samples, returning a new slice.
-func (c *Chain) ProcessAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = c.Process(x)
-	}
-	return out
-}
-
 // Reset clears all section states.
 func (c *Chain) Reset() {
 	for _, s := range c.sections {

@@ -47,11 +47,10 @@ const EtherTypeVLC = 0x88B5 // IEEE 802 local experimental
 
 // Decode errors — the explicit feedback the MAC reacts to.
 var (
-	ErrTruncated  = errors.New("frame: truncated")
-	ErrBadSFD     = errors.New("frame: bad start-of-frame delimiter")
-	ErrBadType    = errors.New("frame: unexpected ethertype")
-	ErrTooLong    = errors.New("frame: payload exceeds MaxPayload")
-	ErrBadPadding = errors.New("frame: inconsistent length field")
+	ErrTruncated = errors.New("frame: truncated")
+	ErrBadSFD    = errors.New("frame: bad start-of-frame delimiter")
+	ErrBadType   = errors.New("frame: unexpected ethertype")
+	ErrTooLong   = errors.New("frame: payload exceeds MaxPayload")
 )
 
 // LayerType identifies a frame layer.
@@ -129,16 +128,6 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 	}
 	b.start -= n
 	return b.buf[b.start : b.start+n]
-}
-
-// Clear resets the buffer for reuse.
-func (b *SerializeBuffer) Clear() {
-	b.buf = b.buf[:cap(b.buf)]
-	if len(b.buf) < 64 {
-		b.buf = make([]byte, 64)
-	}
-	b.start = len(b.buf)
-	b.buf = b.buf[:b.start]
 }
 
 // Eth is the Ethernet-style encapsulation of downlink frames.
@@ -323,7 +312,3 @@ func DecodeDownlink(data []byte) (Downlink, int, error) {
 	d.Eth, d.PHY, d.MAC = eth, phy, mac
 	return d, corrected, nil
 }
-
-// Layers returns the decoded layers outermost-first, for layer-oriented
-// consumers.
-func (d Downlink) Layers() []Layer { return []Layer{d.Eth, d.PHY, d.MAC} }

@@ -91,22 +91,6 @@ func (g Grid) Nearest(p Vec) int {
 	return best
 }
 
-// Neighborhood returns the indices of all grid nodes whose xy-distance to p
-// is at most radius, sorted by index. It is used by the D-MISO baseline,
-// which assigns the ring of surrounding TXs to each receiver.
-func (g Grid) Neighborhood(p Vec, radius units.Meters) []int {
-	var out []int
-	r2 := radius.M() * radius.M()
-	for i := 0; i < g.N(); i++ {
-		q := g.Pos(i)
-		d := (q.X-p.X)*(q.X-p.X) + (q.Y-p.Y)*(q.Y-p.Y)
-		if d <= r2 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // CenteredGrid builds a rows x cols grid with the given spacing centred in
 // the xy-plane of the room at height z. The paper's deployment is a 6x6 grid
 // with 0.5 m spacing centred in a 3m x 3m room: nodes at 0.25, 0.75, ... 2.75.

@@ -2,18 +2,8 @@ package geom
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 )
-
-// smallVecPairs generates bounded float arguments for quick checks so that
-// products stay far from overflow.
-func smallVecPairs(values []reflect.Value, rng *rand.Rand) {
-	for i := range values {
-		values[i] = reflect.ValueOf(rng.Float64()*200 - 100)
-	}
-}
 
 func TestRoomContainsAndClamp(t *testing.T) {
 	r := Room{Width: 3, Depth: 3, Height: 2.8}
@@ -90,36 +80,6 @@ func TestGridNearest(t *testing.T) {
 	// Exactly under a node.
 	if got := g.Nearest(V(2.75, 2.75, 0)); got != 35 {
 		t.Errorf("Nearest corner = %d, want 35", got)
-	}
-}
-
-func TestGridNeighborhood(t *testing.T) {
-	room := Room{Width: 3, Depth: 3, Height: 2.8}
-	g := CenteredGrid(room, 6, 6, 0.5, room.Height)
-	// Radius covering the 3x3 block around an interior point: the D-MISO
-	// baseline's 9 surrounding TXs.
-	center := V(1.25, 1.25, 0) // directly under TX15 (index 14)
-	got := g.Neighborhood(center, 0.75)
-	if len(got) != 9 {
-		t.Fatalf("got %d neighbours %v, want 9", len(got), got)
-	}
-	want := []int{7, 8, 9, 13, 14, 15, 19, 20, 21}
-	for i, idx := range want {
-		if got[i] != idx {
-			t.Errorf("neighbour[%d] = %d, want %d", i, got[i], idx)
-		}
-	}
-	// Tiny radius: only the node itself.
-	if got := g.Neighborhood(V(1.25, 1.25, 0), 0.1); len(got) != 1 || got[0] != 14 {
-		t.Errorf("tight radius = %v, want [14]", got)
-	}
-}
-
-func TestNeighborhoodRadiusBoundaryInclusive(t *testing.T) {
-	g := Grid{Rows: 1, Cols: 2, Spacing: 1}
-	got := g.Neighborhood(V(0, 0, 0), 1)
-	if len(got) != 2 {
-		t.Errorf("distance exactly equal to radius should be included, got %v", got)
 	}
 }
 

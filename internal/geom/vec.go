@@ -16,8 +16,6 @@ package geom
 import (
 	"fmt"
 	"math"
-
-	"densevlc/internal/units"
 )
 
 // Vec is a 3-D vector (or point) in metres.
@@ -39,15 +37,6 @@ func (v Vec) Scale(s float64) Vec { return Vec{s * v.X, s * v.Y, s * v.Z} }
 
 // Dot returns the dot product v . w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the cross product v x w.
-func (v Vec) Cross(w Vec) Vec {
-	return Vec{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm returns the Euclidean length of v.
 func (v Vec) Norm() float64 { return math.Sqrt(v.Dot(v)) }
@@ -75,22 +64,4 @@ func (v Vec) IsZero() bool { return v == Vec{} }
 // String implements fmt.Stringer.
 func (v Vec) String() string {
 	return fmt.Sprintf("(%.3f, %.3f, %.3f)", v.X, v.Y, v.Z)
-}
-
-// AngleBetween returns the angle between v and w, in [0, pi].
-// If either vector is zero the angle is reported as pi/2 (orthogonal), which
-// in optical-gain terms means zero gain contribution.
-func AngleBetween(v, w Vec) units.Radians {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return units.Radians(math.Pi / 2)
-	}
-	c := v.Dot(w) / (nv * nw)
-	// Clamp against floating-point drift before acos.
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return units.Radians(math.Acos(c))
 }

@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -22,26 +21,6 @@ func TestVecArithmetic(t *testing.T) {
 	}
 	if got := a.Dot(b); got != 1*4+2*-5+3*6 {
 		t.Errorf("Dot = %v", got)
-	}
-}
-
-func TestCrossOrthogonality(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		a, b := V(ax, ay, az), V(bx, by, bz)
-		c := a.Cross(b)
-		// The cross product is orthogonal to both inputs.
-		scale := a.Norm()*b.Norm() + 1
-		return almostEq(c.Dot(a)/scale, 0, 1e-9) && almostEq(c.Dot(b)/scale, 0, 1e-9)
-	}
-	cfg := &quick.Config{MaxCount: 200, Values: smallVecPairs}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCrossHandedness(t *testing.T) {
-	if got := V(1, 0, 0).Cross(V(0, 1, 0)); got != V(0, 0, 1) {
-		t.Errorf("x cross y = %v, want z", got)
 	}
 }
 
@@ -65,33 +44,5 @@ func TestNormAndUnit(t *testing.T) {
 func TestDist(t *testing.T) {
 	if d := V(0, 0, 0).Dist(V(1, 1, 1)); !almostEq(d, math.Sqrt(3), 1e-12) {
 		t.Errorf("Dist = %v", d)
-	}
-}
-
-func TestAngleBetween(t *testing.T) {
-	cases := []struct {
-		a, b Vec
-		want float64
-	}{
-		{V(1, 0, 0), V(1, 0, 0), 0},
-		{V(1, 0, 0), V(0, 1, 0), math.Pi / 2},
-		{V(1, 0, 0), V(-1, 0, 0), math.Pi},
-		{V(1, 0, 0), V(1, 1, 0), math.Pi / 4},
-		{Vec{}, V(1, 0, 0), math.Pi / 2}, // degenerate input → orthogonal
-	}
-	for _, c := range cases {
-		if got := AngleBetween(c.a, c.b); !almostEq(got.Rad(), c.want, 1e-12) {
-			t.Errorf("AngleBetween(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestAngleBetweenNoNaNOnNearParallel(t *testing.T) {
-	// Floating-point drift can push the cosine slightly above 1; the clamp
-	// must keep acos defined.
-	a := V(1, 1e-16, 0)
-	b := V(1, 0, 0)
-	if got := AngleBetween(a, b); math.IsNaN(got.Rad()) {
-		t.Error("AngleBetween returned NaN on near-parallel vectors")
 	}
 }

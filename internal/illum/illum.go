@@ -145,59 +145,3 @@ func (m *Map) Stats() Stats {
 func (s Stats) CompliesISO8995() bool {
 	return s.Average >= MinAverageLux && s.Uniformity >= MinUniformity
 }
-
-// At returns the bilinearly interpolated illuminance at work-plane point
-// (x, y), clamping outside the sampled region to the nearest sample.
-func (m *Map) At(x, y units.Meters) units.Lux {
-	ny := len(m.Lux)
-	if ny == 0 {
-		return 0
-	}
-	nx := len(m.Lux[0])
-	fx := (x - m.X0).M() / m.Step.M()
-	fy := (y - m.Y0).M() / m.Step.M()
-	fx = clampF(fx, 0, float64(nx-1))
-	fy = clampF(fy, 0, float64(ny-1))
-	ix, iy := int(fx), int(fy)
-	if ix >= nx-1 {
-		ix = nx - 2
-	}
-	if iy >= ny-1 {
-		iy = ny - 2
-	}
-	if nx == 1 || ix < 0 {
-		ix = 0
-	}
-	if ny == 1 || iy < 0 {
-		iy = 0
-	}
-	tx, ty := fx-float64(ix), fy-float64(iy)
-	if nx == 1 {
-		tx = 0
-	}
-	if ny == 1 {
-		ty = 0
-	}
-	v00 := m.Lux[iy][ix]
-	v01, v10, v11 := v00, v00, v00
-	if ix+1 < nx {
-		v01 = m.Lux[iy][ix+1]
-	}
-	if iy+1 < ny {
-		v10 = m.Lux[iy+1][ix]
-		if ix+1 < nx {
-			v11 = m.Lux[iy+1][ix+1]
-		}
-	}
-	return units.Lux(v00.Lx()*(1-tx)*(1-ty) + v01.Lx()*tx*(1-ty) + v10.Lx()*(1-tx)*ty + v11.Lx()*tx*ty)
-}
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

@@ -108,38 +108,6 @@ func TestComputeErrors(t *testing.T) {
 	}
 }
 
-func TestMapAtInterpolation(t *testing.T) {
-	m := &Map{X0: 0, Y0: 0, Step: 1, Lux: [][]units.Lux{
-		{0, 10},
-		{20, 30},
-	}}
-	cases := []struct{ x, y, want float64 }{
-		{0, 0, 0}, {1, 0, 10}, {0, 1, 20}, {1, 1, 30},
-		{0.5, 0, 5}, {0, 0.5, 10}, {0.5, 0.5, 15},
-		{-5, -5, 0}, {9, 9, 30}, // clamped outside
-	}
-	for _, c := range cases {
-		if got := m.At(units.Meters(c.x), units.Meters(c.y)); math.Abs(got.Lx()-c.want) > 1e-12 {
-			t.Errorf("At(%v,%v) = %v, want %v", c.x, c.y, got, c.want)
-		}
-	}
-}
-
-func TestMapAtDegenerate(t *testing.T) {
-	empty := &Map{}
-	if empty.At(0, 0) != 0 {
-		t.Error("empty map should read 0")
-	}
-	single := &Map{X0: 0, Y0: 0, Step: 1, Lux: [][]units.Lux{{7}}}
-	if single.At(5, 5) != 7 {
-		t.Error("single-sample map should read its value everywhere")
-	}
-	row := &Map{X0: 0, Y0: 0, Step: 1, Lux: [][]units.Lux{{1, 3}}}
-	if got := row.At(0.5, 0); math.Abs(got.Lx()-2) > 1e-12 {
-		t.Errorf("single-row interpolation = %v, want 2", got)
-	}
-}
-
 func TestStatsEmpty(t *testing.T) {
 	m := &Map{}
 	s := m.Stats()

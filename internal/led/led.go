@@ -229,12 +229,6 @@ func (m Model) LowCurrent(isw units.Amperes) units.Amperes {
 	return il
 }
 
-// LambertianOrder returns m = −ln 2 / ln(cos φ½), the Lambertian mode number
-// of the emission pattern used in the channel gain (Eq. 2).
-func (m Model) LambertianOrder() float64 {
-	return -math.Ln2 / math.Log(m.HalfPowerSemiAngle.Cos())
-}
-
 // OpticalPower returns the radiated optical power when the LED draws
 // electrical power pElec: η·pElec.
 func (m Model) OpticalPower(pElec units.Watts) units.Watts {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"densevlc/internal/optics"
 	"densevlc/internal/units"
 )
 
@@ -173,9 +174,8 @@ func TestHighLowCurrents(t *testing.T) {
 }
 
 func TestLambertianOrderFor15Degrees(t *testing.T) {
-	// φ½ = 15° gives m ≈ 20.
-	m := CreeXTE()
-	got := m.LambertianOrder()
+	// The CREE profile's φ½ = 15° gives the channel model's m ≈ 20.
+	got := optics.LambertianOrder(CreeXTE().HalfPowerSemiAngle)
 	if math.Abs(got-20) > 0.5 {
 		t.Errorf("Lambertian order = %v, want ≈20 for 15°", got)
 	}

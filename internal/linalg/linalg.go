@@ -90,18 +90,8 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns m·x. It allocates the result; per-round paths should hold
-// a buffer and call MulVecInto.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	out := make([]float64, m.Rows)
-	if err := m.MulVecInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// MulVecInto computes m·x into the caller-owned out (len(out) == m.Rows),
-// the allocation-free form of MulVec.
+// MulVecInto computes m·x into the caller-owned out (len(out) == m.Rows)
+// without allocating.
 //
 //lint:hotpath
 func (m *Matrix) MulVecInto(out, x []float64) error {

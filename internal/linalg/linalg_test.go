@@ -60,12 +60,15 @@ func TestMul(t *testing.T) {
 
 func TestMulVec(t *testing.T) {
 	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	y, err := m.MulVec([]float64{1, 1})
-	if err != nil || y[0] != 3 || y[1] != 7 {
+	y := make([]float64, 2)
+	if err := m.MulVecInto(y, []float64{1, 1}); err != nil || y[0] != 3 || y[1] != 7 {
 		t.Errorf("y = %v err = %v", y, err)
 	}
-	if _, err := m.MulVec([]float64{1}); err == nil {
+	if err := m.MulVecInto(y, []float64{1}); err == nil {
 		t.Error("bad vector accepted")
+	}
+	if err := m.MulVecInto(y[:1], []float64{1, 1}); err == nil {
+		t.Error("bad output length accepted")
 	}
 }
 
@@ -125,8 +128,8 @@ func TestSolveProperty(t *testing.T) {
 			return true // singular draws are legitimate
 		}
 		// Residual check: A·x ≈ b.
-		ax, err := a.MulVec(x)
-		if err != nil {
+		ax := make([]float64, n)
+		if err := a.MulVecInto(ax, x); err != nil {
 			return false
 		}
 		for i := range b {

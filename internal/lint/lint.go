@@ -11,7 +11,7 @@
 //   - determinism: forbids global math/rand functions and wall-clock calls
 //     (time.Now, time.Since, ...) inside the simulation packages; stochastic
 //     code must take an injected *rand.Rand and timing must go through
-//     stats.Stopwatch or clock.Clock.
+//     stats.Stopwatch.
 //   - maporder: flags `range` over a map that appends to an outer slice
 //     (without a subsequent sort) or accumulates floats, both of which make
 //     results depend on Go's randomized map iteration order.

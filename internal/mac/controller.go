@@ -47,7 +47,6 @@ type Controller struct {
 	gains   [][]float64 // gains[tx][rx], latest reports
 	fresh   []bool      // fresh[rx]: a report arrived since last Reallocate
 	seq     uint16
-	acked   map[uint16]bool
 	current Plan
 
 	// Event-driven trigger state: the gain snapshot the current plan was
@@ -128,7 +127,6 @@ func NewController(n, m int, policy alloc.Policy, budget units.Watts, params cha
 		DeadAfterEpochs: 2,
 		gains:           g,
 		fresh:           make([]bool, m),
-		acked:           make(map[uint16]bool),
 		txEverSeen:      make([]bool, n),
 		txZeroEpochs:    make([]int, n),
 		txState:         make([]LinkState, n),
@@ -154,7 +152,9 @@ type Trigger struct {
 
 func (tr Trigger) enabled() bool { return tr.RelDelta > 0 }
 
-// HandleUplink ingests one uplink MAC frame (report or ack).
+// HandleUplink ingests one uplink MAC frame. Reports update the gain
+// columns; acks are validated and otherwise ignored, since delivery
+// bookkeeping belongs to the caller's ARQ.
 func (c *Controller) HandleUplink(m frame.MAC) error {
 	switch m.Protocol {
 	case ProtoReport:
@@ -174,12 +174,8 @@ func (c *Controller) HandleUplink(m frame.MAC) error {
 		c.fresh[rep.RX] = true
 		return nil
 	case ProtoAck:
-		ack, err := DecodeAck(m.Payload)
-		if err != nil {
-			return err
-		}
-		c.acked[ack.Seq] = true
-		return nil
+		_, err := DecodeAck(m.Payload)
+		return err
 	default:
 		return fmt.Errorf("mac: unexpected uplink protocol 0x%04x", m.Protocol)
 	}
@@ -195,10 +191,6 @@ func (c *Controller) HaveFreshReports() bool {
 	}
 	return true
 }
-
-// Acked reports whether the data frame with the given sequence number was
-// acknowledged.
-func (c *Controller) Acked(seq uint16) bool { return c.acked[seq] }
 
 // Env snapshots the controller's current channel knowledge as an
 // allocation environment. Rows of transmitters the health tracker has
@@ -359,18 +351,6 @@ func (c *Controller) DeadTXs() []int {
 	var out []int
 	for j, s := range c.txState {
 		if s == LinkDead {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// UnhealthyTXs returns the transmitters currently classified stale or dead,
-// in index order.
-func (c *Controller) UnhealthyTXs() []int {
-	var out []int
-	for j, s := range c.txState {
-		if s != LinkHealthy {
 			out = append(out, j)
 		}
 	}

@@ -112,6 +112,18 @@ func TestAckPilotCodecs(t *testing.T) {
 	}
 }
 
+func TestCheckWireLimits(t *testing.T) {
+	if err := CheckWireLimits(64, 256); err != nil {
+		t.Errorf("64 TXs × 256 RX slots rejected: %v", err)
+	}
+	if CheckWireLimits(65, 1) == nil {
+		t.Error("65 TXs accepted past the 64-bit TX-ID mask")
+	}
+	if CheckWireLimits(36, 257) == nil {
+		t.Error("257 RX slots accepted past the one-byte RX index")
+	}
+}
+
 func TestAllocationCodecRoundTrip(t *testing.T) {
 	a := Allocation{Seq: 5, Commands: []TXCommand{
 		{TX: 7, RX: 0, SwingMilliAmps: 900, Leader: true},
@@ -244,8 +256,8 @@ func TestControllerFullCycle(t *testing.T) {
 	if err := c.HandleUplink(ackFrame); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Acked(seq) {
-		t.Error("ack not registered")
+	if ack, err := DecodeAck(ackFrame.Payload); err != nil || ack.Seq != seq {
+		t.Errorf("ack = %+v, %v; want seq %d", ack, err, seq)
 	}
 }
 

@@ -50,9 +50,9 @@ var (
 	ErrBadMessage   = errors.New("mac: malformed message")
 )
 
-// Report is a receiver's channel-quality report: the measured linear SNR
-// (or gain proxy) per transmitter, as produced by the M2M4 estimator during
-// the pilot slots.
+// Report is a receiver's channel-quality report: the gain measured per
+// transmitter during the pilot slots. Both runtimes fill it with the true
+// channel gain times (1 + MeasurementNoise·N(0,1)), clamped at zero.
 type Report struct {
 	RX    int
 	Seq   uint16
@@ -111,6 +111,21 @@ func DecodeAck(data []byte) (Ack, error) {
 		return Ack{}, fmt.Errorf("%w: ack needs 3 bytes, have %d", ErrShortMessage, len(data))
 	}
 	return Ack{RX: int(data[0]), Seq: binary.BigEndian.Uint16(data[1:3])}, nil
+}
+
+// CheckWireLimits reports whether n transmitters and m receiver slots fit
+// the wire formats: the downlink PHY header addresses transmitters with a
+// 64-bit TX-ID mask, and Report and Ack carry the receiver index in one
+// byte. The runtimes call it before building a deployment; NewController
+// does not, so a controller driven directly may exceed the mask width.
+func CheckWireLimits(n, m int) error {
+	if n > 64 {
+		return fmt.Errorf("mac: %d TXs exceed the 64-bit TX-ID mask", n)
+	}
+	if m > 256 {
+		return fmt.Errorf("mac: %d receiver slots exceed the one-byte RX index of reports and acks", m)
+	}
+	return nil
 }
 
 // TXCommand is one transmitter's share of an allocation update: the swing

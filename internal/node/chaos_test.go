@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -33,7 +34,7 @@ func TestConformancePerRXGoodput(t *testing.T) {
 	)
 	policy := alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
 
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Policy:           policy,
@@ -110,7 +111,7 @@ func eightFailures() (*chaos.Schedule, []int) {
 func TestChaosEightTXFailuresRecoverInOneEpoch(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	schedule, txs := eightFailures()
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
@@ -168,7 +169,7 @@ func TestChaosTraceDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() []byte {
-		res, err := Run(Config{
+		res, err := RunContext(context.Background(), Config{
 			Setup:            scenario.Default(),
 			Trajectories:     asyncTrajectories(),
 			Budget:           1.19,
@@ -200,7 +201,7 @@ func TestChaosTraceDeterministicAcrossRuns(t *testing.T) {
 // deployment is rejected before any goroutine spawns.
 func TestChaosScheduleValidatedUpFront(t *testing.T) {
 	schedule := chaos.NewSchedule().TXFail(1, 99)
-	_, err := Run(Config{
+	_, err := RunContext(context.Background(), Config{
 		Setup:        scenario.Default(),
 		Trajectories: asyncTrajectories(),
 		Budget:       1.19,

@@ -154,6 +154,29 @@ func TestChurnRunRejectsInvalidWorkload(t *testing.T) {
 	}
 }
 
+// TestRunContextWireLimits: a fleet wider than the one-byte RX index of
+// reports and acks is refused before anything is built; the widest fleet
+// that fits runs with every round's reports complete.
+func TestRunContextWireLimits(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	sp := churnSpec()
+	sp.Fleet = 257
+	if _, err := RunContext(context.Background(), churnConfig(sp, 1, 1)); err == nil {
+		t.Fatal("fleet 257 accepted")
+	}
+	sp = churnSpec()
+	sp.Fleet = 256
+	res, err := RunContext(context.Background(), churnConfig(sp, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rounds {
+		if !r.ReportsOK {
+			t.Errorf("round %d: reports incomplete with 256 slots", r.Round)
+		}
+	}
+}
+
 // TestChurnRunHonoursContext: a pre-cancelled context unwinds the whole
 // deployment promptly and leaks nothing.
 func TestChurnRunHonoursContext(t *testing.T) {

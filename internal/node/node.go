@@ -314,13 +314,12 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 					if err != nil {
 						continue
 					}
-					if err := ctrl.HandleUplink(m); err != nil {
+					if m.Protocol != mac.ProtoAck {
+						_ = ctrl.HandleUplink(m) // late reports feed the next epoch; garbled ones are dropped
 						continue
 					}
-					if m.Protocol == mac.ProtoAck {
-						if ack, err := mac.DecodeAck(m.Payload); err == nil {
-							arq.Ack(ack.Seq)
-						}
+					if ack, err := mac.DecodeAck(m.Payload); err == nil {
+						arq.Ack(ack.Seq)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func asyncTrajectories() []mobility.Trajectory {
 
 func TestAsyncRunDeliversFrames(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
@@ -64,7 +65,7 @@ func TestAsyncRunDeliversFrames(t *testing.T) {
 
 func TestAsyncRunNoSyncCollapses(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
@@ -91,7 +92,7 @@ func TestAsyncRunOverUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           0.6,
@@ -123,7 +124,7 @@ func TestAsyncRunMobility(t *testing.T) {
 		},
 		mobility.Static{Pos: geom.V(2.25, 2.25, 0)},
 	}
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     traj,
 		Budget:           0.9,
@@ -148,7 +149,7 @@ func TestAsyncRunMobility(t *testing.T) {
 
 func TestAsyncRunErrors(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	if _, err := Run(Config{Setup: scenario.Default()}); err == nil {
+	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default()}); err == nil {
 		t.Error("no receivers accepted")
 	}
 }
@@ -211,7 +212,7 @@ func TestAsyncRunARQRecoversFromUplinkLoss(t *testing.T) {
 	// Drop 30% of uplink frames (reports and ACKs): the controller's ARQ
 	// must retransmit and the dedup window must keep deliveries unique.
 	lossy := transport.NewLossyNetwork(transport.NewMemNetwork(), 0, 0.3, 11)
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
@@ -252,7 +253,7 @@ func TestAsyncRunCountsEveryDelivery(t *testing.T) {
 	// fixed delivery buffer the count once went through. Every frame
 	// crosses the waveform PHY, so the run takes about a minute under the
 	// race detector; the timeout leaves room for that.
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,

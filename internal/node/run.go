@@ -78,18 +78,10 @@ type Result struct {
 	WorkloadTrace []byte
 }
 
-// Run spawns the controller, every transmitter and every receiver as
+// RunContext spawns the controller, every transmitter and every receiver as
 // goroutines over the transport, runs the configured number of rounds, and
-// shuts everything down. It is RunContext with a background context — the
-// run is still bounded by cfg.Timeout, but cannot be cancelled early.
-func Run(cfg Config) (*Result, error) {
-	//lint:ignore ctxflow context-free convenience entry point for mains; RunContext accepts the caller's context
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run under a caller-supplied context: cancelling ctx aborts
-// the round loop and tears the deployment down, in addition to the
-// cfg.Timeout bound.
+// shuts everything down. Cancelling ctx aborts the round loop and tears the
+// deployment down, in addition to the cfg.Timeout bound.
 //
 // Under cfg.Workload every fleet slot is a receiver goroutine. The engine
 // steps on the controller goroutine at each round boundary
@@ -117,7 +109,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 2 * time.Second
 	}
+	n := cfg.Setup.Grid.N()
 	traj := cfg.Trajectories
+	m := len(traj)
+	if cfg.Workload != nil {
+		m = cfg.Workload.Fleet
+	}
+	if err := mac.CheckWireLimits(n, m); err != nil {
+		return nil, err
+	}
 	var engine *workload.Engine
 	if cfg.Workload != nil {
 		if len(traj) != 0 {
@@ -132,8 +132,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if len(traj) == 0 {
 		return nil, errors.New("node: no receivers")
 	}
-	n := cfg.Setup.Grid.N()
-	m := len(traj)
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}

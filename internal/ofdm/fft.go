@@ -5,7 +5,7 @@
 // time-domain signal is real (intensity modulation cannot transmit complex
 // waveforms), a DC bias with zero-clipping (the "DCO" part), cyclic
 // prefixes against dispersion, and square QAM constellations with a
-// single-tap per-subcarrier equaliser.
+// single-tap equaliser for a known flat channel gain.
 package ofdm
 
 import (

@@ -95,7 +95,3 @@ func (q *QAM) Demodulate(symbols []complex128) []byte {
 	}
 	return out
 }
-
-// MinDistance returns the constellation's minimum Euclidean distance, which
-// sets its noise tolerance.
-func (q *QAM) MinDistance() float64 { return 2 * q.scale }

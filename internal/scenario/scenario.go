@@ -166,10 +166,6 @@ func (s Setup) Env(rx []geom.Vec, blocker channel.Blocker) *alloc.Env {
 	return &alloc.Env{Params: s.Params, H: h, LED: s.LED}
 }
 
-// TXPos returns the position of transmitter i (0-based; the paper's TX1 is
-// index 0).
-func (s Setup) TXPos(i int) geom.Vec { return s.Grid.Pos(i) }
-
 // Scenario identifies one of the Table 6 receiver placements.
 type Scenario int
 

@@ -193,6 +193,12 @@ func Run(cfg Config) (*Result, error) {
 
 	n := cfg.Setup.Grid.N()
 	m := len(cfg.Trajectories)
+	if cfg.Workload != nil {
+		m = cfg.Workload.Fleet
+	}
+	if err := mac.CheckWireLimits(n, m); err != nil {
+		return nil, err
+	}
 	var engine *workload.Engine
 	var tracker *workload.Tracker
 	var activeMask []bool
@@ -202,11 +208,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		m = cfg.Workload.Fleet
 		tracker = workload.NewTracker(m)
-	}
-	if n > 64 {
-		return nil, fmt.Errorf("sim: %d TXs exceed the 64-bit TX-ID mask", n)
 	}
 
 	// Real control-plane components over the configured transport.

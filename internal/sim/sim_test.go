@@ -11,6 +11,7 @@ import (
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
 	"densevlc/internal/transport"
+	"densevlc/internal/workload"
 )
 
 func staticTrajectories() []mobility.Trajectory {
@@ -162,6 +163,21 @@ func TestRunConfigErrors(t *testing.T) {
 	}
 	if _, err := Run(Config{Setup: scenario.Default(), Trajectories: staticTrajectories(), MeasurementNoise: -0.1}); err == nil {
 		t.Error("negative noise accepted")
+	}
+	sp := workload.DefaultSpec()
+	if _, err := Run(Config{Setup: scenario.Default(), Workload: &sp, Trajectories: staticTrajectories()}); err == nil {
+		t.Error("Workload together with Trajectories accepted")
+	}
+	if _, err := Run(Config{Setup: scenario.Default(), Workload: &sp, CacheQuantum: 0.1}); err == nil {
+		t.Error("Workload together with the geometry cache accepted")
+	}
+	wide := workload.DefaultSpec()
+	wide.Fleet = 257
+	if _, err := Run(Config{Setup: scenario.Default(), Workload: &wide}); err == nil {
+		t.Error("257 receiver slots accepted past the one-byte RX index")
+	}
+	if _, err := Run(Config{Setup: scenario.FloorGrid(9, 9), Trajectories: staticTrajectories()}); err == nil {
+		t.Error("81 TXs accepted past the 64-bit TX-ID mask")
 	}
 }
 

@@ -17,10 +17,3 @@ func NewRand(seed int64) *rand.Rand {
 func SplitRand(parent *rand.Rand) *rand.Rand {
 	return rand.New(rand.NewSource(parent.Int63()))
 }
-
-// GaussianPair draws a pair of independent standard normal variates.
-// Sub-packages that superimpose noise sample-by-sample use this to halve the
-// number of source calls.
-func GaussianPair(rng *rand.Rand) (float64, float64) {
-	return rng.NormFloat64(), rng.NormFloat64()
-}

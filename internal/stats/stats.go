@@ -1,11 +1,11 @@
 // Package stats provides the small statistical toolkit used across the
 // DenseVLC experiments: summary statistics, confidence intervals, empirical
-// CDFs, histograms and deterministic random sources.
+// CDFs and deterministic random sources.
 //
 // Every experiment in the paper reports either an average with a 95%
-// confidence interval (Fig. 8), an empirical CDF (Fig. 10), or a histogram
-// over random instances (Fig. 11); this package implements those exact
-// estimators.
+// confidence interval (Fig. 8), an empirical CDF (Fig. 10), or a loss
+// distribution over random instances (Fig. 11, which the reproduction
+// summarises by its mean); this package implements those estimators.
 package stats
 
 import (
@@ -163,81 +163,5 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(i) / float64(len(e.sorted))
 }
 
-// Quantile returns the q-th quantile (0..1) of the sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	return Percentile(e.sorted, q*100)
-}
-
-// Points returns the (x, F(x)) step points of the ECDF, one per distinct
-// sample value, suitable for plotting.
-func (e *ECDF) Points() (xs, ys []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		//lint:ignore floatcmp collapsing bit-identical duplicates in sorted samples is an exact operation
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		ys = append(ys, float64(i+1)/float64(n))
-	}
-	return xs, ys
-}
-
 // Len returns the number of samples in the ECDF.
 func (e *ECDF) Len() int { return len(e.sorted) }
-
-// Histogram bins a sample into equal-width bins over [Min, Max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	total    int
-}
-
-// NewHistogram builds a histogram of xs with the given number of bins over
-// [min, max]. Samples outside the range are clamped into the edge bins, so
-// the probability mass always sums to one — matching how the paper's loss
-// histograms (Fig. 11) are drawn over a fixed axis.
-func NewHistogram(xs []float64, bins int, min, max float64) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	h := &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-	for _, x := range xs {
-		h.Add(x)
-	}
-	return h
-}
-
-// Add inserts one sample into the histogram.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	var i int
-	if h.Max > h.Min {
-		i = int(float64(bins) * (x - h.Min) / (h.Max - h.Min))
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= bins {
-		i = bins - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Probability returns the fraction of samples in bin i (0..Bins-1).
-func (h *Histogram) Probability(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the centre value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }

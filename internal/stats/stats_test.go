@@ -113,21 +113,6 @@ func TestECDF(t *testing.T) {
 	}
 }
 
-func TestECDFPointsStep(t *testing.T) {
-	e := NewECDF([]float64{2, 1, 2, 5})
-	xs, ys := e.Points()
-	wantX := []float64{1, 2, 5}
-	wantY := []float64{0.25, 0.75, 1}
-	if len(xs) != 3 {
-		t.Fatalf("points = %v / %v", xs, ys)
-	}
-	for i := range wantX {
-		if xs[i] != wantX[i] || ys[i] != wantY[i] {
-			t.Errorf("point %d = (%v,%v), want (%v,%v)", i, xs[i], ys[i], wantX[i], wantY[i])
-		}
-	}
-}
-
 func TestECDFProperties(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
@@ -151,49 +136,6 @@ func TestECDFProperties(t *testing.T) {
 			return false
 		}
 		return e.At(sorted[0]) <= e.At(sorted[len(sorted)-1])
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.2, 0.6, 0.9, 1.5, -2}, 2, 0, 1)
-	// Bins: [0,0.5) and [0.5,1]; out-of-range clamps to edge bins.
-	if h.Counts[0] != 3 { // 0.1, 0.2, -2
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 3 { // 0.6, 0.9, 1.5
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if p := h.Probability(0); p != 0.5 {
-		t.Errorf("Probability = %v", p)
-	}
-	if c := h.BinCenter(0); c != 0.25 {
-		t.Errorf("BinCenter = %v", c)
-	}
-}
-
-func TestHistogramMassSumsToOne(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		h := NewHistogram(xs, 7, -1, 1)
-		sum := 0.0
-		for i := range h.Counts {
-			sum += h.Probability(i)
-		}
-		return math.Abs(sum-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

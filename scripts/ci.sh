@@ -51,12 +51,15 @@
 #                     plus the churn experiment, all under the race detector
 #                     and time-bounded: population churn exercises the
 #                     handover and admission paths end to end
-#  12. short fuzz   — a few seconds of the frame-codec, MAC-decode,
-#                     Reed–Solomon block-decode and reference-equivalence,
-#                     Manchester round-trip, correlation-peak reference-
-#                     equivalence, chaos-spec, cluster-spec and
-#                     workload-spec grammar fuzzers, enough to catch
-#                     regressions on the seeded corpora plus fresh mutations
+#  12. short fuzz   — a few seconds of the frame-codec round-trip,
+#                     MAC-decode and downlink-decode, control-message codec
+#                     (report, ack, allocation, pilot), Reed–Solomon
+#                     block-decode, encode/decode round-trip and
+#                     reference-equivalence, Manchester round-trip,
+#                     correlation-peak reference-equivalence, chaos-spec,
+#                     cluster-spec and workload-spec grammar fuzzers, enough
+#                     to catch regressions on the seeded corpora plus fresh
+#                     mutations
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -150,10 +153,13 @@ timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, Reed–Solomon decoder, Manchester demodulator, correlation peak, chaos spec, cluster spec, workload spec)"
+echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, chaos spec, cluster spec, workload spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeMAC$' -fuzztime=5s ./internal/frame/
+go test -run='^$' -fuzz='^FuzzDecodeDownlink$' -fuzztime=5s ./internal/frame/
+go test -run='^$' -fuzz='^FuzzControlCodecs$' -fuzztime=5s ./internal/mac/
 go test -run='^$' -fuzz='^FuzzDecodeBlock$' -fuzztime=5s ./internal/rs/
+go test -run='^$' -fuzz='^FuzzEncodeDecode$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzDecodeBlockMatchesReference$' -fuzztime=5s ./internal/rs/
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
