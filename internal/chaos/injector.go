@@ -24,13 +24,13 @@ type Target interface {
 	SkewClock(tx int, delta units.Seconds)
 }
 
-// Faults is what injected faults do to the optical medium, shared by the
-// synchronous engine and the asynchronous hub: a failed TX's LED is dark
-// (zero pilot energy, zero data contribution, zero interference), each RX
-// keeps a fraction of every LOS gain into it (1 = clear, 0 = opaque
-// blockage), and each TX's trigger clock carries a skew that adds to its
-// data-phase offset. Out-of-range indices are ignored. Faults is not safe
-// for concurrent use; node.Hub guards its copy with the hub lock.
+// Faults is what injected faults do to the optical medium (scenario.Medium
+// owns the one copy both runtimes read): a failed TX's LED is dark (zero
+// pilot energy, zero data contribution, zero interference), each RX keeps a
+// fraction of every LOS gain into it (1 = clear, 0 = opaque blockage), and
+// each TX's trigger clock carries a skew that adds to its data-phase
+// offset. Out-of-range indices are ignored. Faults is not safe for
+// concurrent use; node.Hub guards its medium with the hub lock.
 type Faults struct {
 	failed []bool
 	keep   []float64
@@ -85,22 +85,6 @@ func (f *Faults) Gain(h *channel.Matrix, tx, rx int) float64 {
 		return 0
 	}
 	return h.Gain(tx, rx) * f.keep[rx]
-}
-
-// Mask applies the faults to a freshly built channel matrix in place: dark
-// transmitters' rows go to zero, shadowed receivers' columns are scaled.
-//
-//lint:hotpath
-func (f *Faults) Mask(h *channel.Matrix) {
-	for j := 0; j < h.N; j++ {
-		for i := 0; i < h.M; i++ {
-			if f.failed[j] {
-				h.H[j][i] = 0
-				continue
-			}
-			h.H[j][i] *= f.keep[i]
-		}
-	}
 }
 
 // Skew returns transmitter tx's accumulated trigger-clock skew (zero for an

@@ -140,11 +140,11 @@ func Table5(opts Options) Table {
 		return units.Amperes(scale * env.H.Gain(tx, 0) * half * half)
 	}
 	// TX indices (0-based): TX2=1, TX3=2, TX8=7, TX9=8.
-	sameBBB := []units.Amperes{amp(1), amp(7)}                 // TX2, TX8: one BBB
-	fourTXs := []units.Amperes{amp(1), amp(7), amp(2), amp(8)} // + TX3, TX9 on another BBB
+	sameBBB := []phy.TXSignal{{Amplitude: amp(1)}, {Amplitude: amp(7)}} // TX2, TX8: one BBB
+	fourTXs := []units.Amperes{amp(1), amp(7), amp(2), amp(8)}          // + TX3, TX9 on another BBB
 
 	noiseStd := units.Amperes(math.Sqrt(set.Params.NoisePower().A2()))
-	run := func(seed int64, amps []units.Amperes, offsets func(*rand.Rand, int) phy.TXTiming) phy.PERResult {
+	run := func(seed int64, signals func(*rand.Rand) []phy.TXSignal) phy.PERResult {
 		link, err := phy.NewLink(phy.Config{
 			SymbolRate: 100e3, SampleRate: 1e6, NoiseStd: noiseStd,
 		}, stats.NewRand(seed))
@@ -152,30 +152,35 @@ func Table5(opts Options) Table {
 			return phy.PERResult{}
 		}
 		res, err := link.MeasurePER(phy.PERConfig{
-			PayloadLen: 128, Frames: frames, ACKTurnaround: 17e-3, OffsetFn: offsets,
-		}, amps)
+			PayloadLen: 128, Frames: frames, ACKTurnaround: 17e-3,
+		}, signals)
 		if err != nil {
 			return phy.PERResult{}
 		}
 		return res
 	}
 
-	r1 := run(opts.Seed+1, sameBBB, nil)
-	var bbb2Offset units.Seconds
-	r2 := run(opts.Seed+2, fourTXs, func(rng *rand.Rand, tx int) phy.TXTiming {
-		if tx < 2 {
-			return phy.TXTiming{ClockPPM: 20} // first BBB
-		}
+	r1 := run(opts.Seed+1, func(*rand.Rand) []phy.TXSignal { return sameBBB })
+	txs := make([]phy.TXSignal, len(fourTXs))
+	r2 := run(opts.Seed+2, func(rng *rand.Rand) []phy.TXSignal {
 		// Second BBB free-runs its own frame stream; both of its TXs share
 		// one clock, so one offset draw per frame.
-		if tx == 2 {
-			bbb2Offset = units.Seconds(20e-3 * rng.Float64())
+		bbb2Offset := units.Seconds(20e-3 * rng.Float64())
+		for tx, a := range fourTXs {
+			if tx < 2 {
+				txs[tx] = phy.TXSignal{Amplitude: a, ClockPPM: 20} // first BBB
+				continue
+			}
+			txs[tx] = phy.TXSignal{Amplitude: a, Offset: bbb2Offset, Continuous: true, ClockPPM: -20}
 		}
-		return phy.TXTiming{Offset: bbb2Offset, Continuous: true, ClockPPM: -20}
+		return txs
 	})
-	r3 := run(opts.Seed+3, fourTXs, func(rng *rand.Rand, tx int) phy.TXTiming {
+	r3 := run(opts.Seed+3, func(rng *rand.Rand) []phy.TXSignal {
 		// NLOS-synchronised: sampling-quantisation offsets, own crystals.
-		return phy.TXTiming{Offset: units.Seconds(1.2e-6 * rng.Float64()), ClockPPM: 40*rng.Float64() - 20}
+		for tx, a := range fourTXs {
+			txs[tx] = phy.TXSignal{Amplitude: a, Offset: units.Seconds(1.2e-6 * rng.Float64()), ClockPPM: 40*rng.Float64() - 20}
+		}
+		return txs
 	})
 
 	t := Table{

@@ -211,13 +211,10 @@ func TestChurnRunDefaults(t *testing.T) {
 // occupancy and chaos attenuation multiply. Marking occupancy never clears
 // a blockage, and a vacant slot is dark however clear its attenuation.
 func TestHubOccupancyComposesWithAttenuation(t *testing.T) {
-	setup := scenario.Default()
-	var traj []mobility.Trajectory
-	for _, p := range scenario.Fig7Instance() {
-		traj = append(traj, mobility.Static{Pos: p})
-	}
-	hub := NewHub(setup, traj, clock.MethodNLOSVLC, 0, 1)
-	clear, _ := hub.Snapshot()
+	md := scenario.NewMedium(scenario.Default(), scenario.Fig7Instance(), nil, clock.MethodNLOSVLC, 0)
+	hub := NewHub(md, 1)
+	clearEnv, _ := hub.Snapshot()
+	clear := clearEnv.H
 
 	// An unblock lands on the vacant slot at t=1.
 	injector := chaos.NewInjector(chaos.NewSchedule().RXBlock(0, 0, 0.1).RXUnblock(1, 1))
@@ -229,7 +226,8 @@ func TestHubOccupancyComposesWithAttenuation(t *testing.T) {
 		t.Fatalf("round 1 applied %d events, want 1", got)
 	}
 	hub.setOccupied([]bool{true, false, true, true})
-	got, _ := hub.Snapshot()
+	gotEnv, _ := hub.Snapshot()
+	got := gotEnv.H
 	for j := 0; j < got.N; j++ {
 		if want := clear.H[j][0] * 0.1; got.H[j][0] != want {
 			t.Fatalf("TX %d → blocked RX 0: gain %g, want %g (blockage lost to an occupancy update)", j, got.H[j][0], want)

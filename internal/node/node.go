@@ -10,6 +10,7 @@ import (
 	"densevlc/internal/channel"
 	"densevlc/internal/chaos"
 	"densevlc/internal/frame"
+	"densevlc/internal/geom"
 	"densevlc/internal/mac"
 	"densevlc/internal/stats"
 	"densevlc/internal/transport"
@@ -141,7 +142,8 @@ type RoundStats struct {
 }
 
 // runController drives the asynchronous system: per round it steps the
-// workload engine (if any), replays the chaos schedule against the hub,
+// workload engine (if any), moves the receivers along their trajectories
+// or the engine's slots, replays the chaos schedule against the hub,
 // schedules the pilot slots, waits (with a deadline) for every receiver's
 // report, reallocates, pushes the allocation, sends data frames and counts
 // acknowledgements. cfg carries RunContext's defaults. It records the chaos
@@ -153,6 +155,7 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 	injector := chaos.NewInjector(cfg.Chaos)
 	res.Trace = injector.Trace()
 	var occupied []bool
+	pos := make([]geom.Vec, ctrl.M)
 	// Round metrics reuse one SINR buffer: the per-round scoring path is a
 	// //lint:hotpath contract (see roundThroughput).
 	sinrScratch := make([]float64, ctrl.M)
@@ -162,15 +165,23 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 			return err
 		}
 		t := units.Seconds(float64(round) * cfg.RoundDuration.S())
-		// Population churn happens at the round boundary, before the hub's
-		// clock advances, so this epoch's pilots already see the arrivals
-		// and the freed slots.
+		// Population churn happens at the round boundary, before the
+		// receivers move, so this epoch's pilots already see the arrivals
+		// and the freed slots. The engine is read only from this goroutine,
+		// which keeps its single-goroutine contract.
 		if engine != nil {
 			res.Steps = append(res.Steps, engine.Step(t, cfg.RoundDuration))
 			occupied = engine.ActiveMask(occupied)
 			hub.setOccupied(occupied)
 		}
-		hub.AdvanceTime(t)
+		for i := range pos {
+			if engine != nil {
+				pos[i] = engine.Position(i, t)
+			} else {
+				pos[i] = cfg.Trajectories[i].Position(t)
+			}
+		}
+		hub.moveTo(pos)
 
 		// Fault injection happens at the round boundary, before the pilot
 		// phase, so this epoch's measurements already see the faults and
@@ -337,8 +348,7 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 		rs.FramesFailed = arq.Failed() + arq.Outstanding()
 
 		// Metrics against the true channel.
-		trueH, swings := hub.Snapshot()
-		env := &alloc.Env{Params: hub.Setup().Params, H: trueH, LED: hub.Setup().LED}
+		env, swings := hub.Snapshot()
 		rs.SystemThroughput = roundThroughput(env, swings, sinrScratch)
 		res.Rounds = append(res.Rounds, rs)
 	}

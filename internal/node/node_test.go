@@ -154,13 +154,20 @@ func TestAsyncRunErrors(t *testing.T) {
 	}
 }
 
+// scenario3Hub is a noise-free hub over the paper room with the receivers
+// at Scenario 3's positions.
+func scenario3Hub() *Hub {
+	md := scenario.NewMedium(scenario.Default(), scenario.Scenario3.RXPositions(), nil, clock.MethodNLOSVLC, 0)
+	return NewHub(md, 1)
+}
+
 func TestHubSnapshotAndPositions(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	hub := NewHub(scenario.Default(), asyncTrajectories(), clock.MethodNLOSVLC, 0, 1)
+	hub := scenario3Hub()
 	hub.Configure(7, 0, 0.9, true)
-	h, s := hub.Snapshot()
-	if h.N != 36 || s[7][0] != 0.9 {
-		t.Errorf("snapshot: N=%d swing=%v", h.N, s[7][0])
+	env, s := hub.Snapshot()
+	if env.H.N != 36 || s[7][0] != 0.9 {
+		t.Errorf("snapshot: N=%d swing=%v", env.H.N, s[7][0])
 	}
 	// Out-of-range configure is ignored.
 	hub.Configure(99, 0, 0.9, false)
@@ -168,15 +175,15 @@ func TestHubSnapshotAndPositions(t *testing.T) {
 	if len(pos) != 4 || pos[0] != scenario.Scenario3.RXPositions()[0] {
 		t.Errorf("positions = %v", pos)
 	}
-	// Policy/params accessors.
-	if hub.Setup().Grid.N() != 36 {
-		t.Error("setup accessor")
+	// The snapshot carries the deployment's parameters.
+	if env.Params != scenario.Default().Params {
+		t.Error("snapshot params")
 	}
 }
 
 func TestHubPilotDeliversToAllReceivers(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	hub := NewHub(scenario.Default(), asyncTrajectories(), clock.MethodNLOSVLC, 0, 1)
+	hub := scenario3Hub()
 	hub.Pilot(7)
 	for i := 0; i < 4; i++ {
 		select {
@@ -189,7 +196,7 @@ func TestHubPilotDeliversToAllReceivers(t *testing.T) {
 		}
 	}
 	// RX1 sits under TX8 (index 7): its gain must dominate the others'.
-	hub2 := NewHub(scenario.Default(), asyncTrajectories(), clock.MethodNLOSVLC, 0, 1)
+	hub2 := scenario3Hub()
 	hub2.Pilot(7)
 	g0 := (<-hub2.PilotEvents(0)).Gain
 	g3 := (<-hub2.PilotEvents(3)).Gain

@@ -10,6 +10,7 @@ import (
 	"densevlc/internal/alloc"
 	"densevlc/internal/chaos"
 	"densevlc/internal/clock"
+	"densevlc/internal/geom"
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
@@ -88,8 +89,9 @@ type Result struct {
 // (workload.Engine is single-goroutine), and a free slot's photodiode is
 // dark, so the real pilot/report path delivers its dark channel and the
 // allocator withdraws its swing. Slot vacancy and chaos blockage are
-// separate hub state: a chaos rxblock on an occupied slot survives churn
-// steps, and a vacated slot stays dark whatever its chaos attenuation.
+// separate state of the medium: a chaos rxblock on an occupied slot
+// survives churn steps, and a vacated slot stays dark whatever its chaos
+// attenuation.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
@@ -110,8 +112,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.AckTimeout = 2 * time.Second
 	}
 	n := cfg.Setup.Grid.N()
-	traj := cfg.Trajectories
-	m := len(traj)
+	m := len(cfg.Trajectories)
 	if cfg.Workload != nil {
 		m = cfg.Workload.Fleet
 	}
@@ -120,16 +121,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var engine *workload.Engine
 	if cfg.Workload != nil {
-		if len(traj) != 0 {
+		if len(cfg.Trajectories) != 0 {
 			return nil, errors.New("node: Workload and Trajectories are mutually exclusive")
 		}
 		var err error
 		if engine, err = workload.NewEngine(*cfg.Workload, cfg.Setup, cfg.Budget, stats.NewRand(cfg.Seed)); err != nil {
 			return nil, err
 		}
-		traj = engine.Trajectories()
 	}
-	if len(traj) == 0 {
+	if m == 0 {
 		return nil, errors.New("node: no receivers")
 	}
 	if err := cfg.Chaos.Validate(n, m); err != nil {
@@ -142,11 +142,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	defer func() { _ = net.Close() }() // teardown; transport errors have no recovery path here
 
-	// Under a Workload the hub reads slot positions through the engine-
-	// backed trajectories, always from the controller goroutine
-	// (AdvanceTime, after the engine steps), so the engine's
-	// single-goroutine contract holds.
-	hub := NewHub(cfg.Setup, traj, cfg.Sync, cfg.MeasurementNoise, cfg.Seed)
+	// The controller loop places the receivers before each round's pilots.
+	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), nil, cfg.Sync, cfg.MeasurementNoise)
+	hub := NewHub(md, cfg.Seed)
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()

@@ -31,26 +31,14 @@ type PERConfig struct {
 	// plus MAC guard periods. The prototype's BeagleBone WiFi uplink
 	// measures ≈17 ms.
 	ACKTurnaround units.Seconds
-	// OffsetFn draws per-transmitter timing for each frame, or nil for
-	// perfectly aligned transmitters with ideal clocks. It is called once
-	// per frame per transmitter.
-	OffsetFn func(rng *rand.Rand, tx int) TXTiming
 }
 
-// TXTiming is the per-frame timing state of one transmitter.
-type TXTiming struct {
-	// Offset is the start-time error.
-	Offset units.Seconds
-	// Continuous marks a free-running frame stream (no common trigger).
-	Continuous bool
-	// ClockPPM is the symbol-clock frequency error in ppm.
-	ClockPPM float64
-}
-
-// MeasurePER sends cfg.Frames random-payload frames through the link with
-// the given transmitter amplitudes and per-frame offsets, and reports the
-// frame error rate and goodput.
-func (l *Link) MeasurePER(cfg PERConfig, amplitudes []units.Amperes) (PERResult, error) {
+// MeasurePER sends cfg.Frames random-payload frames through the link and
+// reports the frame error rate and goodput. signals supplies each frame's
+// transmitters, drawing any per-frame timing from the link's stream after
+// the frame's payload; the link reads the returned slice before the next
+// call, so signals may reuse it.
+func (l *Link) MeasurePER(cfg PERConfig, signals func(rng *rand.Rand) []TXSignal) (PERResult, error) {
 	if cfg.PayloadLen <= 0 {
 		cfg.PayloadLen = 128
 	}
@@ -60,22 +48,11 @@ func (l *Link) MeasurePER(cfg PERConfig, amplitudes []units.Amperes) (PERResult,
 
 	res := PERResult{Frames: cfg.Frames}
 	payload := make([]byte, cfg.PayloadLen)
-	txs := make([]TXSignal, len(amplitudes))
 
 	for f := 0; f < cfg.Frames; f++ {
 		_, _ = l.rng.Read(payload) // (*rand.Rand).Read is documented to never fail
 		mac := frame.MAC{Dst: 1, Src: 2, Protocol: 0x0800, Payload: append([]byte(nil), payload...)}
-
-		for j := range txs {
-			txs[j] = TXSignal{Amplitude: amplitudes[j]}
-			if cfg.OffsetFn != nil {
-				tm := cfg.OffsetFn(l.rng, j)
-				txs[j].Offset = tm.Offset
-				txs[j].Continuous = tm.Continuous
-				txs[j].ClockPPM = tm.ClockPPM
-			}
-		}
-		got, corrected, err := l.TransmitReceive(mac, txs)
+		got, corrected, err := l.TransmitReceive(mac, signals(l.rng))
 		if err != nil || !bytes.Equal(got.Payload, payload) {
 			res.Errors++
 			continue

@@ -177,44 +177,44 @@ func TestFrontEndChainStillDecodes(t *testing.T) {
 func TestMeasurePERTable5Shape(t *testing.T) {
 	// The three Table 5 rows in one harness. Absolute PERs depend on the
 	// noise draw; the ordering and the collapse without sync must hold.
-	amp2 := []units.Amperes{strongAmplitude / 2, strongAmplitude / 2}
-	amp4 := []units.Amperes{strongAmplitude / 3, strongAmplitude / 3, strongAmplitude / 3, strongAmplitude / 3}
+	amp2 := []TXSignal{{Amplitude: strongAmplitude / 2}, {Amplitude: strongAmplitude / 2}}
+	const amp4 = strongAmplitude / 3
+	txs := make([]TXSignal, 4)
 
 	l := paperLink(t, 8)
-	sameBBB, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3}, amp2)
+	sameBBB, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3},
+		func(*rand.Rand) []TXSignal { return amp2 })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	l = paperLink(t, 9)
-	noSync, err := l.MeasurePER(PERConfig{
-		PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3,
-		OffsetFn: func() func(rng *rand.Rand, tx int) TXTiming {
-			var bbb2Offset units.Seconds
-			return func(rng *rand.Rand, tx int) TXTiming {
+	noSync, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3},
+		func(rng *rand.Rand) []TXSignal {
+			// Second BBB free-runs its own frame stream: both of its TXs
+			// share one clock, so one offset draw per frame.
+			bbb2Offset := units.Seconds(20e-3 * rng.Float64())
+			for tx := range txs {
 				if tx < 2 {
-					return TXTiming{ClockPPM: 10} // first BBB's pair
+					txs[tx] = TXSignal{Amplitude: amp4, ClockPPM: 10} // first BBB's pair
+					continue
 				}
-				// Second BBB free-runs its own frame stream: both of its
-				// TXs share one clock, so one offset draw per frame.
-				if tx == 2 {
-					bbb2Offset = units.Seconds(20e-3 * rng.Float64())
-				}
-				return TXTiming{Offset: bbb2Offset, Continuous: true, ClockPPM: -15}
+				txs[tx] = TXSignal{Amplitude: amp4, Offset: bbb2Offset, Continuous: true, ClockPPM: -15}
 			}
-		}(),
-	}, amp4)
+			return txs
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	l = paperLink(t, 10)
-	withSync, err := l.MeasurePER(PERConfig{
-		PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3,
-		OffsetFn: func(rng *rand.Rand, tx int) TXTiming {
-			return TXTiming{Offset: units.Seconds(1.2e-6 * rng.Float64()), ClockPPM: 40*rng.Float64() - 20}
-		},
-	}, amp4)
+	withSync, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3},
+		func(rng *rand.Rand) []TXSignal {
+			for tx := range txs {
+				txs[tx] = TXSignal{Amplitude: amp4, Offset: units.Seconds(1.2e-6 * rng.Float64()), ClockPPM: 40*rng.Float64() - 20}
+			}
+			return txs
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestMeasurePERTable5Shape(t *testing.T) {
 
 func TestMeasurePERDefaults(t *testing.T) {
 	l := paperLink(t, 11)
-	res, err := l.MeasurePER(PERConfig{Frames: 2}, []units.Amperes{strongAmplitude})
+	res, err := l.MeasurePER(PERConfig{Frames: 2}, func(*rand.Rand) []TXSignal { return []TXSignal{{Amplitude: strongAmplitude}} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,8 @@ func TestAnalyticPERMatchesWaveform(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 60}, []units.Amperes{units.Amperes(amp)})
+		one := []TXSignal{{Amplitude: units.Amperes(amp)}}
+		res, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 60}, func(*rand.Rand) []TXSignal { return one })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,10 @@
 // components together end to end: the controller's MAC (pilot scheduling,
 // decision logic, beamspot dispatch) talks to transmitter and receiver
 // state machines over a transport, receivers measure channels that come
-// from the optical model of the current receiver positions, and the data
-// phase scores the resulting beamspots — analytically through Eq. (12) or
-// mechanistically through the waveform PHY.
+// from the optical medium (scenario.Medium, the one node's hub wraps too)
+// at the current receiver positions, and the data phase scores the
+// resulting beamspots — analytically through Eq. (12) or mechanistically
+// through the waveform PHY.
 //
 // One Run covers mobility, re-allocation and synchronisation jointly: the
 // "RXs move, the system adapts" loop the paper motivates.
@@ -13,7 +14,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"densevlc/internal/alloc"
@@ -38,7 +38,9 @@ type Config struct {
 	Setup scenario.Setup
 	// Trajectories drive the receivers (their count sets M).
 	Trajectories []mobility.Trajectory
-	// Policy and Budget configure the controller's decision logic.
+	// Policy and Budget configure the controller's decision logic. A nil
+	// Policy selects the κ = 1.3 heuristic with partial allocation, the
+	// node runtime's default too.
 	Policy alloc.Policy
 	Budget units.Watts
 	// Sync selects how beamspot transmitters are synchronised in the
@@ -108,7 +110,7 @@ func (c *Config) withDefaults() error {
 		return errors.New("sim: no receivers")
 	}
 	if c.Policy == nil {
-		c.Policy = alloc.Heuristic{Kappa: 1.3}
+		c.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 10
@@ -250,11 +252,10 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}
-	faults := chaos.NewFaults(n, m)
+	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), cfg.Blocker, cfg.Sync, cfg.MeasurementNoise)
 	injector := chaos.NewInjector(cfg.Chaos)
 
 	res := &Result{Trace: injector.Trace()}
-	emitters := cfg.Setup.Emitters()
 
 	for round := 0; round < cfg.Rounds; round++ {
 		t := units.Seconds(float64(round) * cfg.RoundDuration.S())
@@ -262,35 +263,28 @@ func Run(cfg Config) (*Result, error) {
 		// Fault injection happens at the round boundary, before the pilot
 		// phase, so this epoch's measurements already see the faults and
 		// this epoch's reallocation recovers from them.
-		chaosEvents := injector.Apply(round, t, faults)
+		chaosEvents := injector.Apply(round, t, md.Faults())
 
 		// Population churn happens at the same boundary: this epoch's
-		// measurements already see the arrivals and freed slots.
+		// measurements already see the arrivals and freed slots, whose
+		// photodiodes are dark, so the allocator never grants a departed
+		// user swing.
 		var churnStep workload.StepStats
 		if engine != nil {
 			churnStep = engine.Step(t, cfg.RoundDuration)
+			activeMask = engine.ActiveMask(activeMask)
+			md.SetOccupied(activeMask)
 		}
 
 		// Receiver positions for this round.
-		pos := make([]geom.Vec, m)
-		if engine != nil {
-			for i := range pos {
-				pos[i] = engine.Position(i, t)
-			}
-		} else {
-			for i, traj := range cfg.Trajectories {
-				p := traj.Position(t)
-				pos[i] = geom.V(p.X, p.Y, 0)
+		for i := 0; i < m; i++ {
+			if engine != nil {
+				md.Move(i, engine.Position(i, t))
+			} else {
+				md.Move(i, cfg.Trajectories[i].Position(t))
 			}
 		}
-		dets := cfg.Setup.Detectors(pos)
-		trueH := channel.BuildMatrix(emitters, dets, cfg.Blocker)
-		faults.Mask(trueH)
-		if engine != nil {
-			// Free slots' photodiodes are dark: the allocator must never
-			// grant a departed user swing.
-			engine.Mask(trueH)
-		}
+		pos := md.Positions()
 
 		// --- Measurement phase: pilot slots in time division. ---
 		for j := 0; j < n; j++ {
@@ -331,14 +325,7 @@ func Run(cfg Config) (*Result, error) {
 			// Physical measurement: each RX estimates TX j's gain from the
 			// pilot with M2M4-grade noise.
 			for i := 0; i < m; i++ {
-				g := trueH.Gain(j, i)
-				if cfg.MeasurementNoise > 0 {
-					g *= 1 + cfg.MeasurementNoise*rng.NormFloat64()
-				}
-				if g < 0 {
-					g = 0
-				}
-				if err := rxNodes[i].RecordMeasurement(j, g); err != nil {
+				if err := rxNodes[i].RecordMeasurement(j, md.Pilot(rng, j, i)); err != nil {
 					return nil, err
 				}
 			}
@@ -373,8 +360,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// --- Decision phase. ---
-		trueEnv := &alloc.Env{Params: cfg.Setup.Params, H: trueH, LED: cfg.Setup.LED}
-		failed := faults.FailedTXs()
+		trueEnv := md.Truth()
+		failed := md.Faults().FailedTXs()
 		var plan mac.Plan
 		var err error
 		if cache != nil {
@@ -422,14 +409,14 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Commanded swings as the TXs understood them.
-		cmdSwings := channel.NewSwings(n, m)
 		active := 0
 		for j, node := range txNodes {
+			md.Configure(j, node.Cmd.RX, node.Swing(), node.Cmd.Leader)
 			if node.Communicating() {
-				cmdSwings[j][node.Cmd.RX] = node.Swing()
 				active++
 			}
 		}
+		cmdSwings := md.Swings()
 
 		// --- Data phase. ---
 		rm := RoundMetrics{
@@ -443,7 +430,6 @@ func Run(cfg Config) (*Result, error) {
 			FailedTXs:   failed,
 		}
 		if engine != nil {
-			activeMask = engine.ActiveMask(activeMask)
 			rm.Churn = &ChurnMetrics{
 				Step:     churnStep,
 				Handover: tracker.Observe(activeMask, plan.ServedBy, plan.Leader),
@@ -451,7 +437,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		if cfg.WaveformPHY {
-			per, goodput, err := dataPhase(cfg, rng, ctrl, plan, txNodes, trueH, faults)
+			per, goodput, err := dataPhase(cfg, rng, md, plan)
 			if err != nil {
 				return nil, err
 			}
@@ -483,77 +469,32 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// dataPhase runs the waveform-level frame exchange for each beamspot. The
-// faults' per-TX trigger-clock skew adds to whatever offset the
-// synchronisation method produces.
-func dataPhase(cfg Config, rng *rand.Rand, ctrl *mac.Controller, plan mac.Plan,
-	txNodes []*mac.TXNode, trueH *channel.Matrix, faults *chaos.Faults) (per []float64, goodput []units.BitsPerSecond, err error) {
-
-	p := cfg.Setup.Params
-	scale := p.Responsivity.APerW() * p.WallPlugEfficiency * p.DynamicResistance.Ohms()
-	noiseStd := units.Amperes(math.Sqrt(p.NoisePower().A2()))
-
-	m := trueH.M
+// dataPhase runs the waveform-level frame exchange for each beamspot over
+// the medium: its members as commanded, every other beamspot as
+// interference.
+func dataPhase(cfg Config, rng *rand.Rand, md *scenario.Medium, plan mac.Plan) (per []float64, goodput []units.BitsPerSecond, err error) {
+	m := len(plan.ServedBy)
 	per = make([]float64, m)
 	goodput = make([]units.BitsPerSecond, m)
 
-	for rx := 0; rx < m; rx++ {
-		if len(plan.ServedBy[rx]) == 0 {
+	for rx, members := range plan.ServedBy {
+		if len(members) == 0 {
 			per[rx] = 1
 			continue
 		}
-		link, err := phy.NewLink(phy.Config{
-			SymbolRate: 100e3,
-			SampleRate: 1e6,
-			NoiseStd:   noiseStd,
-		}, stats.SplitRand(rng))
+		link, err := md.NewLink(stats.SplitRand(rng))
 		if err != nil {
 			return nil, nil, err
 		}
-
-		// Amplitudes: the beamspot's members at their commanded swings,
-		// plus every other beamspot as continuous interference.
-		var amps []units.Amperes
-		var members []int
-		for _, tx := range plan.ServedBy[rx] {
-			a := units.Amperes(scale * trueH.Gain(tx, rx) * sq(txNodes[tx].Swing().A()/2))
-			amps = append(amps, a)
-			members = append(members, tx)
-		}
-		var interferers []units.Amperes
-		for j, node := range txNodes {
-			if !node.Communicating() || node.Cmd.RX == rx {
-				continue
-			}
-			a := units.Amperes(scale * trueH.Gain(j, rx) * sq(node.Swing().A()/2))
-			if a > 0 {
-				interferers = append(interferers, a)
-			}
-		}
-
-		leader := plan.Leader[rx]
-		all := append([]units.Amperes(nil), amps...)
-		all = append(all, interferers...)
-		cfgPER := phy.PERConfig{
+		var txs []phy.TXSignal
+		resPER, err := link.MeasurePER(phy.PERConfig{
 			PayloadLen:    cfg.PayloadLen,
 			Frames:        cfg.FramesPerRound,
 			ACKTurnaround: 17e-3,
-			OffsetFn: func(r *rand.Rand, idx int) phy.TXTiming {
-				ppm := 40*r.Float64() - 20 // per-board crystal tolerance
-				if idx >= len(amps) {
-					// Other beamspots free-run relative to this one.
-					return phy.TXTiming{Offset: units.Seconds(r.Float64() * 10e-3), Continuous: true, ClockPPM: ppm}
-				}
-				tx := members[idx]
-				off := faults.Skew(tx)
-				if tx == leader {
-					return phy.TXTiming{Offset: off, ClockPPM: ppm}
-				}
-				d, freeRun := clock.MemberOffset(r, cfg.Sync, 100e3)
-				return phy.TXTiming{Offset: off + d, Continuous: freeRun, ClockPPM: ppm}
-			},
-		}
-		resPER, err := link.MeasurePER(cfgPER, all)
+		}, func(r *rand.Rand) []phy.TXSignal {
+			txs = md.Signals(r, rx, members, txs[:0])
+			return txs
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -562,6 +503,3 @@ func dataPhase(cfg Config, rng *rand.Rand, ctrl *mac.Controller, plan mac.Plan,
 	}
 	return per, goodput, nil
 }
-
-//lint:hotpath
-func sq(x float64) float64 { return x * x }

@@ -68,24 +68,17 @@ func NewMemNetwork() *MemNetwork {
 // Controller returns the controller link.
 func (n *MemNetwork) Controller() ControllerLink { return (*memController)(n) }
 
-// NewNode implements Network.
+// NewNode implements Network: it registers a new node link, or returns
+// ErrClosed once the network is closed.
 func (n *MemNetwork) NewNode() (NodeLink, error) {
 	n.mu.Lock()
-	closedNow := n.closed
-	n.mu.Unlock()
-	if closedNow {
+	defer n.mu.Unlock()
+	if n.closed {
 		return nil, ErrClosed
 	}
-	return n.Node(), nil
-}
-
-// Node registers and returns a new node link.
-func (n *MemNetwork) Node() NodeLink {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	node := &memNode{net: n, down: make(chan []byte, queueSize)}
 	n.nodes = append(n.nodes, node)
-	return node
+	return node, nil
 }
 
 // Close shuts the network down, closing all channels.

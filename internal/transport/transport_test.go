@@ -17,6 +17,16 @@ type netFixture struct {
 	done func()
 }
 
+// newNode registers a node link on net, failing the test on error.
+func newNode(t *testing.T, net Network) NodeLink {
+	t.Helper()
+	node, err := net.NewNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return node
+}
+
 func fixtures(t *testing.T) []netFixture {
 	t.Helper()
 	mem := NewMemNetwork()
@@ -24,16 +34,9 @@ func fixtures(t *testing.T) []netFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	udpA, err := udp.Node()
-	if err != nil {
-		t.Fatal(err)
-	}
-	udpB, err := udp.Node()
-	if err != nil {
-		t.Fatal(err)
-	}
+	udpA, udpB := newNode(t, udp), newNode(t, udp)
 	return []netFixture{
-		{"mem", mem.Controller(), mem.Node(), mem.Node(), func() { mem.Close() }},
+		{"mem", mem.Controller(), newNode(t, mem), newNode(t, mem), func() { mem.Close() }},
 		{"udp", udp.Controller(), udpA, udpB, func() { udp.Close() }},
 	}
 }
@@ -129,7 +132,7 @@ func TestIsolationBetweenDirections(t *testing.T) {
 	mem := NewMemNetwork()
 	defer mem.Close()
 	ctrl := mem.Controller()
-	node := mem.Node()
+	node := newNode(t, mem)
 	if err := node.SendUplink([]byte("up")); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +154,7 @@ func TestClosedNetworkErrors(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	mem := NewMemNetwork()
 	ctrl := mem.Controller()
-	node := mem.Node()
+	node := newNode(t, mem)
 	mem.Close()
 	if err := ctrl.Multicast([]byte("x")); err != ErrClosed {
 		t.Errorf("multicast after close: %v", err)
@@ -162,6 +165,10 @@ func TestClosedNetworkErrors(t *testing.T) {
 	// Channels are closed.
 	if _, ok := <-node.Downlink(); ok {
 		t.Error("downlink channel still open")
+	}
+	// New nodes rejected after close.
+	if _, err := mem.NewNode(); err != ErrClosed {
+		t.Errorf("node after close: %v", err)
 	}
 	// Double close is fine.
 	if err := mem.Close(); err != nil {
@@ -175,10 +182,7 @@ func TestUDPCloseUnblocksLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := udp.Node()
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := newNode(t, udp)
 	done := make(chan struct{})
 	go func() {
 		<-node.Downlink() // closes on shutdown
@@ -193,7 +197,7 @@ func TestUDPCloseUnblocksLoops(t *testing.T) {
 		t.Fatal("node loop did not exit on close")
 	}
 	// New nodes rejected after close.
-	if _, err := udp.Node(); err != ErrClosed {
+	if _, err := udp.NewNode(); err != ErrClosed {
 		t.Errorf("node after close: %v", err)
 	}
 	if err := udp.Close(); err != nil {
@@ -208,10 +212,7 @@ func TestOversizedDatagramRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer udp.Close()
-	node, err := udp.Node()
-	if err != nil {
-		t.Fatal(err)
-	}
+	node := newNode(t, udp)
 	big := make([]byte, maxDatagram+1)
 	if err := udp.Controller().Multicast(big); err == nil {
 		t.Error("oversized multicast accepted")
@@ -226,7 +227,7 @@ func TestMemOverflowDropsInsteadOfBlocking(t *testing.T) {
 	mem := NewMemNetwork()
 	defer mem.Close()
 	ctrl := mem.Controller()
-	mem.Node() // never drained
+	newNode(t, mem) // never drained
 	for i := 0; i < queueSize+50; i++ {
 		if err := ctrl.Multicast([]byte{byte(i)}); err != nil {
 			t.Fatalf("multicast %d: %v", i, err)

@@ -70,11 +70,9 @@ func (n *UDPNetwork) ControllerAddr() *net.UDPAddr { return n.ctrlAddr }
 // Controller returns the controller link.
 func (n *UDPNetwork) Controller() ControllerLink { return (*udpController)(n) }
 
-// NewNode implements Network.
-func (n *UDPNetwork) NewNode() (NodeLink, error) { return n.Node() }
-
-// Node opens a node socket and registers it for downlink fan-out.
-func (n *UDPNetwork) Node() (NodeLink, error) {
+// NewNode implements Network: it opens a node socket and registers it for
+// downlink fan-out, or returns ErrClosed once the network is closed.
+func (n *UDPNetwork) NewNode() (NodeLink, error) {
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, fmt.Errorf("transport: node socket: %w", err)
@@ -86,14 +84,12 @@ func (n *UDPNetwork) Node() (NodeLink, error) {
 		down: make(chan []byte, queueSize),
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
-		n.mu.Unlock()
 		_ = conn.Close()
 		return nil, ErrClosed
 	}
 	n.nodes = append(n.nodes, node)
-	n.mu.Unlock()
-
 	n.wg.Add(1)
 	go node.loop(&n.wg)
 	return node, nil

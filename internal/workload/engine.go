@@ -267,27 +267,6 @@ func (e *Engine) Mask(h *channel.Matrix) {
 	}
 }
 
-// Trajectories returns slot-backed mobility trajectories (one per slot) for
-// runtimes that read positions through the Trajectory interface, like
-// node.Hub. The trajectories share the engine's single-goroutine contract.
-func (e *Engine) Trajectories() []mobility.Trajectory {
-	out := make([]mobility.Trajectory, len(e.slots))
-	for i := range out {
-		out[i] = slotTrajectory{e: e, slot: i}
-	}
-	return out
-}
-
-type slotTrajectory struct {
-	e    *Engine
-	slot int
-}
-
-// Position implements mobility.Trajectory.
-func (s slotTrajectory) Position(t units.Seconds) geom.Vec {
-	return s.e.Position(s.slot, t)
-}
-
 // Trace returns the append-only event log (shared slice; do not mutate).
 func (e *Engine) Trace() []Event { return e.trace }
 

@@ -270,26 +270,3 @@ func TestTrafficDemandBounds(t *testing.T) {
 		t.Errorf("diurnal envelope produced %d distinct positive demands, want variation", distinct)
 	}
 }
-
-// TestEngineTrajectoriesMirrorPositions: the slot-backed mobility adapters
-// hand out exactly the engine's own positions, one trajectory per slot, so
-// runtimes reading through mobility.Trajectory (node.Hub) see the same
-// fleet the allocator is solving for.
-func TestEngineTrajectoriesMirrorPositions(t *testing.T) {
-	sp := DefaultSpec()
-	sp.ArrivalRate = 1.5
-	e := testEngine(t, sp, 9)
-	traj := e.Trajectories()
-	if len(traj) != sp.Fleet {
-		t.Fatalf("got %d trajectories, want one per slot (%d)", len(traj), sp.Fleet)
-	}
-	for k := 0; k < 10; k++ {
-		t0 := units.Seconds(k)
-		e.Step(t0, 1)
-		for i, tr := range traj {
-			if got, want := tr.Position(t0), e.Position(i, t0); got != want {
-				t.Fatalf("epoch %d slot %d: trajectory %v != engine position %v", k, i, got, want)
-			}
-		}
-	}
-}

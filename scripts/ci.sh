@@ -37,7 +37,8 @@
 #                     incremental-vs-scratch equivalence properties also get
 #                     an explicit -race invocation (see below)
 #   9. chaos smoke  — one fault-injected end-to-end run per engine
-#                     (tx-blackout preset), a clock-skew run through the
+#                     (tx-blackout preset; the asynchronous run under the
+#                     race detector), a clock-skew run through the
 #                     waveform data phase, plus the resilience experiment;
 #                     goroutine teardown after each run is the leak
 #                     checker's territory and is asserted by the -race
@@ -127,9 +128,11 @@ go test -race -run 'TestIncrementalVsScratch' \
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
 # runtime error, and the dedicated chaos tests assert the recovery properties.
-echo "==> chaos smoke (tx-blackout, both engines; clock-skew through the waveform data phase; resilience experiment)"
+# The asynchronous run goes under the race detector: its goroutine-per-node
+# runtime is where a data race in the fault path would show.
+echo "==> chaos smoke (tx-blackout, both engines, async under -race; clock-skew through the waveform data phase; resilience experiment)"
 go run ./cmd/densevlc -rounds 4 -udp=false -chaos tx-blackout > /dev/null
-go run ./cmd/densevlc -rounds 4 -udp=false -async -chaos tx-blackout > /dev/null
+go run -race ./cmd/densevlc -rounds 4 -udp=false -async -chaos tx-blackout > /dev/null
 go run ./cmd/densevlc -rounds 4 -udp=false -waveform -chaos clock-skew > /dev/null
 go run ./cmd/experiments -quick resilience > /dev/null
 
