@@ -1,13 +1,13 @@
-// Package densevlc's benchmark harness: one benchmark per table and figure
-// of the paper's evaluation (regenerating the artefact end to end at
-// reduced workload), plus micro-benchmarks of the hot paths a deployment
-// exercises per decision: channel-matrix construction, SINR evaluation, the
-// frame codec, the NLOS sync exchange, the building-scale decision and the
-// receiver-move kernel. The solver micro-benchmarks live with their package
-// (internal/alloc). Epoch-level performance is measured by bench/ against
-// the shipped runtimes; the zero-alloc kernels' //lint:hotpath annotations
-// are held to their AllocsPerRun pins by internal/lint's
-// TestHotpathAlignment.
+// Package densevlc's benchmark harness: one sub-benchmark per experiment
+// (each table and figure of the paper's evaluation and each extension
+// study, regenerated end to end at reduced workload), plus micro-benchmarks
+// of the hot paths a deployment exercises per decision: channel-matrix
+// construction, SINR evaluation, the frame codec, the NLOS sync exchange,
+// the building-scale decision and the receiver-move kernel. The solver
+// micro-benchmarks live with their package (internal/alloc). Epoch-level
+// performance is measured by bench/ against the shipped runtimes; the
+// zero-alloc kernels' //lint:hotpath annotations are held to their
+// AllocsPerRun pins by internal/lint's TestHotpathAlignment.
 //
 // Run with:
 //
@@ -36,11 +36,6 @@ import (
 // *Parallel twins below measure the fan-out.
 func benchOpts() experiments.Options { return experiments.Options{Seed: 1, Quick: true, Workers: 1} }
 
-func benchExperiment(b *testing.B, name string) {
-	b.Helper()
-	benchExperimentOpts(b, name, benchOpts())
-}
-
 func benchExperimentOpts(b *testing.B, name string, opts experiments.Options) {
 	b.Helper()
 	g, ok := experiments.Lookup(name)
@@ -54,43 +49,17 @@ func benchExperimentOpts(b *testing.B, name string, opts experiments.Options) {
 	}
 }
 
-// One benchmark per paper artefact.
-
-func BenchmarkTable1Parameters(b *testing.B)       { benchExperiment(b, "table1") }
-func BenchmarkTable2Hardware(b *testing.B)         { benchExperiment(b, "table2") }
-func BenchmarkTable3FrameStructure(b *testing.B)   { benchExperiment(b, "table3") }
-func BenchmarkTable6Placements(b *testing.B)       { benchExperiment(b, "table6") }
-func BenchmarkFig07Instance(b *testing.B)          { benchExperiment(b, "fig7") }
-func BenchmarkFig02OperatingModes(b *testing.B)    { benchExperiment(b, "fig2") }
-func BenchmarkFig03IVCurve(b *testing.B)           { benchExperiment(b, "fig3") }
-func BenchmarkFig04TaylorError(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFig05Illumination(b *testing.B)      { benchExperiment(b, "fig5") }
-func BenchmarkFig06RandomInstances(b *testing.B)   { benchExperiment(b, "fig6") }
-func BenchmarkFig08ThroughputVsPower(b *testing.B) { benchExperiment(b, "fig8") }
-func BenchmarkFig09SwingWaterfall(b *testing.B)    { benchExperiment(b, "fig9") }
-func BenchmarkFig10SwingCDF(b *testing.B)          { benchExperiment(b, "fig10") }
-func BenchmarkFig11HeuristicVsOptimal(b *testing.B) {
-	b.ReportAllocs()
-	benchExperiment(b, "fig11")
+// BenchmarkExperiments regenerates every paper artefact and extension study
+// of experiments.All, one sub-benchmark per experiment name (e.g.
+// -bench 'Experiments/fig11$').
+func BenchmarkExperiments(b *testing.B) {
+	for _, g := range experiments.All() {
+		b.Run(g.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			benchExperimentOpts(b, g.Name, benchOpts())
+		})
+	}
 }
-func BenchmarkSec5Speedup(b *testing.B)          { benchExperiment(b, "speedup") }
-func BenchmarkFig12SyncDelay(b *testing.B)       { benchExperiment(b, "fig12") }
-func BenchmarkTable4SyncError(b *testing.B)      { benchExperiment(b, "table4") }
-func BenchmarkTable5Iperf(b *testing.B)          { benchExperiment(b, "table5") }
-func BenchmarkFig18Scenario1(b *testing.B)       { benchExperiment(b, "fig18") }
-func BenchmarkFig19Scenario2(b *testing.B)       { benchExperiment(b, "fig19") }
-func BenchmarkFig20Scenario3(b *testing.B)       { benchExperiment(b, "fig20") }
-func BenchmarkFig21PowerEfficiency(b *testing.B) { benchExperiment(b, "fig21") }
-func BenchmarkExtDensitySweep(b *testing.B)      { benchExperiment(b, "density") }
-func BenchmarkExtPrecoding(b *testing.B)         { benchExperiment(b, "precoding") }
-func BenchmarkExtOFDM(b *testing.B)              { benchExperiment(b, "ofdm") }
-func BenchmarkExtAdaptation(b *testing.B)        { benchExperiment(b, "adaptation") }
-func BenchmarkExtNLOSRobustness(b *testing.B)    { benchExperiment(b, "nlosrobustness") }
-func BenchmarkSec71FrontEnd(b *testing.B)        { benchExperiment(b, "frontend") }
-func BenchmarkExtBlockage(b *testing.B)          { benchExperiment(b, "blockage") }
-func BenchmarkExtAdaptiveKappa(b *testing.B)     { benchExperiment(b, "adaptivekappa") }
-func BenchmarkExtRXOrientation(b *testing.B)     { benchExperiment(b, "orientation") }
-func BenchmarkExtClusterScale(b *testing.B)      { benchExperiment(b, "clusterscale") }
 
 // Serial-vs-parallel pairs for the Monte-Carlo workloads: identical
 // workload, Workers 1 vs 4. Compare the pair members' ns/op for the

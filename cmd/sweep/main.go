@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sweep [-scenario 1|2|3] [-points N] [-max W] [-optimal] [-seed N] [-workers N] [-warmstart] [-cluster SPEC]
+//	sweep [-scenario 1|2|3] [-points N] [-max W] [-optimal] [-workers N] [-warmstart] [-cluster SPEC]
 package main
 
 import (
@@ -27,12 +27,10 @@ func main() {
 	points := flag.Int("points", 24, "number of budget points")
 	max := flag.Float64("max", 3.0, "largest communication power budget in watts")
 	withOptimal := flag.Bool("optimal", false, "include the optimal policy (slow)")
-	seed := flag.Int64("seed", 1, "random seed (unused by the deterministic sweeps, kept for symmetry)")
 	workers := flag.Int("workers", 0, "worker goroutines per policy sweep (0 = all cores, 1 = serial; output is identical for every value)")
 	warmstart := flag.Bool("warmstart", false, "chain each budget point from the previous point's incumbent for policies that support it (the optimal solver); faster sweeps, same curve structure within solver tolerance")
 	clusterSpec := flag.String("cluster", "", "cooperation-clustering formation spec, e.g. threshold:0.5 or topk:4:none; each policy solves per cluster through the sharded solver (empty = global solves)")
 	flag.Parse()
-	_ = seed
 
 	scn, err := scenario.ParseScenario(*sc)
 	if err != nil {

@@ -274,21 +274,6 @@ func TestDMISOUsesAllTXs(t *testing.T) {
 	}
 }
 
-func TestDMISONeighborCap(t *testing.T) {
-	env := testEnv(fig7RX())
-	d := DMISO{NeighborsPerRX: 2}
-	asg := d.Assignments(env)
-	perRX := make(map[int]int)
-	for _, a := range asg {
-		perRX[a.RX]++
-	}
-	for rx, n := range perRX {
-		if n > 2 {
-			t.Errorf("RX %d got %d TXs, cap is 2", rx, n)
-		}
-	}
-}
-
 func TestEvaluationPowerEfficiency(t *testing.T) {
 	ev := Evaluation{SumThroughput: 2e6, CommPower: 0.5}
 	if got := ev.PowerEfficiency(); got != 4e6 {

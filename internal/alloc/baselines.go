@@ -66,18 +66,13 @@ func (SISO) OperatingPower(env *Env) units.Watts {
 // by its ring of 9 surrounding TXs). Each TX sends the data of the receiver
 // it has the strongest channel to — a TX hearing no receiver at all stays
 // in illumination mode.
-type DMISO struct {
-	// NeighborsPerRX, when positive, caps how many TXs serve one receiver
-	// (strongest channels first). Zero means uncapped: all TXs communicate,
-	// the paper's configuration.
-	NeighborsPerRX int
-}
+type DMISO struct{}
 
 // Name implements Policy.
 func (DMISO) Name() string { return "D-MISO" }
 
 // Assignments returns the full D-MISO TX→RX mapping, strongest links first.
-func (d DMISO) Assignments(env *Env) []Assignment {
+func (DMISO) Assignments(env *Env) []Assignment {
 	type link struct {
 		tx, rx int
 		gain   float64
@@ -96,14 +91,9 @@ func (d DMISO) Assignments(env *Env) []Assignment {
 	}
 	sort.Slice(links, func(a, b int) bool { return links[a].gain > links[b].gain })
 
-	perRX := make(map[int]int, env.M())
-	order := make([]Assignment, 0, len(links))
-	for _, l := range links {
-		if d.NeighborsPerRX > 0 && perRX[l.rx] >= d.NeighborsPerRX {
-			continue
-		}
-		perRX[l.rx]++
-		order = append(order, Assignment{TX: l.tx, RX: l.rx})
+	order := make([]Assignment, len(links))
+	for k, l := range links {
+		order[k] = Assignment{TX: l.tx, RX: l.rx}
 	}
 	return order
 }

@@ -131,11 +131,13 @@ func (h Heuristic) Allocate(env *Env, budget units.Watts) (channel.Swings, error
 // illuminating several receivers get a conservative κ so their jamming
 // potential keeps them low in the ranking.
 //
-// The adaptation interpolates κ between KappaLow and KappaHigh with the
-// transmitter's channel selectivity s_i = max_j H_{i,j} / Σ_j H_{i,j}
-// (s_i = 1: all energy on one RX; s_i = 1/M: perfectly uniform jammer):
+// The adaptation interpolates κ between κ_lo = 1.2 and κ_hi = 1.4 (a band
+// around the best fixed κ of 1.3, since Fig. 11 shows performance falls off
+// steeply outside [1.2, 1.5]) with the transmitter's channel selectivity
+// s_i = max_j H_{i,j} / Σ_j H_{i,j} (s_i = 1: all energy on one RX;
+// s_i = 1/M: perfectly uniform jammer):
 //
-//	κ_i = KappaLow + (KappaHigh − KappaLow) · (s_i·M − 1)/(M − 1)
+//	κ_i = κ_lo + (κ_hi − κ_lo) · (s_i·M − 1)/(M − 1)
 //
 // Because gains are tiny (H ≈ 1e-7), the raw H^κ of Algorithm 1 is not
 // comparable across transmitters using different exponents — a larger κ
@@ -148,42 +150,30 @@ func (h Heuristic) Allocate(env *Env, budget units.Watts) (channel.Swings, error
 // which reduces to the same ranking as Algorithm 1 when all κ_i are equal
 // and keeps scores in channel-gain units when they differ.
 type AdaptiveKappa struct {
-	// KappaLow and KappaHigh bound the per-TX exponent. Zero values select
-	// 1.2 and 1.4 — a band around the best fixed κ of 1.3, since Fig. 11
-	// shows performance falls off steeply outside [1.2, 1.5].
-	KappaLow, KappaHigh float64
 	// AllowPartial as in Heuristic.
 	AllowPartial bool
 }
 
+// adaptiveKappaLow and adaptiveKappaHigh bound AdaptiveKappa's per-TX
+// exponent. They are typed so that their span is the float64 difference
+// 1.4 − 1.2, not the exact constant 0.2.
+const adaptiveKappaLow, adaptiveKappaHigh float64 = 1.2, 1.4
+
 // Name implements Policy.
 func (a AdaptiveKappa) Name() string {
-	lo, hi := a.bounds()
-	return fmt.Sprintf("adaptive-κ[%.1f,%.1f]", lo, hi)
-}
-
-func (a AdaptiveKappa) bounds() (float64, float64) {
-	lo, hi := a.KappaLow, a.KappaHigh
-	if lo == 0 {
-		lo = 1.2
-	}
-	if hi == 0 {
-		hi = 1.4
-	}
-	return lo, hi
+	return fmt.Sprintf("adaptive-κ[%.1f,%.1f]", adaptiveKappaLow, adaptiveKappaHigh)
 }
 
 // Rank mirrors Heuristic.Rank with a per-transmitter exponent.
 func (a AdaptiveKappa) Rank(env *Env) []Assignment {
-	lo, hi := a.bounds()
 	sjr := newScoreRows(env.N(), env.M())
-	fillSJRAdaptive(env, lo, hi, sjr)
+	fillSJRAdaptive(env, sjr)
 	return extractRanking(sjr)
 }
 
 // fillSJRAdaptive computes the selectivity-interpolated score matrix into
 // the caller's rows — the adaptive-κ sibling of fillSJRFixed.
-func fillSJRAdaptive(env *Env, lo, hi float64, sjr [][]float64) {
+func fillSJRAdaptive(env *Env, sjr [][]float64) {
 	n, m := env.N(), env.M()
 	for i := 0; i < n; i++ {
 		row := sjr[i]
@@ -202,7 +192,7 @@ func fillSJRAdaptive(env *Env, lo, hi float64, sjr [][]float64) {
 			if m > 1 {
 				t = (sel*float64(m) - 1) / float64(m-1)
 			}
-			kappa := lo + (hi-lo)*t
+			kappa := adaptiveKappaLow + (adaptiveKappaHigh-adaptiveKappaLow)*t
 			for j := 0; j < m; j++ {
 				g := env.H.Gain(i, j)
 				if g > 0 {

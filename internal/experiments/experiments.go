@@ -77,9 +77,6 @@ type Options struct {
 	// Instances is the number of random receiver placements for the
 	// Fig. 6-based studies (paper: 100). Zero selects the paper's count.
 	Instances int
-	// Trials is the number of repetitions for the synchronisation and PER
-	// measurements. Zero selects defaults matched to the paper's runs.
-	Trials int
 	// Quick shrinks every workload for smoke tests and benchmarks.
 	Quick bool
 	// MaxFailures bounds the failure sweep of the resilience study: the
@@ -133,14 +130,13 @@ func (o Options) maxFailures() int {
 	return o.MaxFailures
 }
 
+// trials is the number of repetitions for the synchronisation and PER
+// measurements, matched to the paper's runs.
 func (o Options) trials() int {
 	if o.Quick {
 		return 200
 	}
-	if o.Trials <= 0 {
-		return 5000
-	}
-	return o.Trials
+	return 5000
 }
 
 func f(format string, v ...any) string { return fmt.Sprintf(format, v...) }

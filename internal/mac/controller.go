@@ -27,16 +27,6 @@ type Controller struct {
 	Params channel.Params
 	LED    led.Model
 
-	// DeadAfterEpochs is the number of consecutive all-zero-gain control
-	// epochs after which a transmitter that once carried signal is
-	// declared dead (default 2: one epoch marks it stale, the next kills
-	// it). Exclusion from the allocation is immediate either way — a
-	// zero-gain transmitter earns no swing — so recovery completes within
-	// one control epoch; the state machine exists so operators and tests
-	// can distinguish a blip from a hard failure, and so dead rows stay
-	// excluded even if later reports go missing.
-	DeadAfterEpochs int
-
 	// Trigger selects event-driven re-allocation: fresh reports whose gain
 	// columns moved less than the threshold since the last solve keep the
 	// cached plan instead of forcing a re-solve. The zero value disables
@@ -74,6 +64,15 @@ type Controller struct {
 // LinkState classifies the controller's view of one transmitter's link.
 type LinkState int
 
+// deadAfterEpochs is the number of consecutive all-zero-gain control epochs
+// after which a transmitter that once carried signal is declared dead: one
+// epoch marks it stale, the next kills it. Exclusion from the allocation is
+// immediate either way — a zero-gain transmitter earns no swing — so
+// recovery completes within one control epoch; the state machine exists so
+// operators and tests can distinguish a blip from a hard failure, and so
+// dead rows stay excluded even if later reports go missing.
+const deadAfterEpochs = 2
+
 // The detection states. Transitions happen at Reallocate time, the
 // controller's epoch boundary, from the epoch's pilot reports.
 const (
@@ -83,7 +82,7 @@ const (
 	// LinkStale: a previously-seen transmitter reported zero gain to every
 	// receiver this epoch — a candidate failure awaiting confirmation.
 	LinkStale
-	// LinkDead: zero gain everywhere for DeadAfterEpochs consecutive
+	// LinkDead: zero gain everywhere for deadAfterEpochs consecutive
 	// epochs. The controller zeroes the row until fresh evidence returns.
 	LinkDead
 )
@@ -124,13 +123,12 @@ func NewController(n, m int, policy alloc.Policy, budget units.Watts, params cha
 		N: n, M: m,
 		Policy: policy, Budget: budget,
 		Params: params, LED: ledModel,
-		DeadAfterEpochs: 2,
-		gains:           g,
-		fresh:           make([]bool, m),
-		txEverSeen:      make([]bool, n),
-		txZeroEpochs:    make([]int, n),
-		txState:         make([]LinkState, n),
-		rxDirty:         make([]bool, m),
+		gains:        g,
+		fresh:        make([]bool, m),
+		txEverSeen:   make([]bool, n),
+		txZeroEpochs: make([]int, n),
+		txState:      make([]LinkState, n),
+		rxDirty:      make([]bool, m),
 	}
 }
 
@@ -192,41 +190,31 @@ func (c *Controller) HaveFreshReports() bool {
 	return true
 }
 
-// Env snapshots the controller's current channel knowledge as an
-// allocation environment. Rows of transmitters the health tracker has
-// declared dead are zeroed, so a stale (pre-failure) report can never earn a
-// dead transmitter swing. The returned environment is freshly allocated and
-// owned by the caller; the re-allocation path uses refreshEnv instead, which
-// reuses the controller's persistent matrix.
-func (c *Controller) Env() *alloc.Env {
-	h := channel.NewMatrix(c.N, c.M)
-	env := &alloc.Env{Params: c.Params, H: h, LED: c.LED}
-	c.fillEnv(env, nil)
-	return env
-}
-
 // refreshEnv updates the controller's persistent environment in place —
 // allocation-free once the matrix exists — and returns it. A non-nil
 // rxDirty restricts the copy to the dirty receivers' columns; the clean
 // columns keep the basis of the last solve, which is exactly what the
-// cached per-cluster sub-plans were computed from. Callers must not retain
-// the environment across epochs; Env is the snapshotting variant.
+// cached per-cluster sub-plans were computed from. Rows of transmitters the
+// health tracker has declared dead are zeroed, so a stale (pre-failure)
+// report can never earn a dead transmitter swing. Callers must not retain
+// the environment across epochs.
 func (c *Controller) refreshEnv(rxDirty []bool) *alloc.Env {
 	if c.env.H == nil || c.env.H.N != c.N || c.env.H.M != c.M {
 		c.env.H = channel.NewMatrix(c.N, c.M)
 		rxDirty = nil // fresh matrix: every column needs its first fill
 	}
-	c.fillEnv(&c.env, rxDirty)
+	c.fillEnv(rxDirty)
 	return &c.env
 }
 
-// fillEnv copies the health-masked gain matrix and device models into env,
-// whose matrix must already be N×M. A non-nil rxDirty copies only the dirty
-// receivers' columns (dead transmitter rows are zeroed in full either way —
-// a stale report must not revive a dead TX).
+// fillEnv copies the health-masked gain matrix and device models into the
+// persistent environment, whose matrix must already be N×M. A non-nil
+// rxDirty copies only the dirty receivers' columns (dead transmitter rows
+// are zeroed in full either way — a stale report must not revive a dead TX).
 //
 //lint:hotpath
-func (c *Controller) fillEnv(env *alloc.Env, rxDirty []bool) {
+func (c *Controller) fillEnv(rxDirty []bool) {
+	env := &c.env
 	env.Params, env.LED = c.Params, c.LED
 	for j := 0; j < c.N; j++ {
 		row := env.H.H[j]
@@ -306,10 +294,6 @@ func (c *Controller) updateHealth() (changed bool) {
 	if !anyFresh {
 		return false
 	}
-	deadAfter := c.DeadAfterEpochs
-	if deadAfter <= 0 {
-		deadAfter = 2
-	}
 	for j := 0; j < c.N; j++ {
 		was := c.txState[j]
 		maxG := 0.0
@@ -324,7 +308,7 @@ func (c *Controller) updateHealth() (changed bool) {
 			c.txState[j] = LinkHealthy
 		} else if c.txEverSeen[j] {
 			c.txZeroEpochs[j]++
-			if c.txZeroEpochs[j] >= deadAfter {
+			if c.txZeroEpochs[j] >= deadAfterEpochs {
 				c.txState[j] = LinkDead
 			} else {
 				c.txState[j] = LinkStale

@@ -41,7 +41,7 @@ func feedReports(t *testing.T, ctrl *Controller, gains [][]float64, killed map[i
 //   - the plan stays within the power budget,
 //   - no receiver starves while 28+ of 36 transmitters survive,
 //   - the health tracker walks each casualty Healthy→Stale→Dead in exactly
-//     DeadAfterEpochs epochs while survivors stay healthy.
+//     deadAfterEpochs epochs while survivors stay healthy.
 func TestRecoveryExcludesFailedTXs(t *testing.T) {
 	set := scenario.Default()
 	env := set.Env(scenario.Fig7Instance(), nil)
@@ -98,7 +98,7 @@ func TestRecoveryExcludesFailedTXs(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := len(ctrl.DeadTXs()); got != k {
-			t.Errorf("k=%d: %d TXs dead after %d epochs, want %d", k, got, ctrl.DeadAfterEpochs, k)
+			t.Errorf("k=%d: %d TXs dead after %d epochs, want %d", k, got, deadAfterEpochs, k)
 		}
 		for tx := 0; tx < env.H.N; tx++ {
 			if !killed[tx] && ctrl.TXState(tx) != LinkHealthy {

@@ -211,7 +211,7 @@ func TestChurnRunDefaults(t *testing.T) {
 // occupancy and chaos attenuation multiply. Marking occupancy never clears
 // a blockage, and a vacant slot is dark however clear its attenuation.
 func TestHubOccupancyComposesWithAttenuation(t *testing.T) {
-	md := scenario.NewMedium(scenario.Default(), scenario.Fig7Instance(), nil, clock.MethodNLOSVLC, 0)
+	md := scenario.NewMedium(scenario.Default(), scenario.Fig7Instance(), clock.MethodNLOSVLC, 0)
 	hub := NewHub(md, 1)
 	clearEnv, _ := hub.Snapshot()
 	clear := clearEnv.H

@@ -157,7 +157,7 @@ func TestAsyncRunErrors(t *testing.T) {
 // scenario3Hub is a noise-free hub over the paper room with the receivers
 // at Scenario 3's positions.
 func scenario3Hub() *Hub {
-	md := scenario.NewMedium(scenario.Default(), scenario.Scenario3.RXPositions(), nil, clock.MethodNLOSVLC, 0)
+	md := scenario.NewMedium(scenario.Default(), scenario.Scenario3.RXPositions(), clock.MethodNLOSVLC, 0)
 	return NewHub(md, 1)
 }
 

@@ -143,7 +143,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer func() { _ = net.Close() }() // teardown; transport errors have no recovery path here
 
 	// The controller loop places the receivers before each round's pilots.
-	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), nil, cfg.Sync, cfg.MeasurementNoise)
+	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), cfg.Sync, cfg.MeasurementNoise)
 	hub := NewHub(md, cfg.Seed)
 
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)

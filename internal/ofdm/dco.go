@@ -21,11 +21,12 @@ type Modem struct {
 	CP int
 	// QAM is the per-subcarrier constellation.
 	QAM *QAM
-	// BiasSigma sets the DC bias to BiasSigma standard deviations of the
-	// time-domain signal (7 dB bias ≈ 2.24; values ≥ 3 make clipping
-	// negligible). Zero selects 3.
-	BiasSigma float64
 }
+
+// biasSigma sets the DC bias to biasSigma standard deviations of the
+// time-domain signal (7 dB bias ≈ 2.24; values ≥ 3 make clipping
+// negligible).
+const biasSigma = 3
 
 // Validate reports whether the modem is usable.
 func (m *Modem) Validate() error {
@@ -38,13 +39,6 @@ func (m *Modem) Validate() error {
 		return errors.New("ofdm: nil constellation")
 	}
 	return nil
-}
-
-func (m *Modem) biasSigma() float64 {
-	if m.BiasSigma == 0 {
-		return 3
-	}
-	return m.BiasSigma
 }
 
 // DataCarriers returns the number of data-bearing subcarriers per symbol.
@@ -98,7 +92,7 @@ func (m *Modem) Modulate(bitstream []byte) ([]float64, error) {
 			power += td[i] * td[i]
 		}
 		sigma := math.Sqrt(power / float64(m.N))
-		bias := m.biasSigma() * sigma
+		bias := biasSigma * sigma
 
 		// Cyclic prefix, then the symbol; bias and clip at zero.
 		emit := func(v float64) {

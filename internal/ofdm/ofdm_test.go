@@ -161,7 +161,7 @@ func TestModemValidate(t *testing.T) {
 func TestModemWaveformNonNegative(t *testing.T) {
 	// Intensity modulation cannot go dark-negative: every sample ≥ 0.
 	q, _ := NewQAM(4)
-	m := &Modem{N: 64, CP: 8, QAM: q, BiasSigma: 2}
+	m := &Modem{N: 64, CP: 8, QAM: q}
 	rng := stats.NewRand(5)
 	bitstream := make([]byte, 4*m.BitsPerSymbol())
 	for i := range bitstream {

@@ -50,32 +50,26 @@ func (f ProjectorFunc) Project(x []float64) { f(x) }
 type Options struct {
 	// MaxIterations bounds the outer iterations (default 2000).
 	MaxIterations int
-	// Tolerance stops the solver when the relative objective improvement
-	// over an iteration falls below it (default 1e-9).
-	Tolerance float64
 	// InitialStep is the first trial step length (default 1).
 	InitialStep float64
-	// ArmijoC is the sufficient-increase coefficient in (0, 1) (default 1e-4).
-	ArmijoC float64
-	// Backtrack is the step shrink factor in (0, 1) (default 0.5).
-	Backtrack float64
 }
+
+// The line search's fixed constants: the solver stops when the relative
+// objective improvement over an iteration falls below tolerance, accepts a
+// step whose increase clears armijoC times the squared move over the step
+// length, and shrinks a rejected step by backtrack.
+const (
+	tolerance = 1e-9
+	armijoC   = 1e-4
+	backtrack = 0.5
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 2000
 	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-9
-	}
 	if o.InitialStep <= 0 {
 		o.InitialStep = 1
-	}
-	if o.ArmijoC <= 0 || o.ArmijoC >= 1 {
-		o.ArmijoC = 1e-4
-	}
-	if o.Backtrack <= 0 || o.Backtrack >= 1 {
-		o.Backtrack = 0.5
 	}
 	return o
 }
@@ -154,20 +148,20 @@ func Maximize(obj Objective, proj Projector, x0 []float64, opts Options) (Result
 				if move2 == 0 {
 					break // projection pinned us; shrinking s won't help
 				}
-				if ft >= f+opts.ArmijoC*move2/s {
+				if ft >= f+armijoC*move2/s {
 					copy(x, trial)
 					prev := f
 					f = ft
 					improved = true
 					// Grow the step again so flat stretches stay fast.
 					step = s * 2
-					if rel(f, prev) < opts.Tolerance {
+					if rel(f, prev) < tolerance {
 						converged = true
 					}
 					break
 				}
 			}
-			s *= opts.Backtrack
+			s *= backtrack
 		}
 		// Single exit point: the line search either stalled (no feasible
 		// ascent direction remains) or met the relative-improvement

@@ -233,14 +233,12 @@ func TestGradientAndNelderMeadAgree(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.MaxIterations != 2000 || o.Tolerance != 1e-9 || o.InitialStep != 1 ||
-		o.ArmijoC != 1e-4 || o.Backtrack != 0.5 {
+	if o.MaxIterations != 2000 || o.InitialStep != 1 {
 		t.Errorf("defaults = %+v", o)
 	}
 	// Explicit values survive.
-	o = Options{MaxIterations: 5, Tolerance: 0.1, InitialStep: 2, ArmijoC: 0.3, Backtrack: 0.7}.withDefaults()
-	if o.MaxIterations != 5 || o.Tolerance != 0.1 || o.InitialStep != 2 ||
-		o.ArmijoC != 0.3 || o.Backtrack != 0.7 {
+	o = Options{MaxIterations: 5, InitialStep: 2}.withDefaults()
+	if o.MaxIterations != 5 || o.InitialStep != 2 {
 		t.Errorf("explicit options overridden: %+v", o)
 	}
 }

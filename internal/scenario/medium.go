@@ -50,15 +50,15 @@ type Medium struct {
 	noise units.Amperes // per-sample photocurrent noise std
 }
 
-// NewMedium builds the medium for receivers at the given xy positions. The
-// blocker, if any, occludes links at every move. syncMethod sets how
-// beamspot members trigger in the data phase; measurementNoise is the
-// relative std of the receivers' pilot estimates (M2M4 estimation error).
-func NewMedium(s Setup, rx []geom.Vec, blocker channel.Blocker, syncMethod clock.Method, measurementNoise float64) *Medium {
+// NewMedium builds the medium for receivers at the given xy positions, with
+// every line of sight open. syncMethod sets how beamspot members trigger in
+// the data phase; measurementNoise is the relative std of the receivers'
+// pilot estimates (M2M4 estimation error).
+func NewMedium(s Setup, rx []geom.Vec, syncMethod clock.Method, measurementNoise float64) *Medium {
 	n, m := s.Grid.N(), len(rx)
 	p := s.Params
 	md := &Medium{
-		mv:     s.NewMover(rx, blocker),
+		mv:     s.NewMover(rx, nil),
 		faults: chaos.NewFaults(n, m),
 		vacant: make([]bool, m),
 		sync:   syncMethod,

@@ -19,7 +19,7 @@ import (
 func TestMediumTruthComposesFaultsAndVacancy(t *testing.T) {
 	setup := Default()
 	pos := Fig7Instance()
-	md := NewMedium(setup, pos, nil, clock.MethodNLOSVLC, 0)
+	md := NewMedium(setup, pos, clock.MethodNLOSVLC, 0)
 
 	md.Faults().FailTX(7)
 	md.Faults().SetRXAttenuation(0, 0.1)
@@ -68,7 +68,7 @@ func TestMediumTruthComposesFaultsAndVacancy(t *testing.T) {
 func TestMediumPilot(t *testing.T) {
 	setup := Default()
 	pos := Fig7Instance()
-	quiet := NewMedium(setup, pos, nil, clock.MethodNLOSVLC, 0)
+	quiet := NewMedium(setup, pos, clock.MethodNLOSVLC, 0)
 	rng, ref := stats.NewRand(5), stats.NewRand(5)
 	for j := 0; j < setup.Grid.N(); j++ {
 		if g := quiet.Pilot(rng, j, 1); g != quiet.Gain(j, 1) {
@@ -80,7 +80,7 @@ func TestMediumPilot(t *testing.T) {
 	}
 
 	const noise = 2.0 // wide enough that some estimates go negative
-	noisy := NewMedium(setup, pos, nil, clock.MethodNLOSVLC, noise)
+	noisy := NewMedium(setup, pos, clock.MethodNLOSVLC, noise)
 	clamped := 0
 	for j := 0; j < setup.Grid.N(); j++ {
 		want := noisy.Gain(j, 0) * (1 + noise*ref.NormFloat64())
@@ -103,7 +103,7 @@ func TestMediumPilot(t *testing.T) {
 // crystal error). Dark, idle and out-of-range transmitters radiate nothing.
 func TestMediumSignals(t *testing.T) {
 	setup := Default()
-	md := NewMedium(setup, Fig7Instance(), nil, clock.MethodNLOSVLC, 0)
+	md := NewMedium(setup, Fig7Instance(), clock.MethodNLOSVLC, 0)
 	const skew = units.Seconds(2e-6)
 	md.Configure(7, 0, 0.9, true)   // leader of RX 0's beamspot
 	md.Configure(8, 0, 0.5, false)  // member with a stepped clock

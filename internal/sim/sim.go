@@ -32,6 +32,9 @@ import (
 	"densevlc/internal/workload"
 )
 
+// payloadLen is the data frame payload in bytes.
+const payloadLen = 64
+
 // Config parameterises a system run.
 type Config struct {
 	// Setup is the physical deployment.
@@ -61,10 +64,6 @@ type Config struct {
 	// FramesPerRound is the number of data frames per receiver per round
 	// in the waveform data phase.
 	FramesPerRound int
-	// PayloadLen is the data frame payload in bytes.
-	PayloadLen int
-	// Blocker optionally occludes links.
-	Blocker channel.Blocker
 	// Network carries the control plane. Nil selects a fresh in-memory
 	// network; pass a transport.UDPNetwork to exercise real sockets
 	// (cmd/densevlc does). The simulator closes it when the run ends.
@@ -123,9 +122,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.FramesPerRound <= 0 {
 		c.FramesPerRound = 20
-	}
-	if c.PayloadLen <= 0 {
-		c.PayloadLen = 64
 	}
 	if c.Budget < 0 {
 		return errors.New("sim: negative budget")
@@ -252,7 +248,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Chaos.Validate(n, m); err != nil {
 		return nil, err
 	}
-	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), cfg.Blocker, cfg.Sync, cfg.MeasurementNoise)
+	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), cfg.Sync, cfg.MeasurementNoise)
 	injector := chaos.NewInjector(cfg.Chaos)
 
 	res := &Result{Trace: injector.Trace()}
@@ -449,11 +445,11 @@ func Run(cfg Config) (*Result, error) {
 			const bt = 5
 			rm.PER = make([]float64, m)
 			rm.Goodput = make([]units.BitsPerSecond, m)
-			symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(cfg.PayloadLen))
+			symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(payloadLen))
 			cycle := symbols/100e3 + 17e-3
 			for i, sinr := range rm.Eval.SINR {
-				rm.PER[i] = channel.FramePER(sinr, cfg.PayloadLen, bt)
-				rm.Goodput[i] = units.BitsPerSecond(float64(8*cfg.PayloadLen) * (1 - rm.PER[i]) / cycle)
+				rm.PER[i] = channel.FramePER(sinr, payloadLen, bt)
+				rm.Goodput[i] = units.BitsPerSecond(float64(8*payloadLen) * (1 - rm.PER[i]) / cycle)
 			}
 		}
 		res.Rounds = append(res.Rounds, rm)
@@ -488,7 +484,7 @@ func dataPhase(cfg Config, rng *rand.Rand, md *scenario.Medium, plan mac.Plan) (
 		}
 		var txs []phy.TXSignal
 		resPER, err := link.MeasurePER(phy.PERConfig{
-			PayloadLen:    cfg.PayloadLen,
+			PayloadLen:    payloadLen,
 			Frames:        cfg.FramesPerRound,
 			ACKTurnaround: 17e-3,
 		}, func(r *rand.Rand) []phy.TXSignal {

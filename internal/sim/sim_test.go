@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
 	"densevlc/internal/clock"
 	"densevlc/internal/geom"
 	"densevlc/internal/mac"
@@ -136,7 +135,6 @@ func TestRunWaveformPHY(t *testing.T) {
 		Sync:             clock.MethodNLOSVLC,
 		WaveformPHY:      true,
 		FramesPerRound:   5,
-		PayloadLen:       32,
 		MeasurementNoise: 0.02,
 		Seed:             4,
 	})
@@ -178,35 +176,6 @@ func TestRunConfigErrors(t *testing.T) {
 	}
 	if _, err := Run(Config{Setup: scenario.FloorGrid(9, 9), Trajectories: staticTrajectories()}); err == nil {
 		t.Error("81 TXs accepted past the 64-bit TX-ID mask")
-	}
-}
-
-func TestRunWithBlocker(t *testing.T) {
-	// Sec. 9's blockage discussion: occluding one receiver's dominant TX
-	// degrades that receiver but the controller still serves everyone it
-	// can through unblocked links.
-	pos := scenario.Scenario3.RXPositions()
-	var traj []mobility.Trajectory
-	for _, p := range pos {
-		traj = append(traj, mobility.Static{Pos: p})
-	}
-	open, err := Run(Config{
-		Setup: scenario.Default(), Trajectories: traj,
-		Budget: 0.6, Rounds: 1, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocked, err := Run(Config{
-		Setup: scenario.Default(), Trajectories: traj,
-		Budget: 0.6, Rounds: 1, Seed: 5,
-		Blocker: channel.DiskBlocker{Center: geom.V(0.75, 0.75, 1.5), Radius: 0.25},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if blocked.Rounds[0].Eval.Throughput[0] >= open.Rounds[0].Eval.Throughput[0] {
-		t.Error("blocking RX1's overhead TX should reduce its throughput")
 	}
 }
 

@@ -1,155 +1,51 @@
 package transport
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
 	"densevlc/internal/stats"
 )
 
-// GEParams parameterises a two-state Gilbert–Elliott loss channel: the link
-// alternates between a Good and a Bad state with per-frame transition
-// probabilities, and drops frames with a state-dependent probability. This
-// is the standard burst-loss model for the prototype's WiFi uplink, where
-// contention loses ACKs in clumps rather than independently; the uniform
-// i.i.d. loss of earlier versions is the degenerate single-state case
-// (Uniform).
-type GEParams struct {
-	// PGoodBad is the per-frame probability of entering the Bad state from
-	// Good; PBadGood of returning. The stationary Bad-state occupancy is
-	// PGoodBad/(PGoodBad+PBadGood) and the mean Bad burst lasts 1/PBadGood
-	// frames.
-	PGoodBad, PBadGood float64
-	// LossGood and LossBad are the per-frame drop probabilities within
-	// each state.
-	LossGood, LossBad float64
+// dropGate drops frames on one link direction independently with a fixed
+// probability. Each link direction owns a gate with an independent seeded
+// stream, so adding a node never perturbs the drops another link observes.
+type dropGate struct {
+	mu   sync.Mutex
+	rng  *rand.Rand
+	loss float64
 }
 
-// Uniform returns the degenerate Gilbert–Elliott parameters that reproduce
-// independent uniform loss with probability p: both states (and hence every
-// frame) drop with p, so the chain's state is irrelevant.
-func Uniform(p float64) GEParams {
-	p = clamp01(p)
-	return GEParams{LossGood: p, LossBad: p}
+// drop draws once and reports whether this frame is lost.
+func (g *dropGate) drop() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.rng.Float64() < g.loss
 }
 
-// clamped returns the parameters with every probability clamped to [0, 1].
-func (p GEParams) clamped() GEParams {
-	return GEParams{
-		PGoodBad: clamp01(p.PGoodBad),
-		PBadGood: clamp01(p.PBadGood),
-		LossGood: clamp01(p.LossGood),
-		LossBad:  clamp01(p.LossBad),
-	}
-}
-
-// MeanLoss returns the stationary frame-loss probability of the chain:
-// π_G·LossGood + π_B·LossBad. When the chain never transitions the Good
-// state's loss applies (the uniform degenerate case).
-func (p GEParams) MeanLoss() float64 {
-	p = p.clamped()
-	denom := p.PGoodBad + p.PBadGood
-	if denom <= 0 {
-		return p.LossGood
-	}
-	piBad := p.PGoodBad / denom
-	return (1-piBad)*p.LossGood + piBad*p.LossBad
-}
-
-// MeanBurstLen returns the expected Bad-state dwell time in frames,
-// 1/PBadGood (infinite chains report 0 transitions; callers guard).
-func (p GEParams) MeanBurstLen() float64 {
-	p = p.clamped()
-	if p.PBadGood <= 0 {
-		return 0
-	}
-	return 1 / p.PBadGood
-}
-
-// Validate reports whether the parameters are usable probabilities.
-func (p GEParams) Validate() error {
-	for _, v := range []struct {
-		name string
-		p    float64
-	}{
-		{"PGoodBad", p.PGoodBad}, {"PBadGood", p.PBadGood},
-		{"LossGood", p.LossGood}, {"LossBad", p.LossBad},
-	} {
-		if v.p < 0 || v.p > 1 {
-			return fmt.Errorf("transport: GE parameter %s = %v outside [0,1]", v.name, v.p)
-		}
-	}
-	return nil
-}
-
-// geChain is one Markov loss chain. Each link direction owns a chain with an
-// independent seeded stream, so adding a node never perturbs the drops
-// another link observes.
-type geChain struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-	p   GEParams
-	bad bool
-}
-
-func newGEChain(p GEParams, rng *rand.Rand) *geChain {
-	return &geChain{rng: rng, p: p.clamped()}
-}
-
-// drop advances the chain one frame and reports whether that frame is lost.
-// The state transition happens before the loss draw, so a frame arriving
-// just as the link degrades already sees Bad-state loss.
-func (c *geChain) drop() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bad {
-		if c.rng.Float64() < c.p.PBadGood {
-			c.bad = false
-		}
-	} else {
-		if c.rng.Float64() < c.p.PGoodBad {
-			c.bad = true
-		}
-	}
-	loss := c.p.LossGood
-	if c.bad {
-		loss = c.p.LossBad
-	}
-	return c.rng.Float64() < loss
-}
-
-// LossyNetwork wraps a Network and drops frames in each direction through
-// per-link Gilbert–Elliott chains — the fault-injection vehicle for testing
-// the MAC's retransmission logic under both independent and bursty loss.
-// The prototype's WiFi uplink in particular loses ACKs in bursts under
-// load; the ARQ must absorb that.
+// LossyNetwork wraps a Network and drops frames in each direction
+// independently with a fixed per-link probability — the fault-injection
+// vehicle for testing the MAC's retransmission logic under loss.
 //
 // Determinism: the master seed splits into one stream per link direction in
 // NewNode registration order, so a run's drop pattern is a pure function of
-// (seed, parameters, registration order, per-link frame order).
+// (seed, loss probabilities, registration order, per-link frame order).
 type LossyNetwork struct {
 	inner    Network
 	mu       sync.Mutex
 	rng      *rand.Rand // master stream, split per link
-	down, up GEParams
+	down, up float64
 }
 
 // NewLossyNetwork wraps inner with independent uniform drop probabilities
-// (clamped to [0, 1]) in each direction — the degenerate Gilbert–Elliott
-// case, kept as the convenience constructor.
+// in each direction, seeded from the master seed. A probability at or below
+// 0 drops nothing; at or above 1, everything.
 func NewLossyNetwork(inner Network, downlinkLoss, uplinkLoss float64, seed int64) *LossyNetwork {
-	return NewBurstyNetwork(inner, Uniform(downlinkLoss), Uniform(uplinkLoss), seed)
-}
-
-// NewBurstyNetwork wraps inner with Gilbert–Elliott loss chains, one per
-// link direction, seeded from the master seed.
-func NewBurstyNetwork(inner Network, down, up GEParams, seed int64) *LossyNetwork {
 	return &LossyNetwork{
 		inner: inner,
 		rng:   stats.NewRand(seed),
-		down:  down.clamped(),
-		up:    up.clamped(),
+		down:  downlinkLoss,
+		up:    uplinkLoss,
 	}
 }
 
@@ -167,10 +63,10 @@ func (l *LossyNetwork) NewNode() (NodeLink, error) {
 		return nil, err
 	}
 	l.mu.Lock()
-	downChain := newGEChain(l.down, stats.SplitRand(l.rng))
-	upChain := newGEChain(l.up, stats.SplitRand(l.rng))
+	downGate := &dropGate{rng: stats.SplitRand(l.rng), loss: l.down}
+	upGate := &dropGate{rng: stats.SplitRand(l.rng), loss: l.up}
 	l.mu.Unlock()
-	node := &lossyNode{inner: n, down: make(chan []byte, queueSize), downChain: downChain, upChain: upChain}
+	node := &lossyNode{inner: n, down: make(chan []byte, queueSize), downGate: downGate, upGate: upGate}
 	go node.filter()
 	return node, nil
 }
@@ -179,10 +75,10 @@ func (l *LossyNetwork) NewNode() (NodeLink, error) {
 func (l *LossyNetwork) Close() error { return l.inner.Close() }
 
 type lossyNode struct {
-	inner     NodeLink
-	down      chan []byte
-	downChain *geChain
-	upChain   *geChain
+	inner    NodeLink
+	down     chan []byte
+	downGate *dropGate
+	upGate   *dropGate
 }
 
 // filter pipes the inner downlink through the drop gate; it exits (and
@@ -190,7 +86,7 @@ type lossyNode struct {
 func (n *lossyNode) filter() {
 	defer close(n.down)
 	for msg := range n.inner.Downlink() {
-		if n.downChain.drop() {
+		if n.downGate.drop() {
 			continue
 		}
 		select {
@@ -203,20 +99,10 @@ func (n *lossyNode) filter() {
 func (n *lossyNode) Downlink() <-chan []byte { return n.down }
 
 func (n *lossyNode) SendUplink(data []byte) error {
-	if n.upChain.drop() {
+	if n.upGate.drop() {
 		return nil
 	}
 	return n.inner.SendUplink(data)
 }
 
 func (n *lossyNode) Close() error { return n.inner.Close() }
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}

@@ -8,136 +8,43 @@ import (
 	"densevlc/internal/testutil"
 )
 
-// drawLossSequence advances one chain n frames and returns the drop mask.
-func drawLossSequence(p GEParams, seed int64, n int) []bool {
-	c := newGEChain(p, stats.NewRand(seed))
+// drawDrops advances one link's gate n frames and returns the drop mask.
+func drawDrops(loss float64, seed int64, n int) []bool {
+	g := &dropGate{rng: stats.NewRand(seed), loss: loss}
 	out := make([]bool, n)
 	for i := range out {
-		out[i] = c.drop()
+		out[i] = g.drop()
 	}
 	return out
 }
 
-// TestGEMeanLossMatchesStationary pins the empirical loss rate of the chain
-// against the analytic stationary mean π_G·LossGood + π_B·LossBad for a
-// spread of operating points, including the uniform degenerate case.
-func TestGEMeanLossMatchesStationary(t *testing.T) {
+// TestDropGateMeanLoss pins the empirical loss rate of one link's gate
+// against its drop probability, including the lossless case.
+func TestDropGateMeanLoss(t *testing.T) {
 	const n = 200000
-	cases := []GEParams{
-		{PGoodBad: 0.05, PBadGood: 0.25, LossGood: 0.01, LossBad: 0.8},
-		{PGoodBad: 0.02, PBadGood: 0.5, LossGood: 0, LossBad: 1},
-		{PGoodBad: 0.3, PBadGood: 0.3, LossGood: 0.1, LossBad: 0.5},
-		Uniform(0.3),
-		Uniform(0),
-	}
-	for i, p := range cases {
-		seq := drawLossSequence(p, int64(100+i), n)
+	for _, c := range []struct {
+		loss float64
+		seed int64
+	}{{0.3, 103}, {0, 104}} {
 		drops := 0
-		for _, d := range seq {
+		for _, d := range drawDrops(c.loss, c.seed, n) {
 			if d {
 				drops++
 			}
 		}
-		got := float64(drops) / n
-		want := p.MeanLoss()
-		// Binomial std at n=200k is < 0.12%; 4σ plus Markov mixing slack.
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("case %d: empirical loss %.4f, stationary mean %.4f", i, got, want)
+		// Binomial std at n=200k is < 0.12%.
+		if got := float64(drops) / n; math.Abs(got-c.loss) > 0.01 {
+			t.Errorf("loss %.2f: empirical loss %.4f", c.loss, got)
 		}
 	}
 }
 
-// TestGEBurstLengths pins the burstiness: with LossBad=1 and LossGood=0 the
-// drop mask's runs of consecutive losses are exactly the Bad-state dwells,
-// whose mean must match 1/PBadGood — the statistic that separates the GE
-// chain from uniform loss at the same mean rate.
-func TestGEBurstLengths(t *testing.T) {
-	p := GEParams{PGoodBad: 0.02, PBadGood: 0.25, LossGood: 0, LossBad: 1}
-	seq := drawLossSequence(p, 42, 400000)
-
-	var bursts []int
-	run := 0
-	for _, d := range seq {
-		if d {
-			run++
-			continue
-		}
-		if run > 0 {
-			bursts = append(bursts, run)
-			run = 0
-		}
-	}
-	if run > 0 {
-		bursts = append(bursts, run)
-	}
-	if len(bursts) < 1000 {
-		t.Fatalf("only %d bursts observed", len(bursts))
-	}
-	mean := 0.0
-	for _, b := range bursts {
-		mean += float64(b)
-	}
-	mean /= float64(len(bursts))
-	want := p.MeanBurstLen() // 4 frames
-	if math.Abs(mean-want) > 0.15 {
-		t.Errorf("mean burst length %.3f, want %.3f", mean, want)
-	}
-
-	// A uniform channel at the same mean loss rate must show near-geometric
-	// bursts with mean 1/(1-p) — far shorter than the GE chain's.
-	uni := drawLossSequence(Uniform(p.MeanLoss()), 43, 400000)
-	uniBursts, uniRun := 0, 0
-	uniTotal := 0
-	for _, d := range uni {
-		if d {
-			uniRun++
-			continue
-		}
-		if uniRun > 0 {
-			uniBursts++
-			uniTotal += uniRun
-			uniRun = 0
-		}
-	}
-	uniMean := float64(uniTotal) / float64(uniBursts)
-	if uniMean >= mean/2 {
-		t.Errorf("uniform bursts (%.3f) not clearly shorter than GE bursts (%.3f)", uniMean, mean)
-	}
-}
-
-// TestGEAnalyticHelpers checks the closed forms the distribution tests lean
-// on.
-func TestGEAnalyticHelpers(t *testing.T) {
-	p := GEParams{PGoodBad: 0.1, PBadGood: 0.3, LossGood: 0.05, LossBad: 0.65}
-	piBad := 0.1 / 0.4
-	want := (1-piBad)*0.05 + piBad*0.65
-	if math.Abs(p.MeanLoss()-want) > 1e-12 {
-		t.Errorf("MeanLoss = %v, want %v", p.MeanLoss(), want)
-	}
-	if math.Abs(p.MeanBurstLen()-1/0.3) > 1e-12 {
-		t.Errorf("MeanBurstLen = %v", p.MeanBurstLen())
-	}
-	if Uniform(0.3).MeanLoss() != 0.3 {
-		t.Errorf("Uniform mean loss = %v", Uniform(0.3).MeanLoss())
-	}
-	if (GEParams{PBadGood: 0}).MeanBurstLen() != 0 {
-		t.Error("non-transitioning chain should report zero burst length")
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("valid params rejected: %v", err)
-	}
-	if err := (GEParams{PGoodBad: 1.5}).Validate(); err == nil {
-		t.Error("out-of-range transition probability accepted")
-	}
-}
-
-// TestGEDeterministicPerSeed pins the chain's reproducibility: the same seed
-// yields the same drop mask, different seeds differ.
-func TestGEDeterministicPerSeed(t *testing.T) {
-	p := GEParams{PGoodBad: 0.1, PBadGood: 0.3, LossGood: 0.05, LossBad: 0.9}
-	a := drawLossSequence(p, 7, 5000)
-	b := drawLossSequence(p, 7, 5000)
-	c := drawLossSequence(p, 8, 5000)
+// TestDropGateDeterministicPerSeed pins the gate's reproducibility: the
+// same seed yields the same drop mask, different seeds differ.
+func TestDropGateDeterministicPerSeed(t *testing.T) {
+	a := drawDrops(0.3, 7, 5000)
+	b := drawDrops(0.3, 7, 5000)
+	c := drawDrops(0.3, 8, 5000)
 	same, diff := true, false
 	for i := range a {
 		if a[i] != b[i] {
@@ -155,13 +62,13 @@ func TestGEDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestBurstyNetworkPerLinkStreams checks that each registered link direction
+// TestLossyNetworkPerLinkStreams checks that each registered link direction
 // gets its own stream in registration order: the first node's drops are
 // unchanged by whether a second node registers.
-func TestBurstyNetworkPerLinkStreams(t *testing.T) {
+func TestLossyNetworkPerLinkStreams(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	drops := func(extraNode bool) []bool {
-		net := NewBurstyNetwork(NewMemNetwork(), GEParams{}, Uniform(0.5), 9)
+		net := NewLossyNetwork(NewMemNetwork(), 0, 0.5, 9)
 		defer net.Close()
 		n1, err := net.NewNode()
 		if err != nil {

@@ -304,12 +304,30 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	if string(got) != "hello" {
 		t.Errorf("got %q", got)
 	}
-	// Clamping.
+	// Out-of-range probabilities saturate: below 0 drops nothing, above 1
+	// drops everything.
 	clamped := NewLossyNetwork(NewMemNetwork(), -1, 2, 1)
-	if clamped.down.LossGood != 0 || clamped.up.LossGood != 1 {
-		t.Error("loss probabilities not clamped")
+	defer clamped.Close()
+	cn, err := clamped.NewNode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	clamped.Close()
+	if err := clamped.Controller().Multicast([]byte("down")); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvWithin(t, cn.Downlink(), time.Second); string(got) != "down" {
+		t.Errorf("downlink at loss -1: got %q", got)
+	}
+	for i := 0; i < 64; i++ {
+		if err := cn.SendUplink([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case msg := <-clamped.Controller().Uplink():
+		t.Errorf("uplink at loss 2 delivered %v", msg)
+	default:
+	}
 }
 
 func TestLossyNetworkCloseUnblocksFilter(t *testing.T) {

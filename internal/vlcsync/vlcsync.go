@@ -38,10 +38,11 @@ type Config struct {
 	// GuardTime is the pre-defined delay between the pilot end and the
 	// synchronised transmission start.
 	GuardTime units.Seconds
-	// DetectionThreshold is the minimum normalised correlation for a
-	// pilot detection (0..1). Zero selects 0.6.
-	DetectionThreshold float64
 }
+
+// detectionThreshold is the minimum normalised correlation for a pilot
+// detection.
+const detectionThreshold = 0.6
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -54,13 +55,6 @@ func (c Config) Validate() error {
 		return errors.New("vlcsync: negative guard time")
 	}
 	return nil
-}
-
-func (c Config) threshold() float64 {
-	if c.DetectionThreshold == 0 {
-		return 0.6
-	}
-	return c.DetectionThreshold
 }
 
 // Follower describes one non-leading transmitter's receive conditions.
@@ -157,7 +151,7 @@ func (s *Session) Synchronize(f Follower) Result {
 
 	peak, peakV := dsp.CorrelationPeak(samples, s.template)
 	// Written as !(≥) so that a NaN correlation is not a detection.
-	if peak < 0 || !(peakV >= s.cfg.threshold()) {
+	if peak < 0 || !(peakV >= detectionThreshold) {
 		return Result{Correlation: peakV}
 	}
 

@@ -6,14 +6,14 @@
 #
 #     ./scripts/profile.sh [bench-regexp]
 #
-# The default regexp is the Fig. 11 sweep — the macro workload the PR 4
-# fast-path work targets; pass e.g. 'GlobalDecision1024$' to profile a single
+# The default regexp is the Fig. 11 sweep (the fig11 sub-benchmark of
+# BenchmarkExperiments), the macro workload of the solver fast paths; pass e.g. 'GlobalDecision1024$' to profile a single
 # building-scale allocation decision instead.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-bench="${1:-Fig11HeuristicVsOptimal$}"
+bench="${1:-Experiments/fig11$}"
 mkdir -p profiles
 
 echo "==> go test -bench '$bench' with -cpuprofile/-memprofile"
