@@ -8,7 +8,6 @@
 //	densevlc [-rounds N] [-budget W] [-kappa K] [-speed M/S] [-udp] [-waveform]
 //	         [-chaos PRESET|SPEC] [-failures K] [-chaos-seed N]
 //	         [-incremental] [-trigger-delta D] [-trigger-stale K]
-//	         [-cache] [-cache-quantum M]
 //	         [-churn] [-arrival-rate L] [-fleet M]
 package main
 
@@ -49,8 +48,6 @@ func main() {
 	incremental := flag.Bool("incremental", false, "enable event-driven re-allocation: skip the solve when no reported gain moved more than -trigger-delta since the last plan")
 	triggerDelta := flag.Float64("trigger-delta", 0.05, "relative per-receiver gain change that triggers a re-solve (with -incremental)")
 	triggerStale := flag.Int("trigger-stale", 16, "max consecutive trigger-skipped rounds before a forced full re-solve (0 = no bound, with -incremental)")
-	useCache := flag.Bool("cache", false, "memoise allocations by quantised receiver geometry and live-TX mask, replaying them when positions revisit a cell")
-	cacheQuantum := flag.Float64("cache-quantum", 0.05, "position-snapping pitch of the geometry cache in metres (with -cache)")
 	churn := flag.Bool("churn", false, "drive the receiver fleet with a churn workload: Poisson arrivals, exponential dwell, waypoint mobility and per-user traffic instead of the fixed 4-receiver fleet")
 	arrivalRate := flag.Float64("arrival-rate", 0.5, "user arrivals per second (with -churn)")
 	fleet := flag.Int("fleet", 8, "receiver tenancy slots (with -churn)")
@@ -60,9 +57,6 @@ func main() {
 	failures := flag.Int("failures", 0, "hard-fail this many random transmitters mid-run (adds to -chaos)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for the -failures random draw")
 	flag.Parse()
-	if *async && *useCache {
-		log.Fatal("-cache is not supported with -async: the asynchronous runtime has no geometry cache")
-	}
 
 	setup := scenario.Default()
 	rng := stats.NewRand(*seed)
@@ -182,9 +176,6 @@ func main() {
 	}
 	if *churn {
 		cfg.Workload = &churnSpec
-	}
-	if *useCache {
-		cfg.CacheQuantum = units.Meters(*cacheQuantum)
 	}
 
 	res, err := sim.Run(cfg)

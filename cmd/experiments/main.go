@@ -26,7 +26,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	seed := flag.Int64("seed", 1, "random seed")
 	instances := flag.Int("instances", 0, "random instances for Fig. 6-based studies (0 = paper's 100)")
-	formatName := flag.String("format", "text", "output format: text, csv or json")
+	formatName := flag.String("format", "text", "output format: text, csv, json or markdown (md)")
 	workers := flag.Int("workers", 0, "worker goroutines for the Monte-Carlo fan-out (0 = all cores, 1 = serial; results are identical for every value)")
 	maxfail := flag.Int("maxfail", 0, "largest number of simultaneously failed TXs in the resilience study (0 = default 8)")
 	flag.Parse()

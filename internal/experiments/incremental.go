@@ -26,6 +26,30 @@ func (p *countedPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Sw
 	return p.inner.Allocate(env, budget)
 }
 
+// cachedPolicy fronts the inner policy with a geometry cache keyed on the
+// mover's receiver positions: a hit is re-validated against the env the
+// controller hands it, a miss solves through the inner policy and is
+// memoised.
+type cachedPolicy struct {
+	inner alloc.Policy
+	cache *alloc.GeoCache
+	mv    *scenario.Mover
+}
+
+func (p *cachedPolicy) Name() string { return p.inner.Name() }
+
+func (p *cachedPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
+	key := p.cache.Key(p.mv.Positions(), nil)
+	if s, ok := p.cache.Get(key, env, budget); ok {
+		return s, nil
+	}
+	s, err := p.inner.Allocate(env, budget)
+	if err == nil {
+		p.cache.Put(key, s)
+	}
+	return s, err
+}
+
 // IncrementalStudy quantifies the incremental re-allocation machinery on a
 // mobility workload: RX1 loops along the clear corridor while the rest
 // park, every receiver reports each epoch, and three controller modes re-
@@ -72,12 +96,14 @@ func IncrementalStudy(opts Options) Table {
 		mv := set.NewMover([]geom.Vec{path.Position(0), fixed[1], fixed[2], fixed[3]}, nil)
 		env := mv.Env()
 		probe := &countedPolicy{inner: alloc.Heuristic{Kappa: 1.3, AllowPartial: true}}
-		ctrl := mac.NewController(env.H.N, env.H.M, probe, budget, set.Params, set.LED)
-		ctrl.Trigger = mode.trigger
+		var policy alloc.Policy = probe
 		var cache *alloc.GeoCache
 		if mode.cache {
 			cache = alloc.NewGeoCache(0.10, 64)
+			policy = &cachedPolicy{inner: probe, cache: cache, mv: mv}
 		}
+		ctrl := mac.NewController(env.H.N, env.H.M, policy, budget, set.Params, set.LED)
+		ctrl.Trigger = mode.trigger
 
 		var res modeResult
 		var sys, mov []float64
@@ -94,18 +120,7 @@ func IncrementalStudy(opts Options) Table {
 					return modeResult{err: err}
 				}
 			}
-			var plan mac.Plan
-			var err error
-			if cache != nil {
-				key := cache.Key(mv.Positions(), nil)
-				if s, ok := cache.Get(key, env, budget); ok {
-					plan, err = ctrl.AdoptPlan(s)
-				} else if plan, err = ctrl.Reallocate(); err == nil {
-					cache.Put(key, plan.Swings)
-				}
-			} else {
-				plan, err = ctrl.Reallocate()
-			}
+			plan, err := ctrl.Reallocate()
 			if err != nil {
 				return modeResult{err: err}
 			}

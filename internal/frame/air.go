@@ -75,10 +75,4 @@ func AirBits(macFrame []byte) []byte { return dsp.BytesToBits(macFrame) }
 
 // SerializeMAC returns just the MAC frame bytes (SFD onward) — what the TX
 // modulates after pilot and preamble.
-func SerializeMAC(m MAC) ([]byte, error) {
-	b := NewSerializeBuffer()
-	if err := m.SerializeTo(b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
+func SerializeMAC(m MAC) ([]byte, error) { return m.afterHeaders(0) }

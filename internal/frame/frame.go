@@ -10,10 +10,9 @@
 //     chips + the Manchester-coded MAC frame (SFD, Length, Dst, Src,
 //     Protocol, Payload, Reed–Solomon parity).
 //
-// The API follows the layered style of packet libraries such as gopacket:
-// each layer knows its type, serialises into a SerializeBuffer, and decoding
-// yields typed errors (ErrTruncated, ErrBadSFD, …) that the MAC uses as
-// explicit decode feedback.
+// Every header has a fixed size, so serialisation writes a frame in place
+// in one allocation, and decoding yields typed errors (ErrTruncated,
+// ErrBadSFD, …) that the MAC uses as explicit decode feedback.
 package frame
 
 import (
@@ -53,99 +52,10 @@ var (
 	ErrTooLong   = errors.New("frame: payload exceeds MaxPayload")
 )
 
-// LayerType identifies a frame layer.
-type LayerType int
-
-// The layers of a DenseVLC frame.
-const (
-	LayerTypeEth LayerType = iota + 1
-	LayerTypePHY
-	LayerTypeMAC
-)
-
-// String implements fmt.Stringer.
-func (lt LayerType) String() string {
-	switch lt {
-	case LayerTypeEth:
-		return "ETH"
-	case LayerTypePHY:
-		return "PHY"
-	case LayerTypeMAC:
-		return "MAC"
-	default:
-		return fmt.Sprintf("LayerType(%d)", int(lt))
-	}
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	// LayerType identifies the layer.
-	LayerType() LayerType
-	// SerializeTo appends the layer's wire form to the buffer.
-	SerializeTo(b *SerializeBuffer) error
-}
-
-// SerializeBuffer accumulates serialised layers. Unlike a bytes.Buffer it
-// supports prepending, so layers can serialise innermost-first like
-// gopacket's SerializeLayers.
-type SerializeBuffer struct {
-	buf   []byte
-	start int
-}
-
-// NewSerializeBuffer returns an empty buffer with headroom for headers.
-func NewSerializeBuffer() *SerializeBuffer {
-	return &SerializeBuffer{buf: make([]byte, 64), start: 64}
-}
-
-// Bytes returns the assembled frame.
-func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
-
-// AppendBytes grows the tail by n zeroed bytes and returns the fresh
-// region.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	old := len(b.buf)
-	if cap(b.buf)-old < n {
-		// One allocation in every build: append(b.buf, make(...)...) costs
-		// two under the race detector, which disables the fused form.
-		grown := make([]byte, old, 2*cap(b.buf)+n)
-		copy(grown, b.buf)
-		b.buf = grown
-	}
-	b.buf = b.buf[:old+n]
-	clear(b.buf[old:])
-	return b.buf[old:]
-}
-
-// PrependBytes grows the head by n bytes and returns the fresh region.
-func (b *SerializeBuffer) PrependBytes(n int) []byte {
-	if b.start < n {
-		grow := n - b.start + 64
-		nb := make([]byte, len(b.buf)+grow)
-		copy(nb[grow:], b.buf)
-		b.buf = nb
-		b.start += grow
-	}
-	b.start -= n
-	return b.buf[b.start : b.start+n]
-}
-
 // Eth is the Ethernet-style encapsulation of downlink frames.
 type Eth struct {
 	Dst, Src  [6]byte
 	EtherType uint16
-}
-
-// LayerType implements Layer.
-func (Eth) LayerType() LayerType { return LayerTypeEth }
-
-// SerializeTo implements Layer.
-func (e Eth) SerializeTo(b *SerializeBuffer) error {
-	hdr := b.PrependBytes(EthHeaderLen)
-	copy(hdr[0:6], e.Dst[:])
-	copy(hdr[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(hdr[12:14], e.EtherType)
-	return nil
 }
 
 // decodeEth parses an Ethernet header, returning the remainder.
@@ -168,16 +78,6 @@ func decodeEth(data []byte) (Eth, []byte, error) {
 // with bit i addressing TX index i.
 type PHY struct {
 	TXIDMask uint64
-}
-
-// LayerType implements Layer.
-func (PHY) LayerType() LayerType { return LayerTypePHY }
-
-// SerializeTo implements Layer.
-func (p PHY) SerializeTo(b *SerializeBuffer) error {
-	hdr := b.PrependBytes(TXIDLen)
-	binary.BigEndian.PutUint64(hdr, p.TXIDMask)
-	return nil
 }
 
 // Targets reports whether TX index i (0-based, < 64) is addressed.
@@ -216,22 +116,21 @@ type MAC struct {
 	Payload  []byte
 }
 
-// LayerType implements Layer.
-func (MAC) LayerType() LayerType { return LayerTypeMAC }
-
-// SerializeTo implements Layer.
-func (m MAC) SerializeTo(b *SerializeBuffer) error {
+// afterHeaders allocates head bytes for outer headers followed by m's air
+// form, and writes m in place behind them.
+func (m MAC) afterHeaders(head int) ([]byte, error) {
 	if len(m.Payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrTooLong, len(m.Payload))
+		return nil, fmt.Errorf("%w: %d bytes", ErrTooLong, len(m.Payload))
 	}
-	body := b.AppendBytes(AirLen(len(m.Payload)))
+	out := make([]byte, head+AirLen(len(m.Payload)))
+	body := out[head:]
 	body[0] = SFD
 	binary.BigEndian.PutUint16(body[1:3], uint16(len(m.Payload)))
 	binary.BigEndian.PutUint16(body[3:5], m.Dst)
 	binary.BigEndian.PutUint16(body[5:7], m.Src)
 	binary.BigEndian.PutUint16(body[7:9], m.Protocol)
 	rs.EncodeInto(body[MACHeaderLen:], m.Payload)
-	return nil
+	return out, nil
 }
 
 // AirLen returns the number of bytes the MAC frame occupies on air for a
@@ -277,20 +176,18 @@ type Downlink struct {
 	MAC MAC
 }
 
-// Serialize assembles the wire frame.
+// Serialize assembles the wire frame in one allocation: every header's size
+// is fixed, so the three are written in place.
 func (d Downlink) Serialize() ([]byte, error) {
-	b := NewSerializeBuffer()
-	// Innermost layer first, then prepend headers — the gopacket order.
-	if err := d.MAC.SerializeTo(b); err != nil {
+	out, err := d.MAC.afterHeaders(EthHeaderLen + TXIDLen)
+	if err != nil {
 		return nil, err
 	}
-	if err := d.PHY.SerializeTo(b); err != nil {
-		return nil, err
-	}
-	if err := d.Eth.SerializeTo(b); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	copy(out[0:6], d.Eth.Dst[:])
+	copy(out[6:12], d.Eth.Src[:])
+	binary.BigEndian.PutUint16(out[12:14], d.Eth.EtherType)
+	binary.BigEndian.PutUint64(out[EthHeaderLen:], d.PHY.TXIDMask)
+	return out, nil
 }
 
 // DecodeDownlink parses a wire frame, reporting the layers and the number

@@ -457,30 +457,6 @@ func (c *Controller) adopt(swings channel.Swings) Plan {
 	return plan
 }
 
-// AdoptPlan installs an externally produced swing matrix — a
-// geometry-cache hit, typically — as the current plan without running the
-// solver. Link health still advances from the epoch's reports, and the
-// matrix must match the controller's dimensions. The caller is responsible
-// for the matrix being feasible for the current environment (the
-// alloc.GeoCache validates exactly that on lookup).
-func (c *Controller) AdoptPlan(swings channel.Swings) (Plan, error) {
-	if len(swings) != c.N {
-		return Plan{}, fmt.Errorf("mac: adopted plan has %d TX rows, controller wants %d", len(swings), c.N)
-	}
-	for j := range swings {
-		if len(swings[j]) != c.M {
-			return Plan{}, fmt.Errorf("mac: adopted plan row %d has %d RX columns, controller wants %d", j, len(swings[j]), c.M)
-		}
-	}
-	c.updateHealth()
-	if c.Trigger.enabled() {
-		c.refreshEnv(nil) // the basis the delta check measures against
-		c.snapshotSolved(nil)
-	}
-	c.staleEpochs = 0
-	return c.adopt(swings), nil
-}
-
 // refreshRXDirty recomputes the per-receiver dirty flags: a fresh receiver
 // is dirty when some transmitter's gain to it moved by more than
 // Trigger.RelDelta of its column's peak at the last solve basis (an

@@ -113,14 +113,18 @@ func TestAckPilotCodecs(t *testing.T) {
 }
 
 func TestCheckWireLimits(t *testing.T) {
-	if err := CheckWireLimits(64, 256); err != nil {
-		t.Errorf("64 TXs × 256 RX slots rejected: %v", err)
+	if err := CheckWireLimits(64, 255); err != nil {
+		t.Errorf("64 TXs × 255 RX slots rejected: %v", err)
 	}
 	if CheckWireLimits(65, 1) == nil {
 		t.Error("65 TXs accepted past the 64-bit TX-ID mask")
 	}
-	if CheckWireLimits(36, 257) == nil {
-		t.Error("257 RX slots accepted past the one-byte RX index")
+	// Slot 255 would encode as the allocation's 0xFF illumination-only
+	// marker, so 255 slots (indices 0–254) is the limit.
+	for _, m := range []int{256, 257} {
+		if CheckWireLimits(36, m) == nil {
+			t.Errorf("%d RX slots accepted past the one-byte RX index", m)
+		}
 	}
 }
 
@@ -129,15 +133,16 @@ func TestAllocationCodecRoundTrip(t *testing.T) {
 		{TX: 7, RX: 0, SwingMilliAmps: 900, Leader: true},
 		{TX: 9, RX: 1, SwingMilliAmps: 450},
 		{TX: 14, RX: -1},
+		{TX: 20, RX: 254, SwingMilliAmps: 900},
 	}}
 	got, err := DecodeAllocation(a.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 5 || len(got.Commands) != 3 {
+	if got.Seq != 5 || len(got.Commands) != 4 {
 		t.Fatalf("allocation = %+v", got)
 	}
-	if got.Commands[0] != a.Commands[0] || got.Commands[2].RX != -1 {
+	if got.Commands[0] != a.Commands[0] || got.Commands[2].RX != -1 || got.Commands[3] != a.Commands[3] {
 		t.Errorf("commands = %+v", got.Commands)
 	}
 	if _, err := DecodeAllocation([]byte{0}); err == nil {

@@ -115,15 +115,17 @@ func DecodeAck(data []byte) (Ack, error) {
 
 // CheckWireLimits reports whether n transmitters and m receiver slots fit
 // the wire formats: the downlink PHY header addresses transmitters with a
-// 64-bit TX-ID mask, and Report and Ack carry the receiver index in one
-// byte. The runtimes call it before building a deployment; NewController
-// does not, so a controller driven directly may exceed the mask width.
+// 64-bit TX-ID mask, and Report, Ack and Allocation carry the receiver
+// index in one byte. Allocation reserves 0xFF for illumination-only
+// commands, so the highest servable slot is 254 and m stops at 255. The
+// runtimes call it before building a deployment; NewController does not, so
+// a controller driven directly may exceed the mask width.
 func CheckWireLimits(n, m int) error {
 	if n > 64 {
 		return fmt.Errorf("mac: %d TXs exceed the 64-bit TX-ID mask", n)
 	}
-	if m > 256 {
-		return fmt.Errorf("mac: %d receiver slots exceed the one-byte RX index of reports and acks", m)
+	if m > 255 {
+		return fmt.Errorf("mac: %d receiver slots exceed the one-byte RX index (0xFF is the allocation's illumination-only marker, so at most 255 slots)", m)
 	}
 	return nil
 }

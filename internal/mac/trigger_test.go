@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
 	"densevlc/internal/cluster"
 	"densevlc/internal/geom"
 	"densevlc/internal/scenario"
@@ -268,48 +267,5 @@ func TestIncrementalVsScratchController(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAdoptPlanInstallsExternalDecision: AdoptPlan validates dimensions,
-// derives beamspots and leaders exactly like a solved plan, advances Seq
-// and clears freshness — the geometry-cache hit path.
-func TestAdoptPlanInstallsExternalDecision(t *testing.T) {
-	set := scenario.Default()
-	env := set.Env(scenario.Fig7Instance(), nil)
-	policy := alloc.Heuristic{AllowPartial: true}
-	ctrl := NewController(env.H.N, env.H.M, policy, 1.19, set.Params, set.LED)
-
-	if _, err := ctrl.AdoptPlan(channel.NewSwings(2, 2)); err == nil {
-		t.Fatal("mis-dimensioned plan adopted without error")
-	}
-
-	feedReports(t, ctrl, env.H.H, nil)
-	want, err := ctrl.Reallocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	feedReports(t, ctrl, env.H.H, nil)
-	got, err := ctrl.AdoptPlan(want.Swings.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != want.Seq+1 {
-		t.Errorf("adopted Seq = %d, want %d", got.Seq, want.Seq+1)
-	}
-	if ctrl.HaveFreshReports() {
-		t.Error("AdoptPlan left freshness flags set")
-	}
-	for i := range want.Leader {
-		if got.Leader[i] != want.Leader[i] {
-			t.Errorf("leader[%d] = %d adopted, %d solved", i, got.Leader[i], want.Leader[i])
-		}
-		if len(got.ServedBy[i]) != len(want.ServedBy[i]) {
-			t.Errorf("ServedBy[%d] has %d TXs adopted, %d solved", i, len(got.ServedBy[i]), len(want.ServedBy[i]))
-		}
-	}
-	if ctrl.Plan().Seq != got.Seq {
-		t.Error("AdoptPlan did not install the plan as current")
 	}
 }

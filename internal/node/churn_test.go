@@ -160,19 +160,19 @@ func TestChurnRunRejectsInvalidWorkload(t *testing.T) {
 func TestRunContextWireLimits(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	sp := churnSpec()
-	sp.Fleet = 257
+	sp.Fleet = 256
 	if _, err := RunContext(context.Background(), churnConfig(sp, 1, 1)); err == nil {
-		t.Fatal("fleet 257 accepted")
+		t.Fatal("fleet 256 accepted")
 	}
 	sp = churnSpec()
-	sp.Fleet = 256
+	sp.Fleet = 255
 	res, err := RunContext(context.Background(), churnConfig(sp, 2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range res.Rounds {
 		if !r.ReportsOK {
-			t.Errorf("round %d: reports incomplete with 256 slots", r.Round)
+			t.Errorf("round %d: reports incomplete with 255 slots", r.Round)
 		}
 	}
 }

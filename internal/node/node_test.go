@@ -152,6 +152,13 @@ func TestAsyncRunErrors(t *testing.T) {
 	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default()}); err == nil {
 		t.Error("no receivers accepted")
 	}
+	traj := asyncTrajectories()
+	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default(), Trajectories: traj, MeasurementNoise: -0.1}); err == nil {
+		t.Error("negative measurement noise accepted")
+	}
+	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default(), Trajectories: traj, Budget: -1}); err == nil {
+		t.Error("negative budget accepted")
+	}
 }
 
 // scenario3Hub is a noise-free hub over the paper room with the receivers

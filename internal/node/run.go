@@ -119,6 +119,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := mac.CheckWireLimits(n, m); err != nil {
 		return nil, err
 	}
+	if cfg.MeasurementNoise < 0 {
+		return nil, errors.New("node: negative measurement noise")
+	}
+	if cfg.Budget < 0 {
+		return nil, errors.New("node: negative budget")
+	}
 	var engine *workload.Engine
 	if cfg.Workload != nil {
 		if len(cfg.Trajectories) != 0 {

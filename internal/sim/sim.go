@@ -78,20 +78,12 @@ type Config struct {
 	// since the last solve reuse the cached plan at zero solver cost (see
 	// mac.Trigger). The zero value keeps the solve-every-round behaviour.
 	Trigger mac.Trigger
-	// CacheQuantum, when positive, enables the quantised-geometry
-	// allocation cache: decisions are memoised by the receiver positions
-	// snapped to this pitch plus the live-TX mask, and replayed — after
-	// feasibility re-validation against the live channel — when the
-	// geometry revisits a cell. Zero disables caching.
-	CacheQuantum units.Meters
 	// Workload, when non-nil, replaces Trajectories with a churn-driven
 	// population: Fleet receiver slots whose tenancy evolves by Poisson
 	// arrivals and exponential dwell (see internal/workload). Free slots
 	// report dark channels, so the allocator serves only live users. The
 	// run is deterministic for a given seed, like everything else in this
-	// engine. Mutually exclusive with Trajectories and CacheQuantum (the
-	// geometry cache keys on positions and live TXs only — it is not
-	// churn-aware).
+	// engine. Mutually exclusive with Trajectories.
 	Workload *workload.Spec
 	// Seed makes the run reproducible.
 	Seed int64
@@ -101,9 +93,6 @@ func (c *Config) withDefaults() error {
 	if c.Workload != nil {
 		if len(c.Trajectories) != 0 {
 			return errors.New("sim: Workload and Trajectories are mutually exclusive")
-		}
-		if c.CacheQuantum > 0 {
-			return errors.New("sim: the geometry cache is not churn-aware; disable it with Workload")
 		}
 	} else if len(c.Trajectories) == 0 {
 		return errors.New("sim: no receivers")
@@ -219,11 +208,6 @@ func Run(cfg Config) (*Result, error) {
 
 	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
 	ctrl.Trigger = cfg.Trigger
-	var cache *alloc.GeoCache
-	if cfg.CacheQuantum > 0 {
-		cache = alloc.NewGeoCache(cfg.CacheQuantum, 0)
-	}
-	liveTX := make([]bool, n)
 	txNodes := make([]*mac.TXNode, n)
 	txLinks := make([]transport.NodeLink, n)
 	for j := 0; j < n; j++ {
@@ -356,26 +340,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// --- Decision phase. ---
-		trueEnv := md.Truth()
-		failed := md.Faults().FailedTXs()
-		var plan mac.Plan
-		var err error
-		if cache != nil {
-			for j := range liveTX {
-				liveTX[j] = true
-			}
-			for _, j := range failed {
-				liveTX[j] = false
-			}
-			key := cache.Key(pos, liveTX)
-			if s, ok := cache.Get(key, trueEnv, cfg.Budget); ok {
-				plan, err = ctrl.AdoptPlan(s)
-			} else if plan, err = ctrl.Reallocate(); err == nil {
-				cache.Put(key, plan.Swings)
-			}
-		} else {
-			plan, err = ctrl.Reallocate()
-		}
+		plan, err := ctrl.Reallocate()
 		if err != nil {
 			return nil, err
 		}
@@ -419,11 +384,11 @@ func Run(cfg Config) (*Result, error) {
 			Round:       round,
 			Time:        t,
 			RXPositions: pos,
-			Eval:        alloc.Evaluate(trueEnv, cmdSwings),
+			Eval:        alloc.Evaluate(md.Truth(), cmdSwings),
 			ActiveTXs:   active,
 			Swings:      cmdSwings,
 			ChaosEvents: chaosEvents,
-			FailedTXs:   failed,
+			FailedTXs:   md.Faults().FailedTXs(),
 		}
 		if engine != nil {
 			rm.Churn = &ChurnMetrics{

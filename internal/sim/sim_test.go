@@ -166,13 +166,12 @@ func TestRunConfigErrors(t *testing.T) {
 	if _, err := Run(Config{Setup: scenario.Default(), Workload: &sp, Trajectories: staticTrajectories()}); err == nil {
 		t.Error("Workload together with Trajectories accepted")
 	}
-	if _, err := Run(Config{Setup: scenario.Default(), Workload: &sp, CacheQuantum: 0.1}); err == nil {
-		t.Error("Workload together with the geometry cache accepted")
-	}
 	wide := workload.DefaultSpec()
-	wide.Fleet = 257
-	if _, err := Run(Config{Setup: scenario.Default(), Workload: &wide}); err == nil {
-		t.Error("257 receiver slots accepted past the one-byte RX index")
+	for _, fleet := range []int{256, 257} {
+		wide.Fleet = fleet
+		if _, err := Run(Config{Setup: scenario.Default(), Workload: &wide}); err == nil {
+			t.Errorf("%d receiver slots accepted past the one-byte RX index", fleet)
+		}
 	}
 	if _, err := Run(Config{Setup: scenario.FloorGrid(9, 9), Trajectories: staticTrajectories()}); err == nil {
 		t.Error("81 TXs accepted past the 64-bit TX-ID mask")
@@ -200,11 +199,10 @@ func TestRunOverUDPNetwork(t *testing.T) {
 	}
 }
 
-// TestRunIncrementalModes: the trigger and the geometry cache are opt-in
-// knobs on the same engine. A static noiseless scenario is the friendliest
-// case for both — the trigger skips every steady epoch and the cache
-// replays round one's decision — and either run must land on exactly the
-// full-solve numbers, since the reused plan IS the plan a solve reproduces.
+// TestRunIncrementalModes: the trigger is an opt-in knob on the same
+// engine. A static noiseless scenario is its friendliest case — it skips
+// every steady epoch — and the run must land on exactly the full-solve
+// numbers, since the reused plan IS the plan a solve reproduces.
 func TestRunIncrementalModes(t *testing.T) {
 	base := Config{
 		Setup:        scenario.Default(),
@@ -221,23 +219,19 @@ func TestRunIncrementalModes(t *testing.T) {
 
 	triggered := base
 	triggered.Trigger = mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: 16}
-	cached := base
-	cached.CacheQuantum = 0.05
-	for name, cfg := range map[string]Config{"trigger": triggered, "cache": cached} {
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.MeanSystemThroughput != want.MeanSystemThroughput {
-			t.Errorf("%s: mean throughput %v, full solve %v", name, got.MeanSystemThroughput, want.MeanSystemThroughput)
-		}
-		if got.MeanCommPower != want.MeanCommPower {
-			t.Errorf("%s: mean power %v, full solve %v", name, got.MeanCommPower, want.MeanCommPower)
-		}
-		for round, r := range got.Rounds {
-			if r.ActiveTXs != want.Rounds[round].ActiveTXs {
-				t.Errorf("%s round %d: %d active TXs, full solve %d", name, round, r.ActiveTXs, want.Rounds[round].ActiveTXs)
-			}
+	got, err := Run(triggered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MeanSystemThroughput != want.MeanSystemThroughput {
+		t.Errorf("mean throughput %v, full solve %v", got.MeanSystemThroughput, want.MeanSystemThroughput)
+	}
+	if got.MeanCommPower != want.MeanCommPower {
+		t.Errorf("mean power %v, full solve %v", got.MeanCommPower, want.MeanCommPower)
+	}
+	for round, r := range got.Rounds {
+		if r.ActiveTXs != want.Rounds[round].ActiveTXs {
+			t.Errorf("round %d: %d active TXs, full solve %d", round, r.ActiveTXs, want.Rounds[round].ActiveTXs)
 		}
 	}
 }
