@@ -43,10 +43,10 @@ func MobilityStudy(opts Options) Table {
 	}
 
 	// Each refresh costs a measurement round: 36 pilot slots at ≈2 ms each
-	// (pilot + preamble + announcement airtime plus the report window
-	// share) — airtime stolen from data. Gross staleness gains and pilot
-	// overhead pull in opposite directions, so the net column has an
-	// interior optimum.
+	// (pilot + preamble airtime, plus each slot's share of the report
+	// window and of the one pilot-schedule frame sent per epoch) — airtime
+	// stolen from data. Gross staleness gains and pilot overhead pull in
+	// opposite directions, so the net column has an interior optimum.
 	const measurementRound = 36 * 2e-3
 
 	periods := []units.Seconds{0.2, 1, 2, 4, 8, 1e9} // 1e9 ≈ allocate once, never refresh

@@ -19,7 +19,8 @@ import (
 //
 // The controller is a pure state machine: feed it uplink messages with
 // HandleUplink, ask for decisions with Reallocate, and build wire frames
-// with DataFrame / AllocationFrame. Time and transport live outside.
+// with PilotFrame / AllocationFrame / DataFrame. Time and transport live
+// outside.
 type Controller struct {
 	N, M   int
 	Policy alloc.Policy
@@ -521,6 +522,9 @@ func (c *Controller) Plan() Plan { return c.current }
 
 // AllocationFrame builds the downlink frame carrying the plan to all TXs.
 func (c *Controller) AllocationFrame(plan Plan) (frame.Downlink, error) {
+	if err := checkTXCount(c.N); err != nil {
+		return frame.Downlink{}, err
+	}
 	cmds := make([]TXCommand, 0, c.N)
 	for j := 0; j < c.N; j++ {
 		cmd := TXCommand{TX: j, RX: -1}
@@ -578,19 +582,23 @@ func (c *Controller) DataFrameWithSeq(plan Plan, rx int, payload []byte, seq uin
 	return d, nil
 }
 
-// PilotFrame builds the measurement announcement for transmitter tx: only
-// tx relays it, so the receivers' capture of this frame measures tx's
-// channel in isolation (the time-division scheme of Sec. 3.2).
-func (c *Controller) PilotFrame(tx int) (frame.Downlink, error) {
-	if tx < 0 || tx >= c.N {
-		return frame.Downlink{}, fmt.Errorf("mac: unknown TX %d", tx)
+// PilotFrame builds the epoch's pilot schedule: one slot per transmitter in
+// index order, a dark one included, so the receivers measure each channel in
+// isolation (the time-division scheme of Sec. 3.2). Slot k carries sequence
+// number seq+k, so the schedule consumes N sequence numbers.
+func (c *Controller) PilotFrame() (frame.Downlink, error) {
+	if err := checkTXCount(c.N); err != nil {
+		return frame.Downlink{}, err
 	}
-	p := Pilot{TX: tx, Seq: c.seq}
-	c.seq++
+	p := Pilot{Seq: c.seq, TXs: make([]int, c.N)}
+	for j := range p.TXs {
+		p.TXs[j] = j
+	}
+	c.seq += uint16(c.N)
 	return frame.Downlink{
 		Eth: defaultEth(),
-		PHY: frame.PHY{TXIDMask: frame.MaskOf(tx)},
-		MAC: frame.MAC{Dst: BroadcastAddr, Src: TXAddr(tx), Protocol: ProtoPilot, Payload: p.Encode()},
+		PHY: frame.PHY{TXIDMask: allTXMask(c.N)},
+		MAC: frame.MAC{Dst: BroadcastAddr, Src: ControllerAddr, Protocol: ProtoPilot, Payload: p.Encode()},
 	}, nil
 }
 

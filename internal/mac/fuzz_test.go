@@ -9,7 +9,7 @@ func FuzzControlCodecs(f *testing.F) {
 	f.Add(Report{RX: 1, Seq: 2, Gains: []float64{1e-7, 2e-7}}.Encode())
 	f.Add(Ack{RX: 1, Seq: 3}.Encode())
 	f.Add(Allocation{Seq: 4, Commands: []TXCommand{{TX: 7, RX: 0, SwingMilliAmps: 900, Leader: true}}}.Encode())
-	f.Add(Pilot{TX: 5, Seq: 6}.Encode())
+	f.Add(Pilot{Seq: 6, TXs: []int{0, 1, 2, 5}}.Encode())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,9 @@ package mac
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,8 +105,8 @@ func TestAckPilotCodecs(t *testing.T) {
 	if _, err := DecodeAck([]byte{1, 2}); err == nil {
 		t.Error("short ack accepted")
 	}
-	p, err := DecodePilot(Pilot{TX: 17, Seq: 9}.Encode())
-	if err != nil || p.TX != 17 || p.Seq != 9 {
+	p, err := DecodePilot(Pilot{Seq: 9, TXs: []int{17, 3, 254}}.Encode())
+	if err != nil || p.Seq != 9 || !slices.Equal(p.TXs, []int{17, 3, 254}) {
 		t.Errorf("pilot round trip: %+v err=%v", p, err)
 	}
 	if _, err := DecodePilot([]byte{1}); err == nil {
@@ -116,8 +118,8 @@ func TestCheckWireLimits(t *testing.T) {
 	if err := CheckWireLimits(64, 255); err != nil {
 		t.Errorf("64 TXs × 255 RX slots rejected: %v", err)
 	}
-	if CheckWireLimits(65, 1) == nil {
-		t.Error("65 TXs accepted past the 64-bit TX-ID mask")
+	if err := CheckWireLimits(65, 1); !errors.Is(err, ErrWireLimit) {
+		t.Errorf("65 TXs past the 64-bit TX-ID mask: err = %v, want ErrWireLimit", err)
 	}
 	// Slot 255 would encode as the allocation's 0xFF illumination-only
 	// marker, so 255 slots (indices 0–254) is the limit.
@@ -306,31 +308,107 @@ func TestControllerDataFrameErrors(t *testing.T) {
 	}
 }
 
-func TestPilotFrameAddressesSingleTX(t *testing.T) {
+// TestPilotScheduleFrame pins the epoch's pilot schedule: one frame
+// addressed to every TX, one slot per TX in index order from the
+// controller's sequence number, every scheduled TX entering its slot, an
+// unscheduled TX ignoring the frame, and malformed schedules refused.
+func TestPilotScheduleFrame(t *testing.T) {
 	params, ledModel := testParams()
 	c := NewController(36, 2, alloc.Heuristic{}, 0.1, params, ledModel)
-	pf, err := c.PilotFrame(7)
+	pf, err := c.PilotFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pf.MAC.Protocol != ProtoPilot || pf.MAC.Src != ControllerAddr || pf.PHY.TXIDMask != allTXMask(36) {
+		t.Errorf("schedule header: protocol 0x%04x src 0x%04x mask %x", pf.MAC.Protocol, pf.MAC.Src, pf.PHY.TXIDMask)
+	}
+	p, err := DecodePilot(pf.MAC.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Seq != 0 || len(p.TXs) != 36 {
+		t.Fatalf("schedule = %+v", p)
+	}
+	for k, tx := range p.TXs {
+		if tx != k {
+			t.Errorf("slot %d belongs to TX %d", k, tx)
+		}
+	}
+	// Slot k carries sequence number seq+k, so the next frame starts N on.
+	next, err := c.PilotFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if np, err := DecodePilot(next.MAC.Payload); err != nil || np.Seq != 36 {
+		t.Errorf("next schedule = %+v, %v; want seq 36", np, err)
+	}
+
+	wire, err := pf.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, _, err := frame.DecodeDownlink(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 36; j++ {
-		if pf.PHY.Targets(j) != (j == 7) {
-			t.Errorf("pilot mask wrong at TX %d", j)
+		if action, err := NewTXNode(j).HandleDownlink(decoded); err != nil || action != TXPilotSlot {
+			t.Errorf("TX %d: action = %v err = %v", j, action, err)
 		}
 	}
-	if _, err := c.PilotFrame(99); err == nil {
-		t.Error("unknown TX accepted")
+
+	partial := pf
+	partial.MAC.Payload = Pilot{TXs: []int{1, 2}}.Encode()
+	if action, err := NewTXNode(7).HandleDownlink(partial); err != nil || action != TXIgnore {
+		t.Errorf("unscheduled TX: action = %v err = %v", action, err)
+	}
+	if action, err := NewTXNode(2).HandleDownlink(partial); err != nil || action != TXPilotSlot {
+		t.Errorf("scheduled TX: action = %v err = %v", action, err)
 	}
 
-	node := NewTXNode(7)
-	action, err := node.HandleDownlink(pf)
-	if err != nil || action != TXPilotSlot {
-		t.Errorf("action = %v err = %v", action, err)
+	good := pf.MAC.Payload
+	for name, payload := range map[string][]byte{
+		"truncated header": good[:2],
+		"truncated slots":  good[:len(good)-1],
+		"over-long":        append(slices.Clone(good), 0),
+	} {
+		bad := pf
+		bad.MAC.Payload = payload
+		if _, err := NewTXNode(0).HandleDownlink(bad); err == nil {
+			t.Errorf("%s schedule accepted", name)
+		}
 	}
-	other := NewTXNode(8)
-	action, err = other.HandleDownlink(pf)
-	if err != nil || action != TXIgnore {
-		t.Errorf("non-addressed TX acted: %v", action)
+}
+
+// TestFrameBuildersRefuseUncountableFleet pins the one-byte TX count of the
+// allocation and the pilot schedule: 256 TXs would wrap it to 0, so both
+// builders refuse them with ErrWireLimit, and 255 still fit.
+func TestFrameBuildersRefuseUncountableFleet(t *testing.T) {
+	params, ledModel := testParams()
+	c := NewController(256, 1, alloc.Heuristic{}, 0.1, params, ledModel)
+	if _, err := c.PilotFrame(); !errors.Is(err, ErrWireLimit) {
+		t.Errorf("PilotFrame with 256 TXs: err = %v, want ErrWireLimit", err)
+	}
+	plan := Plan{Swings: channel.NewSwings(256, 1), ServedBy: make([][]int, 1), Leader: []int{-1}}
+	if _, err := c.AllocationFrame(plan); !errors.Is(err, ErrWireLimit) {
+		t.Errorf("AllocationFrame with 256 TXs: err = %v, want ErrWireLimit", err)
+	}
+
+	c = NewController(255, 1, alloc.Heuristic{}, 0.1, params, ledModel)
+	pf, err := c.PilotFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := DecodePilot(pf.MAC.Payload); err != nil || len(p.TXs) != 255 || p.TXs[254] != 254 {
+		t.Errorf("255-TX schedule: %d slots, err %v", len(p.TXs), err)
+	}
+	plan = Plan{Swings: channel.NewSwings(255, 1), ServedBy: make([][]int, 1), Leader: []int{-1}}
+	af, err := c.AllocationFrame(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, err := DecodeAllocation(af.MAC.Payload); err != nil || len(a.Commands) != 255 {
+		t.Errorf("255-TX allocation: %d commands, err %v", len(a.Commands), err)
 	}
 }
 
@@ -405,7 +483,7 @@ func TestRXNodeHandleDataFiltering(t *testing.T) {
 }
 
 func TestAddressHelpers(t *testing.T) {
-	if RXAddr(1) == TXAddr(1) || RXAddr(0) == ControllerAddr {
+	if RXAddr(0) == ControllerAddr || RXAddr(254) == BroadcastAddr {
 		t.Error("address spaces overlap")
 	}
 }

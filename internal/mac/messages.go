@@ -1,5 +1,5 @@
 // Package mac implements DenseVLC's MAC protocol (Sec. 3.2): the controller
-// schedules per-transmitter pilot slots, receivers measure the downlink
+// announces one pilot schedule per epoch, receivers measure the downlink
 // channels and report them back, the decision logic allocates the
 // communication power budget among the transmitters, and data frames are
 // dispatched to the beamspots with a leading transmitter appointed per
@@ -21,7 +21,7 @@ import (
 const (
 	// ProtoData is an application data frame (downlink).
 	ProtoData uint16 = 0x0001
-	// ProtoPilot is a channel-measurement pilot slot announcement.
+	// ProtoPilot is the epoch's channel-measurement pilot schedule.
 	ProtoPilot uint16 = 0x0002
 	// ProtoReport is an RX→controller channel-quality report (uplink).
 	ProtoReport uint16 = 0x0003
@@ -41,13 +41,12 @@ const ControllerAddr uint16 = 0x0000
 // RXAddr returns the MAC address of receiver i (1-based on the wire).
 func RXAddr(i int) uint16 { return uint16(0x0100 + i) }
 
-// TXAddr returns the MAC address of transmitter j.
-func TXAddr(j int) uint16 { return uint16(0x0200 + j) }
-
 // Codec errors.
 var (
 	ErrShortMessage = errors.New("mac: message too short")
 	ErrBadMessage   = errors.New("mac: malformed message")
+	// ErrWireLimit reports a fleet the wire formats cannot carry.
+	ErrWireLimit = errors.New("mac: wire limit")
 )
 
 // Report is a receiver's channel-quality report: the gain measured per
@@ -122,10 +121,20 @@ func DecodeAck(data []byte) (Ack, error) {
 // a controller driven directly may exceed the mask width.
 func CheckWireLimits(n, m int) error {
 	if n > 64 {
-		return fmt.Errorf("mac: %d TXs exceed the 64-bit TX-ID mask", n)
+		return fmt.Errorf("%w: %d TXs exceed the 64-bit TX-ID mask", ErrWireLimit, n)
 	}
 	if m > 255 {
-		return fmt.Errorf("mac: %d receiver slots exceed the one-byte RX index (0xFF is the allocation's illumination-only marker, so at most 255 slots)", m)
+		return fmt.Errorf("%w: %d receiver slots exceed the one-byte RX index (0xFF is the allocation's illumination-only marker, so at most 255 slots)", ErrWireLimit, m)
+	}
+	return nil
+}
+
+// checkTXCount refuses n transmitters whose count does not fit the one-byte
+// count field of Allocation and Pilot; byte(n) would wrap and hand every TX a
+// frame it rejects.
+func checkTXCount(n int) error {
+	if n > 255 {
+		return fmt.Errorf("%w: %d TXs exceed the one-byte TX count", ErrWireLimit, n)
 	}
 	return nil
 }
@@ -192,24 +201,36 @@ func DecodeAllocation(data []byte) (Allocation, error) {
 	return a, nil
 }
 
-// Pilot announces a measurement slot for one transmitter.
+// Pilot is the epoch's pilot schedule: slot k belongs to transmitter TXs[k]
+// and carries sequence number Seq+k.
 type Pilot struct {
-	TX  int
 	Seq uint16
+	TXs []int
 }
 
-// Encode serialises the pilot announcement: tx(1) seq(2).
+// Encode serialises the schedule: seq(2) count(1) tx(1 each).
 func (p Pilot) Encode() []byte {
-	out := make([]byte, 3)
-	out[0] = byte(p.TX)
-	binary.BigEndian.PutUint16(out[1:3], p.Seq)
+	out := make([]byte, 3+len(p.TXs))
+	binary.BigEndian.PutUint16(out[0:2], p.Seq)
+	out[2] = byte(len(p.TXs))
+	for k, tx := range p.TXs {
+		out[3+k] = byte(tx)
+	}
 	return out
 }
 
-// DecodePilot parses an encoded pilot announcement.
+// DecodePilot parses an encoded pilot schedule.
 func DecodePilot(data []byte) (Pilot, error) {
-	if len(data) != 3 {
-		return Pilot{}, fmt.Errorf("%w: pilot needs 3 bytes, have %d", ErrShortMessage, len(data))
+	if len(data) < 3 {
+		return Pilot{}, fmt.Errorf("%w: pilot schedule header", ErrShortMessage)
 	}
-	return Pilot{TX: int(data[0]), Seq: binary.BigEndian.Uint16(data[1:3])}, nil
+	n := int(data[2])
+	if len(data) != 3+n {
+		return Pilot{}, fmt.Errorf("%w: pilot schedule claims %d slots in %d bytes", ErrBadMessage, n, len(data))
+	}
+	p := Pilot{Seq: binary.BigEndian.Uint16(data[0:2]), TXs: make([]int, n)}
+	for k := range p.TXs {
+		p.TXs[k] = int(data[3+k])
+	}
+	return p, nil
 }

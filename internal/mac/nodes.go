@@ -17,7 +17,8 @@ const (
 	// TXTransmit: modulate the MAC frame onto light at the commanded
 	// swing (after synchronising with the beamspot leader).
 	TXTransmit
-	// TXPilotSlot: transmit the channel-measurement pilot alone.
+	// TXPilotSlot: the epoch's pilot schedule holds a slot for this
+	// transmitter; transmit the channel-measurement pilot alone in it.
 	TXPilotSlot
 	// TXReconfigure: the allocation changed; apply the new command.
 	TXReconfigure
@@ -60,10 +61,16 @@ func (t *TXNode) HandleDownlink(d frame.Downlink) (TXAction, error) {
 		}
 		return TXIgnore, nil
 	case ProtoPilot:
-		if !d.PHY.Targets(t.ID) {
-			return TXIgnore, nil
+		p, err := DecodePilot(d.MAC.Payload)
+		if err != nil {
+			return TXIgnore, err
 		}
-		return TXPilotSlot, nil
+		for _, tx := range p.TXs {
+			if tx == t.ID {
+				return TXPilotSlot, nil
+			}
+		}
+		return TXIgnore, nil
 	case ProtoData:
 		if !d.PHY.Targets(t.ID) || !t.Communicating() {
 			return TXIgnore, nil

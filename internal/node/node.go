@@ -188,19 +188,17 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 		// this epoch's reallocation recovers from them.
 		chaosEvents := hub.applyChaos(injector, round, t)
 
-		// Measurement phase: one pilot slot per TX.
-		for j := 0; j < ctrl.N; j++ {
-			pf, err := ctrl.PilotFrame(j)
-			if err != nil {
-				return err
-			}
-			wire, err := pf.Serialize()
-			if err != nil {
-				return err
-			}
-			if err := link.Multicast(wire); err != nil {
-				return fmt.Errorf("node: pilot multicast: %w", err)
-			}
+		// Measurement phase: one pilot schedule; each TX runs its own slot.
+		pf, err := ctrl.PilotFrame()
+		if err != nil {
+			return err
+		}
+		wire, err := pf.Serialize()
+		if err != nil {
+			return err
+		}
+		if err := link.Multicast(wire); err != nil {
+			return fmt.Errorf("node: pilot multicast: %w", err)
 		}
 
 		// Collect reports until all fresh or the deadline passes.
@@ -242,7 +240,7 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 		if err != nil {
 			return err
 		}
-		wire, err := af.Serialize()
+		wire, err = af.Serialize()
 		if err != nil {
 			return err
 		}

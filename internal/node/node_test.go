@@ -2,11 +2,14 @@ package node
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"densevlc/internal/clock"
+	"densevlc/internal/frame"
 	"densevlc/internal/geom"
+	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
 	"densevlc/internal/testutil"
@@ -112,6 +115,69 @@ func TestAsyncRunOverUDP(t *testing.T) {
 	}
 	if res.Rounds[0].FramesAckd == 0 {
 		t.Error("no acknowledgements over UDP")
+	}
+}
+
+// protoCounter counts the controller's multicasts by MAC protocol.
+type protoCounter struct {
+	transport.Network
+	mu      sync.Mutex
+	byProto map[uint16]int
+}
+
+func (c *protoCounter) Controller() transport.ControllerLink {
+	return protoCountingLink{ControllerLink: c.Network.Controller(), c: c}
+}
+
+func (c *protoCounter) count(proto uint16) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.byProto[proto]
+}
+
+type protoCountingLink struct {
+	transport.ControllerLink
+	c *protoCounter
+}
+
+func (l protoCountingLink) Multicast(data []byte) error {
+	if d, _, err := frame.DecodeDownlink(data); err == nil {
+		l.c.mu.Lock()
+		l.c.byProto[d.MAC.Protocol]++
+		l.c.mu.Unlock()
+	}
+	return l.ControllerLink.Multicast(data)
+}
+
+// TestAsyncRunOnePilotSchedulePerRound pins the asynchronous controller's
+// measurement phase to one pilot-schedule multicast per round, not one
+// announcement per transmitter.
+func TestAsyncRunOnePilotSchedulePerRound(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	const rounds = 3
+	net := &protoCounter{Network: transport.NewMemNetwork(), byProto: map[uint16]int{}}
+	res, err := RunContext(context.Background(), Config{
+		Setup:            scenario.Default(),
+		Trajectories:     asyncTrajectories(),
+		Budget:           1.19,
+		Sync:             clock.MethodNLOSVLC,
+		Network:          net,
+		Rounds:           rounds,
+		FramesPerRX:      1,
+		MeasurementNoise: 0.02,
+		Seed:             1,
+		Timeout:          30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rounds {
+		if !r.ReportsOK {
+			t.Errorf("round %d: reports incomplete", r.Round)
+		}
+	}
+	if got := net.count(mac.ProtoPilot); got != rounds {
+		t.Errorf("%d pilot multicasts in %d rounds, want %d", got, rounds, rounds)
 	}
 }
 

@@ -266,44 +266,41 @@ func Run(cfg Config) (*Result, error) {
 		}
 		pos := md.Positions()
 
-		// --- Measurement phase: pilot slots in time division. ---
+		// --- Measurement phase: one pilot schedule, then the slots in
+		// time division. ---
+		pf, err := ctrl.PilotFrame()
+		if err != nil {
+			return nil, err
+		}
+		wire, err := pf.Serialize()
+		if err != nil {
+			return nil, err
+		}
+		if err := ctrlLink.Multicast(wire); err != nil {
+			return nil, err
+		}
+		// Every TX decodes the schedule once and must find its slot in it.
+		for k := 0; k < n; k++ {
+			raw := <-txLinks[k].Downlink()
+			d, _, err := frame.DecodeDownlink(raw)
+			if err != nil {
+				return nil, fmt.Errorf("sim: TX %d decode: %w", k, err)
+			}
+			action, err := txNodes[k].HandleDownlink(d)
+			if err != nil {
+				return nil, err
+			}
+			if action != mac.TXPilotSlot {
+				return nil, fmt.Errorf("sim: TX %d never entered its pilot slot", k)
+			}
+		}
+		// Receivers also see the multicast on their links; drain it.
+		for i := 0; i < m; i++ {
+			<-rxLinks[i].Downlink()
+		}
+		// Physical measurement, slot by slot: each RX estimates TX j's gain
+		// from its pilot with M2M4-grade noise.
 		for j := 0; j < n; j++ {
-			pf, err := ctrl.PilotFrame(j)
-			if err != nil {
-				return nil, err
-			}
-			wire, err := pf.Serialize()
-			if err != nil {
-				return nil, err
-			}
-			if err := ctrlLink.Multicast(wire); err != nil {
-				return nil, err
-			}
-			// Every TX processes the frame; only TX j enters its slot.
-			slotActive := false
-			for k := 0; k < n; k++ {
-				raw := <-txLinks[k].Downlink()
-				d, _, err := frame.DecodeDownlink(raw)
-				if err != nil {
-					return nil, fmt.Errorf("sim: TX %d decode: %w", k, err)
-				}
-				action, err := txNodes[k].HandleDownlink(d)
-				if err != nil {
-					return nil, err
-				}
-				if action == mac.TXPilotSlot && k == j {
-					slotActive = true
-				}
-			}
-			// Receivers also see the multicast on their links; drain it.
-			for i := 0; i < m; i++ {
-				<-rxLinks[i].Downlink()
-			}
-			if !slotActive {
-				return nil, fmt.Errorf("sim: TX %d never entered its pilot slot", j)
-			}
-			// Physical measurement: each RX estimates TX j's gain from the
-			// pilot with M2M4-grade noise.
 			for i := 0; i < m; i++ {
 				if err := rxNodes[i].RecordMeasurement(j, md.Pilot(rng, j, i)); err != nil {
 					return nil, err
@@ -348,7 +345,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		wire, err := af.Serialize()
+		wire, err = af.Serialize()
 		if err != nil {
 			return nil, err
 		}

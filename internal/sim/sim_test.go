@@ -235,3 +235,45 @@ func TestRunIncrementalModes(t *testing.T) {
 		}
 	}
 }
+
+// countingNetwork counts the controller's multicasts.
+type countingNetwork struct {
+	transport.Network
+	multicasts int
+}
+
+func (c *countingNetwork) Controller() transport.ControllerLink {
+	return countingLink{ControllerLink: c.Network.Controller(), net: c}
+}
+
+type countingLink struct {
+	transport.ControllerLink
+	net *countingNetwork
+}
+
+func (l countingLink) Multicast(data []byte) error {
+	l.net.multicasts++
+	return l.ControllerLink.Multicast(data)
+}
+
+// TestRunMulticastsTwicePerRound pins the control plane's fan-out on the
+// 36×4 room: each round multicasts the pilot schedule and the allocation,
+// not one announcement per transmitter.
+func TestRunMulticastsTwicePerRound(t *testing.T) {
+	const rounds = 5
+	net := &countingNetwork{Network: transport.NewMemNetwork()}
+	if _, err := Run(Config{
+		Setup:            scenario.Default(),
+		Trajectories:     staticTrajectories(),
+		Budget:           0.6,
+		Rounds:           rounds,
+		MeasurementNoise: 0.02,
+		Network:          net,
+		Seed:             1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if net.multicasts != 2*rounds {
+		t.Errorf("%d multicasts in %d rounds, want %d", net.multicasts, rounds, 2*rounds)
+	}
+}

@@ -52,9 +52,13 @@
 #                     plus the churn experiment, all under the race detector
 #                     and time-bounded: population churn exercises the
 #                     handover and admission paths end to end
-#  12. short fuzz   — a few seconds of the frame-codec round-trip,
+#  12. UDP smoke    — the CLI's default path over UDP loopback, once
+#                     synchronous and once asynchronous under the race
+#                     detector, time-bounded: every other densevlc smoke runs
+#                     in memory (-udp=false)
+#  13. short fuzz   — a few seconds of the frame-codec round-trip,
 #                     MAC-decode and downlink-decode, control-message codec
-#                     (report, ack, allocation, pilot), Reed–Solomon
+#                     (report, ack, allocation, pilot schedule), Reed–Solomon
 #                     block-decode, encode/decode round-trip and
 #                     reference-equivalence, Manchester round-trip,
 #                     correlation-peak reference-equivalence, chaos-spec,
@@ -153,6 +157,13 @@ timeout 600 go run -race ./cmd/densevlc -rounds 6 -udp=false -churn -arrival-rat
 timeout 600 go run -race ./cmd/densevlc -rounds 4 -udp=false -async -churn -arrival-rate 2 -fleet 4 > /dev/null
 timeout 600 go run -race ./cmd/densevlc -rounds 8 -udp=false -async -churn -arrival-rate 2 -fleet 4 -chaos rx-shadow > /dev/null
 timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
+
+# UDP smoke: cmd/densevlc's default transport is UDP over loopback, which the
+# smokes above bypass with -udp=false. Run it once per engine, the
+# asynchronous one under the race detector, bounded like the smokes above.
+echo "==> UDP smoke (default transport, both engines, async under -race, time-bounded)"
+timeout 600 go run ./cmd/densevlc -rounds 4 > /dev/null
+timeout 600 go run -race ./cmd/densevlc -rounds 4 -async > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
