@@ -189,27 +189,12 @@ func (s Swings) CommPower(r units.Ohms) units.Watts {
 //	       / (N0·B + (R·η·r·Σ_{k≠i} Σ_j H_{j,i}·(I_sw^{j,k}/2)²)²)
 //
 // The bias current carries no data and does not appear.
-//
-// SINR allocates the result; per-round paths should hold a buffer and call
-// SINRInto.
 func SINR(p Params, h *Matrix, s Swings) []float64 {
 	if len(s) != h.N {
 		//lint:ignore apipanic dimension mismatch is a caller bug; allocations are sized from the same Env as H
 		panic(fmt.Sprintf("channel: swing matrix has %d TX rows, gain matrix %d", len(s), h.N))
 	}
-	return SINRInto(make([]float64, h.M), p, h, s)
-}
-
-// SINRInto is SINR writing into the caller-owned out (len(out) == h.M) and
-// returning it, so the controller's per-round evaluation path computes the
-// SINR map without allocating.
-//
-//lint:hotpath
-func SINRInto(out []float64, p Params, h *Matrix, s Swings) []float64 {
-	if len(s) != h.N || len(out) != h.M {
-		//lint:ignore apipanic dimension mismatch is a caller bug; hot callers size out and s from the same Env as H
-		panic("channel: SINRInto: out, swing, and gain dimensions disagree")
-	}
+	out := make([]float64, h.M)
 	scale := p.Responsivity.APerW() * p.WallPlugEfficiency * p.DynamicResistance.Ohms()
 	noise := p.NoisePower().A2()
 	for i := 0; i < h.M; i++ {
@@ -243,17 +228,6 @@ func Throughput(p Params, sinr []float64) []units.BitsPerSecond {
 		out[i] = units.BitsPerSecond(p.Bandwidth.Hz() * math.Log2(1+s))
 	}
 	return out
-}
-
-// SumThroughput returns the total system throughput.
-//
-//lint:hotpath
-func SumThroughput(p Params, sinr []float64) units.BitsPerSecond {
-	t := 0.0
-	for _, s := range sinr {
-		t += p.Bandwidth.Hz() * math.Log2(1+s)
-	}
-	return units.BitsPerSecond(t)
 }
 
 // SumLogThroughput returns the proportional-fair objective of Eq. (5):

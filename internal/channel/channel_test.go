@@ -255,9 +255,6 @@ func TestThroughputAndObjective(t *testing.T) {
 	if math.Abs(tput[0].Bps()-1e6) > 1 || math.Abs(tput[1].Bps()-2e6) > 1 {
 		t.Errorf("Throughput = %v", tput)
 	}
-	if got := SumThroughput(p, sinr); math.Abs(got.Bps()-3e6) > 1 {
-		t.Errorf("SumThroughput = %v", got)
-	}
 	want := math.Log(1e6) + math.Log(2e6)
 	if got := SumLogThroughput(p, sinr); math.Abs(got-want) > 1e-9 {
 		t.Errorf("SumLogThroughput = %v, want %v", got, want)

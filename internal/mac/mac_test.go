@@ -232,11 +232,11 @@ func TestControllerFullCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if action != TXReconfigure || !node.Communicating() {
+	if action != TXReconfigure || !node.Cmd.Communicating() {
 		t.Errorf("TX %d not reconfigured: action=%v cmd=%+v", servingTX, action, node.Cmd)
 	}
-	if math.Abs((node.Swing() - plan.Swings[servingTX][0]).A()) > 1e-3 {
-		t.Errorf("swing %v vs plan %v", node.Swing(), plan.Swings[servingTX][0])
+	if math.Abs((node.Cmd.Swing() - plan.Swings[servingTX][0]).A()) > 1e-3 {
+		t.Errorf("swing %v vs plan %v", node.Cmd.Swing(), plan.Swings[servingTX][0])
 	}
 
 	// Data frame targets exactly the beamspot.
@@ -485,5 +485,15 @@ func TestRXNodeHandleDataFiltering(t *testing.T) {
 func TestAddressHelpers(t *testing.T) {
 	if RXAddr(0) == ControllerAddr || RXAddr(254) == BroadcastAddr {
 		t.Error("address spaces overlap")
+	}
+	for i := 0; i < 255; i++ {
+		if got := RXIndex(RXAddr(i)); got != i {
+			t.Errorf("RXIndex(RXAddr(%d)) = %d", i, got)
+		}
+	}
+	for _, addr := range []uint16{ControllerAddr, 0x00FF, RXAddr(255), 0x0200, 0x0300, BroadcastAddr} {
+		if got := RXIndex(addr); got != -1 {
+			t.Errorf("RXIndex(0x%04x) = %d, want -1", addr, got)
+		}
 	}
 }

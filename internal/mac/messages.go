@@ -41,6 +41,16 @@ const ControllerAddr uint16 = 0x0000
 // RXAddr returns the MAC address of receiver i (1-based on the wire).
 func RXAddr(i int) uint16 { return uint16(0x0100 + i) }
 
+// RXIndex inverts RXAddr: it returns the receiver index addr names, or -1
+// when addr is no receiver's. Index 255 is refused too: 0xFF is the
+// allocation's illumination-only marker, so no receiver slot carries it.
+func RXIndex(addr uint16) int {
+	if i := int(addr) - 0x0100; i >= 0 && i < 0xFF {
+		return i
+	}
+	return -1
+}
+
 // Codec errors.
 var (
 	ErrShortMessage = errors.New("mac: message too short")

@@ -35,12 +35,13 @@ func NewTXNode(id int) *TXNode {
 	return &TXNode{ID: id, Cmd: TXCommand{TX: id, RX: -1}}
 }
 
-// Communicating reports whether the node currently modulates data.
-func (t *TXNode) Communicating() bool { return t.Cmd.RX >= 0 && t.Cmd.SwingMilliAmps > 0 }
+// Communicating reports whether a transmitter under the command modulates
+// data.
+func (c TXCommand) Communicating() bool { return c.RX >= 0 && c.SwingMilliAmps > 0 }
 
 // Swing returns the commanded swing in amps.
-func (t *TXNode) Swing() units.Amperes {
-	return units.MilliamperesToAmperes(units.Milliamperes(t.Cmd.SwingMilliAmps))
+func (c TXCommand) Swing() units.Amperes {
+	return units.MilliamperesToAmperes(units.Milliamperes(c.SwingMilliAmps))
 }
 
 // HandleDownlink processes a controller frame ("each TX checks this field
@@ -72,7 +73,7 @@ func (t *TXNode) HandleDownlink(d frame.Downlink) (TXAction, error) {
 		}
 		return TXIgnore, nil
 	case ProtoData:
-		if !d.PHY.Targets(t.ID) || !t.Communicating() {
+		if !d.PHY.Targets(t.ID) || !t.Cmd.Communicating() {
 			return TXIgnore, nil
 		}
 		return TXTransmit, nil

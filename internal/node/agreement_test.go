@@ -82,3 +82,58 @@ func TestRuntimesAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestRuntimesAgreeUnderChurn runs both runtimes through the same churning
+// workload with noise-free measurements. Both step one engine seeded the
+// same way and score the plan the controller commanded, so every round's
+// population step, system throughput and active-TX count must agree bit
+// for bit, and a second node run of the same seed must repeat the first.
+func TestRuntimesAgreeUnderChurn(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	const rounds = 8
+	for _, seed := range []int64{1, 3, 8} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			want, err := sim.Run(sim.Config{
+				Setup:         scenario.Default(),
+				Workload:      churnSpec(),
+				Budget:        1.19,
+				Sync:          clock.MethodNLOSVLC,
+				Rounds:        rounds,
+				RoundDuration: 1,
+				Seed:          seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() *Result {
+				res, err := RunContext(context.Background(), churnConfig(churnSpec(), rounds, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rounds) != rounds || len(res.Steps) != rounds {
+					t.Fatalf("node ran %d rounds with %d steps, want %d", len(res.Rounds), len(res.Steps), rounds)
+				}
+				return res
+			}
+			first, again := run(), run()
+			for r := 0; r < rounds; r++ {
+				s := want.Rounds[r]
+				for k, got := range []*Result{first, again} {
+					a := got.Rounds[r]
+					if !a.ReportsOK {
+						t.Fatalf("run %d round %d: node missed reports", k, r)
+					}
+					if got.Steps[r] != s.Churn.Step {
+						t.Errorf("run %d round %d: node step %+v, sim %+v", k, r, got.Steps[r], s.Churn.Step)
+					}
+					if math.Float64bits(float64(a.SystemThroughput)) != math.Float64bits(float64(s.Eval.SumThroughput)) {
+						t.Errorf("run %d round %d: node throughput %v, sim %v", k, r, a.SystemThroughput, s.Eval.SumThroughput)
+					}
+					if a.ActiveTXs != s.ActiveTXs {
+						t.Errorf("run %d round %d: node %d active TXs, sim %d", k, r, a.ActiveTXs, s.ActiveTXs)
+					}
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"densevlc/internal/channel"
 	"densevlc/internal/chaos"
 	"densevlc/internal/clock"
 	"densevlc/internal/mobility"
@@ -43,11 +44,12 @@ func churnConfig(sp *workload.Spec, rounds int, seed int64) Config {
 }
 
 // standaloneEngine steps a workload engine outside the runtime the way
-// RunContext does (same spec, seed and 1 s rounds) and returns its per-round
-// stats, per-round slot occupancy and trace.
+// RunContext does (same spec, the first split of the seed's run stream, 1 s
+// rounds) and returns its per-round stats, per-round slot occupancy and
+// trace.
 func standaloneEngine(t *testing.T, sp *workload.Spec, seed int64, rounds int) ([]workload.StepStats, [][]bool, []byte) {
 	t.Helper()
-	e, err := workload.NewEngine(*sp, scenario.Default(), 1.19, stats.NewRand(seed))
+	e, err := workload.NewEngine(*sp, scenario.Default(), 1.19, stats.SplitRand(stats.NewRand(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,21 +215,20 @@ func TestChurnRunDefaults(t *testing.T) {
 func TestHubOccupancyComposesWithAttenuation(t *testing.T) {
 	md := scenario.NewMedium(scenario.Default(), scenario.Fig7Instance(), clock.MethodNLOSVLC, 0)
 	hub := NewHub(md, 1)
-	clearEnv, _ := hub.Snapshot()
-	clear := clearEnv.H
+	var clear, got *channel.Matrix
+	hub.do(func(md *scenario.Medium) { clear = md.Truth().H })
 
 	// An unblock lands on the vacant slot at t=1.
 	injector := chaos.NewInjector(chaos.NewSchedule().RXBlock(0, 0, 0.1).RXUnblock(1, 1))
-	if got := hub.applyChaos(injector, 0, 0); got != 1 {
-		t.Fatalf("round 0 applied %d events, want 1", got)
+	for round := 0; round < 2; round++ {
+		hub.do(func(md *scenario.Medium) {
+			if n := injector.Apply(round, units.Seconds(round), md.Faults()); n != 1 {
+				t.Fatalf("round %d applied %d events, want 1", round, n)
+			}
+			md.SetOccupied([]bool{true, false, true, true})
+		})
 	}
-	hub.setOccupied([]bool{true, false, true, true})
-	if got := hub.applyChaos(injector, 1, 1); got != 1 {
-		t.Fatalf("round 1 applied %d events, want 1", got)
-	}
-	hub.setOccupied([]bool{true, false, true, true})
-	gotEnv, _ := hub.Snapshot()
-	got := gotEnv.H
+	hub.do(func(md *scenario.Medium) { got = md.Truth().H })
 	for j := 0; j < got.N; j++ {
 		if want := clear.H[j][0] * 0.1; got.H[j][0] != want {
 			t.Fatalf("TX %d → blocked RX 0: gain %g, want %g (blockage lost to an occupancy update)", j, got.H[j][0], want)

@@ -1,8 +1,10 @@
 // Package node is DenseVLC's asynchronous runtime: one goroutine per
-// transmitter, one per receiver, and a controller loop, all talking over a
-// transport.Network exactly as the distributed prototype's BeagleBones do —
-// no lock-step, every node reacts to the frames it receives, the controller
-// works with timeouts and whatever reports arrive in time.
+// transmitter and one per receiver, all talking over a transport.Network
+// exactly as the distributed prototype's BeagleBones do — no lock-step,
+// every node reacts to the frames it receives, and the controller works
+// with timeouts and whatever reports arrive in time. The epoch itself is
+// sim.Drive's, the loop the synchronous engine runs too; RunContext plugs
+// the goroutines, the report deadline and the stop-and-wait ARQ into it.
 //
 // Transmitter goroutines tell the Hub when they emit (pilot slots, beamspot
 // data), and the scenario.Medium it wraps — the same medium the
@@ -13,13 +15,10 @@ package node
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
-	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
-	"densevlc/internal/chaos"
 	"densevlc/internal/frame"
-	"densevlc/internal/geom"
 	"densevlc/internal/mac"
 	"densevlc/internal/scenario"
 	"densevlc/internal/stats"
@@ -79,29 +78,12 @@ func NewHub(md *scenario.Medium, seed int64) *Hub {
 	return hub
 }
 
-// applyChaos fires the injector's due fault events against the medium and
-// returns how many applied.
-func (h *Hub) applyChaos(in *chaos.Injector, round int, t units.Seconds) int {
+// do runs f on the medium under the hub's lock, so the round boundary and
+// the score never race the node goroutines' reads.
+func (h *Hub) do(f func(md *scenario.Medium)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return in.Apply(round, t, h.medium.Faults())
-}
-
-// setOccupied records which receiver slots hold a user; the rest are
-// vacant and their photodiodes dark.
-func (h *Hub) setOccupied(occupied []bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.medium.SetOccupied(occupied)
-}
-
-// moveTo places the receivers at the given xy positions.
-func (h *Hub) moveTo(pos []geom.Vec) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, p := range pos {
-		h.medium.Move(i, p)
-	}
+	f(h.medium)
 }
 
 // PilotEvents returns receiver i's pilot-measurement stream.
@@ -109,22 +91,6 @@ func (h *Hub) PilotEvents(i int) <-chan PilotEvent { return h.pilotCh[i] }
 
 // Receptions returns receiver i's decoded-frame stream.
 func (h *Hub) Receptions(i int) <-chan Reception { return h.rxCh[i] }
-
-// Positions returns the receivers' current xy positions.
-func (h *Hub) Positions() []geom.Vec {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.medium.Positions()
-}
-
-// Snapshot returns the faulted true environment and the commanded swings
-// for metrics (deep copies): metrics score the commanded allocation against
-// what the photodiodes can actually receive.
-func (h *Hub) Snapshot() (*alloc.Env, channel.Swings) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.medium.Truth(), h.medium.Swings()
-}
 
 // Configure records one transmitter's current command (called by TX
 // goroutines when an allocation arrives).
@@ -167,7 +133,7 @@ func (h *Hub) Transmit(tx int, d frame.Downlink) {
 				waits++
 			}
 		}
-		af = &airFrame{mac: d.MAC, rx: rxFromAddr(d.MAC.Dst), waits: waits}
+		af = &airFrame{mac: d.MAC, rx: mac.RXIndex(d.MAC.Dst), waits: waits}
 		h.pending[seq] = af
 	}
 	af.txs = append(af.txs, tx)
@@ -208,11 +174,18 @@ func (h *Hub) deliver(af *airFrame) {
 
 // FlushPending force-delivers frames whose beamspots never fully assembled
 // (a TX missed the downlink); the controller calls it at round boundaries.
+// Frames go out in sequence-number order: each delivery draws from the
+// hub's stream and queues at its receiver in that order.
 func (h *Hub) FlushPending() {
 	h.mu.Lock()
-	var stale []*airFrame
-	for seq, af := range h.pending {
-		stale = append(stale, af)
+	seqs := make([]uint16, 0, len(h.pending))
+	for seq := range h.pending {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	stale := make([]*airFrame, len(seqs))
+	for k, seq := range seqs {
+		stale[k] = h.pending[seq]
 		delete(h.pending, seq)
 	}
 	h.mu.Unlock()
@@ -221,13 +194,4 @@ func (h *Hub) FlushPending() {
 			h.deliver(af)
 		}
 	}
-}
-
-func rxFromAddr(dst uint16) int {
-	for i := 0; i < 256; i++ {
-		if mac.RXAddr(i) == dst {
-			return i
-		}
-	}
-	return -1
 }

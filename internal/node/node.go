@@ -6,16 +6,12 @@ import (
 	"fmt"
 	"time"
 
-	"densevlc/internal/alloc"
-	"densevlc/internal/channel"
-	"densevlc/internal/chaos"
 	"densevlc/internal/frame"
-	"densevlc/internal/geom"
 	"densevlc/internal/mac"
-	"densevlc/internal/stats"
+	"densevlc/internal/scenario"
+	"densevlc/internal/sim"
 	"densevlc/internal/transport"
 	"densevlc/internal/units"
-	"densevlc/internal/workload"
 )
 
 // runTX is a transmitter node's event loop: it consumes controller frames
@@ -41,7 +37,7 @@ func runTX(ctx context.Context, id int, link transport.NodeLink, hub *Hub) error
 			}
 			switch action {
 			case mac.TXReconfigure:
-				hub.Configure(id, n.Cmd.RX, n.Swing(), n.Cmd.Leader)
+				hub.Configure(id, n.Cmd.RX, n.Cmd.Swing(), n.Cmd.Leader)
 			case mac.TXPilotSlot:
 				hub.Pilot(id)
 			case mac.TXTransmit:
@@ -105,7 +101,7 @@ func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub
 	}
 }
 
-// ARQ and report-collection bounds of the controller loop.
+// ARQ and report-collection bounds of the asynchronous epoch.
 const (
 	// maxAttempts bounds transmissions per frame (one retransmission).
 	maxAttempts = 2
@@ -141,126 +137,105 @@ type RoundStats struct {
 	SystemThroughput units.BitsPerSecond
 }
 
-// runController drives the asynchronous system: per round it steps the
-// workload engine (if any), moves the receivers along their trajectories
-// or the engine's slots, replays the chaos schedule against the hub,
-// schedules the pilot slots, waits (with a deadline) for every receiver's
-// report, reallocates, pushes the allocation, sends data frames and counts
-// acknowledgements. cfg carries RunContext's defaults. It records the chaos
-// trace, the per-round stats and, under a workload, the engine's per-round
-// population steps into res.
-func runController(ctx context.Context, cfg Config, link transport.ControllerLink, hub *Hub,
-	ctrl *mac.Controller, engine *workload.Engine, res *Result) error {
+// async is the goroutine-per-node Runtime: the transmitter and receiver
+// goroutines move the frames, and the calling goroutine waits for the
+// reports and runs the ARQ data phase.
+type async struct {
+	ctx context.Context
+	cfg Config
+	p   *sim.Plant
+	hub *Hub
+	res *Result
+}
 
-	injector := chaos.NewInjector(cfg.Chaos)
-	res.Trace = injector.Trace()
-	var occupied []bool
-	pos := make([]geom.Vec, ctrl.M)
-	// Round metrics reuse one SINR buffer: the per-round scoring path is a
-	// //lint:hotpath contract (see roundThroughput).
-	sinrScratch := make([]float64, ctrl.M)
+func (a *async) Medium(f func(md *scenario.Medium)) { a.hub.do(f) }
 
-	for round := 0; round < cfg.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		t := units.Seconds(float64(round) * cfg.RoundDuration.S())
-		// Population churn happens at the round boundary, before the
-		// receivers move, so this epoch's pilots already see the arrivals
-		// and the freed slots. The engine is read only from this goroutine,
-		// which keeps its single-goroutine contract.
-		if engine != nil {
-			res.Steps = append(res.Steps, engine.Step(t, cfg.RoundDuration))
-			occupied = engine.ActiveMask(occupied)
-			hub.setOccupied(occupied)
-		}
-		for i := range pos {
-			if engine != nil {
-				pos[i] = engine.Position(i, t)
-			} else {
-				pos[i] = cfg.Trajectories[i].Position(t)
+// Measure collects reports until all are fresh or the deadline passes; each
+// TX goroutine runs its own pilot slot.
+func (a *async) Measure() (bool, error) {
+	ctrl := a.p.Controller
+	if err := a.ctx.Err(); err != nil {
+		return false, err
+	}
+	deadline := time.After(reportTimeout)
+	for !ctrl.HaveFreshReports() {
+		select {
+		case <-a.ctx.Done():
+			return false, a.ctx.Err()
+		case <-deadline:
+			return false, nil
+		case raw, ok := <-a.p.Link.Uplink():
+			if !ok {
+				return false, errors.New("node: uplink closed")
 			}
-		}
-		hub.moveTo(pos)
-
-		// Fault injection happens at the round boundary, before the pilot
-		// phase, so this epoch's measurements already see the faults and
-		// this epoch's reallocation recovers from them.
-		chaosEvents := hub.applyChaos(injector, round, t)
-
-		// Measurement phase: one pilot schedule; each TX runs its own slot.
-		pf, err := ctrl.PilotFrame()
-		if err != nil {
-			return err
-		}
-		wire, err := pf.Serialize()
-		if err != nil {
-			return err
-		}
-		if err := link.Multicast(wire); err != nil {
-			return fmt.Errorf("node: pilot multicast: %w", err)
-		}
-
-		// Collect reports until all fresh or the deadline passes.
-		deadline := time.After(reportTimeout)
-	reports:
-		for !ctrl.HaveFreshReports() {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-deadline:
-				break reports
-			case raw, ok := <-link.Uplink():
-				if !ok {
-					return errors.New("node: uplink closed")
-				}
-				m, _, _, err := frame.DecodeMAC(raw)
-				if err != nil {
-					continue
-				}
-				_ = ctrl.HandleUplink(m) // stale/garbled reports are dropped
-			}
-		}
-		rs := RoundStats{Round: round, ReportsOK: ctrl.HaveFreshReports(), ChaosEvents: chaosEvents}
-
-		// Decision phase.
-		sw := stats.StartStopwatch()
-		plan, err := ctrl.ReallocateContext(ctx)
-		rs.DecisionTime = sw.Elapsed()
-		if err != nil {
-			return err
-		}
-		rs.DeadTXs = len(ctrl.DeadTXs())
-		for _, txs := range plan.ServedBy {
-			if len(txs) == 0 {
-				rs.StarvedRXs++
-			}
-		}
-		af, err := ctrl.AllocationFrame(plan)
-		if err != nil {
-			return err
-		}
-		wire, err = af.Serialize()
-		if err != nil {
-			return err
-		}
-		if err := link.Multicast(wire); err != nil {
-			return fmt.Errorf("node: allocation multicast: %w", err)
-		}
-		for _, txs := range plan.ServedBy {
-			if len(txs) > 0 {
-				rs.ActiveTXs += len(txs)
-			}
-		}
-
-		// Data phase with stop-and-wait-per-round ARQ: send every frame,
-		// wait for acknowledgements, retransmit the stragglers until the
-		// attempt budget runs out.
-		arq := mac.NewARQ(maxAttempts)
-		send := func(p mac.PendingFrame) error {
-			df, err := ctrl.DataFrameWithSeq(plan, p.RX, p.Payload, p.Seq)
+			m, _, _, err := frame.DecodeMAC(raw)
 			if err != nil {
-				return nil // unserved receiver: skip silently
+				continue
+			}
+			_ = ctrl.HandleUplink(m) // stale/garbled reports are dropped
+		}
+	}
+	return true, nil
+}
+
+// Dispatch has nothing to wait for: each TX goroutine applies the
+// allocation when its copy arrives, before any data frame behind it.
+func (a *async) Dispatch() error { return nil }
+
+// Data runs the data phase with stop-and-wait-per-round ARQ: send every
+// frame, wait for acknowledgements, retransmit the stragglers until the
+// attempt budget runs out. It records the round's stats.
+func (a *async) Data(ep *sim.Epoch) error {
+	ctrl, hub, link, plan := a.p.Controller, a.hub, a.p.Link, ep.Plan
+	rs := RoundStats{
+		Round:            ep.Round,
+		ReportsOK:        ep.ReportsOK,
+		ActiveTXs:        ep.ActiveTXs,
+		ChaosEvents:      ep.ChaosEvents,
+		DeadTXs:          len(ctrl.DeadTXs()),
+		DecisionTime:     ep.DecisionTime,
+		SystemThroughput: ep.Eval.SumThroughput,
+	}
+	for _, txs := range plan.ServedBy {
+		if len(txs) == 0 {
+			rs.StarvedRXs++
+		}
+	}
+	arq := mac.NewARQ(maxAttempts)
+	send := func(p mac.PendingFrame) error {
+		df, err := ctrl.DataFrameWithSeq(plan, p.RX, p.Payload, p.Seq)
+		if err != nil {
+			return nil // unserved receiver: skip silently
+		}
+		wire, err := df.Serialize()
+		if err != nil {
+			return err
+		}
+		if err := link.Multicast(wire); err != nil {
+			return err
+		}
+		arq.Track(p.Seq, p.RX, p.Payload, p.Attempts)
+		rs.FramesSent++
+		return nil
+	}
+	for rx := 0; rx < ctrl.M; rx++ {
+		if len(plan.ServedBy[rx]) == 0 {
+			continue
+		}
+		want := a.cfg.FramesPerRX
+		if a.p.Engine != nil {
+			// A user's own traffic model, capped by FramesPerRX (zero: no
+			// cap). Idle and free slots demand nothing.
+			want = a.p.Engine.Demand(rx, ep.Time)
+			if a.cfg.FramesPerRX > 0 && want > a.cfg.FramesPerRX {
+				want = a.cfg.FramesPerRX
+			}
+		}
+		for k := 0; k < want; k++ {
+			payload := []byte(fmt.Sprintf("round %d frame %d for rx %d", ep.Round, k, rx))
+			df, seq, err := ctrl.DataFrame(plan, rx, payload)
+			if err != nil {
+				continue
 			}
 			wire, err := df.Serialize()
 			if err != nil {
@@ -269,97 +244,54 @@ func runController(ctx context.Context, cfg Config, link transport.ControllerLin
 			if err := link.Multicast(wire); err != nil {
 				return err
 			}
-			arq.Track(p.Seq, p.RX, p.Payload, p.Attempts)
+			arq.Track(seq, rx, payload, 0)
 			rs.FramesSent++
-			return nil
 		}
-		for rx := 0; rx < ctrl.M; rx++ {
-			if len(plan.ServedBy[rx]) == 0 {
-				continue
-			}
-			want := cfg.FramesPerRX
-			if engine != nil {
-				// A user's own traffic model, capped by FramesPerRX
-				// (zero: no cap). Idle and free slots demand nothing.
-				want = engine.Demand(rx, t)
-				if cfg.FramesPerRX > 0 && want > cfg.FramesPerRX {
-					want = cfg.FramesPerRX
+	}
+	for pass := 0; arq.Outstanding() > 0 && pass < maxAttempts; pass++ {
+		hubFlush := time.After(a.cfg.AckTimeout / 2)
+		ackDeadline := time.After(a.cfg.AckTimeout)
+	acks:
+		for arq.Outstanding() > 0 {
+			select {
+			case <-a.ctx.Done():
+				return a.ctx.Err()
+			case <-hubFlush:
+				hub.FlushPending()
+			case <-ackDeadline:
+				break acks
+			case raw, ok := <-link.Uplink():
+				if !ok {
+					return errors.New("node: uplink closed")
 				}
-			}
-			for k := 0; k < want; k++ {
-				payload := []byte(fmt.Sprintf("round %d frame %d for rx %d", round, k, rx))
-				df, seq, err := ctrl.DataFrame(plan, rx, payload)
+				m, _, _, err := frame.DecodeMAC(raw)
 				if err != nil {
 					continue
 				}
-				wire, err := df.Serialize()
-				if err != nil {
-					return err
+				if m.Protocol != mac.ProtoAck {
+					_ = ctrl.HandleUplink(m) // late reports feed the next epoch; garbled ones are dropped
+					continue
 				}
-				if err := link.Multicast(wire); err != nil {
-					return err
+				if ack, err := mac.DecodeAck(m.Payload); err == nil {
+					arq.Ack(ack.Seq)
 				}
-				arq.Track(seq, rx, payload, 0)
-				rs.FramesSent++
 			}
 		}
-		for pass := 0; arq.Outstanding() > 0 && pass < maxAttempts; pass++ {
-			hubFlush := time.After(cfg.AckTimeout / 2)
-			ackDeadline := time.After(cfg.AckTimeout)
-		acks:
-			for arq.Outstanding() > 0 {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-hubFlush:
-					hub.FlushPending()
-				case <-ackDeadline:
-					break acks
-				case raw, ok := <-link.Uplink():
-					if !ok {
-						return errors.New("node: uplink closed")
-					}
-					m, _, _, err := frame.DecodeMAC(raw)
-					if err != nil {
-						continue
-					}
-					if m.Protocol != mac.ProtoAck {
-						_ = ctrl.HandleUplink(m) // late reports feed the next epoch; garbled ones are dropped
-						continue
-					}
-					if ack, err := mac.DecodeAck(m.Payload); err == nil {
-						arq.Ack(ack.Seq)
-					}
-				}
+		// Clear half-assembled beamspots, then retransmit the survivors
+		// under their original sequence numbers.
+		hub.FlushPending()
+		for _, p := range arq.TakeRetryable() {
+			if err := send(p); err != nil {
+				return err
 			}
-			// Clear half-assembled beamspots, then retransmit the
-			// survivors under their original sequence numbers.
-			hub.FlushPending()
-			for _, p := range arq.TakeRetryable() {
-				if err := send(p); err != nil {
-					return err
-				}
-				rs.Retransmits++
-			}
+			rs.Retransmits++
 		}
-		rs.FramesAckd = arq.Delivered()
-		rs.FramesFailed = arq.Failed() + arq.Outstanding()
-
-		// Metrics against the true channel.
-		env, swings := hub.Snapshot()
-		rs.SystemThroughput = roundThroughput(env, swings, sinrScratch)
-		res.Rounds = append(res.Rounds, rs)
+	}
+	rs.FramesAckd = arq.Delivered()
+	rs.FramesFailed = arq.Failed() + arq.Outstanding()
+	a.res.Rounds = append(a.res.Rounds, rs)
+	if ep.Churn != nil {
+		a.res.Steps = append(a.res.Steps, ep.Churn.Step)
 	}
 	return nil
-}
-
-// roundThroughput scores the round's commanded swings against the true
-// channel — the Eq. (5) system throughput the controller reports per round.
-// It writes the SINR map into the caller-owned scratch so the per-round
-// metrics path never allocates.
-//
-//lint:hotpath
-func roundThroughput(env *alloc.Env, s channel.Swings, sinrScratch []float64) units.BitsPerSecond {
-	sinr := channel.SINRInto(sinrScratch, env.Params, env.H, s)
-	return channel.SumThroughput(env.Params, sinr)
 }

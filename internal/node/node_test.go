@@ -12,6 +12,7 @@ import (
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
+	"densevlc/internal/stats"
 	"densevlc/internal/testutil"
 	"densevlc/internal/transport"
 )
@@ -234,24 +235,22 @@ func scenario3Hub() *Hub {
 	return NewHub(md, 1)
 }
 
-func TestHubSnapshotAndPositions(t *testing.T) {
+// TestHubConfigure: a transmitter's command reaches the medium the hub
+// wraps, an out-of-range one is ignored, and the truth carries the
+// deployment's parameters.
+func TestHubConfigure(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	hub := scenario3Hub()
 	hub.Configure(7, 0, 0.9, true)
-	env, s := hub.Snapshot()
-	if env.H.N != 36 || s[7][0] != 0.9 {
-		t.Errorf("snapshot: N=%d swing=%v", env.H.N, s[7][0])
-	}
-	// Out-of-range configure is ignored.
 	hub.Configure(99, 0, 0.9, false)
-	pos := hub.Positions()
-	if len(pos) != 4 || pos[0] != scenario.Scenario3.RXPositions()[0] {
-		t.Errorf("positions = %v", pos)
-	}
-	// The snapshot carries the deployment's parameters.
-	if env.Params != scenario.Default().Params {
-		t.Error("snapshot params")
-	}
+	hub.do(func(md *scenario.Medium) {
+		if sig := md.Signals(stats.NewRand(1), 0, []int{7}, nil); len(sig) != 1 || sig[0].Amplitude <= 0 {
+			t.Errorf("TX 7's commanded swing does not reach RX 0: %+v", sig)
+		}
+		if md.Truth().Params != scenario.Default().Params {
+			t.Error("truth params")
+		}
+	})
 }
 
 func TestHubPilotDeliversToAllReceivers(t *testing.T) {
@@ -278,11 +277,13 @@ func TestHubPilotDeliversToAllReceivers(t *testing.T) {
 	}
 }
 
+// TestRxFromAddr pins the destination decode the hub uses to pick the
+// receiver of an air frame.
 func TestRxFromAddr(t *testing.T) {
-	if rxFromAddr(0x0101) != 1 {
+	if mac.RXIndex(0x0101) != 1 {
 		t.Error("rx addr decode")
 	}
-	if rxFromAddr(0x0300) != -1 || rxFromAddr(0) != -1 {
+	if mac.RXIndex(0x0300) != -1 || mac.RXIndex(0) != -1 {
 		t.Error("non-rx addr should give -1")
 	}
 }
@@ -357,5 +358,44 @@ func TestAsyncRunCountsEveryDelivery(t *testing.T) {
 	}
 	if res.Delivered < acked {
 		t.Errorf("delivered %d payloads but %d frames were acknowledged", res.Delivered, acked)
+	}
+}
+
+// TestHubFlushPendingDeliversInSeqOrder: frames whose beamspot never fully
+// assembled are delivered at a flush in sequence-number order, so the
+// receiver's queue and the hub's draws do not depend on map iteration.
+func TestHubFlushPendingDeliversInSeqOrder(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	const frames = 8
+	for rep := 0; rep < 20; rep++ {
+		hub := scenario3Hub()
+		// TX 7 serves RX 0 alone; TX 8 is addressed too but never joins,
+		// so every frame stays pending until the flush.
+		hub.Configure(7, 0, 0.9, true)
+		for k := 0; k < frames; k++ {
+			seq := uint16(100 + 3*k)
+			hub.Transmit(7, frame.Downlink{
+				PHY: frame.PHY{TXIDMask: frame.MaskOf(7, 8)},
+				MAC: frame.MAC{Dst: mac.RXAddr(0), Src: mac.ControllerAddr, Protocol: mac.ProtoData,
+					Payload: []byte{byte(seq >> 8), byte(seq), 'x'}},
+			})
+		}
+		select {
+		case rx := <-hub.Receptions(0):
+			t.Fatalf("rep %d: frame delivered before the flush: %v", rep, rx.MAC.Payload)
+		default:
+		}
+		hub.FlushPending()
+		for k := 0; k < frames; k++ {
+			select {
+			case rx := <-hub.Receptions(0):
+				seq := uint16(rx.MAC.Payload[0])<<8 | uint16(rx.MAC.Payload[1])
+				if want := uint16(100 + 3*k); seq != want {
+					t.Fatalf("rep %d: delivery %d carries seq %d, want %d", rep, k, seq, want)
+				}
+			default:
+				t.Fatalf("rep %d: %d of %d flushed frames arrived", rep, k, frames)
+			}
+		}
 	}
 }

@@ -10,11 +10,10 @@ import (
 	"densevlc/internal/alloc"
 	"densevlc/internal/chaos"
 	"densevlc/internal/clock"
-	"densevlc/internal/geom"
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
-	"densevlc/internal/stats"
+	"densevlc/internal/sim"
 	"densevlc/internal/transport"
 	"densevlc/internal/units"
 	"densevlc/internal/workload"
@@ -26,8 +25,8 @@ type Config struct {
 	Trajectories []mobility.Trajectory
 	// Workload, when non-nil, replaces Trajectories with a churn-driven
 	// fleet: Fleet tenancy slots whose arrivals, dwell, motion and per-user
-	// traffic come from a workload.Engine seeded by Seed. Mutually
-	// exclusive with Trajectories.
+	// traffic come from a workload.Engine on a stream split off Seed's, as
+	// in the synchronous engine. Mutually exclusive with Trajectories.
 	Workload *workload.Spec
 	Policy   alloc.Policy
 	Budget   units.Watts
@@ -35,7 +34,7 @@ type Config struct {
 	// Network carries the control plane; nil selects in-memory. The run
 	// closes it on exit.
 	Network transport.Network
-	// Rounds to run (zero: 5), each advancing the hub's virtual clock by
+	// Rounds to run (zero: 5), each advancing the run's virtual clock by
 	// RoundDuration (zero: 1 s).
 	Rounds        int
 	RoundDuration units.Seconds
@@ -79,13 +78,14 @@ type Result struct {
 	WorkloadTrace []byte
 }
 
-// RunContext spawns the controller, every transmitter and every receiver as
-// goroutines over the transport, runs the configured number of rounds, and
-// shuts everything down. Cancelling ctx aborts the round loop and tears the
-// deployment down, in addition to the cfg.Timeout bound.
+// RunContext runs sim.Drive's epoch on the goroutine-per-node runtime: it
+// spawns every transmitter and every receiver as a goroutine over the
+// transport, runs the configured number of rounds, and shuts everything
+// down. Cancelling ctx aborts the round loop and tears the deployment down,
+// in addition to the cfg.Timeout bound.
 //
-// Under cfg.Workload every fleet slot is a receiver goroutine. The engine
-// steps on the controller goroutine at each round boundary
+// Under cfg.Workload every fleet slot is a receiver goroutine. The driver
+// steps the engine on the calling goroutine at each round boundary
 // (workload.Engine is single-goroutine), and a free slot's photodiode is
 // dark, so the real pilot/report path delivers its dark channel and the
 // allocator withdraws its swing. Slot vacancy and chaos blockage are
@@ -93,17 +93,11 @@ type Result struct {
 // survives churn steps, and a vacated slot stays dark whatever its chaos
 // attenuation.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Policy == nil {
-		cfg.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 60 * time.Second
 	}
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 5
-	}
-	if cfg.RoundDuration <= 0 {
-		cfg.RoundDuration = 1
 	}
 	if cfg.FramesPerRX <= 0 && cfg.Workload == nil {
 		cfg.FramesPerRX = 4
@@ -111,100 +105,69 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 2 * time.Second
 	}
-	n := cfg.Setup.Grid.N()
-	m := len(cfg.Trajectories)
-	if cfg.Workload != nil {
-		m = cfg.Workload.Fleet
-	}
-	if err := mac.CheckWireLimits(n, m); err != nil {
-		return nil, err
-	}
-	if cfg.MeasurementNoise < 0 {
-		return nil, errors.New("node: negative measurement noise")
-	}
-	if cfg.Budget < 0 {
-		return nil, errors.New("node: negative budget")
-	}
-	var engine *workload.Engine
-	if cfg.Workload != nil {
-		if len(cfg.Trajectories) != 0 {
-			return nil, errors.New("node: Workload and Trajectories are mutually exclusive")
-		}
-		var err error
-		if engine, err = workload.NewEngine(*cfg.Workload, cfg.Setup, cfg.Budget, stats.NewRand(cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	if m == 0 {
-		return nil, errors.New("node: no receivers")
-	}
-	if err := cfg.Chaos.Validate(n, m); err != nil {
-		return nil, err
-	}
-
-	net := cfg.Network
-	if net == nil {
-		net = transport.NewMemNetwork()
-	}
-	defer func() { _ = net.Close() }() // teardown; transport errors have no recovery path here
-
-	// The controller loop places the receivers before each round's pilots.
-	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), cfg.Sync, cfg.MeasurementNoise)
-	hub := NewHub(md, cfg.Seed)
-
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, n+m)
-	spawn := func(f func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := f(); err != nil {
-				select {
-				case errCh <- err:
-				default:
+	errCh := make(chan error, 1)
+	res := &Result{}
+	out, runErr := sim.Drive(sim.Config{
+		Setup:            cfg.Setup,
+		Trajectories:     cfg.Trajectories,
+		Policy:           cfg.Policy,
+		Budget:           cfg.Budget,
+		Sync:             cfg.Sync,
+		Rounds:           cfg.Rounds,
+		RoundDuration:    cfg.RoundDuration,
+		MeasurementNoise: cfg.MeasurementNoise,
+		Network:          cfg.Network,
+		Chaos:            cfg.Chaos,
+		Trigger:          cfg.Trigger,
+		Workload:         cfg.Workload,
+		Seed:             cfg.Seed,
+	}, func(p *sim.Plant) (sim.Runtime, error) {
+		spawn := func(f func() error) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := f(); err != nil {
+					select {
+					case errCh <- err:
+					default:
+					}
 				}
+			}()
+		}
+		hub := NewHub(p.Medium, cfg.Seed)
+		for j := 0; j < p.N; j++ {
+			link, err := p.Network.NewNode()
+			if err != nil {
+				return nil, fmt.Errorf("node: TX %d link: %w", j, err)
 			}
-		}()
-	}
-
-	for j := 0; j < n; j++ {
-		link, err := net.NewNode()
-		if err != nil {
-			cancel()
-			wg.Wait()
-			return nil, fmt.Errorf("node: TX %d link: %w", j, err)
+			id := j
+			spawn(func() error { return runTX(ctx, id, link, hub) })
 		}
-		id := j
-		spawn(func() error { return runTX(ctx, id, link, hub) })
-	}
-
-	res := &Result{DeliveredPerRX: make([]int, m)}
-	for i := 0; i < m; i++ {
-		link, err := net.NewNode()
-		if err != nil {
-			cancel()
-			wg.Wait()
-			return nil, fmt.Errorf("node: RX %d link: %w", i, err)
+		res.DeliveredPerRX = make([]int, p.M)
+		for i := 0; i < p.M; i++ {
+			link, err := p.Network.NewNode()
+			if err != nil {
+				return nil, fmt.Errorf("node: RX %d link: %w", i, err)
+			}
+			id, delivered := i, &res.DeliveredPerRX[i]
+			spawn(func() error { return runRX(ctx, id, p.N, link, hub, delivered) })
 		}
-		id, delivered := i, &res.DeliveredPerRX[i]
-		spawn(func() error { return runRX(ctx, id, n, link, hub, delivered) })
-	}
+		return &async{ctx: ctx, cfg: cfg, p: p, hub: hub, res: res}, nil
+	})
 
-	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
-	ctrl.Trigger = cfg.Trigger
-	runErr := runController(ctx, cfg, net.Controller(), hub, ctrl, engine, res)
-
-	// Stop the node goroutines; once they have exited, their delivery
-	// counters are final.
+	// Drive has closed the network; stop the node goroutines too. Once
+	// they have exited, their delivery counters are final.
 	cancel()
 	wg.Wait()
 
-	if engine != nil {
-		res.WorkloadTrace = engine.TraceBytes()
+	if out == nil {
+		return nil, runErr // refused before the first round
 	}
+	res.Trace, res.WorkloadTrace = out.Trace, out.WorkloadTrace
 	for _, d := range res.DeliveredPerRX {
 		res.Delivered += d
 	}

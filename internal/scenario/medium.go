@@ -145,17 +145,6 @@ func (md *Medium) Configure(tx, servesRX int, swing units.Amperes, leader bool) 
 	md.leader[tx] = leader
 }
 
-// Swings returns the commanded swing matrix as a fresh copy.
-func (md *Medium) Swings() channel.Swings {
-	s := channel.NewSwings(len(md.swing), len(md.vacant))
-	for j, rx := range md.serves {
-		if rx >= 0 && rx < len(md.vacant) {
-			s[j][rx] = md.swing[j]
-		}
-	}
-	return s
-}
-
 // amplitude is transmitter tx's received photocurrent amplitude at rx,
 // R·η·r·(Isw/2)²·H over the faulted gain: a dark TX radiates nothing.
 func (md *Medium) amplitude(tx, rx int) units.Amperes {

@@ -114,11 +114,6 @@ func TestMediumSignals(t *testing.T) {
 	md.Faults().SkewClock(8, skew)
 	md.Faults().FailTX(21)
 
-	s := md.Swings()
-	if s[7][0] != 0.9 || s[8][0] != 0.5 || s[20][1] != 0.7 || s[22][3] != 0 {
-		t.Errorf("commanded swings: %v %v %v", s[7][0], s[8][0], s[20][1])
-	}
-
 	p := setup.Params
 	amp := func(tx, rx int, swing units.Amperes) units.Amperes {
 		half := swing.A() / 2

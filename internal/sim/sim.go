@@ -2,10 +2,15 @@
 // components together end to end: the controller's MAC (pilot scheduling,
 // decision logic, beamspot dispatch) talks to transmitter and receiver
 // state machines over a transport, receivers measure channels that come
-// from the optical medium (scenario.Medium, the one node's hub wraps too)
-// at the current receiver positions, and the data phase scores the
-// resulting beamspots — analytically through Eq. (12) or mechanistically
-// through the waveform PHY.
+// from the optical medium (scenario.Medium) at the current receiver
+// positions, and the data phase scores the resulting beamspots.
+//
+// Drive is the one epoch loop of both runtimes. It owns bring-up, the round
+// boundary (churn, mobility, chaos), both control multicasts, the timed
+// decision and the score; a Runtime moves the frames in between. Run is
+// the lock-step runtime, whose data phase is analytic through Eq. (12) or
+// mechanistic through the waveform PHY; package node supplies the
+// goroutine-per-node one.
 //
 // One Run covers mobility, re-allocation and synchronisation jointly: the
 // "RXs move, the system adapts" loop the paper motivates.
@@ -171,293 +176,178 @@ type Result struct {
 	WorkloadTrace []byte
 }
 
-// Run executes the simulation.
+// Run executes the simulation: Drive's epoch on the lock-step runtime.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.withDefaults(); err != nil {
-		return nil, err
+	ls := &lockstep{}
+	res, err := Drive(cfg, ls.attach)
+	if res != nil {
+		res.Rounds = ls.rounds
 	}
-	rng := stats.NewRand(cfg.Seed)
-
-	n := cfg.Setup.Grid.N()
-	m := len(cfg.Trajectories)
-	if cfg.Workload != nil {
-		m = cfg.Workload.Fleet
-	}
-	if err := mac.CheckWireLimits(n, m); err != nil {
-		return nil, err
-	}
-	var engine *workload.Engine
-	var tracker *workload.Tracker
-	var activeMask []bool
-	if cfg.Workload != nil {
-		var err error
-		engine, err = workload.NewEngine(*cfg.Workload, cfg.Setup, cfg.Budget, stats.SplitRand(rng))
-		if err != nil {
-			return nil, err
-		}
-		tracker = workload.NewTracker(m)
-	}
-
-	// Real control-plane components over the configured transport.
-	net := cfg.Network
-	if net == nil {
-		net = transport.NewMemNetwork()
-	}
-	defer func() { _ = net.Close() }() // teardown; transport errors have no recovery path here
-	ctrlLink := net.Controller()
-
-	ctrl := mac.NewController(n, m, cfg.Policy, cfg.Budget, cfg.Setup.Params, cfg.Setup.LED)
-	ctrl.Trigger = cfg.Trigger
-	txNodes := make([]*mac.TXNode, n)
-	txLinks := make([]transport.NodeLink, n)
-	for j := 0; j < n; j++ {
-		txNodes[j] = mac.NewTXNode(j)
-		link, err := net.NewNode()
-		if err != nil {
-			return nil, fmt.Errorf("sim: TX %d link: %w", j, err)
-		}
-		txLinks[j] = link
-	}
-	rxNodes := make([]*mac.RXNode, m)
-	rxLinks := make([]transport.NodeLink, m)
-	for i := 0; i < m; i++ {
-		rxNodes[i] = mac.NewRXNode(i, n)
-		link, err := net.NewNode()
-		if err != nil {
-			return nil, fmt.Errorf("sim: RX %d link: %w", i, err)
-		}
-		rxLinks[i] = link
-	}
-
-	if err := cfg.Chaos.Validate(n, m); err != nil {
-		return nil, err
-	}
-	md := scenario.NewMedium(cfg.Setup, make([]geom.Vec, m), cfg.Sync, cfg.MeasurementNoise)
-	injector := chaos.NewInjector(cfg.Chaos)
-
-	res := &Result{Trace: injector.Trace()}
-
-	for round := 0; round < cfg.Rounds; round++ {
-		t := units.Seconds(float64(round) * cfg.RoundDuration.S())
-
-		// Fault injection happens at the round boundary, before the pilot
-		// phase, so this epoch's measurements already see the faults and
-		// this epoch's reallocation recovers from them.
-		chaosEvents := injector.Apply(round, t, md.Faults())
-
-		// Population churn happens at the same boundary: this epoch's
-		// measurements already see the arrivals and freed slots, whose
-		// photodiodes are dark, so the allocator never grants a departed
-		// user swing.
-		var churnStep workload.StepStats
-		if engine != nil {
-			churnStep = engine.Step(t, cfg.RoundDuration)
-			activeMask = engine.ActiveMask(activeMask)
-			md.SetOccupied(activeMask)
-		}
-
-		// Receiver positions for this round.
-		for i := 0; i < m; i++ {
-			if engine != nil {
-				md.Move(i, engine.Position(i, t))
-			} else {
-				md.Move(i, cfg.Trajectories[i].Position(t))
-			}
-		}
-		pos := md.Positions()
-
-		// --- Measurement phase: one pilot schedule, then the slots in
-		// time division. ---
-		pf, err := ctrl.PilotFrame()
-		if err != nil {
-			return nil, err
-		}
-		wire, err := pf.Serialize()
-		if err != nil {
-			return nil, err
-		}
-		if err := ctrlLink.Multicast(wire); err != nil {
-			return nil, err
-		}
-		// Every TX decodes the schedule once and must find its slot in it.
-		for k := 0; k < n; k++ {
-			raw := <-txLinks[k].Downlink()
-			d, _, err := frame.DecodeDownlink(raw)
-			if err != nil {
-				return nil, fmt.Errorf("sim: TX %d decode: %w", k, err)
-			}
-			action, err := txNodes[k].HandleDownlink(d)
-			if err != nil {
-				return nil, err
-			}
-			if action != mac.TXPilotSlot {
-				return nil, fmt.Errorf("sim: TX %d never entered its pilot slot", k)
-			}
-		}
-		// Receivers also see the multicast on their links; drain it.
-		for i := 0; i < m; i++ {
-			<-rxLinks[i].Downlink()
-		}
-		// Physical measurement, slot by slot: each RX estimates TX j's gain
-		// from its pilot with M2M4-grade noise.
-		for j := 0; j < n; j++ {
-			for i := 0; i < m; i++ {
-				if err := rxNodes[i].RecordMeasurement(j, md.Pilot(rng, j, i)); err != nil {
-					return nil, err
-				}
-			}
-		}
-
-		// Receivers report when their round completes.
-		for i := 0; i < m; i++ {
-			if !rxNodes[i].RoundComplete() {
-				return nil, fmt.Errorf("sim: RX %d round incomplete", i)
-			}
-			rep := rxNodes[i].BuildReport()
-			raw, err := frame.SerializeMAC(rep)
-			if err != nil {
-				return nil, err
-			}
-			if err := rxLinks[i].SendUplink(raw); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < m; i++ {
-			raw := <-ctrlLink.Uplink()
-			repFrame, _, _, err := frame.DecodeMAC(raw)
-			if err != nil {
-				return nil, fmt.Errorf("sim: uplink decode: %w", err)
-			}
-			if err := ctrl.HandleUplink(repFrame); err != nil {
-				return nil, err
-			}
-		}
-		if !ctrl.HaveFreshReports() {
-			return nil, errors.New("sim: controller missing reports")
-		}
-
-		// --- Decision phase. ---
-		plan, err := ctrl.Reallocate()
-		if err != nil {
-			return nil, err
-		}
-		af, err := ctrl.AllocationFrame(plan)
-		if err != nil {
-			return nil, err
-		}
-		wire, err = af.Serialize()
-		if err != nil {
-			return nil, err
-		}
-		if err := ctrlLink.Multicast(wire); err != nil {
-			return nil, err
-		}
-		for k := 0; k < n; k++ {
-			raw := <-txLinks[k].Downlink()
-			d, _, err := frame.DecodeDownlink(raw)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := txNodes[k].HandleDownlink(d); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < m; i++ {
-			<-rxLinks[i].Downlink()
-		}
-
-		// Commanded swings as the TXs understood them.
-		active := 0
-		for j, node := range txNodes {
-			md.Configure(j, node.Cmd.RX, node.Swing(), node.Cmd.Leader)
-			if node.Communicating() {
-				active++
-			}
-		}
-		cmdSwings := md.Swings()
-
-		// --- Data phase. ---
-		rm := RoundMetrics{
-			Round:       round,
-			Time:        t,
-			RXPositions: pos,
-			Eval:        alloc.Evaluate(md.Truth(), cmdSwings),
-			ActiveTXs:   active,
-			Swings:      cmdSwings,
-			ChaosEvents: chaosEvents,
-			FailedTXs:   md.Faults().FailedTXs(),
-		}
-		if engine != nil {
-			rm.Churn = &ChurnMetrics{
-				Step:     churnStep,
-				Handover: tracker.Observe(activeMask, plan.ServedBy, plan.Leader),
-				Active:   append([]bool(nil), activeMask...),
-			}
-		}
-		if cfg.WaveformPHY {
-			per, goodput, err := dataPhase(cfg, rng, md, plan)
-			if err != nil {
-				return nil, err
-			}
-			rm.PER, rm.Goodput = per, goodput
-		} else {
-			// Fast path: the closed-form PER model at the data phase's
-			// bandwidth-time product (1 MHz noise band, 5 µs chips), and
-			// the matching goodput at the Table 5 frame cycle.
-			const bt = 5
-			rm.PER = make([]float64, m)
-			rm.Goodput = make([]units.BitsPerSecond, m)
-			symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(payloadLen))
-			cycle := symbols/100e3 + 17e-3
-			for i, sinr := range rm.Eval.SINR {
-				rm.PER[i] = channel.FramePER(sinr, payloadLen, bt)
-				rm.Goodput[i] = units.BitsPerSecond(float64(8*payloadLen) * (1 - rm.PER[i]) / cycle)
-			}
-		}
-		res.Rounds = append(res.Rounds, rm)
-		res.MeanSystemThroughput += rm.Eval.SumThroughput
-		res.MeanCommPower += rm.Eval.CommPower
-	}
-
-	res.MeanSystemThroughput /= units.BitsPerSecond(len(res.Rounds))
-	res.MeanCommPower /= units.Watts(len(res.Rounds))
-	if engine != nil {
-		res.WorkloadTrace = engine.TraceBytes()
-	}
-	return res, nil
+	return res, err
 }
 
-// dataPhase runs the waveform-level frame exchange for each beamspot over
+// attach builds every node's MAC state machine and network link.
+func (ls *lockstep) attach(p *Plant) (Runtime, error) {
+	links := make([]transport.NodeLink, p.N+p.M)
+	for k := range links {
+		link, err := p.Network.NewNode()
+		if err != nil {
+			return nil, fmt.Errorf("sim: node %d link: %w", k, err)
+		}
+		links[k] = link
+	}
+	ls.p, ls.txLinks, ls.rxLinks = p, links[:p.N], links[p.N:]
+	for j := 0; j < p.N; j++ {
+		ls.txNodes = append(ls.txNodes, mac.NewTXNode(j))
+	}
+	for i := 0; i < p.M; i++ {
+		ls.rxNodes = append(ls.rxNodes, mac.NewRXNode(i, p.N))
+	}
+	return ls, nil
+}
+
+// lockstep is the synchronous Runtime: every node's MAC state machine
+// steps in turn on Drive's goroutine, each phase drains its frames from
+// the network before the next begins, and the run's one stream draws the
+// pilot noise and the data phase in a fixed order.
+type lockstep struct {
+	p       *Plant
+	txNodes []*mac.TXNode
+	txLinks []transport.NodeLink
+	rxNodes []*mac.RXNode
+	rxLinks []transport.NodeLink
+	rounds  []RoundMetrics
+}
+
+func (ls *lockstep) Medium(f func(md *scenario.Medium)) { f(ls.p.Medium) }
+
+// downlink has every transmitter decode the control frame just multicast,
+// each of them finding want in it, and every receiver drain it.
+func (ls *lockstep) downlink(want mac.TXAction) error {
+	for k, node := range ls.txNodes {
+		d, _, err := frame.DecodeDownlink(<-ls.txLinks[k].Downlink())
+		if err != nil {
+			return fmt.Errorf("sim: TX %d decode: %w", k, err)
+		}
+		if action, err := node.HandleDownlink(d); err != nil {
+			return err
+		} else if action != want {
+			return fmt.Errorf("sim: TX %d took action %d, want %d", k, action, want)
+		}
+	}
+	for _, link := range ls.rxLinks {
+		<-link.Downlink()
+	}
+	return nil
+}
+
+// Measure has every TX find its slot in the schedule, then runs the slots.
+func (ls *lockstep) Measure() (bool, error) {
+	if err := ls.downlink(mac.TXPilotSlot); err != nil {
+		return false, err
+	}
+	// Physical measurement, slot by slot: each RX estimates TX j's gain
+	// from its pilot with M2M4-grade noise.
+	for j := range ls.txNodes {
+		for i, rx := range ls.rxNodes {
+			if err := rx.RecordMeasurement(j, ls.p.Medium.Pilot(ls.p.Rand, j, i)); err != nil {
+				return false, err
+			}
+		}
+	}
+	// Receivers report when their round completes.
+	for i, rx := range ls.rxNodes {
+		if !rx.RoundComplete() {
+			return false, fmt.Errorf("sim: RX %d round incomplete", i)
+		}
+		raw, err := frame.SerializeMAC(rx.BuildReport())
+		if err != nil {
+			return false, err
+		}
+		if err := ls.rxLinks[i].SendUplink(raw); err != nil {
+			return false, err
+		}
+	}
+	for range ls.rxNodes {
+		rep, _, _, err := frame.DecodeMAC(<-ls.p.Link.Uplink())
+		if err != nil {
+			return false, fmt.Errorf("sim: uplink decode: %w", err)
+		}
+		if err := ls.p.Controller.HandleUplink(rep); err != nil {
+			return false, err
+		}
+	}
+	if !ls.p.Controller.HaveFreshReports() {
+		return false, errors.New("sim: controller missing reports")
+	}
+	return true, nil
+}
+
+// Dispatch configures the medium with each transmitter's command as the
+// transmitter understood it.
+func (ls *lockstep) Dispatch() error {
+	if err := ls.downlink(mac.TXReconfigure); err != nil {
+		return err
+	}
+	for j, node := range ls.txNodes {
+		ls.p.Medium.Configure(j, node.Cmd.RX, node.Cmd.Swing(), node.Cmd.Leader)
+	}
+	return nil
+}
+
+// Data scores the data phase per receiver, by the closed-form PER model or
+// through the waveform PHY, and keeps the round.
+func (ls *lockstep) Data(ep *Epoch) error {
+	m := ls.p.M
+	ep.PER = make([]float64, m)
+	ep.Goodput = make([]units.BitsPerSecond, m)
+	if ls.p.Config.WaveformPHY {
+		if err := ls.waveform(ep); err != nil {
+			return err
+		}
+	} else {
+		// Fast path: the closed-form PER model at the data phase's
+		// bandwidth-time product (1 MHz noise band, 5 µs chips), and the
+		// matching goodput at the Table 5 frame cycle.
+		const bt = 5
+		symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(payloadLen))
+		cycle := symbols/100e3 + 17e-3
+		for i, sinr := range ep.Eval.SINR {
+			ep.PER[i] = channel.FramePER(sinr, payloadLen, bt)
+			ep.Goodput[i] = units.BitsPerSecond(float64(8*payloadLen) * (1 - ep.PER[i]) / cycle)
+		}
+	}
+	ls.rounds = append(ls.rounds, ep.RoundMetrics)
+	return nil
+}
+
+// waveform runs the waveform-level frame exchange for each beamspot over
 // the medium: its members as commanded, every other beamspot as
 // interference.
-func dataPhase(cfg Config, rng *rand.Rand, md *scenario.Medium, plan mac.Plan) (per []float64, goodput []units.BitsPerSecond, err error) {
-	m := len(plan.ServedBy)
-	per = make([]float64, m)
-	goodput = make([]units.BitsPerSecond, m)
-
-	for rx, members := range plan.ServedBy {
+func (ls *lockstep) waveform(ep *Epoch) error {
+	md := ls.p.Medium
+	for rx, members := range ep.Plan.ServedBy {
 		if len(members) == 0 {
-			per[rx] = 1
+			ep.PER[rx] = 1
 			continue
 		}
-		link, err := md.NewLink(stats.SplitRand(rng))
+		link, err := md.NewLink(stats.SplitRand(ls.p.Rand))
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		var txs []phy.TXSignal
-		resPER, err := link.MeasurePER(phy.PERConfig{
+		res, err := link.MeasurePER(phy.PERConfig{
 			PayloadLen:    payloadLen,
-			Frames:        cfg.FramesPerRound,
+			Frames:        ls.p.Config.FramesPerRound,
 			ACKTurnaround: 17e-3,
 		}, func(r *rand.Rand) []phy.TXSignal {
 			txs = md.Signals(r, rx, members, txs[:0])
 			return txs
 		})
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		per[rx] = resPER.PER
-		goodput[rx] = resPER.Goodput
+		ep.PER[rx], ep.Goodput[rx] = res.PER, res.Goodput
 	}
-	return per, goodput, nil
+	return nil
 }

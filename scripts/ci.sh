@@ -35,7 +35,10 @@
 #                     the testutil goroutine-leak checker (chanleak's
 #                     dynamic twin) after every Close/RunContext; the
 #                     incremental-vs-scratch equivalence properties also get
-#                     an explicit -race invocation (see below)
+#                     an explicit -race invocation (see below), and so does
+#                     the runtime agreement: sim and node, which share one
+#                     epoch driver, must score every round bit-identically,
+#                     static and under churn, three runs over
 #   9. chaos smoke  — one fault-injected end-to-end run per engine
 #                     (tx-blackout preset; the asynchronous run under the
 #                     race detector), a clock-skew run through the
@@ -128,6 +131,14 @@ echo "==> incremental-vs-scratch equivalence under -race (explicit)"
 go test -race -run 'TestIncrementalVsScratch' \
     ./internal/channel/ ./internal/scenario/ ./internal/cluster/ \
     ./internal/mac/ ./internal/alloc/ ./internal/workload/
+
+# Both runtimes run one epoch driver (sim.Drive) and must agree round for
+# round: same throughput bits, active TXs and, under churn, population
+# steps. The full -race pass covers these tests; run them again, three
+# times, so the runtime contract is named in the gate and a score that
+# depends on goroutine scheduling cannot pass on one lucky run.
+echo "==> runtime agreement under -race (explicit)"
+go test -race -count=3 -run 'TestRuntimesAgree' ./internal/node/
 
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
