@@ -4,15 +4,12 @@
 // accumulation across map iteration), floatcmp (no exact floating-point
 // equality), errdrop (no silently discarded errors), apipanic (no panics in
 // internal API code), and unitsafety (dimensional analysis over the
-// internal/units types) — plus eight interprocedural rules over the module
+// internal/units types) — plus four interprocedural rules over the module
 // call graph: hotalloc (no heap allocation in or below //lint:hotpath
-// functions), sharedmut (no writes to captured state inside parallel
-// closures), seedflow (per-task *rand.Rand streams only), ctxflow
-// (context propagation; no context.Background/TODO in internal/ libraries),
-// lockorder (acyclic lock-acquisition order, no re-entrant locking),
-// lockscope (no blocking operation while a mutex is held), chanleak (every
-// launched goroutine has a provable exit path), and atomicmix (no plain
-// access to sync/atomic-managed variables).
+// functions), ctxflow (context propagation; no context.Background/TODO in
+// internal/ libraries), lockorder (acyclic lock-acquisition order, no
+// re-entrant locking), and lockscope (no blocking operation while a mutex
+// is held).
 //
 // Usage:
 //
@@ -22,7 +19,6 @@
 //	go run ./cmd/vlclint -baseline scripts/lint_baseline.json ./...
 //	go run ./cmd/vlclint -baseline scripts/lint_baseline.json -update-baseline ./...
 //	go run ./cmd/vlclint -timing ./...
-//	go run ./cmd/vlclint -graph ./...
 //	go run ./cmd/vlclint -list
 //
 // Findings print as "file:line: [rule] message" (or a JSON array with
@@ -31,10 +27,9 @@
 // //lint:ignore <rule> <reason> comment on the offending line or the line
 // above; record an audited interprocedural finding in the baseline file
 // instead (-baseline filters findings through it, -update-baseline rewrites
-// it, keeping audited reasons and marking new entries UNAUDITED). -graph
-// dumps the module call graph with hot-path annotations for debugging — the
-// alignment of the static and dynamic zero-alloc gates is checked by
-// internal/lint's TestHotpathAlignment.
+// it, keeping audited reasons and marking new entries UNAUDITED). A
+// //lint:ignore naming a rule the suite does not have suppresses nothing and
+// is itself reported.
 // -timing reports per-rule wall clock and surviving finding counts on
 // stderr in suite order (the shared call-graph build is accounted
 // separately as "callgraph"), so a slow analyzer shows up before it slows
@@ -65,12 +60,11 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	rules := flag.String("rules", "", "comma-separated analyzer names to run (default: all)")
-	graph := flag.Bool("graph", false, "dump the module call graph (with hotpath annotations) and exit")
 	baselinePath := flag.String("baseline", "", "filter findings through a baseline JSON file of audited sites")
 	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings (new entries marked UNAUDITED) and exit")
 	timing := flag.Bool("timing", false, "report per-rule wall clock and finding counts on stderr")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: vlclint [-list] [-json] [-timing] [-graph] [-rules a,b,...] [-baseline file.json [-update-baseline]] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: vlclint [-list] [-json] [-timing] [-rules a,b,...] [-baseline file.json [-update-baseline]] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -104,11 +98,6 @@ func main() {
 	if len(pkgs) == 0 {
 		fmt.Fprintf(os.Stderr, "vlclint: no packages matched %v\n", patterns)
 		os.Exit(2)
-	}
-
-	if *graph {
-		lint.NewModule(pkgs).Graph.Dump(os.Stdout)
-		return
 	}
 
 	var findings []lint.Finding

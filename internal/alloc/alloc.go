@@ -44,6 +44,19 @@ func (e *Env) Validate() error {
 	return nil
 }
 
+// checkRequest is the check every Policy.Allocate makes first: a valid
+// environment and a finite, non-negative budget. A NaN budget would pass a
+// plain budget < 0 test and run to an empty allocation.
+func checkRequest(env *Env, budget units.Watts) error {
+	if err := env.Validate(); err != nil {
+		return err
+	}
+	if b := budget.W(); b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+		return fmt.Errorf("alloc: power budget %v W is not finite and non-negative", b)
+	}
+	return nil
+}
+
 // N returns the number of transmitters.
 func (e *Env) N() int { return e.H.N }
 

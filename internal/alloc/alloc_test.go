@@ -207,13 +207,25 @@ func TestKappaOneUnderperformsAtLowBudget(t *testing.T) {
 func TestAllocateErrors(t *testing.T) {
 	env := testEnv(fig7RX())
 	policies := []Policy{Heuristic{}, AdaptiveKappa{}, SISO{}, DMISO{}, Optimal{}}
+	// NaN passes a plain budget < 0 test; ±Inf is no wattage either.
+	badBudgets := []units.Watts{-1, units.Watts(math.NaN()), units.Watts(math.Inf(1)), units.Watts(math.Inf(-1))}
 	for _, p := range policies {
-		if _, err := p.Allocate(env, -1); err == nil {
-			t.Errorf("%s accepted a negative budget", p.Name())
+		for _, b := range badBudgets {
+			if _, err := p.Allocate(env, b); err == nil {
+				t.Errorf("%s accepted budget %v W", p.Name(), b.W())
+			}
+		}
+		if _, err := p.Allocate(env, 0); err != nil {
+			t.Errorf("%s refused a zero budget: %v", p.Name(), err)
 		}
 		badEnv := &Env{}
 		if _, err := p.Allocate(badEnv, 1); err == nil {
 			t.Errorf("%s accepted an invalid env", p.Name())
+		}
+	}
+	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (Heuristic{Kappa: k}).Allocate(env, 1); err == nil {
+			t.Errorf("Heuristic accepted κ=%v", k)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"fmt"
 	"sort"
 
 	"densevlc/internal/channel"
@@ -20,11 +19,8 @@ func (SISO) Name() string { return "SISO" }
 // Allocate implements Policy. The budget is still honoured: receivers are
 // served in order of their best channel until activations no longer fit.
 func (SISO) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
+	if err := checkRequest(env, budget); err != nil {
 		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
 	}
 	type pick struct {
 		rx, tx int
@@ -101,11 +97,8 @@ func (DMISO) Assignments(env *Env) []Assignment {
 // Allocate implements Policy. D-MISO ignores power efficiency by design but
 // still cannot overspend the budget: activations stop when it is exhausted.
 func (d DMISO) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
+	if err := checkRequest(env, budget); err != nil {
 		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
 	}
 	return SwingsFromAssignments(env, d.Assignments(env), budget, false), nil
 }

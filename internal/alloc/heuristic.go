@@ -115,11 +115,11 @@ func newScoreRows(n, m int) [][]float64 {
 
 // Allocate implements Policy.
 func (h Heuristic) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
+	if err := checkRequest(env, budget); err != nil {
 		return nil, err
 	}
-	if budget < 0 {
-		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
+	if math.IsNaN(h.Kappa) || math.IsInf(h.Kappa, 0) {
+		return nil, fmt.Errorf("alloc: SJR exponent κ=%v is not finite", h.Kappa)
 	}
 	return SwingsFromAssignments(env, h.Rank(env), budget, h.AllowPartial), nil
 }
@@ -205,11 +205,8 @@ func fillSJRAdaptive(env *Env, sjr [][]float64) {
 
 // Allocate implements Policy.
 func (a AdaptiveKappa) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
+	if err := checkRequest(env, budget); err != nil {
 		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
 	}
 	return SwingsFromAssignments(env, a.Rank(env), budget, a.AllowPartial), nil
 }

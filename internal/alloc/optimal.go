@@ -64,11 +64,8 @@ func (o Optimal) AllocateWarm(env *Env, budget units.Watts, prev channel.Swings)
 }
 
 func (o Optimal) allocate(env *Env, budget units.Watts, warm channel.Swings) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
+	if err := checkRequest(env, budget); err != nil {
 		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("alloc: negative power budget %.3f", budget.W())
 	}
 	if budget == 0 {
 		return channel.NewSwings(env.N(), env.M()), nil

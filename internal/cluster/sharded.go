@@ -200,7 +200,6 @@ func (w *Workspace) solveCluster(c int) error {
 		cl := w.clus.Clusters[c]
 		return fmt.Errorf("cluster %d (%d TXs, %d RXs): %w", c, len(cl.TXs), len(cl.RXs), err)
 	}
-	//lint:ignore sharedmut per-cluster write: ForEach hands index c to exactly one worker and sub is w.subs[c]
 	sub.swings = got
 	return nil
 }

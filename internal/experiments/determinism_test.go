@@ -40,7 +40,7 @@ func firstDiff(a, b []byte) string {
 }
 
 // TestParallelDeterminism is the shippability gate for the parallel engine:
-// for every fanned-out generator, the exported table from a serial run
+// for every registered generator, the exported table from a serial run
 // (Workers: 1) must be byte-identical to a heavily oversubscribed parallel
 // run (Workers: 8). Instances and random streams are derived before the
 // fan-out and results are collected in task order, so any divergence means
@@ -51,13 +51,10 @@ func TestParallelDeterminism(t *testing.T) {
 	restore := stats.PinElapsed(time.Millisecond)
 	defer restore()
 
-	// Every generator that fans out, plus speedup's timing table.
-	names := []string{"fig6", "fig8", "fig10", "fig11", "speedup", "adaptation", "adaptivekappa", "resilience", "clusterscale", "incremental", "churn"}
-	for _, name := range names {
-		g, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("unknown experiment %q", name)
-		}
+	// Every generator, not a hand-kept list of the ones that fan out today,
+	// so a new fan-out cannot escape the gate.
+	for _, g := range All() {
+		name := g.Name
 		serial := exportCSV(t, g, Options{Seed: 1, Quick: true, Workers: 1})
 		for _, workers := range []int{2, 8} {
 			par := exportCSV(t, g, Options{Seed: 1, Quick: true, Workers: workers})

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
@@ -59,8 +58,6 @@ type FuncNode struct {
 	Hot bool
 	// Boundary marks a //lint:hotpath-boundary audited stop.
 	Boundary bool
-	// BoundaryReason is the mandatory reason on a boundary directive.
-	BoundaryReason string
 	// Callees are the resolved outgoing edges, sorted by ID.
 	Callees []*FuncNode
 
@@ -124,12 +121,6 @@ func NewModule(pkgs []*Package) *Module {
 	return &Module{Pkgs: pkgs, Graph: buildCallGraph(pkgs)}
 }
 
-// NodeFor returns the graph node of a declared function, or nil.
-func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode { return g.byFunc[fn] }
-
-// NodeForLit returns the graph node of a function literal, or nil.
-func (g *CallGraph) NodeForLit(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
-
 // SortedNodes returns every node ordered by ID.
 func (g *CallGraph) SortedNodes() []*FuncNode {
 	out := make([]*FuncNode, 0, len(g.Nodes))
@@ -138,35 +129,6 @@ func (g *CallGraph) SortedNodes() []*FuncNode {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Dump writes the graph in the stable text form `cmd/vlclint -graph` prints:
-// one node line per function — flag column first (`hot`, `boundary`, or `-`)
-// — followed by one indented `-> callee` line per edge. It is a human
-// debugging view; TestHotpathAlignment checks the AllocsPerRun-gated kernels
-// stay annotated through Nodes directly.
-func (g *CallGraph) Dump(w io.Writer) {
-	nodes := g.SortedNodes()
-	edges := 0
-	for _, n := range nodes {
-		edges += len(n.Callees)
-	}
-	_, _ = fmt.Fprintf(w, "# vlclint call graph: %d functions, %d edges\n", len(nodes), edges)
-	for _, n := range nodes {
-		flag := "-"
-		switch {
-		case n.Hot:
-			flag = "hot"
-		case n.Boundary:
-			flag = "boundary"
-		}
-		_, _ = fmt.Fprintf(w, "%s\t%s\n", flag, n.ID)
-		callees := append([]*FuncNode(nil), n.Callees...)
-		sort.Slice(callees, func(i, j int) bool { return callees[i].ID < callees[j].ID })
-		for _, c := range callees {
-			_, _ = fmt.Fprintf(w, "\t-> %s\n", c.ID)
-		}
-	}
 }
 
 // buildCallGraph runs the two passes: node creation (so cross-package edges
@@ -236,7 +198,6 @@ func (g *CallGraph) addPackageNodes(pkg *Package) {
 			if d, ok := directives[fd]; ok {
 				node.Hot = d.hot
 				node.Boundary = d.boundary
-				node.BoundaryReason = d.reason
 				if d.malformed {
 					g.malformed = append(g.malformed, Finding{
 						Pos:     pkg.Fset.Position(fd.Pos()),
@@ -298,7 +259,6 @@ func (g *CallGraph) addLiteralNodes(pkg *Package, parent *FuncNode) {
 type funcDirective struct {
 	hot       bool
 	boundary  bool
-	reason    string
 	malformed bool
 }
 
@@ -321,10 +281,8 @@ func funcDirectives(pkg *Package, file *ast.File) map[*ast.FuncDecl]funcDirectiv
 				d.hot = true
 				found = true
 			case strings.HasPrefix(text, boundaryDirective):
-				reason := strings.TrimSpace(strings.TrimPrefix(text, boundaryDirective))
 				d.boundary = true
-				d.reason = reason
-				d.malformed = reason == ""
+				d.malformed = strings.TrimSpace(strings.TrimPrefix(text, boundaryDirective)) == ""
 				found = true
 			}
 		}

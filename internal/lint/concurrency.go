@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the shared machinery behind the concurrency-discipline
-// analyzers (lockorder, lockscope, chanleak, atomicmix):
+// analyzers (lockorder, lockscope):
 //
 //   - lock identity: a mutex is identified by the *types.Var of the final
 //     selector in the lock expression, so h.mu.Lock() in one method and
@@ -24,8 +24,6 @@ import (
 //     transitive passes: channel sends/receives outside a select, selects
 //     without a default, range over a channel, sync.WaitGroup.Wait,
 //     time.Sleep, and net read/write/accept/dial calls.
-//   - module-wide channel evidence for chanleak: which channel variables
-//     are created buffered and which are ever close()d.
 //
 // The scanner under-approximates the held set (a lock acquired on only one
 // branch is treated as not held afterwards; a lock released on any
@@ -566,110 +564,4 @@ func terminatesList(stmts []ast.Stmt) bool {
 		return terminatesList(last.Body.List) && elseTerm
 	}
 	return false
-}
-
-// chanFacts is the module-wide channel evidence chanleak consumes: which
-// channel variables are created with a non-zero buffer and which are ever
-// passed to close().
-type chanFacts struct {
-	buffered map[types.Object]bool
-	closed   map[types.Object]bool
-}
-
-// collectChanFacts scans every package for buffered make(chan ...) results
-// and close() calls, keyed by the destination variable or field.
-func collectChanFacts(m *Module) *chanFacts {
-	facts := &chanFacts{
-		buffered: make(map[types.Object]bool),
-		closed:   make(map[types.Object]bool),
-	}
-	for _, pkg := range m.Pkgs {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				switch e := n.(type) {
-				case *ast.CallExpr:
-					if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-						if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(e.Args) == 1 {
-							if obj := chanRootObj(pkg, e.Args[0]); obj != nil {
-								facts.closed[obj] = true
-							}
-						}
-					}
-				case *ast.AssignStmt:
-					for i, rhs := range e.Rhs {
-						if i >= len(e.Lhs) || !makeChanBuffered(pkg, rhs) {
-							continue
-						}
-						if obj := chanRootObj(pkg, e.Lhs[i]); obj != nil {
-							facts.buffered[obj] = true
-						}
-					}
-				case *ast.ValueSpec:
-					for i, v := range e.Values {
-						if i >= len(e.Names) || !makeChanBuffered(pkg, v) {
-							continue
-						}
-						if obj := pkg.Info.ObjectOf(e.Names[i]); obj != nil {
-							facts.buffered[obj] = true
-						}
-					}
-				case *ast.KeyValueExpr:
-					if key, ok := e.Key.(*ast.Ident); ok && makeChanBuffered(pkg, e.Value) {
-						if obj := pkg.Info.ObjectOf(key); obj != nil {
-							facts.buffered[obj] = true
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return facts
-}
-
-// makeChanBuffered reports whether expr is make(chan T, cap) with a capacity
-// that is not the constant zero. A non-constant capacity counts as evidence:
-// the code sized the channel to its workload (e.g. make(chan error, n+m)).
-func makeChanBuffered(pkg *Package, expr ast.Expr) bool {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	if b, ok := pkg.Info.Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
-		return false
-	}
-	if t := pkg.Info.TypeOf(call); t != nil {
-		if _, isChan := t.Underlying().(*types.Chan); !isChan {
-			return false
-		}
-	}
-	if tv, ok := pkg.Info.Types[call.Args[1]]; ok && tv.Value != nil {
-		return tv.Value.String() != "0"
-	}
-	return true
-}
-
-// chanRootObj resolves a channel expression to its identity object: the
-// variable for idents, the field for selectors, the container for index
-// expressions. Calls and other computed channels resolve to nil (unknown).
-func chanRootObj(pkg *Package, expr ast.Expr) types.Object {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		return pkg.Info.ObjectOf(e)
-	case *ast.SelectorExpr:
-		return pkg.Info.ObjectOf(e.Sel)
-	case *ast.StarExpr:
-		return chanRootObj(pkg, e.X)
-	case *ast.IndexExpr:
-		return chanRootObj(pkg, e.X)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return chanRootObj(pkg, e.X)
-		}
-	}
-	return nil
 }

@@ -6,8 +6,7 @@ import (
 )
 
 // Fixtures for the concurrency-discipline analyzers. Each case is its own
-// little module (so channel close()/buffer evidence never leaks between
-// cases), following the interproc_test.go harness.
+// little module, following the interproc_test.go harness.
 
 // --- lockorder --------------------------------------------------------------
 
@@ -552,445 +551,6 @@ func (p *P8) FlushHeld() {
 	}
 }
 
-// --- chanleak ---------------------------------------------------------------
-
-func TestChanLeak(t *testing.T) {
-	tests := []struct {
-		name  string
-		files []fixtureSrc
-		want  []string
-	}{
-		{
-			name: "unguarded send in goroutine flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl1.go",
-				src: `package cl
-
-func Spawn() chan int {
-	ch := make(chan int)
-	go func() {
-		ch <- 1
-	}()
-	return ch
-}
-`,
-			}},
-			want: []string{"cl1.go:6 chanleak"},
-		},
-		{
-			name: "select without guard case flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl2.go",
-				src: `package cl
-
-func Pump(a chan int) {
-	go func() {
-		for {
-			select {
-			case v := <-a:
-				_ = v
-			}
-		}
-	}()
-}
-`,
-			}},
-			want: []string{"cl2.go:6 chanleak"},
-		},
-		{
-			name: "dynamic call inside goroutine flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl3.go",
-				src: `package cl
-
-func Launch(f func()) {
-	go func() {
-		f()
-	}()
-}
-`,
-			}},
-			want: []string{"cl3.go:5 chanleak"},
-		},
-		{
-			name: "goroutine launched through a function value flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl4.go",
-				src: `package cl
-
-func Direct(f func()) {
-	go f()
-}
-`,
-			}},
-			want: []string{"cl4.go:4 chanleak"},
-		},
-		{
-			name: "range over never-closed channel flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl5.go",
-				src: `package cl
-
-func Drain(ch chan int) {
-	go func() {
-		for v := range ch {
-			_ = v
-		}
-	}()
-}
-`,
-			}},
-			want: []string{"cl5.go:5 chanleak"},
-		},
-		{
-			// The hub/node pump idiom: ctx.Done guard on the outer select,
-			// try-send with default on the inner.
-			name: "ctx-guarded pump passes",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl6.go",
-				src: `package cl
-
-import "context"
-
-func Pump(ctx context.Context, in, out chan int) {
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case v := <-in:
-				select {
-				case out <- v:
-				default:
-				}
-			}
-		}
-	}()
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			// The node/run.go errCh idiom: workload-sized buffered channel.
-			name: "send on buffered channel passes",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl7.go",
-				src: `package cl
-
-func Collect(n int) chan error {
-	errCh := make(chan error, n)
-	go func() {
-		errCh <- nil
-	}()
-	return errCh
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			// The udpNode.loop idiom: the producer closes the channel, so
-			// the range terminates.
-			name: "range over closed channel passes",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl8.go",
-				src: `package cl
-
-func Produce() {
-	ch := make(chan int)
-	go func() {
-		for v := range ch {
-			_ = v
-		}
-	}()
-	close(ch)
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			name: "done-channel guard passes",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl9.go",
-				src: `package cl
-
-func Worker(done chan struct{}, in chan int) {
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case v := <-in:
-				_ = v
-			}
-		}
-	}()
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			name: "suppressed leak passes",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl10.go",
-				src: `package cl
-
-func Audited(ch chan int) {
-	go func() {
-		//lint:ignore chanleak producer is documented to close ch on shutdown
-		for v := range ch {
-			_ = v
-		}
-	}()
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			// The leak lives two packages away from the go statement.
-			name: "cross-package goroutine callee flagged",
-			files: []fixtureSrc{
-				{
-					path: "densevlc/internal/cll",
-					file: "cll.go",
-					src: `package cll
-
-func Forward(ch chan int) {
-	ch <- 1
-}
-`,
-				},
-				{
-					path: "densevlc/internal/cl",
-					file: "cl11.go",
-					src: `package cl
-
-import "densevlc/internal/cll"
-
-func Relay(ch chan int) {
-	go func() {
-		cll.Forward(ch)
-	}()
-}
-`,
-				},
-			},
-			want: []string{"cll.go:4 chanleak"},
-		},
-		{
-			name: "named goroutine root checked",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/cl",
-				file: "cl12.go",
-				src: `package cl
-
-func Start(ch chan int) {
-	go pump(ch)
-}
-
-func pump(ch chan int) {
-	<-ch
-}
-`,
-			}},
-			want: []string{"cl12.go:8 chanleak"},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			assertFindings(t, runFixture(t, tt.files, "chanleak"), tt.want...)
-		})
-	}
-}
-
-func TestChanLeakMessageCarriesProvenance(t *testing.T) {
-	findings := runFixture(t, []fixtureSrc{{
-		path: "densevlc/internal/cl",
-		file: "clp.go",
-		src: `package cl
-
-func Start(ch chan int) {
-	go pump(ch)
-}
-
-func pump(ch chan int) {
-	<-ch
-}
-`,
-	}}, "chanleak")
-	if len(findings) != 1 {
-		t.Fatalf("want 1 finding, got %v", keys(findings))
-	}
-	msg := findings[0].Message
-	if !strings.Contains(msg, "in cl.pump, reachable from go statement at clp.go:4") {
-		t.Errorf("finding should carry spawn provenance: %s", msg)
-	}
-	if !strings.Contains(msg, "never closed in the module") {
-		t.Errorf("finding should explain the missing evidence: %s", msg)
-	}
-}
-
-// --- atomicmix --------------------------------------------------------------
-
-func TestAtomicMix(t *testing.T) {
-	tests := []struct {
-		name  string
-		files []fixtureSrc
-		want  []string
-	}{
-		{
-			name: "plain read of atomically written field flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/am",
-				file: "am1.go",
-				src: `package am
-
-import "sync/atomic"
-
-type C struct{ n int64 }
-
-func (c *C) Inc() { atomic.AddInt64(&c.n, 1) }
-
-func (c *C) Read() int64 { return c.n }
-`,
-			}},
-			want: []string{"am1.go:9 atomicmix"},
-		},
-		{
-			name: "plain write of atomically read field flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/am",
-				file: "am2.go",
-				src: `package am
-
-import "sync/atomic"
-
-type C2 struct{ n int64 }
-
-func (c *C2) Load() int64 { return atomic.LoadInt64(&c.n) }
-
-func (c *C2) Reset() { c.n = 0 }
-`,
-			}},
-			want: []string{"am2.go:9 atomicmix"},
-		},
-		{
-			name: "all-atomic access and typed atomics pass",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/am",
-				file: "am3.go",
-				src: `package am
-
-import "sync/atomic"
-
-type C3 struct {
-	n int64
-	t atomic.Int64
-}
-
-func (c *C3) Inc() { atomic.AddInt64(&c.n, 1) }
-
-func (c *C3) Load() int64 { return atomic.LoadInt64(&c.n) }
-
-func (c *C3) Typed() int64 {
-	c.t.Add(1)
-	return c.t.Load()
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			name: "composite-literal initialization exempt",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/am",
-				file: "am4.go",
-				src: `package am
-
-import "sync/atomic"
-
-type G struct{ hits int64 }
-
-func NewG(seed int64) *G {
-	return &G{hits: seed}
-}
-
-func (g *G) Hit() { atomic.AddInt64(&g.hits, 1) }
-`,
-			}},
-			want: nil,
-		},
-		{
-			name: "suppressed plain access passes",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/am",
-				file: "am5.go",
-				src: `package am
-
-import "sync/atomic"
-
-type C5 struct{ n int64 }
-
-func (c *C5) Inc() { atomic.AddInt64(&c.n, 1) }
-
-func (c *C5) Snapshot() int64 {
-	//lint:ignore atomicmix read under the pool quiescence barrier; no concurrent writers
-	return c.n
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			name: "cross-package plain access flagged",
-			files: []fixtureSrc{
-				{
-					path: "densevlc/internal/aml",
-					file: "aml.go",
-					src: `package aml
-
-import "sync/atomic"
-
-type Counter struct{ N int64 }
-
-func (c *Counter) Inc() { atomic.AddInt64(&c.N, 1) }
-`,
-				},
-				{
-					path: "densevlc/internal/am",
-					file: "am6.go",
-					src: `package am
-
-import "densevlc/internal/aml"
-
-func Read(c *aml.Counter) int64 { return c.N }
-`,
-				},
-			},
-			want: []string{"am6.go:5 atomicmix"},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			assertFindings(t, runFixture(t, tt.files, "atomicmix"), tt.want...)
-		})
-	}
-}
-
 // --- RunTimed ---------------------------------------------------------------
 
 func TestRunTimedReportsEveryRule(t *testing.T) {
@@ -999,18 +559,20 @@ func TestRunTimedReportsEveryRule(t *testing.T) {
 		file: "rt1.go",
 		src: `package rt
 
-func Spawn() chan int {
-	ch := make(chan int)
-	go func() {
-		ch <- 1
-	}()
-	return ch
+import "sync"
+
+var mu sync.Mutex
+
+func Send(ch chan int) {
+	mu.Lock()
+	ch <- 1
+	mu.Unlock()
 }
 `,
 	}})
 	findings, timings := RunTimed(mod.Pkgs, Analyzers())
-	if len(findings) != 1 || findings[0].Rule != "chanleak" {
-		t.Fatalf("want the chanleak finding, got %v", keys(findings))
+	if len(findings) != 1 || findings[0].Rule != "lockscope" {
+		t.Fatalf("want the lockscope finding, got %v", keys(findings))
 	}
 	// callgraph pseudo-entry first, then one entry per analyzer in order.
 	if len(timings) != len(Analyzers())+1 {
@@ -1026,8 +588,8 @@ func Spawn() chan int {
 		}
 		byRule[tm.Rule] = tm
 	}
-	if byRule["chanleak"].Findings != 1 {
-		t.Errorf("chanleak timing should count 1 finding, got %d", byRule["chanleak"].Findings)
+	if byRule["lockscope"].Findings != 1 {
+		t.Errorf("lockscope timing should count 1 finding, got %d", byRule["lockscope"].Findings)
 	}
 	if byRule["hotalloc"].Findings != 0 {
 		t.Errorf("hotalloc timing should count 0 findings, got %d", byRule["hotalloc"].Findings)

@@ -9,9 +9,7 @@ import (
 )
 
 // The interprocedural analyzers need whole-module context: fixtures are
-// small multi-package modules, each package a single source file, resolved
-// against stub densevlc/internal/parallel and densevlc/internal/stats
-// packages so the analyzers see the real entry-point paths.
+// small multi-package modules, each package a single source file.
 
 // fixtureSrc is one single-file package of a fixture module, listed in
 // dependency order (imported packages first).
@@ -77,52 +75,6 @@ func runFixture(t *testing.T, files []fixtureSrc, rules ...string) []Finding {
 		t.Fatalf("unknown rule in %v", rules)
 	}
 	return Run(mod.Pkgs, selected)
-}
-
-// Stub twins of the real pool and RNG helpers, at their real import paths.
-const parallelStubSrc = `package parallel
-
-import "context"
-
-func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	for i := 0; i < n; i++ {
-		v, err := fn(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	for i := 0; i < n; i++ {
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-`
-
-const statsStubSrc = `package stats
-
-import "math/rand"
-
-func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func SplitRand(parent *rand.Rand) *rand.Rand {
-	return rand.New(rand.NewSource(parent.Int63()))
-}
-`
-
-func parallelStub() fixtureSrc {
-	return fixtureSrc{path: parallelPkg, file: "parallel_stub.go", src: parallelStubSrc}
-}
-
-func statsStub() fixtureSrc {
-	return fixtureSrc{path: statsPkg, file: "stats_stub.go", src: statsStubSrc}
 }
 
 // --- call graph -----------------------------------------------------------
@@ -358,294 +310,6 @@ func Hot(v float64) string {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			assertFindings(t, runFixture(t, tt.files, "hotalloc"), tt.want...)
-		})
-	}
-}
-
-// --- sharedmut ------------------------------------------------------------
-
-func TestSharedMut(t *testing.T) {
-	tests := []struct {
-		name  string
-		files []fixtureSrc
-		want  []string
-	}{
-		{
-			// The ISSUE acceptance case: a parallel.Map closure writing a
-			// captured variable.
-			name: "captured write in parallel.Map closure flagged",
-			files: []fixtureSrc{parallelStub(), {
-				path: "densevlc/internal/sm",
-				file: "sm1.go",
-				src: `package sm
-
-import (
-	"context"
-
-	"densevlc/internal/parallel"
-)
-
-func Bad(n int) (int, error) {
-	total := 0
-	_, err := parallel.Map(context.Background(), 0, n, func(i int) (int, error) {
-		total += i
-		return i, nil
-	})
-	return total, err
-}
-`,
-			}},
-			want: []string{"sm1.go:12 sharedmut"},
-		},
-		{
-			name: "per-task index write sanctioned, map write flagged",
-			files: []fixtureSrc{parallelStub(), {
-				path: "densevlc/internal/sm",
-				file: "sm2.go",
-				src: `package sm
-
-import (
-	"context"
-
-	"densevlc/internal/parallel"
-)
-
-func Mixed(n int) error {
-	out := make([]float64, n)
-	byKey := map[int]float64{}
-	return parallel.ForEach(context.Background(), 0, n, func(i int) error {
-		out[i] = float64(i) // sanctioned: per-task element
-		byKey[i] = float64(i)
-		return nil
-	})
-}
-`,
-			}},
-			want: []string{"sm2.go:14 sharedmut"},
-		},
-		{
-			name: "captured struct field write flagged",
-			files: []fixtureSrc{parallelStub(), {
-				path: "densevlc/internal/sm",
-				file: "sm3.go",
-				src: `package sm
-
-import (
-	"context"
-
-	"densevlc/internal/parallel"
-)
-
-type acc struct{ sum float64 }
-
-func Field(n int) error {
-	var a acc
-	return parallel.ForEach(context.Background(), 0, n, func(i int) error {
-		a.sum += float64(i)
-		return nil
-	})
-}
-`,
-			}},
-			want: []string{"sm3.go:14 sharedmut"},
-		},
-		{
-			name: "go statement captured write flagged",
-			files: []fixtureSrc{{
-				path: "densevlc/internal/sm",
-				file: "sm4.go",
-				src: `package sm
-
-func Fire() int {
-	x := 0
-	go func() { x = 1 }()
-	return x
-}
-`,
-			}},
-			want: []string{"sm4.go:5 sharedmut"},
-		},
-		{
-			name: "task-local state and suppressed write pass",
-			files: []fixtureSrc{parallelStub(), {
-				path: "densevlc/internal/sm",
-				file: "sm5.go",
-				src: `package sm
-
-import (
-	"context"
-	"sync"
-
-	"densevlc/internal/parallel"
-)
-
-func Good(n int) ([]float64, error) {
-	var mu sync.Mutex
-	total := 0.0
-	return parallel.Map(context.Background(), 0, n, func(i int) (float64, error) {
-		local := float64(i) * 2 // closure-local: fine
-		mu.Lock()
-		//lint:ignore sharedmut mutex-serialised accumulator; order-independent sum
-		total += local
-		mu.Unlock()
-		return local, nil
-	})
-}
-`,
-			}},
-			want: nil,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			assertFindings(t, runFixture(t, tt.files, "sharedmut"), tt.want...)
-		})
-	}
-}
-
-// --- seedflow -------------------------------------------------------------
-
-func TestSeedFlow(t *testing.T) {
-	// The negative/positive pair is the ISSUE acceptance case: the same
-	// fan-out is clean with per-index SplitRand fills and flagged the moment
-	// the split is removed (elements aliased to the shared parent).
-	const goodSrc = `package sf
-
-import (
-	"context"
-	"math/rand"
-
-	"densevlc/internal/parallel"
-	"densevlc/internal/stats"
-)
-
-func Good(parent *rand.Rand, n int) ([]float64, error) {
-	rngs := make([]*rand.Rand, n)
-	for i := range rngs {
-		rngs[i] = stats.SplitRand(parent)
-	}
-	return parallel.Map(context.Background(), 0, n, func(i int) (float64, error) {
-		return rngs[i].Float64(), nil
-	})
-}
-`
-	const badSrc = `package sf
-
-import (
-	"context"
-	"math/rand"
-
-	"densevlc/internal/parallel"
-	"densevlc/internal/stats"
-)
-
-func Bad(parent *rand.Rand, n int) ([]float64, error) {
-	rngs := make([]*rand.Rand, n)
-	for i := range rngs {
-		rngs[i] = parent
-	}
-	_ = stats.SplitRand
-	return parallel.Map(context.Background(), 0, n, func(i int) (float64, error) {
-		return rngs[i].Float64(), nil
-	})
-}
-`
-	tests := []struct {
-		name  string
-		files []fixtureSrc
-		want  []string
-	}{
-		{
-			name:  "per-index SplitRand fill passes",
-			files: []fixtureSrc{parallelStub(), statsStub(), {path: "densevlc/internal/sf", file: "sf1.go", src: goodSrc}},
-			want:  nil,
-		},
-		{
-			name:  "removing the split flags the shared parent",
-			files: []fixtureSrc{parallelStub(), statsStub(), {path: "densevlc/internal/sf", file: "sf2.go", src: badSrc}},
-			want:  []string{"sf2.go:14 seedflow"},
-		},
-		{
-			name: "directly captured generator flagged",
-			files: []fixtureSrc{parallelStub(), statsStub(), {
-				path: "densevlc/internal/sf",
-				file: "sf3.go",
-				src: `package sf
-
-import (
-	"context"
-	"math/rand"
-
-	"densevlc/internal/parallel"
-	"densevlc/internal/stats"
-)
-
-func Shared(parent *rand.Rand, n int) error {
-	return parallel.ForEach(context.Background(), 0, n, func(i int) error {
-		// splitting inside the task still draws from the shared parent
-		rng := stats.SplitRand(parent)
-		_ = rng.Float64()
-		return nil
-	})
-}
-`,
-			}},
-			want: []string{"sf3.go:14 seedflow"},
-		},
-		{
-			name: "per-task construction inside the closure passes",
-			files: []fixtureSrc{parallelStub(), statsStub(), {
-				path: "densevlc/internal/sf",
-				file: "sf4.go",
-				src: `package sf
-
-import (
-	"context"
-
-	"densevlc/internal/parallel"
-	"densevlc/internal/stats"
-)
-
-func PerTask(seed int64, n int) error {
-	return parallel.ForEach(context.Background(), 0, n, func(i int) error {
-		rng := stats.NewRand(seed + int64(i))
-		_ = rng.Float64()
-		return nil
-	})
-}
-`,
-			}},
-			want: nil,
-		},
-		{
-			name: "suppressed shared generator passes",
-			files: []fixtureSrc{parallelStub(), statsStub(), {
-				path: "densevlc/internal/sf",
-				file: "sf5.go",
-				src: `package sf
-
-import (
-	"context"
-	"math/rand"
-
-	"densevlc/internal/parallel"
-)
-
-func Audited(parent *rand.Rand, n int) error {
-	return parallel.ForEach(context.Background(), 0, n, func(i int) error {
-		//lint:ignore seedflow workers=1 in this call; consumption order is the serial order
-		_ = parent.Float64()
-		return nil
-	})
-}
-`,
-			}},
-			want: nil,
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			assertFindings(t, runFixture(t, tt.files, "seedflow"), tt.want...)
 		})
 	}
 }

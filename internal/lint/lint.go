@@ -5,7 +5,7 @@
 // (go/parser, go/ast, go/types), so the repo stays offline-buildable with a
 // dependency-free go.mod.
 //
-// Fourteen analyzers make up the suite. Six intraprocedural rules run over
+// Ten analyzers make up the suite. Six intraprocedural rules run over
 // every package:
 //
 //   - determinism: forbids global math/rand functions and wall-clock calls
@@ -28,7 +28,7 @@
 //     multiplication/division of two unit-typed values, and exported
 //     physics-package APIs that pass physical quantities as bare float64.
 //
-// Eight interprocedural rules run over the module-wide call graph
+// Four interprocedural rules run over the module-wide call graph
 // (callgraph.go), built from go/types object identity with closure tracking
 // and class-hierarchy analysis for interface dispatch:
 //
@@ -36,13 +36,6 @@
 //     reachable from them, up to //lint:hotpath-boundary audits — must not
 //     contain heap-allocating constructs; the static proof of the 0
 //     allocs/op contract the AllocsPerRun benchmarks sample dynamically.
-//   - sharedmut: closures handed to parallel.Map/ForEach or launched with
-//     `go` must not write captured state, except the sanctioned per-task
-//     slice[i] element write; the static twin of `go test -race`.
-//   - seedflow: every *rand.Rand consumed inside a parallel closure must be
-//     a per-task stream (stats.SplitRand before the fan-out, or
-//     stats.NewRand(seed+i) inside it), never a generator shared across
-//     workers.
 //   - ctxflow: functions that accept a context.Context must propagate it to
 //     context-accepting callees, and context.Background/TODO are forbidden
 //     inside internal/ libraries.
@@ -53,19 +46,20 @@
 //   - lockscope: no blocking operation (unguarded channel op, select
 //     without default, wg.Wait, time.Sleep, network I/O, or a call
 //     reaching one) while a mutex is held.
-//   - chanleak: every goroutine launched with `go` must have a guaranteed
-//     exit path — channel ops select-guarded by a ctx/done channel,
-//     provably buffered, or provably closed; the static twin of the
-//     internal/testutil goroutine-leak checker.
-//   - atomicmix: a variable accessed via sync/atomic anywhere must never
-//     be read or written plainly elsewhere.
+//
+// Data races, shared random streams and leaked goroutines have no static
+// rule: `go test -race`, TestParallelDeterminism and the internal/testutil
+// goroutine-leak checker enforce them at run time (DESIGN.md "Concurrency
+// discipline").
 //
 // Any finding can be suppressed with a comment on the same line or the line
 // directly above:
 //
 //	//lint:ignore <rule> <reason>
 //
-// The reason is mandatory; a directive without one is itself reported.
+// The reason is mandatory and the rule must be one of the suite's; a
+// directive without a reason, or naming no rule of the suite, is itself
+// reported.
 // Audited interprocedural findings that question an API's design rather
 // than a line of code (context-free public entry points, documented cold
 // fallbacks) live in the checked-in baseline scripts/lint_baseline.json
@@ -121,7 +115,7 @@ type Analyzer struct {
 }
 
 // Analyzers returns the full vlclint suite in reporting order: the six
-// intraprocedural rules, then the eight call-graph rules.
+// intraprocedural rules, then the four call-graph rules.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism,
@@ -131,13 +125,9 @@ func Analyzers() []*Analyzer {
 		analyzerAPIPanic,
 		analyzerUnitSafety,
 		analyzerHotAlloc,
-		analyzerSharedMut,
-		analyzerSeedFlow,
 		analyzerCtxFlow,
 		analyzerLockOrder,
 		analyzerLockScope,
-		analyzerChanLeak,
-		analyzerAtomicMix,
 	}
 }
 
@@ -167,7 +157,10 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []RuleTiming) 
 
 func run(pkgs []*Package, analyzers []*Analyzer, timed bool) ([]Finding, []RuleTiming) {
 	var all []Finding
-	sup := suppressions{rules: make(map[string]map[int][]string)}
+	sup := suppressions{rules: make(map[string]map[int][]string), known: make(map[string]bool)}
+	for _, a := range Analyzers() {
+		sup.known[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		collectSuppressions(pkg, &sup)
 	}
@@ -238,7 +231,10 @@ const ignorePrefix = "lint:ignore"
 // suppressions indexes //lint:ignore directives by file and line.
 type suppressions struct {
 	// rules maps filename -> line -> suppressed rule names on that line.
-	rules     map[string]map[int][]string
+	rules map[string]map[int][]string
+	// known names every rule of the full suite, whatever subset runs, so a
+	// directive for a misspelled or deleted rule is reported, not kept.
+	known     map[string]bool
 	malformed []Finding
 }
 
@@ -272,6 +268,14 @@ func collectSuppressions(pkg *Package, s *suppressions) {
 						Pos:     pos,
 						Rule:    "ignore",
 						Message: "malformed //lint:ignore directive: want //lint:ignore <rule> <reason>",
+					})
+					continue
+				}
+				if !s.known[fields[0]] {
+					s.malformed = append(s.malformed, Finding{
+						Pos:     pos,
+						Rule:    "ignore",
+						Message: fmt.Sprintf("//lint:ignore names unknown rule %q and suppresses nothing", fields[0]),
 					})
 					continue
 				}

@@ -589,3 +589,29 @@ func wrong() time.Time {
 	got := Run([]*Package{pkg}, []*Analyzer{analyzerDeterminism})
 	assertFindings(t, got, "scope1.go:7 determinism")
 }
+
+// TestSuppressionOfUnknownRuleIsReported checks that a directive naming a
+// rule the suite does not have is reported and suppresses nothing, while a
+// directive for a registered rule that is not selected stays silent.
+func TestSuppressionOfUnknownRuleIsReported(t *testing.T) {
+	src := `package alloc
+
+import "time"
+
+func misspelled(a, b float64) bool {
+	//lint:ignore floatcomp exact tie-break
+	return a == b
+}
+
+func unselected() time.Time {
+	//lint:ignore determinism wall clock is the point here
+	return time.Now()
+}
+`
+	pkg := fixturePkg(t, "densevlc/internal/alloc", "unknown1.go", src)
+	got := Run([]*Package{pkg}, []*Analyzer{analyzerFloatCmp})
+	assertFindings(t, got, "unknown1.go:6 ignore", "unknown1.go:7 floatcmp")
+	if !strings.Contains(got[0].Message, `"floatcomp"`) {
+		t.Errorf("message should name the unknown rule: %s", got[0].Message)
+	}
+}

@@ -143,9 +143,11 @@ func NewController(n, m int, policy alloc.Policy, budget units.Watts, params cha
 // full re-solve.
 type Trigger struct {
 	// RelDelta is the relative per-column gain change above which a
-	// receiver is dirty. Zero or negative disables the trigger.
+	// receiver is dirty. Zero disables the trigger; sim.Drive refuses a
+	// negative or non-finite value.
 	RelDelta float64
-	// MaxStaleEpochs caps consecutive trigger-skipped epochs (0 = no cap).
+	// MaxStaleEpochs caps consecutive trigger-skipped epochs (0 = no cap);
+	// sim.Drive refuses a negative value.
 	MaxStaleEpochs int
 }
 

@@ -2,10 +2,12 @@ package node
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"densevlc/internal/alloc"
 	"densevlc/internal/clock"
 	"densevlc/internal/frame"
 	"densevlc/internal/geom"
@@ -15,6 +17,7 @@ import (
 	"densevlc/internal/stats"
 	"densevlc/internal/testutil"
 	"densevlc/internal/transport"
+	"densevlc/internal/units"
 )
 
 func asyncTrajectories() []mobility.Trajectory {
@@ -220,11 +223,25 @@ func TestAsyncRunErrors(t *testing.T) {
 		t.Error("no receivers accepted")
 	}
 	traj := asyncTrajectories()
-	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default(), Trajectories: traj, MeasurementNoise: -0.1}); err == nil {
-		t.Error("negative measurement noise accepted")
+	nan := math.NaN()
+	for name, cfg := range map[string]Config{
+		"negative measurement noise": {MeasurementNoise: -0.1},
+		"negative budget":            {Budget: -1},
+		"NaN budget":                 {Budget: units.Watts(nan)},
+		"NaN measurement noise":      {MeasurementNoise: nan},
+		"NaN trigger delta":          {Trigger: mac.Trigger{RelDelta: nan}},
+		"negative trigger delta":     {Trigger: mac.Trigger{RelDelta: -0.05}},
+		"negative max stale epochs":  {Trigger: mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: -1}},
+	} {
+		cfg.Setup, cfg.Trajectories = scenario.Default(), traj
+		if _, err := RunContext(context.Background(), cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default(), Trajectories: traj, Budget: -1}); err == nil {
-		t.Error("negative budget accepted")
+	// A non-finite κ is refused by the policy on the first solve.
+	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default(), Trajectories: traj, Rounds: 1,
+		Policy: alloc.Heuristic{Kappa: nan, AllowPartial: true}, Budget: 1}); err == nil {
+		t.Error("NaN κ accepted")
 	}
 }
 

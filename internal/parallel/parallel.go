@@ -74,9 +74,10 @@ func (e *PanicError) Error() string {
 // would race and the result would depend on scheduling. The one sanctioned
 // pattern is writing a captured slice at the task's own index: the atomic
 // counter hands each index to exactly one worker, so per-index element
-// writes are disjoint. vlclint's sharedmut analyzer enforces this contract
-// statically; TestMapPanicWithCapturedSliceWrites exercises it dynamically
-// under the race detector. A task that panics surfaces on the calling
+// writes are disjoint. `go test -race` enforces this contract:
+// TestMapPanicWithCapturedSliceWrites exercises it in the pool, and
+// TestParallelDeterminism runs every experiment generator at 1, 2 and 8
+// workers. A task that panics surfaces on the calling
 // goroutine as a *PanicError carrying the task index, value, and stack.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
@@ -123,12 +124,10 @@ func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) 
 				}
 				v, err := run(i, fn)
 				if err != nil {
-					//lint:ignore sharedmut the pool's own ordered-collection write: the atomic counter hands index i to exactly one worker
 					errs[i] = err
 					failed.Store(true)
 					return
 				}
-				//lint:ignore sharedmut the pool's own ordered-collection write: the atomic counter hands index i to exactly one worker
 				out[i] = v
 			}
 		}()

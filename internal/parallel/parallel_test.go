@@ -9,9 +9,15 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"densevlc/internal/testutil"
 )
 
+// Every test that fans out through the pool runs under the goroutine-leak
+// checker: Map must not return while one of its workers is still running.
+
 func TestMapOrdersResultsByIndex(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	for _, workers := range []int{1, 2, 8, 100} {
 		got, err := Map(context.Background(), workers, 50, func(i int) (int, error) {
 			return i * i, nil
@@ -31,6 +37,7 @@ func TestMapOrdersResultsByIndex(t *testing.T) {
 }
 
 func TestMapMatchesSerialByteForByte(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	// The core determinism claim: fan-out must not change the collected
 	// sequence, whatever the worker count.
 	render := func(workers int) string {
@@ -51,6 +58,7 @@ func TestMapMatchesSerialByteForByte(t *testing.T) {
 }
 
 func TestMapBoundsConcurrency(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	const workers = 3
 	var cur, peak atomic.Int64
 	_, err := Map(context.Background(), workers, 64, func(i int) (struct{}, error) {
@@ -74,6 +82,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestMapPanicBecomesError(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	for _, workers := range []int{1, 4} {
 		_, err := Map(context.Background(), workers, 10, func(i int) (int, error) {
 			if i == 7 {
@@ -98,6 +107,7 @@ func TestMapPanicBecomesError(t *testing.T) {
 }
 
 func TestMapReportsLowestIndexedError(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	// Force both failing tasks to be in flight together, so the pool must
 	// choose which to report: the contract says the lowest index.
 	var gate sync.WaitGroup
@@ -113,6 +123,7 @@ func TestMapReportsLowestIndexedError(t *testing.T) {
 }
 
 func TestMapStopsAfterError(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	var started atomic.Int64
 	_, err := Map(context.Background(), 1, 1000, func(i int) (int, error) {
 		started.Add(1)
@@ -127,6 +138,7 @@ func TestMapStopsAfterError(t *testing.T) {
 }
 
 func TestMapContextCancellation(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	var started atomic.Int64
 	_, err := Map(ctx, 2, 1000, func(i int) (int, error) {
@@ -144,6 +156,7 @@ func TestMapContextCancellation(t *testing.T) {
 }
 
 func TestMapCancelledBeforeStart(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
@@ -154,6 +167,7 @@ func TestMapCancelledBeforeStart(t *testing.T) {
 }
 
 func TestMapZeroTasks(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	got, err := Map(context.Background(), 4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Errorf("Map(n=0) = (%v, %v), want empty", got, err)
@@ -161,6 +175,7 @@ func TestMapZeroTasks(t *testing.T) {
 }
 
 func TestForEachWritesEverySlot(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	out := make([]int, 40)
 	err := ForEach(context.Background(), 4, len(out), func(i int) error {
 		out[i] = i + 1
@@ -188,14 +203,14 @@ func TestWorkersDefaults(t *testing.T) {
 	}
 }
 
-// TestMapPanicWithCapturedSliceWrites is the dynamic twin of vlclint's
-// sharedmut fixture (internal/lint/interproc_test.go): the closure writes a
-// captured slice at its own task index — the sanctioned ordered-collection
-// pattern, which `go test -race` must stay silent on because the atomic
-// counter hands each index to exactly one worker — and one task panics. The
-// panic must resurface on the calling goroutine as a *PanicError, with the
-// panicking task's own write already landed.
+// TestMapPanicWithCapturedSliceWrites pins the pool's sharing contract: the
+// closure writes a captured slice at its own task index — the sanctioned
+// ordered-collection pattern, which `go test -race` must stay silent on
+// because the atomic counter hands each index to exactly one worker — and
+// one task panics. The panic must resurface on the calling goroutine as a
+// *PanicError, with the panicking task's own write already landed.
 func TestMapPanicWithCapturedSliceWrites(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
 	const n, bad = 64, 11
 	for _, workers := range []int{1, 4} {
 		touched := make([]int32, n)

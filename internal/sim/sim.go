@@ -19,6 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"densevlc/internal/alloc"
@@ -111,16 +112,28 @@ func (c *Config) withDefaults() error {
 	if c.RoundDuration <= 0 {
 		c.RoundDuration = 1.0
 	}
-	if c.MeasurementNoise < 0 {
-		return errors.New("sim: negative measurement noise")
+	if !finiteNonNegative(c.MeasurementNoise) {
+		return fmt.Errorf("sim: measurement noise %v is not finite and non-negative", c.MeasurementNoise)
 	}
 	if c.FramesPerRound <= 0 {
 		c.FramesPerRound = 20
 	}
-	if c.Budget < 0 {
-		return errors.New("sim: negative budget")
+	if !finiteNonNegative(c.Budget.W()) {
+		return fmt.Errorf("sim: budget %v W is not finite and non-negative", c.Budget.W())
+	}
+	if !finiteNonNegative(c.Trigger.RelDelta) {
+		return fmt.Errorf("sim: trigger RelDelta %v is not finite and non-negative", c.Trigger.RelDelta)
+	}
+	if c.Trigger.MaxStaleEpochs < 0 {
+		return fmt.Errorf("sim: trigger MaxStaleEpochs %d is negative", c.Trigger.MaxStaleEpochs)
 	}
 	return nil
+}
+
+// finiteNonNegative reports whether x is a usable magnitude: NaN, ±Inf and
+// negatives are not, and a NaN would pass a plain x < 0 test.
+func finiteNonNegative(x float64) bool {
+	return x >= 0 && !math.IsInf(x, 1)
 }
 
 // RoundMetrics records one round's outcome.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"densevlc/internal/alloc"
@@ -10,6 +11,7 @@ import (
 	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
 	"densevlc/internal/transport"
+	"densevlc/internal/units"
 	"densevlc/internal/workload"
 )
 
@@ -156,11 +158,23 @@ func TestRunConfigErrors(t *testing.T) {
 	if _, err := Run(Config{Setup: scenario.Default()}); err == nil {
 		t.Error("no receivers accepted")
 	}
-	if _, err := Run(Config{Setup: scenario.Default(), Trajectories: staticTrajectories(), Budget: -1}); err == nil {
-		t.Error("negative budget accepted")
-	}
-	if _, err := Run(Config{Setup: scenario.Default(), Trajectories: staticTrajectories(), MeasurementNoise: -0.1}); err == nil {
-		t.Error("negative noise accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, cfg := range map[string]Config{
+		"negative budget":           {Budget: -1},
+		"negative noise":            {MeasurementNoise: -0.1},
+		"NaN budget":                {Budget: units.Watts(nan)},
+		"+Inf budget":               {Budget: units.Watts(inf)},
+		"NaN noise":                 {MeasurementNoise: nan},
+		"+Inf noise":                {MeasurementNoise: inf},
+		"negative trigger delta":    {Trigger: mac.Trigger{RelDelta: -0.05}},
+		"NaN trigger delta":         {Trigger: mac.Trigger{RelDelta: nan}},
+		"+Inf trigger delta":        {Trigger: mac.Trigger{RelDelta: inf}},
+		"negative max stale epochs": {Trigger: mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: -1}},
+	} {
+		cfg.Setup, cfg.Trajectories = scenario.Default(), staticTrajectories()
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 	sp := workload.DefaultSpec()
 	if _, err := Run(Config{Setup: scenario.Default(), Workload: &sp, Trajectories: staticTrajectories()}); err == nil {

@@ -1,12 +1,10 @@
 // Package testutil provides test-only helpers shared across the suites.
 //
-// Its centerpiece is the goroutine-leak checker, the dynamic twin of
-// vlclint's chanleak analyzer: chanleak proves at compile time that every
-// statically visible goroutine has an exit path, and CheckLeaks samples the
-// same invariant at test time — any goroutine started during a test that is
-// still running when the test finishes (after Close/RunContext teardown) is
-// a leak. The pairing mirrors hotalloc ⇄ AllocsPerRun and sharedmut ⇄
-// `go test -race`.
+// Its centerpiece is the goroutine-leak checker: any goroutine started
+// during a test that is still running when the test finishes (after
+// Close/RunContext teardown, or after parallel.Map returns) is a leak. Every
+// `go` statement in the module has a suite that runs under it: transport,
+// lossy transport, node, chaos, mac and parallel.
 package testutil
 
 import (

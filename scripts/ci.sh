@@ -12,10 +12,9 @@
 #                     repo in step 5
 #   5. vlclint      — domain invariants: the six intraprocedural rules
 #                     (determinism, maporder, floatcmp, errdrop, apipanic,
-#                     unitsafety) plus the eight interprocedural rules over
-#                     the module call graph (hotalloc, sharedmut, seedflow,
-#                     ctxflow, lockorder, lockscope, chanleak, atomicmix),
-#                     filtered through the audited baseline
+#                     unitsafety) plus the four interprocedural rules over
+#                     the module call graph (hotalloc, ctxflow, lockorder,
+#                     lockscope), filtered through the audited baseline
 #                     scripts/lint_baseline.json (see DESIGN.md
 #                     "Interprocedural analysis" and "Concurrency
 #                     discipline")
@@ -31,11 +30,14 @@
 #   8. go test -race — every package, including the parallel experiment
 #                     engine; the determinism test runs here so the
 #                     byte-identical guarantee is checked under the race
-#                     detector, and the transport/node/chaos suites assert
-#                     the testutil goroutine-leak checker (chanleak's
-#                     dynamic twin) after every Close/RunContext; the
-#                     incremental-vs-scratch equivalence properties also get
-#                     an explicit -race invocation (see below), and so does
+#                     detector over every registered generator (the gate
+#                     for data races and shared random streams), and the
+#                     transport/node/chaos/mac/parallel suites assert the
+#                     testutil goroutine-leak checker after every
+#                     Close/RunContext/Map (the gate for leaked
+#                     goroutines); the incremental-vs-scratch equivalence
+#                     properties also get an explicit -race invocation
+#                     (see below), and so does
 #                     the runtime agreement: sim and node, which share one
 #                     epoch driver, must score every round bit-identically,
 #                     static and under churn, three runs over
