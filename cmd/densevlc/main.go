@@ -7,7 +7,7 @@
 //
 //	densevlc [-rounds N] [-budget W] [-kappa K] [-speed M/S] [-udp] [-waveform]
 //	         [-chaos PRESET|SPEC] [-failures K] [-chaos-seed N]
-//	         [-incremental] [-trigger-delta D] [-trigger-stale K]
+//	         [-trigger-delta D] [-trigger-stale K]
 //	         [-churn] [-arrival-rate L] [-fleet M]
 package main
 
@@ -45,9 +45,8 @@ func main() {
 	useUDP := flag.Bool("udp", true, "carry the control plane over UDP loopback sockets")
 	waveform := flag.Bool("waveform", false, "run the sample-level PHY data phase (slow)")
 	async := flag.Bool("async", false, "run every node as its own goroutine with timeouts (event-driven, like the distributed prototype)")
-	incremental := flag.Bool("incremental", false, "enable event-driven re-allocation: skip the solve when no reported gain moved more than -trigger-delta since the last plan")
-	triggerDelta := flag.Float64("trigger-delta", 0.05, "relative per-receiver gain change that triggers a re-solve (with -incremental)")
-	triggerStale := flag.Int("trigger-stale", 16, "max consecutive trigger-skipped rounds before a forced full re-solve (0 = no bound, with -incremental)")
+	triggerDelta := flag.Float64("trigger-delta", 0, "event-driven re-allocation: skip the solve when no reported gain moved more than this fraction of its receiver's peak since the last plan (0 = re-solve every round)")
+	triggerStale := flag.Int("trigger-stale", 16, "max consecutive trigger-skipped rounds before a forced full re-solve (0 = no bound)")
 	churn := flag.Bool("churn", false, "drive the receiver fleet with a churn workload: Poisson arrivals, exponential dwell, waypoint mobility and per-user traffic instead of the fixed 4-receiver fleet")
 	arrivalRate := flag.Float64("arrival-rate", 0.5, "user arrivals per second (with -churn)")
 	fleet := flag.Int("fleet", 8, "receiver tenancy slots (with -churn)")
@@ -105,6 +104,9 @@ func main() {
 	}
 
 	policy := alloc.Heuristic{Kappa: *kappa, AllowPartial: true}
+	if err := policy.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	var network transport.Network
 	if *useUDP {
 		udp, err := transport.NewUDPNetwork()
@@ -125,10 +127,7 @@ func main() {
 			setup.Grid.N(), numRX, *budget, policy.Name())
 	}
 
-	var trigger mac.Trigger
-	if *incremental {
-		trigger = mac.Trigger{RelDelta: *triggerDelta, MaxStaleEpochs: *triggerStale}
-	}
+	trigger := mac.Trigger{RelDelta: *triggerDelta, MaxStaleEpochs: *triggerStale}
 
 	if *async {
 		cfg := node.Config{

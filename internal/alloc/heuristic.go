@@ -113,13 +113,22 @@ func newScoreRows(n, m int) [][]float64 {
 	return rows
 }
 
+// Validate reports whether the policy is usable: the SJR exponent κ must be
+// finite. Runtimes call it at bring-up, before anything starts.
+func (h Heuristic) Validate() error {
+	if math.IsNaN(h.Kappa) || math.IsInf(h.Kappa, 0) {
+		return fmt.Errorf("alloc: SJR exponent κ=%v is not finite", h.Kappa)
+	}
+	return nil
+}
+
 // Allocate implements Policy.
 func (h Heuristic) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
 	if err := checkRequest(env, budget); err != nil {
 		return nil, err
 	}
-	if math.IsNaN(h.Kappa) || math.IsInf(h.Kappa, 0) {
-		return nil, fmt.Errorf("alloc: SJR exponent κ=%v is not finite", h.Kappa)
+	if err := h.Validate(); err != nil {
+		return nil, err
 	}
 	return SwingsFromAssignments(env, h.Rank(env), budget, h.AllowPartial), nil
 }

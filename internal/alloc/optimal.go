@@ -34,18 +34,19 @@ import (
 // selected deterministically — highest objective, ties broken toward the
 // lowest seed index — so the allocation is identical at every worker count.
 type Optimal struct {
-	// Starts is the number of interior multistart points (default 4).
-	Starts int
-	// MaxIterations bounds each gradient run (default 1500).
-	MaxIterations int
-	// KappaGrid lists the κ values whose discretised rankings seed the
-	// candidate pool. Nil selects {1.0, 1.1, 1.2, 1.3, 1.4, 1.5}.
-	KappaGrid []float64
 	// Workers bounds the goroutines the interior multistarts run on
 	// (0 selects runtime.GOMAXPROCS(0), 1 forces a serial solve). The
 	// returned allocation is the same for every value.
 	Workers int
 }
+
+// optimalStarts is the number of interior multistart points, and
+// optimalMaxIterations bounds each projected-gradient run.
+const optimalStarts, optimalMaxIterations = 4, 1500
+
+// optimalKappaGrid lists the κ values whose discretised rankings seed the
+// candidate pool.
+var optimalKappaGrid = [...]float64{1.0, 1.1, 1.2, 1.3, 1.4, 1.5}
 
 // Name implements Policy.
 func (Optimal) Name() string { return "optimal" }
@@ -84,7 +85,7 @@ func (o Optimal) allocate(env *Env, budget units.Watts, warm channel.Swings) (ch
 	}
 
 	// Discretised ranking candidates (Insight 2 structure).
-	for _, kappa := range o.kappaGrid() {
+	for _, kappa := range optimalKappaGrid {
 		h := Heuristic{Kappa: kappa, AllowPartial: true}
 		s, err := h.Allocate(env, budget)
 		if err != nil {
@@ -96,8 +97,8 @@ func (o Optimal) allocate(env *Env, budget units.Watts, warm channel.Swings) (ch
 	// Interior multistarts refined by projected gradient, plus — when warm-
 	// starting — the previous incumbent nudged into the interior so the
 	// gradient can still reactivate its zeroed swings.
-	opts := optimize.Options{MaxIterations: o.maxIter(), InitialStep: 0.05}
-	seeds := prob.seeds(o.starts())
+	opts := optimize.Options{MaxIterations: optimalMaxIterations, InitialStep: 0.05}
+	seeds := prob.seeds(optimalStarts)
 	if warm != nil {
 		// The incumbent's basin stands in for the exploratory starts it made
 		// redundant: keep the first half of the interior seeds (rounded up)
@@ -157,27 +158,6 @@ func interiorize(x []float64) []float64 {
 		}
 	}
 	return out
-}
-
-func (o Optimal) starts() int {
-	if o.Starts <= 0 {
-		return 4
-	}
-	return o.Starts
-}
-
-func (o Optimal) maxIter() int {
-	if o.MaxIterations <= 0 {
-		return 1500
-	}
-	return o.MaxIterations
-}
-
-func (o Optimal) kappaGrid() []float64 {
-	if len(o.KappaGrid) > 0 {
-		return o.KappaGrid
-	}
-	return []float64{1.0, 1.1, 1.2, 1.3, 1.4, 1.5}
 }
 
 // problem adapts Eq. (5)–(7) to the optimize package, with the swing matrix

@@ -75,15 +75,13 @@ func BenchmarkProblemProject(b *testing.B) {
 	}
 }
 
-// The sweep pair keeps the default four multistarts — warm points trade two
-// exploratory seeds for the previous incumbent's basin, so the saving only
-// shows at production start counts — but trims iterations and the κ grid to
-// keep the benchmark quick.
+// The sweep pair runs the production solver: warm points trade two of its
+// four exploratory seeds for the previous incumbent's basin.
 
 func BenchmarkSweepOptimalWarmStart(b *testing.B) {
 	env := testEnv(fig7RX())
 	budgets := BudgetGrid(1.5, 3)
-	o := Optimal{Starts: 4, MaxIterations: 300, KappaGrid: []float64{1.0, 1.3}, Workers: 1}
+	o := Optimal{Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SweepWarmStart(context.Background(), env, o, budgets, 1); err != nil {
@@ -95,7 +93,7 @@ func BenchmarkSweepOptimalWarmStart(b *testing.B) {
 func BenchmarkSweepOptimalColdStart(b *testing.B) {
 	env := testEnv(fig7RX())
 	budgets := BudgetGrid(1.5, 3)
-	o := Optimal{Starts: 4, MaxIterations: 300, KappaGrid: []float64{1.0, 1.3}, Workers: 1}
+	o := Optimal{Workers: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SweepParallel(context.Background(), env, o, budgets, 1); err != nil {

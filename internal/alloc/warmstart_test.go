@@ -11,12 +11,6 @@ import (
 	"densevlc/internal/units"
 )
 
-// fastOptimal keeps the warm-start tests quick: fewer multistarts and a
-// lower iteration cap than production defaults, same code paths.
-func fastOptimal() Optimal {
-	return Optimal{Starts: 2, MaxIterations: 300, KappaGrid: []float64{1.0, 1.3}}
-}
-
 func TestOptimalImplementsWarmStarter(t *testing.T) {
 	var p Policy = Optimal{}
 	if _, ok := p.(WarmStarter); !ok {
@@ -30,7 +24,7 @@ func TestOptimalImplementsWarmStarter(t *testing.T) {
 
 func TestAllocateWarmNilPrevEqualsAllocate(t *testing.T) {
 	env := testEnv(fig7RX())
-	o := fastOptimal()
+	o := Optimal{}
 	cold, err := o.Allocate(env, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +40,7 @@ func TestAllocateWarmNilPrevEqualsAllocate(t *testing.T) {
 
 func TestAllocateWarmStaysFeasibleAndNoWorse(t *testing.T) {
 	env := testEnv(fig7RX())
-	o := fastOptimal()
+	o := Optimal{}
 	budgets := []units.Watts{0.5, 1.0, 1.5}
 	var prev channel.Swings
 	for _, b := range budgets {
@@ -121,7 +115,7 @@ func TestSweepWarmStartDeterministicAcrossWorkers(t *testing.T) {
 	budgets := BudgetGrid(1.5, 3)
 	var runs [][]SweepPoint
 	for _, workers := range []int{1, 4} {
-		pts, err := SweepWarmStart(context.Background(), env, fastOptimal(), budgets, workers)
+		pts, err := SweepWarmStart(context.Background(), env, Optimal{}, budgets, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -138,7 +132,7 @@ func TestSweepWarmStartRespectsConstraintsPerPoint(t *testing.T) {
 	}
 	env := testEnv(fig7RX())
 	budgets := BudgetGrid(2.0, 4)
-	pts, err := SweepWarmStart(context.Background(), env, fastOptimal(), budgets, 2)
+	pts, err := SweepWarmStart(context.Background(), env, Optimal{}, budgets, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +154,7 @@ func TestSweepWarmStartCancellation(t *testing.T) {
 	env := testEnv(fig7RX())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SweepWarmStart(ctx, env, fastOptimal(), BudgetGrid(3.0, 8), 2)
+	_, err := SweepWarmStart(ctx, env, Optimal{}, BudgetGrid(3.0, 8), 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
 	}
@@ -171,7 +165,7 @@ func TestSweepWarmStartErrorKeepsBudgetContext(t *testing.T) {
 	// A negative budget inside the grid makes the optimal solver fail at
 	// that point; the error must carry the policy name and point position.
 	budgets := []units.Watts{0.5, -1.0, 1.5}
-	_, err := SweepWarmStart(context.Background(), env, fastOptimal(), budgets, 1)
+	_, err := SweepWarmStart(context.Background(), env, Optimal{}, budgets, 1)
 	if err == nil {
 		t.Fatal("expected error for negative budget")
 	}

@@ -21,7 +21,10 @@ type Clustering struct {
 	Clusters []Cluster
 	// TXOf[tx] is the cluster owning tx, or -1 (illumination only).
 	TXOf []int
-	// RXOf[rx] is the cluster serving rx; every RX belongs to exactly one.
+	// RXOf[rx] is the cluster rx belongs to; every RX belongs to exactly
+	// one. A receiver no transmitter serves — an all-zero gain column, or
+	// under MergeNone one whose serving set went to louder receivers — is
+	// in a cluster with no TXs, which receives no budget.
 	RXOf []int
 
 	// Reusable scratch, so steady-state re-formation allocates nothing once

@@ -22,11 +22,11 @@ const DefaultBoundaryTolerance = 0.25
 //
 // Feasibility is compositional: clusters own disjoint transmitters, so the
 // per-TX swing bound (6) holds cluster-locally, and the budget is split
-// across clusters in proportion to their receiver count, so the total power
-// constraint (7) holds globally. When formation yields a single all-covering
-// cluster the solve degenerates to the global one — identity index maps, the
-// full budget, the same policy — and reproduces it bit for bit (pinned by
-// the equivalence suite).
+// across the clusters that own transmitters in proportion to their receiver
+// count, so the total power constraint (7) holds globally. When formation
+// yields a single all-covering cluster the solve degenerates to the global
+// one — identity index maps, the full budget, the same policy — and
+// reproduces it bit for bit (pinned by the equivalence suite).
 //
 // Allocate is stateless and deterministic for every Workers value. Callers
 // on a steady re-allocation path should hold a Workspace instead, which
@@ -204,22 +204,34 @@ func (w *Workspace) solveCluster(c int) error {
 	return nil
 }
 
-// splitBudget divides the budget across clusters in proportion to their
-// receiver counts. A single cluster gets the budget verbatim — no float
-// round trip — so the all-covering formation stays bit-identical to the
-// global solve.
+// splitBudget divides the budget across the clusters that own transmitters,
+// in proportion to their receiver counts. A TX-less cluster — receivers no
+// transmitter hears, such as a vacant churn slot — gets nothing, since no
+// policy can spend power on it. A lone TX-owning cluster gets the budget
+// verbatim — no float round trip — so the all-covering formation stays
+// bit-identical to the global solve.
 func (w *Workspace) splitBudget(budget units.Watts) []units.Watts {
 	k := w.clus.K()
 	if cap(w.shares) < k {
 		w.shares = make([]units.Watts, k)
 	}
 	shares := w.shares[:k]
-	if k == 1 {
-		shares[0] = budget
-		return shares
+	served, owners := 0, 0
+	for _, cl := range w.clus.Clusters {
+		if len(cl.TXs) > 0 {
+			served += len(cl.RXs)
+			owners++
+		}
 	}
 	for c, cl := range w.clus.Clusters {
-		shares[c] = units.Watts(budget.W() * float64(len(cl.RXs)) / float64(w.m))
+		switch {
+		case len(cl.TXs) == 0:
+			shares[c] = 0
+		case owners == 1:
+			shares[c] = budget
+		default:
+			shares[c] = units.Watts(budget.W() * float64(len(cl.RXs)) / float64(served))
+		}
 	}
 	return shares
 }

@@ -8,12 +8,14 @@
 // one global allocation.
 //
 // The contract that makes the sharded path trustworthy is equivalence: a
-// formation that yields one all-covering cluster reproduces the global solve
-// bit for bit (identity slicing, full budget, same policy), and any tighter
-// formation keeps the stitched allocation feasible — per-TX swing bounds and
-// the total power budget hold by construction because clusters own disjoint
-// transmitter sets and split the budget. The equivalence property suite in
-// this package pins both halves.
+// formation in which one cluster owns every transmitter in play reproduces
+// the global solve bit for bit (identity slicing, full budget, same policy)
+// — receivers no transmitter hears form TX-less clusters beside it that take
+// no share of the budget — and any tighter formation keeps the stitched
+// allocation feasible: per-TX swing bounds and the total power budget hold
+// by construction because clusters own disjoint transmitter sets and split
+// the budget over the receivers they can serve. The equivalence property
+// suite in this package pins both halves.
 package cluster
 
 import (

@@ -40,11 +40,10 @@ type Controller struct {
 	seq     uint16
 	current Plan
 
-	// Event-driven trigger state: the gain snapshot the current plan was
-	// solved from (per-column basis for the delta check), the per-RX dirty
-	// scratch, the dirty set the in-flight solve filters clusters with, and
-	// the count of consecutive trigger-skipped epochs.
-	solved      [][]float64
+	// Event-driven trigger state: the per-RX dirty scratch, the dirty set
+	// the in-flight solve filters clusters with, and the count of
+	// consecutive trigger-skipped epochs. The basis of the delta check is
+	// env.H, the matrix the current plan was solved from.
 	rxDirty     []bool
 	epochDirty  []bool
 	staleEpochs int
@@ -55,11 +54,14 @@ type Controller struct {
 	txState      []LinkState // current classification
 
 	// Sharded re-allocation (EnableSharding): the cooperation-cluster
-	// workspace and a persistent environment whose channel matrix is
-	// refreshed in place, so the steady-state epoch loop allocates nothing
-	// on the solve path.
+	// workspace.
 	shard *cluster.Workspace
-	env   alloc.Env
+	// env is the persistent input of every solve. Its channel matrix is
+	// refreshed in place, so the steady-state epoch loop allocates nothing
+	// on the solve path, and between epochs it holds the gains the current
+	// plan was solved from. It is nil before the first solve and after a
+	// failed one.
+	env alloc.Env
 }
 
 // LinkState classifies the controller's view of one transmitter's link.
@@ -137,10 +139,11 @@ func NewController(n, m int, policy alloc.Policy, budget units.Watts, params cha
 // positive RelDelta, an epoch's fresh reports only force a re-solve when
 // some receiver's gain column moved by more than RelDelta (relative to the
 // column's peak gain at the last solve); quieter epochs return the cached
-// plan after an O(N·fresh) dirty check. MaxStaleEpochs bounds how many
-// consecutive epochs the trigger may skip before a full re-solve is forced
-// regardless of deltas (0 = unbounded). Health transitions always force a
-// full re-solve.
+// plan after an O(N·fresh) dirty check. The basis of that check is the
+// channel matrix the last successful solve read. MaxStaleEpochs bounds how
+// many consecutive epochs the trigger may skip before a full re-solve is
+// forced regardless of deltas (0 = unbounded). Health transitions and a
+// failed solve always force a full re-solve.
 type Trigger struct {
 	// RelDelta is the relative per-column gain change above which a
 	// receiver is dirty. Zero disables the trigger; sim.Drive refuses a
@@ -196,11 +199,12 @@ func (c *Controller) HaveFreshReports() bool {
 // refreshEnv updates the controller's persistent environment in place —
 // allocation-free once the matrix exists — and returns it. A non-nil
 // rxDirty restricts the copy to the dirty receivers' columns; the clean
-// columns keep the basis of the last solve, which is exactly what the
-// cached per-cluster sub-plans were computed from. Rows of transmitters the
-// health tracker has declared dead are zeroed, so a stale (pre-failure)
-// report can never earn a dead transmitter swing. Callers must not retain
-// the environment across epochs.
+// columns keep the gains of the last solve, which is exactly what the
+// cached per-cluster sub-plans were computed from and what the trigger
+// measures deltas against. Rows of transmitters the health tracker has
+// declared dead are zeroed, so a stale (pre-failure) report can never earn
+// a dead transmitter swing. Callers must not retain the environment across
+// epochs.
 func (c *Controller) refreshEnv(rxDirty []bool) *alloc.Env {
 	if c.env.H == nil || c.env.H.N != c.N || c.env.H.M != c.M {
 		c.env.H = channel.NewMatrix(c.N, c.M)
@@ -383,10 +387,11 @@ func (c *Controller) ReallocateContext(ctx context.Context) (Plan, error) {
 
 	// Event-driven trigger: measure each fresh receiver's gain column
 	// against the basis of the last solve and keep the cached plan when
-	// every delta is below the threshold. Health transitions and the
-	// staleness bound force the full path.
+	// every delta is below the threshold. Health transitions, the staleness
+	// bound and a missing basis (no successful solve yet, or a failed last
+	// one) force the full path.
 	var rxDirty []bool
-	if c.Trigger.enabled() && c.current.Swings != nil && !healthChanged && c.solved != nil {
+	if c.Trigger.enabled() && !healthChanged && c.env.H != nil {
 		rxDirty = c.refreshRXDirty()
 		anyDirty := false
 		for _, d := range rxDirty {
@@ -417,10 +422,11 @@ func (c *Controller) ReallocateContext(ctx context.Context) (Plan, error) {
 	}
 	c.epochDirty = nil
 	if err != nil {
+		// refreshEnv already wrote this epoch's gains, so the matrix no
+		// longer holds the basis of the current plan: drop it, and the next
+		// decision takes the full path.
+		c.env.H = nil
 		return Plan{}, err
-	}
-	if c.Trigger.enabled() {
-		c.snapshotSolved(rxDirty)
 	}
 	c.staleEpochs = 0
 	return c.adopt(swings), nil
@@ -462,12 +468,13 @@ func (c *Controller) adopt(swings channel.Swings) Plan {
 
 // refreshRXDirty recomputes the per-receiver dirty flags: a fresh receiver
 // is dirty when some transmitter's gain to it moved by more than
-// Trigger.RelDelta of its column's peak at the last solve basis (an
-// all-zero basis column treats any positive gain as dirty). Receivers
-// without a fresh report cannot have changed and stay clean.
+// Trigger.RelDelta of its column's peak in env.H, the basis of the last
+// solve (an all-zero basis column treats any positive gain as dirty).
+// Receivers without a fresh report cannot have changed and stay clean.
 //
 //lint:hotpath
 func (c *Controller) refreshRXDirty() []bool {
+	basis := c.env.H.H
 	for i := 0; i < c.M; i++ {
 		c.rxDirty[i] = false
 		if !c.fresh[i] {
@@ -475,7 +482,7 @@ func (c *Controller) refreshRXDirty() []bool {
 		}
 		peak, maxDelta := 0.0, 0.0
 		for j := 0; j < c.N; j++ {
-			base := c.solved[j][i]
+			base := basis[j][i]
 			if base > peak {
 				peak = base
 			}
@@ -490,33 +497,6 @@ func (c *Controller) refreshRXDirty() []bool {
 		c.rxDirty[i] = maxDelta > c.Trigger.RelDelta*peak
 	}
 	return c.rxDirty
-}
-
-// snapshotSolved records the solve basis for the next delta check: the
-// columns that entered this solve (all of them when rxDirty is nil). Clean
-// columns keep their previous basis — the environment still holds their old
-// gains, so deltas keep accumulating against what was actually solved.
-func (c *Controller) snapshotSolved(rxDirty []bool) {
-	if c.solved == nil {
-		c.solved = make([][]float64, c.N)
-		buf := make([]float64, c.N*c.M)
-		for j := range c.solved {
-			c.solved[j], buf = buf[:c.M], buf[c.M:]
-		}
-		rxDirty = nil
-	}
-	for j := 0; j < c.N; j++ {
-		if rxDirty == nil {
-			copy(c.solved[j], c.env.H.H[j])
-			continue
-		}
-		row := c.env.H.H[j]
-		for i, d := range rxDirty {
-			if d {
-				c.solved[j][i] = row[i]
-			}
-		}
-	}
 }
 
 // Plan returns the current plan.

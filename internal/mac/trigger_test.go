@@ -1,9 +1,11 @@
 package mac
 
 import (
+	"errors"
 	"testing"
 
 	"densevlc/internal/alloc"
+	"densevlc/internal/channel"
 	"densevlc/internal/cluster"
 	"densevlc/internal/geom"
 	"densevlc/internal/scenario"
@@ -168,6 +170,77 @@ func TestTriggerAccumulatesDrift(t *testing.T) {
 	}
 	if calls := probe.take(); calls != 1 {
 		t.Errorf("6%% cumulative drift solved %d times, want 1", calls)
+	}
+}
+
+// failingPolicy fails its Allocate calls while fail is set and records the
+// channel matrix of the last call it passed to the inner policy.
+type failingPolicy struct {
+	inner alloc.Policy
+	fail  bool
+	seen  *channel.Matrix
+}
+
+func (p *failingPolicy) Name() string { return p.inner.Name() }
+
+func (p *failingPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
+	if p.fail {
+		return nil, errors.New("injected solver failure")
+	}
+	p.seen = env.H.Clone()
+	return p.inner.Allocate(env, budget)
+}
+
+// TestTriggerFailedSolveForcesFullPath: a failed solve leaves no basis, so
+// the next decision re-solves every column from the latest reports, as the
+// first one does. Without that rule the failed epoch's partial refresh would
+// become the basis, and the next epoch would solve its sub-threshold columns
+// from the gains of two epochs ago.
+func TestTriggerFailedSolveForcesFullPath(t *testing.T) {
+	set := scenario.Default()
+	env := set.Env(scenario.Fig7Instance(), nil)
+	probe := &failingPolicy{inner: alloc.Heuristic{AllowPartial: true}}
+	ctrl := NewController(env.H.N, env.H.M, probe, 1.19, set.Params, set.LED)
+	ctrl.Trigger = Trigger{RelDelta: 0.05}
+
+	feedReports(t, ctrl, env.H.H, nil)
+	if _, err := ctrl.Reallocate(); err != nil {
+		t.Fatal(err)
+	}
+
+	// RX 0 moves 20% (dirty), the others 1% (clean); the solve fails.
+	moved := make([][]float64, len(env.H.H))
+	for j, row := range env.H.H {
+		moved[j] = make([]float64, len(row))
+		for i, g := range row {
+			moved[j][i] = g * 1.01
+			if i == 0 {
+				moved[j][i] = g * 1.2
+			}
+		}
+	}
+	feedReports(t, ctrl, moved, nil)
+	probe.fail = true
+	if _, err := ctrl.Reallocate(); err == nil {
+		t.Fatal("injected failure did not surface")
+	}
+
+	// The same reports again: the solve must see every column as reported.
+	probe.fail = false
+	probe.seen = nil
+	feedReports(t, ctrl, moved, nil)
+	if _, err := ctrl.Reallocate(); err != nil {
+		t.Fatal(err)
+	}
+	if probe.seen == nil {
+		t.Fatal("epoch after a failed solve kept the cached plan; a solve was due")
+	}
+	for j := range ctrl.gains {
+		for i, g := range ctrl.gains[j] {
+			if probe.seen.H[j][i] != g {
+				t.Fatalf("solve after a failure read gain (%d,%d) = %v, reported %v", j, i, probe.seen.H[j][i], g)
+			}
+		}
 	}
 }
 

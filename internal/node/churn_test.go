@@ -22,7 +22,6 @@ func churnSpec() *workload.Spec {
 	sp.ArrivalRate = 2 // population builds within the first rounds
 	sp.MeanDwell = 10
 	sp.Fleet = 4
-	sp.PeakFrames = 4
 	return &sp
 }
 

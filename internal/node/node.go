@@ -226,7 +226,7 @@ func (a *async) Data(ep *sim.Epoch) error {
 		if a.p.Engine != nil {
 			// A user's own traffic model, capped by FramesPerRX (zero: no
 			// cap). Idle and free slots demand nothing.
-			want = a.p.Engine.Demand(rx, ep.Time)
+			want = a.p.Engine.Demand(rx)
 			if a.cfg.FramesPerRX > 0 && want > a.cfg.FramesPerRX {
 				want = a.cfg.FramesPerRX
 			}

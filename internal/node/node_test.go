@@ -238,11 +238,26 @@ func TestAsyncRunErrors(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	// A non-finite κ is refused by the policy on the first solve.
+	// A non-finite κ is refused at bring-up, before any node starts.
+	net := &countingNetwork{Network: transport.NewMemNetwork()}
 	if _, err := RunContext(context.Background(), Config{Setup: scenario.Default(), Trajectories: traj, Rounds: 1,
-		Policy: alloc.Heuristic{Kappa: nan, AllowPartial: true}, Budget: 1}); err == nil {
+		Policy: alloc.Heuristic{Kappa: nan, AllowPartial: true}, Budget: 1, Network: net}); err == nil {
 		t.Error("NaN κ accepted")
 	}
+	if net.nodes != 0 {
+		t.Errorf("NaN κ refused after %d nodes were started, want 0", net.nodes)
+	}
+}
+
+// countingNetwork counts the node links a run asks for.
+type countingNetwork struct {
+	transport.Network
+	nodes int
+}
+
+func (n *countingNetwork) NewNode() (transport.NodeLink, error) {
+	n.nodes++
+	return n.Network.NewNode()
 }
 
 // scenario3Hub is a noise-free hub over the paper room with the receivers

@@ -49,7 +49,8 @@ type Config struct {
 	Trajectories []mobility.Trajectory
 	// Policy and Budget configure the controller's decision logic. A nil
 	// Policy selects the κ = 1.3 heuristic with partial allocation, the
-	// node runtime's default too.
+	// node runtime's default too. A policy with a Validate() error method
+	// is checked at bring-up.
 	Policy alloc.Policy
 	Budget units.Watts
 	// Sync selects how beamspot transmitters are synchronised in the
@@ -105,6 +106,11 @@ func (c *Config) withDefaults() error {
 	}
 	if c.Policy == nil {
 		c.Policy = alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
+	}
+	if v, ok := c.Policy.(interface{ Validate() error }); ok {
+		if err := v.Validate(); err != nil {
+			return err
+		}
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 10

@@ -189,7 +189,7 @@ func (e *Engine) Step(t, dt units.Seconds) StepStats {
 
 	for _, u := range e.slots {
 		if u != nil {
-			u.traffic.step(&e.spec)
+			u.traffic.step()
 		}
 	}
 
@@ -207,7 +207,7 @@ func (e *Engine) Step(t, dt units.Seconds) StepStats {
 			departAt: t + units.Seconds(-e.spec.MeanDwell.S()*math.Log(1-e.rng.Float64())),
 			traj: mobility.NewRandomWaypoint(stats.SplitRand(e.rng),
 				e.xMin, e.yMin, e.xMax, e.yMax, 0, e.spec.Speed),
-			traffic: newTraffic(&e.spec, stats.SplitRand(e.rng)),
+			traffic: newTraffic(stats.SplitRand(e.rng)),
 		}
 		e.nextID++
 		e.slots[slot] = u
@@ -217,7 +217,7 @@ func (e *Engine) Step(t, dt units.Seconds) StepStats {
 
 	st.Population = e.Population()
 	for i := range e.slots {
-		st.FramesDemanded += e.Demand(i, t)
+		st.FramesDemanded += e.Demand(i)
 	}
 	e.epoch++
 	return st
@@ -244,11 +244,11 @@ func (e *Engine) Position(i int, t units.Seconds) geom.Vec {
 	return e.parked[i]
 }
 
-// Demand returns slot i's frame demand for the epoch at time t (zero for
+// Demand returns slot i's frame demand for the current epoch (zero for
 // free slots and idle users).
-func (e *Engine) Demand(i int, t units.Seconds) int {
+func (e *Engine) Demand(i int) int {
 	if u := e.slots[i]; u != nil {
-		return u.traffic.frames(&e.spec, t)
+		return u.traffic.frames()
 	}
 	return 0
 }

@@ -1,7 +1,7 @@
 // Package workload is DenseVLC's service-grade population engine: it grows
 // the paper's handful of fixed receivers into a churning user population —
 // Poisson arrivals, exponentially distributed dwell times, fleets of
-// waypoint-mobile users, per-user bursty/diurnal traffic — and tracks the
+// waypoint-mobile users, per-user bursty traffic — and tracks the
 // beamspot handovers the controller performs as users cross the floor.
 //
 // The engine is built around a fixed fleet of receiver slots. The paper's
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"densevlc/internal/units"
 )
@@ -42,16 +41,6 @@ type Spec struct {
 	Fleet int
 	// Speed is the random-waypoint speed of every user.
 	Speed units.MetersPerSecond
-	// POn is the per-epoch probability that an idle user starts a burst;
-	// POff the probability that a bursting user goes idle (a two-state
-	// Markov traffic source).
-	POn, POff float64
-	// PeakFrames is the frames per epoch a bursting user demands at the
-	// diurnal peak.
-	PeakFrames int
-	// DiurnalPeriod, when positive, modulates burst demand with a sinusoidal
-	// day/night envelope of this period. Zero keeps demand flat.
-	DiurnalPeriod units.Seconds
 	// MinWattsPerUser is the admission controller's capacity gate: an
 	// arrival is rejected when admitting it would leave the population less
 	// than this share of the communication power budget each. Zero disables
@@ -60,16 +49,14 @@ type Spec struct {
 }
 
 // DefaultSpec is the reference workload: a fleet of 8 slots at the paper's
-// gantry speed, moderate churn, bursty flat-rate traffic, no capacity gate.
+// gantry speed, moderate churn, no capacity gate. Every user's traffic is
+// the same bursty source (see traffic).
 func DefaultSpec() Spec {
 	return Spec{
 		ArrivalRate: 0.5,
 		MeanDwell:   20,
 		Fleet:       8,
 		Speed:       0.25,
-		POn:         0.35,
-		POff:        0.25,
-		PeakFrames:  8,
 	}
 }
 
@@ -83,9 +70,6 @@ func (sp Spec) Validate() error {
 		{"rate", sp.ArrivalRate},
 		{"dwell", sp.MeanDwell.S()},
 		{"speed", sp.Speed.MPerS()},
-		{"on", sp.POn},
-		{"off", sp.POff},
-		{"diurnal", sp.DiurnalPeriod.S()},
 		{"minwatts", sp.MinWattsPerUser.W()},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -101,80 +85,13 @@ func (sp Spec) Validate() error {
 	if sp.MeanDwell <= 0 {
 		return errors.New("workload: dwell must be positive")
 	}
-	if sp.POn > 1 || sp.POff > 1 {
-		return fmt.Errorf("workload: on %g / off %g must be probabilities in [0, 1]", sp.POn, sp.POff)
-	}
-	if sp.PeakFrames < 0 {
-		return fmt.Errorf("workload: frames %d must not be negative", sp.PeakFrames)
-	}
 	return nil
 }
 
-// String renders the spec in the grammar Parse accepts — semicolon-joined
-// key:value pairs in canonical order. The output is normalised:
-// Parse(sp.String()) returns sp exactly, and String is a fixed point on
-// parsed specs.
+// String renders the spec as semicolon-joined key:value pairs in a fixed
+// order, for logs and the CLI's deployment line.
 func (sp Spec) String() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return fmt.Sprintf("rate:%s;dwell:%s;fleet:%d;speed:%s;on:%s;off:%s;frames:%d;diurnal:%s;minwatts:%s",
-		g(sp.ArrivalRate), g(sp.MeanDwell.S()), sp.Fleet, g(sp.Speed.MPerS()),
-		g(sp.POn), g(sp.POff), sp.PeakFrames, g(sp.DiurnalPeriod.S()), g(sp.MinWattsPerUser.W()))
-}
-
-// Parse builds a Spec from its textual form: semicolon-separated key:value
-// pairs ("rate:1;fleet:16;dwell:30"), starting from DefaultSpec so any
-// subset of keys may be given. Whitespace around keys and values is
-// ignored; empty pairs are skipped. The result is validated.
-func Parse(s string) (Spec, error) {
-	sp := DefaultSpec()
-	for _, pair := range strings.Split(s, ";") {
-		pair = strings.TrimSpace(pair)
-		if pair == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(pair, ":")
-		if !ok {
-			return Spec{}, fmt.Errorf("workload: %q is not a key:value pair", pair)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "fleet", "frames":
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return Spec{}, fmt.Errorf("workload: %s: %v", key, err)
-			}
-			if key == "fleet" {
-				sp.Fleet = n
-			} else {
-				sp.PeakFrames = n
-			}
-		case "rate", "dwell", "speed", "on", "off", "diurnal", "minwatts":
-			v, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return Spec{}, fmt.Errorf("workload: %s: %v", key, err)
-			}
-			switch key {
-			case "rate":
-				sp.ArrivalRate = v
-			case "dwell":
-				sp.MeanDwell = units.Seconds(v)
-			case "speed":
-				sp.Speed = units.MetersPerSecond(v)
-			case "on":
-				sp.POn = v
-			case "off":
-				sp.POff = v
-			case "diurnal":
-				sp.DiurnalPeriod = units.Seconds(v)
-			case "minwatts":
-				sp.MinWattsPerUser = units.Watts(v)
-			}
-		default:
-			return Spec{}, fmt.Errorf("workload: unknown key %q", key)
-		}
-	}
-	if err := sp.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return sp, nil
+	return fmt.Sprintf("rate:%s;dwell:%s;fleet:%d;speed:%s;minwatts:%s",
+		g(sp.ArrivalRate), g(sp.MeanDwell.S()), sp.Fleet, g(sp.Speed.MPerS()), g(sp.MinWattsPerUser.W()))
 }

@@ -6,56 +6,11 @@ import (
 	"testing"
 )
 
-func TestSpecParseStringRoundTrip(t *testing.T) {
-	cases := []string{
-		"",
-		"rate:1",
-		"rate:2;dwell:30;fleet:16;speed:0.5",
-		"on:0.5;off:0.5;frames:12;diurnal:600;minwatts:0.1",
-		" rate : 0.25 ; fleet : 4 ",
-		"rate:0", // no arrivals is a valid (static) workload
-	}
-	for _, in := range cases {
-		sp, err := Parse(in)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", in, err)
-		}
-		again, err := Parse(sp.String())
-		if err != nil {
-			t.Fatalf("Parse(String(%q)) = %q: %v", in, sp.String(), err)
-		}
-		if again != sp {
-			t.Errorf("%q: round trip %+v != %+v", in, again, sp)
-		}
-		if again.String() != sp.String() {
-			t.Errorf("%q: String not a fixed point: %q vs %q", in, again.String(), sp.String())
-		}
-	}
-}
-
-func TestSpecParseRejects(t *testing.T) {
-	cases := []string{
-		"bogus:1",         // unknown key
-		"rate",            // not a pair
-		"rate:x",          // not a number
-		"fleet:0",         // fleet below 1
-		"fleet:1.5",       // fleet must be an integer
-		"rate:-1",         // negative intensity
-		"rate:NaN",        // non-finite
-		"rate:+Inf",       // non-finite
-		"dwell:0",         // dwell must be positive
-		"on:1.5",          // not a probability
-		"off:-0.1",        // not a probability
-		"frames:-1",       // negative demand
-		"minwatts:-2",     // negative gate
-		"speed:Inf",       // non-finite
-		"diurnal:-5",      // negative period
-		"rate:1;;fleet:x", // error after a skipped empty pair
-	}
-	for _, in := range cases {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", in)
-		}
+func TestSpecString(t *testing.T) {
+	sp := DefaultSpec()
+	sp.MinWattsPerUser = 0.1
+	if got, want := sp.String(), "rate:0.5;dwell:20;fleet:8;speed:0.25;minwatts:0.1"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 

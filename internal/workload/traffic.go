@@ -1,15 +1,18 @@
 package workload
 
-import (
-	"math"
-	"math/rand"
+import "math/rand"
 
-	"densevlc/internal/units"
+// The traffic source every user runs: each epoch an idle user starts a burst
+// with probability burstPOn and a bursting user goes idle with probability
+// burstPOff; a bursting user demands peakFrames frames per epoch.
+const (
+	burstPOn   = 0.35
+	burstPOff  = 0.25
+	peakFrames = 8
 )
 
 // traffic is one user's bursty source: a two-state Markov chain (idle ↔
-// bursting) stepped once per epoch, with an optional sinusoidal diurnal
-// envelope scaling the burst demand. Single-goroutine, like the engine that
+// bursting) stepped once per epoch. Single-goroutine, like the engine that
 // owns it.
 type traffic struct {
 	rng *rand.Rand
@@ -17,37 +20,28 @@ type traffic struct {
 }
 
 // newTraffic starts a source in the chain's stationary draw, so a freshly
-// admitted user is bursting with probability POn/(POn+POff) rather than
-// always arriving idle.
-func newTraffic(sp *Spec, rng *rand.Rand) *traffic {
-	tr := &traffic{rng: rng}
-	if p := sp.POn + sp.POff; p > 0 {
-		tr.on = rng.Float64() < sp.POn/p
-	}
-	return tr
+// admitted user is bursting with probability burstPOn/(burstPOn+burstPOff)
+// rather than always arriving idle.
+func newTraffic(rng *rand.Rand) *traffic {
+	return &traffic{rng: rng, on: rng.Float64() < burstPOn/(burstPOn+burstPOff)}
 }
 
 // step advances the on/off chain by one epoch.
-func (tr *traffic) step(sp *Spec) {
+func (tr *traffic) step() {
 	if tr.on {
-		if tr.rng.Float64() < sp.POff {
+		if tr.rng.Float64() < burstPOff {
 			tr.on = false
 		}
-	} else if tr.rng.Float64() < sp.POn {
+	} else if tr.rng.Float64() < burstPOn {
 		tr.on = true
 	}
 }
 
-// frames is the user's demand for the epoch at time t: zero while idle,
-// the diurnal-scaled peak while bursting.
-func (tr *traffic) frames(sp *Spec, t units.Seconds) int {
-	if !tr.on || sp.PeakFrames == 0 {
+// frames is the user's demand for the epoch: zero while idle, peakFrames
+// while bursting.
+func (tr *traffic) frames() int {
+	if !tr.on {
 		return 0
 	}
-	if sp.DiurnalPeriod <= 0 {
-		return sp.PeakFrames
-	}
-	// Day/night envelope in [0, 1], peaking a quarter period in.
-	envelope := 0.5 * (1 + math.Sin(2*math.Pi*t.S()/sp.DiurnalPeriod.S()))
-	return int(math.Round(envelope * float64(sp.PeakFrames)))
+	return peakFrames
 }

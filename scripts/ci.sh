@@ -166,7 +166,7 @@ timeout 600 go run -race ./cmd/experiments clusterscale > /dev/null
 # plus the churn experiment, all under the race detector. timeout(1) bounds
 # the gate the same way the cluster-scale smoke is bounded.
 echo "==> churn smoke (both engines + churn experiment, -race, time-bounded)"
-timeout 600 go run -race ./cmd/densevlc -rounds 6 -udp=false -churn -arrival-rate 1.5 -fleet 6 -incremental > /dev/null
+timeout 600 go run -race ./cmd/densevlc -rounds 6 -udp=false -churn -arrival-rate 1.5 -fleet 6 -trigger-delta 0.05 > /dev/null
 timeout 600 go run -race ./cmd/densevlc -rounds 4 -udp=false -async -churn -arrival-rate 2 -fleet 4 > /dev/null
 timeout 600 go run -race ./cmd/densevlc -rounds 8 -udp=false -async -churn -arrival-rate 2 -fleet 4 -chaos rx-shadow > /dev/null
 timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
@@ -180,7 +180,7 @@ timeout 600 go run -race ./cmd/densevlc -rounds 4 -async > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, chaos spec, cluster spec, workload spec)"
+echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, chaos spec, cluster spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeMAC$' -fuzztime=5s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeDownlink$' -fuzztime=5s ./internal/frame/
@@ -193,6 +193,5 @@ go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCorrelationPeakMatchesReference$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
-go test -run='^$' -fuzz='^FuzzWorkloadSpec$' -fuzztime=5s ./internal/workload/
 
 echo "==> ci.sh: all gates passed"
