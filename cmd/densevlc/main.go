@@ -183,31 +183,49 @@ func main() {
 	}
 
 	for _, r := range res.Rounds {
-		fmt.Printf("round %2d  t=%5.1fs  active TXs %2d  power %.2f W  system %6.2f Mb/s  per-RX",
-			r.Round, r.Time.S(), r.ActiveTXs, r.Eval.CommPower, r.Eval.SumThroughput.Bps()/1e6)
-		for _, tp := range r.Eval.Throughput {
-			fmt.Printf(" %5.2f", tp.Bps()/1e6)
-		}
-		if r.PER != nil {
-			fmt.Printf("  PER")
-			for _, p := range r.PER {
-				fmt.Printf(" %4.0f%%", 100*p)
-			}
-		}
-		if len(r.FailedTXs) > 0 {
-			fmt.Printf("  dark TXs %v", r.FailedTXs)
-		}
-		if r.Churn != nil {
-			fmt.Printf("  pop %d (+%d/-%d) handovers %d",
-				r.Churn.Step.Population, r.Churn.Step.Arrivals, r.Churn.Step.Departures,
-				r.Churn.Handover.Handovers)
-		}
-		fmt.Println()
+		fmt.Println(formatRound(r))
 	}
 	printTrace(res.Trace)
 	fmt.Printf("\nmean system throughput %.2f Mb/s at %.2f W communication power\n",
 		res.MeanSystemThroughput.Bps()/1e6, res.MeanCommPower)
 	os.Exit(0)
+}
+
+// formatRound renders one synchronous round as a line: the plan's power and
+// throughput, then per receiver its throughput and PER. A tenancy slot that
+// hosts no user this round shows "-" in both columns rather than a receiver
+// that loses every frame.
+func formatRound(r sim.RoundMetrics) string {
+	vacant := func(rx int) bool { return r.Churn != nil && !r.Churn.Active[rx] }
+	var b strings.Builder
+	fmt.Fprintf(&b, "round %2d  t=%5.1fs  active TXs %2d  power %.2f W  system %6.2f Mb/s  per-RX",
+		r.Round, r.Time.S(), r.ActiveTXs, r.Eval.CommPower, r.Eval.SumThroughput.Bps()/1e6)
+	for rx, tp := range r.Eval.Throughput {
+		if vacant(rx) {
+			fmt.Fprintf(&b, " %5s", "-")
+			continue
+		}
+		fmt.Fprintf(&b, " %5.2f", tp.Bps()/1e6)
+	}
+	if r.PER != nil {
+		b.WriteString("  PER")
+		for rx, p := range r.PER {
+			if vacant(rx) {
+				fmt.Fprintf(&b, " %5s", "-")
+				continue
+			}
+			fmt.Fprintf(&b, " %4.0f%%", 100*p)
+		}
+	}
+	if len(r.FailedTXs) > 0 {
+		fmt.Fprintf(&b, "  dark TXs %v", r.FailedTXs)
+	}
+	if r.Churn != nil {
+		fmt.Fprintf(&b, "  pop %d (+%d/-%d) handovers %d",
+			r.Churn.Step.Population, r.Churn.Step.Arrivals, r.Churn.Step.Departures,
+			r.Churn.Handover.Handovers)
+	}
+	return b.String()
 }
 
 // printTrace reports the applied chaos events, if any.

@@ -15,7 +15,7 @@ import "math"
 // and transmitters use to detect the NLOS synchronisation pilot; it never
 // materialises the per-lag correlation.
 //
-// The dot products run eight lags at a time (dot8), but each lag still sums
+// The dot products run six lags at a time (dot6), but each lag still sums
 // signal[k+i]·template[i] for i = 0..n−1 in order into its own accumulator,
 // so every c[k] is bit-identical to the one-lag-at-a-time loop.
 //
@@ -41,12 +41,12 @@ func CorrelationPeak(signal, template []float64) (int, float64) {
 		wEnergy += signal[i] * signal[i]
 	}
 	best, bestV := -1, 0.0
-	var dots [8]float64
+	var dots [6]float64
 	for k := 0; k < lags; {
 		m := 1
 		if lags-k >= len(dots) {
 			m = len(dots)
-			dots = dot8(signal[k:k+n+len(dots)-1], template)
+			dots = dot6(signal[k:k+n+len(dots)-1], template)
 		} else {
 			dot := 0.0
 			w := signal[k : k+n]
@@ -80,15 +80,21 @@ func CorrelationPeak(signal, template []float64) (int, float64) {
 	return best, bestV
 }
 
-// dot8 returns the dot products of t with the eight windows w[r:r+len(t)],
-// r = 0..7; len(w) must be len(t)+7. The eight independent accumulators
-// hide the floating-point add latency that a single serial chain waits on,
-// and each one still sums its products in index order.
-func dot8(w, t []float64) [8]float64 {
+// dot6 returns the dot products of t with the six windows w[r:r+len(t)],
+// r = 0..5; len(w) must be len(t)+5. The six independent accumulators hide
+// the floating-point add latency that a single serial chain waits on, and
+// each one still sums its products in index order.
+//
+// Why six: the loop body keeps 6 accumulators, 6 products and the template
+// value live, 13 XMM registers. Go's amd64 ABI leaves 15 free (X15 is the
+// fixed zero register), so nothing spills. Seven lanes would need all 15
+// and eight need 17, which sends two accumulators through the stack on
+// every iteration and runs the loop at store-forwarding latency.
+func dot6(w, t []float64) [6]float64 {
 	n := len(t)
-	w0, w1, w2, w3 := w[0:n], w[1:n+1], w[2:n+2], w[3:n+3]
-	w4, w5, w6, w7 := w[4:n+4], w[5:n+5], w[6:n+6], w[7:n+7]
-	var d0, d1, d2, d3, d4, d5, d6, d7 float64
+	w0, w1, w2 := w[0:n], w[1:n+1], w[2:n+2]
+	w3, w4, w5 := w[3:n+3], w[4:n+4], w[5:n+5]
+	var d0, d1, d2, d3, d4, d5 float64
 	for i, x := range t {
 		d0 += w0[i] * x
 		d1 += w1[i] * x
@@ -96,8 +102,6 @@ func dot8(w, t []float64) [8]float64 {
 		d3 += w3[i] * x
 		d4 += w4[i] * x
 		d5 += w5[i] * x
-		d6 += w6[i] * x
-		d7 += w7[i] * x
 	}
-	return [8]float64{d0, d1, d2, d3, d4, d5, d6, d7}
+	return [6]float64{d0, d1, d2, d3, d4, d5}
 }

@@ -139,43 +139,18 @@ func (l *Link) Transmit(mac frame.MAC, txs []TXSignal) ([]float64, int, error) {
 	// Transmitter-outer synthesis: each samples[k] starts at 0 and adds the
 	// transmitters in input order, exactly the sum a sample-outer loop forms,
 	// and noise is added last in sample order so the RNG stream is unchanged.
-	for _, tx := range txs {
-		off := tx.Offset.S()
-		chipDur := l.chipDur * (1 + tx.ClockPPM*1e-6)
-		amp := tx.Amplitude.A()
-		if tx.Continuous {
-			// The chip count floor(ct/chipDur) advances by at most one per
-			// sample, so its index into the repeating frame is carried along
-			// instead of reduced modulo len(chips) every sample; any other
-			// step takes the modulo.
-			var c, idx int
-			for k := range samples {
-				ct := phase + float64(k)/fs - lead - off
-				next := int(math.Floor(ct / chipDur))
-				switch {
-				case k > 0 && next == c:
-				case k > 0 && next == c+1:
-					if idx++; idx == len(chips) {
-						idx = 0
-					}
-				default:
-					if idx = next % len(chips); idx < 0 {
-						idx += len(chips)
-					}
-				}
-				c = next
-				samples[k] += amp * chips[idx]
-			}
-			continue
+	// The sample clock, sample k's time past the lead-in, is computed once
+	// per sample for all transmitters, a block at a time so that it needs no
+	// heap buffer.
+	var clock [256]float64
+	for lo := 0; lo < n; lo += len(clock) {
+		block := samples[lo:min(lo+len(clock), n)]
+		ck := clock[:len(block)]
+		for j := range ck {
+			ck[j] = phase + float64(lo+j)/fs - lead
 		}
-		for k := range samples {
-			ct := phase + float64(k)/fs - lead - off
-			if ct < 0 {
-				continue
-			}
-			if idx := int(ct / chipDur); idx < len(chips) {
-				samples[k] += amp * chips[idx]
-			}
+		for _, tx := range txs {
+			l.superpose(block, ck, tx, chips)
 		}
 	}
 	if l.cfg.NoiseStd > 0 {
@@ -210,6 +185,51 @@ func (l *Link) Transmit(mac frame.MAC, txs []TXSignal) ([]float64, int, error) {
 		}
 	}
 	return samples, rawLen, nil
+}
+
+// superpose adds one transmitter's light to a block of samples whose times
+// past the lead-in are clock. Subtracting the transmitter's offset from the
+// clock is the same expression, in the same evaluation order, as
+// phase + k/fs − lead − off, so every chip time keeps its bits.
+func (l *Link) superpose(block, clock []float64, tx TXSignal, chips []float64) {
+	off := tx.Offset.S()
+	chipDur := l.chipDur * (1 + tx.ClockPPM*1e-6)
+	amp := tx.Amplitude.A()
+	block = block[:len(clock)] // lets the loops below index block unchecked
+	if tx.Continuous {
+		// The chip count floor(ct/chipDur) advances by at most one per
+		// sample, so its index into the repeating frame is carried along
+		// instead of reduced modulo len(chips) every sample; the block's
+		// first sample and any other step take the modulo, which the carried
+		// index always equals.
+		var c, idx int
+		for k, t := range clock {
+			next := int(math.Floor((t - off) / chipDur))
+			switch {
+			case k > 0 && next == c:
+			case k > 0 && next == c+1:
+				if idx++; idx == len(chips) {
+					idx = 0
+				}
+			default:
+				if idx = next % len(chips); idx < 0 {
+					idx += len(chips)
+				}
+			}
+			c = next
+			block[k] += amp * chips[idx]
+		}
+		return
+	}
+	for k, t := range clock {
+		ct := t - off
+		if ct < 0 {
+			continue
+		}
+		if idx := int(ct / chipDur); idx < len(chips) {
+			block[k] += amp * chips[idx]
+		}
+	}
 }
 
 func aggregateAmplitude(txs []TXSignal) float64 {

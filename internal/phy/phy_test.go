@@ -2,7 +2,9 @@ package phy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -371,23 +373,35 @@ func refTransmit(l *Link, mac frame.MAC, txs []TXSignal) ([]float64, int, error)
 }
 
 // randomTXSet draws 1–16 transmitters mixing frame-aligned and continuous
-// (free-running) ones, with offsets from negative to 10 ms and clock errors
-// within ±20 ppm; the first draws pin the extremes.
+// (free-running) ones. Offsets are zero, within the NLOS sync error, early,
+// up to a free-running board's 10 ms, or past the capture: a frame that
+// ended 20–40 ms before it opens, or a free-running stream whose chip count
+// starts 0.5–1 s after it. Clock errors are zero or within ±20 ppm. The
+// first draws pin the extremes.
 func randomTXSet(rng *rand.Rand) []TXSignal {
 	txs := make([]TXSignal, 1+rng.Intn(16))
 	for i := range txs {
 		tx := TXSignal{
 			Amplitude:  units.Amperes(strongAmplitude * (0.05 + rng.Float64())),
 			Continuous: rng.Intn(2) == 0,
-			ClockPPM:   40*rng.Float64() - 20,
 		}
-		switch rng.Intn(4) {
-		case 0: // aligned within the NLOS sync error
+		if rng.Intn(4) > 0 {
+			tx.ClockPPM = 40*rng.Float64() - 20
+		}
+		switch rng.Intn(6) {
+		case 0: // perfectly aligned
+		case 1: // aligned within the NLOS sync error
 			tx.Offset = units.Seconds(1.2e-6 * rng.Float64())
-		case 1: // starts early
+		case 2: // starts early
 			tx.Offset = units.Seconds(-50e-6 * rng.Float64())
-		case 2: // up to a free-running board's 10 ms
+		case 3: // up to a free-running board's 10 ms
 			tx.Offset = units.Seconds(10e-3 * rng.Float64())
+		case 4: // over before the capture opens
+			tx.Offset = units.Seconds(-20e-3 * (1 + rng.Float64()))
+		case 5: // a stream offset past the capture's end (an aligned frame
+			// this late would stretch the capture instead)
+			tx.Continuous = true
+			tx.Offset = units.Seconds(0.5 + 0.5*rng.Float64())
 		}
 		switch i {
 		case 0:
@@ -402,48 +416,95 @@ func randomTXSet(rng *rand.Rand) []TXSignal {
 	return txs
 }
 
+// transmitMismatch runs Link.Transmit and refTransmit on two links seeded
+// alike and describes the first difference: an error, the frame length, a
+// sample's bits, or where the two RNGs were left. It returns nil when there
+// is none.
+func transmitMismatch(cfg Config, seed int64, mac frame.MAC, txs []TXSignal) error {
+	got, err := NewLink(cfg, stats.NewRand(seed))
+	if err != nil {
+		return err
+	}
+	want, err := NewLink(cfg, stats.NewRand(seed))
+	if err != nil {
+		return err
+	}
+	gs, gLen, gErr := got.Transmit(mac, txs)
+	ws, wLen, wErr := refTransmit(want, mac, txs)
+	if gErr != nil || wErr != nil {
+		return fmt.Errorf("Transmit err %v, reference err %v", gErr, wErr)
+	}
+	if gLen != wLen || len(gs) != len(ws) {
+		return fmt.Errorf("rawLen %d / %d samples, reference %d / %d", gLen, len(gs), wLen, len(ws))
+	}
+	for k := range ws {
+		if math.Float64bits(gs[k]) != math.Float64bits(ws[k]) {
+			return fmt.Errorf("%+v, %d TXs: sample %d = %v, reference %v", cfg, len(txs), k, gs[k], ws[k])
+		}
+	}
+	if got.rng.Int63() != want.rng.Int63() {
+		return errors.New("RNG streams diverged")
+	}
+	return nil
+}
+
 func TestTransmitMatchesReference(t *testing.T) {
 	noise := units.Amperes(math.Sqrt(7.02e-23 * 1e6))
 	rng := stats.NewRand(15)
-	for c := 0; c < 200; c++ {
+	for c := 0; c < 1000; c++ {
+		// The low three bits of c switch noise, the front end and the ADC
+		// independently, so every combination occurs.
 		cfg := Config{SymbolRate: 100e3, SampleRate: 1e6}
-		if c%2 == 0 {
+		if c&1 != 0 {
 			cfg.NoiseStd = noise
 		}
-		if c%4 >= 2 {
-			cfg.FrontEnd, cfg.ADCBits = true, 12
+		cfg.FrontEnd = c&2 != 0
+		if c&4 != 0 {
+			cfg.ADCBits = 12
 		}
 		mac := frame.MAC{Dst: 1, Src: 2, Payload: make([]byte, rng.Intn(48))}
 		rng.Read(mac.Payload)
 		txs := randomTXSet(rng)
-
-		seed := rng.Int63()
-		got, err := NewLink(cfg, stats.NewRand(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewLink(cfg, stats.NewRand(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, gLen, gErr := got.Transmit(mac, txs)
-		ws, wLen, wErr := refTransmit(want, mac, txs)
-		if gErr != nil || wErr != nil {
-			t.Fatalf("case %d: Transmit err %v, reference err %v", c, gErr, wErr)
-		}
-		if gLen != wLen || len(gs) != len(ws) {
-			t.Fatalf("case %d: rawLen %d / %d samples, reference %d / %d", c, gLen, len(gs), wLen, len(ws))
-		}
-		for k := range ws {
-			if math.Float64bits(gs[k]) != math.Float64bits(ws[k]) {
-				t.Fatalf("case %d (%+v, %d TXs): sample %d = %v, reference %v", c, cfg, len(txs), k, gs[k], ws[k])
-			}
-		}
-		// Both links must leave their RNGs at the same point.
-		if got.rng.Int63() != want.rng.Int63() {
-			t.Fatalf("case %d: RNG streams diverged", c)
+		if err := transmitMismatch(cfg, rng.Int63(), mac, txs); err != nil {
+			t.Fatalf("case %d: %v", c, err)
 		}
 	}
+}
+
+// FuzzTransmitMatchesReference decodes raw bytes into up to 16
+// transmitters, 7 bytes each: amplitude (1 byte, up to strongAmplitude),
+// flags (bit 0: continuous), clock error (a signed byte in quarter ppm) and
+// offset (a signed 32-bit count of 10 ps, ±21 ms). cfg switches noise
+// (bit 0) and the front end (bit 1) and sets the ADC resolution (cfg>>2
+// mod 17, 0 for none). Every value is finite and bounded, so the capture
+// stays under 50k samples. Transmit must match refTransmit bit for bit.
+func FuzzTransmitMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(15), []byte{255, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(2), uint8(3|12<<2), uint8(0), []byte{
+		200, 0, 80, 0x10, 0x27, 0, 0, // aligned, +20 ppm, 100 ns late
+		40, 1, 0xb0, 0x80, 0x96, 0x98, 0, // continuous, −20 ppm, 100 µs late
+		90, 0, 0, 0x00, 0x1f, 0x0a, 0xfa, // aligned, 0 ppm, 1 ms early
+	})
+	f.Fuzz(func(t *testing.T, seed int64, cfgBits, payloadLen uint8, raw []byte) {
+		cfg := Config{SymbolRate: 100e3, SampleRate: 1e6, FrontEnd: cfgBits&2 != 0, ADCBits: int(cfgBits>>2) % 17}
+		if cfgBits&1 != 0 {
+			cfg.NoiseStd = units.Amperes(math.Sqrt(7.02e-23 * 1e6))
+		}
+		txs := make([]TXSignal, min(len(raw)/7, 16))
+		for i := range txs {
+			b := raw[7*i:]
+			txs[i] = TXSignal{
+				Amplitude:  units.Amperes(strongAmplitude * float64(b[0]) / 255),
+				Continuous: b[1]&1 != 0,
+				ClockPPM:   float64(int8(b[2])) / 4,
+				Offset:     units.Seconds(float64(int32(binary.LittleEndian.Uint32(b[3:]))) * 1e-11),
+			}
+		}
+		mac := frame.MAC{Dst: 1, Src: 2, Payload: bytes.Repeat([]byte{payloadLen}, int(payloadLen)%64)}
+		if err := transmitMismatch(cfg, seed, mac, txs); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestReceiveRejectsNonFiniteCapture(t *testing.T) {

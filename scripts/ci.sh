@@ -61,15 +61,15 @@
 #                     synchronous and once asynchronous under the race
 #                     detector, time-bounded: every other densevlc smoke runs
 #                     in memory (-udp=false)
-#  13. short fuzz   — a few seconds of the frame-codec round-trip,
-#                     MAC-decode and downlink-decode, control-message codec
-#                     (report, ack, allocation, pilot schedule), Reed–Solomon
-#                     block-decode, encode/decode round-trip and
-#                     reference-equivalence, Manchester round-trip,
-#                     correlation-peak reference-equivalence, chaos-spec,
-#                     cluster-spec and workload-spec grammar fuzzers, enough
-#                     to catch regressions on the seeded corpora plus fresh
-#                     mutations
+#  13. short fuzz   — a few seconds each of the downlink round-trip,
+#                     MAC-decode and downlink-decode fuzzers (frame), the
+#                     control-message codecs (report, ack, allocation, pilot
+#                     schedule), Reed–Solomon block-decode, encode/decode
+#                     round-trip and reference-equivalence, Manchester
+#                     round-trip and decode, correlation-peak and waveform
+#                     Transmit reference-equivalence, and the chaos-spec and
+#                     cluster-spec grammars, enough to catch regressions on
+#                     the seeded corpora plus fresh mutations
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -180,7 +180,7 @@ timeout 600 go run -race ./cmd/densevlc -rounds 4 -async > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, chaos spec, cluster spec)"
+echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, waveform Transmit, chaos spec, cluster spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeMAC$' -fuzztime=5s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeDownlink$' -fuzztime=5s ./internal/frame/
@@ -191,6 +191,7 @@ go test -run='^$' -fuzz='^FuzzDecodeBlockMatchesReference$' -fuzztime=5s ./inter
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCorrelationPeakMatchesReference$' -fuzztime=5s ./internal/dsp/
+go test -run='^$' -fuzz='^FuzzTransmitMatchesReference$' -fuzztime=5s ./internal/phy/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
 
