@@ -95,13 +95,53 @@ func Gain(e Emitter, d Detector) float64 {
 	if cosPsi <= 0 {
 		return 0 // light arrives from behind the photodiode
 	}
-	if math.Acos(clamp1(cosPsi)) > d.FOV.Rad() {
+	// A field of view of π/2 or more admits every ray with cosψ > 0, so
+	// the Acos test is skipped there without changing a result: for
+	// 0 < c ≤ 1 Go's portable Acos(c) is π/2 − Asin(c), and Asin(c) ≥ 0
+	// (for c ≤ 0.7 it is satan of a positive ratio, for c > 0.7 it is
+	// π/2 − satan(√(1−c²)/c) with a ratio below 1.03, whose satan is below
+	// 0.8), so the rounded difference is at most π/2 ≤ FOV. A NaN FOV fails
+	// both comparisons and keeps the gain either way.
+	if d.FOV.Rad() < math.Pi/2 && math.Acos(clamp1(cosPsi)) > d.FOV.Rad() {
 		return 0
 	}
 
 	m := e.Order
 	return (m + 1) * d.Area.M2() / (2 * math.Pi * dist2) *
-		math.Pow(cosPhi, m) * d.OpticsGain * cosPsi
+		lambertPow(cosPhi, m) * d.OpticsGain * cosPsi
+}
+
+// lambertPow returns cosᵐφ, the Lambertian emission factor of Eq. (2),
+// bit for bit equal to math.Pow(x, m). Inside the guard 2⁻⁸ ≤ x ≤ 1,
+// 1 < m < 64 it runs Go's portable pow (every port but s390x) without its
+// bookkeeping: m splits into yi + yf with |yf| ≤ ½ exactly as pow splits
+// it, x^yf is the same Exp(yf·Log(x)), and x^yi multiplies in the same
+// repeated squares of x by the bits of yi. pow keeps those squares as a
+// mantissa in [½, 1) and a separate exponent (Frexp, Ldexp). Here every
+// factor and partial product that reaches the result lies in [2⁻⁵¹², 16],
+// so all stay normal; a product of normals rounds the same at any
+// power-of-two scale, and pow's final Ldexp of a normal result is exact.
+// Outside the guard it is math.Pow itself.
+func lambertPow(x, m float64) float64 {
+	if !(x >= 0x1p-8 && x <= 1 && m > 1 && m < 64) {
+		return math.Pow(x, m)
+	}
+	yi, yf := math.Modf(m)
+	a := 1.0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a = math.Exp(yf * math.Log(x))
+	}
+	for i := int(yi); i != 0; i >>= 1 {
+		if i&1 == 1 {
+			a *= x
+		}
+		x *= x
+	}
+	return a
 }
 
 func clamp1(c float64) float64 {
@@ -136,7 +176,7 @@ func Illuminance(e Emitter, flux units.Lumens, p, n geom.Vec) units.Lux {
 		return 0
 	}
 	i0 := units.LuminousIntensity(flux, e.Order)
-	return units.Lux(i0.Cd() * math.Pow(cosPhi, e.Order) * cosPsi / dist2)
+	return units.Lux(i0.Cd() * lambertPow(cosPhi, e.Order) * cosPsi / dist2)
 }
 
 // FloorReflection models the floor as a grid of Lambertian reflector

@@ -1,7 +1,9 @@
 package optics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -251,4 +253,100 @@ func TestFloorReflectionOcclusion(t *testing.T) {
 	if gPart <= 0 {
 		t.Error("partial shadow should not kill the bounce")
 	}
+}
+
+// refGain is Eq. (2) as written, with math.Acos for every field-of-view
+// test and math.Pow for cosᵐφ. Gain must match it bit for bit.
+func refGain(e Emitter, d Detector) float64 {
+	sep := d.Pos.Sub(e.Pos)
+	dist2 := sep.Norm2()
+	if dist2 == 0 {
+		return 0
+	}
+	dir := sep.Unit()
+	cosPhi := e.Normal.Dot(dir)
+	if cosPhi <= 0 {
+		return 0
+	}
+	cosPsi := d.Normal.Dot(dir.Scale(-1))
+	if cosPsi <= 0 {
+		return 0
+	}
+	if math.Acos(clamp1(cosPsi)) > d.FOV.Rad() {
+		return 0
+	}
+	m := e.Order
+	return (m + 1) * d.Area.M2() / (2 * math.Pi * dist2) *
+		math.Pow(cosPhi, m) * d.OpticsGain * cosPsi
+}
+
+// GainMismatch reports how Gain(e, d) differs from refGain(e, d) in its
+// bits, or nil; two NaN gains count as equal. It is exported for the
+// package's external tests, which build floors through scenario (an
+// import cycle from here).
+func GainMismatch(e Emitter, d Detector) error {
+	got, want := Gain(e, d), refGain(e, d)
+	if math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want) {
+		return nil
+	}
+	return fmt.Errorf("Gain(%+v, %+v) = %v (%#x), reference %v (%#x)",
+		e, d, got, math.Float64bits(got), want, math.Float64bits(want))
+}
+
+// TestLambertPowMatchesPow checks the Lambertian power against math.Pow bit
+// for bit on both edges of its guard and on random bases and orders inside
+// and around it, including integer and half-integer orders (pow's split
+// moves yf > ½ up to the next integer).
+func TestLambertPowMatchesPow(t *testing.T) {
+	lo := 0x1p-8
+	bases := []float64{1, math.Nextafter(1, 0), lo, math.Nextafter(lo, 0), math.Nextafter(lo, 1),
+		0.5, 1e-3, 0x1p-17, 0x1p-20, 1e-10, 3e-7, 0, -0.5, 1.5, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64}
+	orders := []float64{LambertianOrder(phiHalf), 1, math.Nextafter(1, 2), 1.5, math.Nextafter(1.5, 2),
+		2, 20, 20.5, 63, 63.5, math.Nextafter(64, 0), 64, 70, 0.5, 0, -3}
+	check := func(x, m float64) {
+		got, want := lambertPow(x, m), math.Pow(x, m)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("lambertPow(%v, %v) = %v, math.Pow %v", x, m, got, want)
+		}
+	}
+	for _, x := range bases {
+		for _, m := range orders {
+			check(x, m)
+		}
+	}
+	// Below the guard the unscaled products reach subnormals and round
+	// differently from pow's single Ldexp; without the fallback these differ.
+	for _, p := range [][2]float64{
+		{4.192477219628958e-21, 15.546576084732163},
+		{1.864329073941002e-11, 28.775500050123277},
+		{4.089519701524955e-06, 57.12816568119355},
+	} {
+		check(p[0], p[1])
+	}
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 200000; i++ {
+		x := math.Exp2(-9 * rng.Float64()) // straddles the 2⁻⁸ edge
+		m := 70 * rng.Float64()
+		if i%4 == 0 {
+			m = math.Round(2*m) / 2 // integers and half-integers
+		}
+		check(x, m)
+	}
+}
+
+// FuzzGainMatchesReference throws arbitrary poses, orders and fields of
+// view at Gain; it must match refGain bit for bit (two NaNs count as
+// equal). Normals are taken as given, unit or not: Gain never normalises
+// them, so a cosine above 1 exercises the fallback outside the guard.
+func FuzzGainMatchesReference(f *testing.F) {
+	f.Add(1.25, 1.25, 2.8, 0.0, 0.0, -1.0, LambertianOrder(phiHalf), 1.5, 1.0, 0.8, 0.0, 0.0, 1.0, fov90)
+	f.Add(0.0, 0.0, 2.0, 0.3, 0.0, -0.95, 63.7, 0.4, 0.1, 0.0, -0.2, 0.1, 0.97, 0.6)
+	f.Add(0.0, 0.0, 0.0, 0x1p-8, 0.0, -1.0, 20.0, 2.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0)
+	f.Fuzz(func(t *testing.T, ex, ey, ez, enx, eny, enz, order, dx, dy, dz, dnx, dny, dnz, fov float64) {
+		e := Emitter{Pos: geom.V(ex, ey, ez), Normal: geom.V(enx, eny, enz), Order: order}
+		d := Detector{Pos: geom.V(dx, dy, dz), Normal: geom.V(dnx, dny, dnz), Area: apd, FOV: units.Radians(fov), OpticsGain: 1}
+		if err := GainMismatch(e, d); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

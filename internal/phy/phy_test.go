@@ -471,6 +471,64 @@ func TestTransmitMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTransmitChipBoundaries pins the per-sample chip time to the
+// reference expression ((phase + k/fs) − lead) − off to the last bit.
+// Random offsets never put a sample on a chip boundary, so a one-ulp change
+// of that expression (a reassociation, say) passes the random cases. Here
+// each planted transmitter puts sample k exactly on one: its offset is the
+// largest whose chip time ct still indexes chip q, and a second
+// transmitter's is the next float up, whose ct indexes chip q−1. Chips
+// q−1 and q differ (q is odd, inside one Manchester bit), so moving ct by
+// an ulp either way flips one transmitter's chip at sample k. ct ≤ t/2
+// keeps t − off exact (Sterbenz), so one ulp of t moves ct by at least the
+// step between the two planted ct values. A third, frame-aligned
+// transmitter has ct exactly 0 at sample k, the first sample its frame
+// covers.
+func TestTransmitChipBoundaries(t *testing.T) {
+	cfg := Config{SymbolRate: 100e3, SampleRate: 1e6}
+	mac := frame.MAC{Dst: 1, Src: 2, Payload: []byte("chip boundaries")}
+	chips, _, err := airChips(mac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		l, err := NewLink(cfg, stats.NewRand(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := cfg.SampleRate.Hz()
+		phase := stats.NewRand(seed).Float64() / fs // Transmit's first draw
+		lead := 24 * l.chipDur
+		var txs []TXSignal
+		for k := 300; k < 300+16*37; k += 37 {
+			tk := phase + float64(k)/fs - lead
+			q := int(tk / 2 / l.chipDur)
+			if q%2 == 0 {
+				q--
+			}
+			if chips[q-1] == chips[q] {
+				t.Fatalf("chips %d and %d are equal", q-1, q)
+			}
+			below := func(off float64) bool { return int((tk-off)/l.chipDur) < q }
+			off := tk - float64(q)*l.chipDur
+			for below(off) {
+				off = math.Nextafter(off, math.Inf(-1))
+			}
+			for !below(math.Nextafter(off, math.Inf(1))) {
+				off = math.Nextafter(off, math.Inf(1))
+			}
+			amp := units.Amperes(strongAmplitude)
+			txs = append(txs,
+				TXSignal{Amplitude: amp, Offset: units.Seconds(off), Continuous: k%2 == 0},
+				TXSignal{Amplitude: amp, Offset: units.Seconds(math.Nextafter(off, math.Inf(1))), Continuous: k%2 != 0},
+				TXSignal{Amplitude: amp, Offset: units.Seconds(tk)})
+		}
+		if err := transmitMismatch(cfg, seed, mac, txs); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // FuzzTransmitMatchesReference decodes raw bytes into up to 16
 // transmitters, 7 bytes each: amplitude (1 byte, up to strongAmplitude),
 // flags (bit 0: continuous), clock error (a signed byte in quarter ppm) and

@@ -32,10 +32,13 @@ var (
 // ready; a package-level initializer expression would run before them.
 var generator []byte
 
-// remHi and remLo are the LFSR feedback tables of remainder: for a feedback
-// byte f, remHi[f] packs f·g₁..f·g₈ and remLo[f] packs f·g₉..f·g₁₆,
-// big-endian, matching the register's two halves.
-var remHi, remLo [fieldSize]uint64
+// remHi and remLo are the LFSR feedback tables of remainder, sliced eight
+// ways: for a byte f at register position k (0 the highest-order),
+// remHi[k][f] and remLo[k][f] pack the 16 coefficients of f·x^(23−k) mod g,
+// big-endian, matching the register's two halves. remHi[7] and remLo[7]
+// (f·x¹⁶ mod g, the feedback f·g₁..f·g₁₆) are the single-byte step; each
+// slice k < 7 is slice k+1 advanced one byte with no input. 32 KiB in all.
+var remHi, remLo [8][fieldSize]uint64
 
 // rootMul[i][b] is b·α^i: the per-root multiply tables the dirty path
 // evaluates the 16 syndromes with.
@@ -49,11 +52,19 @@ func init() {
 	generator = buildGenerator(ParityBytes)
 	for f := 0; f < fieldSize; f++ {
 		for j := 1; j <= 8; j++ {
-			remHi[f] |= uint64(gfMul(byte(f), generator[j])) << (8 * (8 - j))
-			remLo[f] |= uint64(gfMul(byte(f), generator[8+j])) << (8 * (8 - j))
+			remHi[7][f] |= uint64(gfMul(byte(f), generator[j])) << (8 * (8 - j))
+			remLo[7][f] |= uint64(gfMul(byte(f), generator[8+j])) << (8 * (8 - j))
 		}
 		for i := range rootMul {
 			rootMul[i][f] = gfMul(byte(f), gfExp(i))
+		}
+	}
+	for k := 6; k >= 0; k-- {
+		for f := 0; f < fieldSize; f++ {
+			hi, lo := remHi[k+1][f], remLo[k+1][f]
+			top := hi >> 56
+			remHi[k][f] = (hi<<8 | lo>>56) ^ remHi[7][top]
+			remLo[k][f] = lo<<8 ^ remLo[7][top]
 		}
 	}
 }
@@ -75,16 +86,27 @@ func buildGenerator(nparity int) []byte {
 
 // remainder returns data·x¹⁶ mod g(x), coefficients high-order first: the
 // systematic parity of data. The 16-byte shift register is two uint64s
-// (hi holds the eight high-order coefficients), so each input byte costs
-// one feedback lookup per half, two shifts and two XORs.
+// (hi holds the eight high-order coefficients). Eight input bytes at a
+// time XOR into hi; the register then shifts by eight bytes (lo becomes
+// hi) and each of the eight feedback bytes f_k adds f_k·x^(23−k) mod g, 16
+// lookups that do not depend on each other. A tail of fewer than eight
+// bytes takes the single-byte step: one feedback lookup per half, two
+// shifts and two XORs.
 //
 //lint:hotpath
 func remainder(data []byte) [ParityBytes]byte {
 	var hi, lo uint64
+	for ; len(data) >= 8; data = data[8:] {
+		w := hi ^ binary.BigEndian.Uint64(data)
+		hi = lo ^ remHi[0][w>>56] ^ remHi[1][byte(w>>48)] ^ remHi[2][byte(w>>40)] ^ remHi[3][byte(w>>32)] ^
+			remHi[4][byte(w>>24)] ^ remHi[5][byte(w>>16)] ^ remHi[6][byte(w>>8)] ^ remHi[7][byte(w)]
+		lo = remLo[0][w>>56] ^ remLo[1][byte(w>>48)] ^ remLo[2][byte(w>>40)] ^ remLo[3][byte(w>>32)] ^
+			remLo[4][byte(w>>24)] ^ remLo[5][byte(w>>16)] ^ remLo[6][byte(w>>8)] ^ remLo[7][byte(w)]
+	}
 	for _, d := range data {
 		f := d ^ byte(hi>>56)
-		hi = (hi<<8 | lo>>56) ^ remHi[f]
-		lo = lo<<8 ^ remLo[f]
+		hi = (hi<<8 | lo>>56) ^ remHi[7][f]
+		lo = lo<<8 ^ remLo[7][f]
 	}
 	var r [ParityBytes]byte
 	binary.BigEndian.PutUint64(r[:8], hi)

@@ -561,6 +561,41 @@ func FuzzDecodeBlockMatchesReference(f *testing.F) {
 	})
 }
 
+// TestRemainderMatchesReference checks the sliced remainder at every data
+// length a block can have, so every tail of 0–7 single-byte steps follows
+// 0–25 eight-byte steps, on random, all-zero and all-0xFF data. It then
+// round-trips one payload the length of a 240-TX channel report (4 header
+// bytes and 8 per gain, ten blocks) through Encode and Decode.
+func TestRemainderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	random := make([]byte, MaxDataPerBlock)
+	rng.Read(random)
+	zeros := make([]byte, MaxDataPerBlock)
+	ones := bytes.Repeat([]byte{0xFF}, MaxDataPerBlock)
+	for _, src := range [][]byte{random, zeros, ones} {
+		for n := 0; n <= MaxDataPerBlock; n++ {
+			want, err := refEncodeBlock(src[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := remainder(src[:n]); !bytes.Equal(got[:], want[n:]) {
+				t.Fatalf("remainder of %d bytes (first %#x) = %x, reference %x", n, src[0], got, want[n:])
+			}
+		}
+	}
+
+	report := make([]byte, 4+8*240)
+	rng.Read(report)
+	enc := Encode(report)
+	if !bytes.Equal(enc, refEncode(report)) {
+		t.Fatalf("Encode(%d bytes) differs from the reference", len(report))
+	}
+	got, corrected, err := Decode(enc, len(report))
+	if err != nil || corrected != 0 || !bytes.Equal(got, report) {
+		t.Fatalf("Decode: %d corrections, err %v, payload equal %v", corrected, err, bytes.Equal(got, report))
+	}
+}
+
 func TestRemainderAndEncodeIntoDoNotAllocate(t *testing.T) {
 	data := make([]byte, 2093)
 	rand.New(rand.NewSource(5)).Read(data)

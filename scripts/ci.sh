@@ -66,10 +66,11 @@
 #                     control-message codecs (report, ack, allocation, pilot
 #                     schedule), Reed–Solomon block-decode, encode/decode
 #                     round-trip and reference-equivalence, Manchester
-#                     round-trip and decode, correlation-peak and waveform
-#                     Transmit reference-equivalence, and the chaos-spec and
-#                     cluster-spec grammars, enough to catch regressions on
-#                     the seeded corpora plus fresh mutations
+#                     round-trip and decode, correlation-peak, waveform
+#                     Transmit and Lambertian gain reference-equivalence,
+#                     and the chaos-spec and cluster-spec grammars, enough
+#                     to catch regressions on the seeded corpora plus fresh
+#                     mutations
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -180,7 +181,7 @@ timeout 600 go run -race ./cmd/densevlc -rounds 4 -async > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, waveform Transmit, chaos spec, cluster spec)"
+echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, waveform Transmit, Lambertian gain, chaos spec, cluster spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeMAC$' -fuzztime=5s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeDownlink$' -fuzztime=5s ./internal/frame/
@@ -192,6 +193,7 @@ go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCorrelationPeakMatchesReference$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzTransmitMatchesReference$' -fuzztime=5s ./internal/phy/
+go test -run='^$' -fuzz='^FuzzGainMatchesReference$' -fuzztime=5s ./internal/optics/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
 
