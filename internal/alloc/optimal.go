@@ -167,8 +167,8 @@ func interiorize(x []float64) []float64 {
 // The channel matrix is cached as a dense row-major []float64 at
 // construction and every kernel runs in O(N·M) two-pass form (see DESIGN.md
 // "Solver kernels"): per-TX swing-power row sums first, per-RX aggregates
-// second. All scratch lives in the problem's workspace, so Value, Gradient
-// and the projection allocate nothing on the hot path — which also means a
+// second. All scratch lives in the problem's workspace, so Value, Step, the
+// gradients and the projection allocate nothing on the hot path — which also means a
 // problem must not be shared across goroutines; clone() derives a view with
 // its own workspace over the same read-only data.
 type problem struct {
@@ -181,9 +181,15 @@ type problem struct {
 	maxSwing float64   // Isw,max in A
 	h        []float64 // dense row-major channel gains: h[j*m+i] = H_{j,i}
 
-	// Workspace (per-goroutine; see clone):
+	// Workspace (per-goroutine; see clone). sig and interf hold the
+	// aggregates of the most recently evaluated point; objective() adds
+	// each receiver's rate, SINR and SINR denominator, from which
+	// LastGradient builds ∇F without a second aggregate pass or any log.
 	sig     []float64 // u_i = Σ_j h_ji·(x_ji/2)², len m
 	interf  []float64 // v_i = Σ_j h_ji·T_j − u_i, len m
+	rate    []float64 // t_i = B·log2(1 + SINR_i), len m
+	sinr    []float64 // SINR_i, len m
+	den     []float64 // d_i = N0·B + (c·v_i)², len m
 	sigCoef []float64 // signal-path gradient coefficient per RX, len m
 	intCoef []float64 // interference-path gradient coefficient per RX, len m
 	scratch []float64 // capped-simplex projection scratch, len m
@@ -213,9 +219,12 @@ func newProblem(env *Env, budget units.Watts) *problem {
 }
 
 func (p *problem) grabWorkspace() {
-	buf := make([]float64, 5*p.m)
+	buf := make([]float64, 8*p.m)
 	p.sig, buf = buf[:p.m], buf[p.m:]
 	p.interf, buf = buf[:p.m], buf[p.m:]
+	p.rate, buf = buf[:p.m], buf[p.m:]
+	p.sinr, buf = buf[:p.m], buf[p.m:]
+	p.den, buf = buf[:p.m], buf[p.m:]
 	p.sigCoef, buf = buf[:p.m], buf[p.m:]
 	p.intCoef, buf = buf[:p.m], buf[p.m:]
 	p.scratch = buf[:p.m]
@@ -229,35 +238,190 @@ func (p *problem) clone() *problem {
 	return &c
 }
 
-// aggregates fills the workspace with the O(N·M) two-pass form of the
-// Eq. (12) sums: per TX the swing-power row sum T_j = Σ_k (x_jk/2)², then
-// the per-RX intended-signal u_i and total-incident Σ_j h_ji·T_j
-// accumulators; the interference v_i is the difference. The M = 4 case of
-// every paper scenario runs fully register-resident; both paths accumulate
-// in the same order, so they are bit-identical.
-func (p *problem) aggregates(x []float64) {
+// objective reduces the aggregates to the Eq. (5) sum-log objective,
+// keeping each receiver's rate, SINR and SINR denominator for the
+// gradient. A starved receiver (zero rate) makes the objective −Inf; the
+// terms of the receivers after it are then left stale, which is harmless
+// because the solver never asks for a gradient at such a point.
+func (p *problem) objective() float64 {
+	obj := 0.0
+	for i := 0; i < p.m; i++ {
+		s := p.scale * p.sig[i]
+		iv := p.scale * p.interf[i]
+		d := p.noise + iv*iv
+		sinr := s * s / d
+		t := p.bw * math.Log2(1+sinr)
+		if t <= 0 {
+			return math.Inf(-1)
+		}
+		p.rate[i], p.sinr[i], p.den[i] = t, sinr, d
+		obj += math.Log(t)
+	}
+	return obj
+}
+
+// Value implements optimize.Objective.
+//
+//lint:hotpath
+func (p *problem) Value(x []float64) float64 {
+	p.aggregate(x, x, false, 0)
+	return p.objective()
+}
+
+// coefficients turns the terms objective() kept into the per-receiver
+// gradient coefficients:
+//
+//	dF/dq^{j,i} (via RX i's signal)       = sigCoef[i]·H_{j,i}
+//	dF/dq^{j,k} (via RX i's interference) = −intCoef[i]·H_{j,i}, i≠k
+func (p *problem) coefficients() {
+	c := p.scale
+	for i := 0; i < p.m; i++ {
+		d := p.den[i]
+		g := p.bw / (p.rate[i] * (1 + p.sinr[i]) * math.Ln2) // dF/dSINR_i
+		p.sigCoef[i] = g * 2 * c * c * p.sig[i] / d
+		p.intCoef[i] = g * 2 * c * c * c * c * p.sig[i] * p.sig[i] * p.interf[i] / (d * d)
+	}
+}
+
+// gradientFromCoefs folds the coefficients into ∇F in O(N·M): for TX j the
+// interference term Σ_i intCoef[i]·h_ji is shared by every branch k, so it
+// is accumulated once per row and the per-branch derivative is
+//
+//	dF/dq^{j,k} = (sigCoef[k] + intCoef[k])·h_jk − Σ_i intCoef[i]·h_ji
+//
+// then chained through q = (x/2)²: dq/dx = x/2.
+func (p *problem) gradientFromCoefs(x, grad []float64) {
 	if p.m == 4 {
-		p.aggregates4(x)
+		p.gradientFromCoefs4(x, grad)
 		return
 	}
 	n, m := p.n, p.m
-	u, v := p.sig, p.interf
-	for i := 0; i < m; i++ {
-		u[i], v[i] = 0, 0
-	}
 	for j := 0; j < n; j++ {
-		row := x[j*m : j*m+m]
+		hrow := p.h[j*m : j*m+m]
+		base := 0.0
+		for i := 0; i < m; i++ {
+			base += p.intCoef[i] * hrow[i]
+		}
+		for k := 0; k < m; k++ {
+			dq := (p.sigCoef[k]+p.intCoef[k])*hrow[k] - base
+			grad[j*m+k] = dq * x[j*m+k] / 2
+		}
+	}
+}
+
+func (p *problem) gradientFromCoefs4(x, grad []float64) {
+	h := p.h
+	ic0, ic1, ic2, ic3 := p.intCoef[0], p.intCoef[1], p.intCoef[2], p.intCoef[3]
+	s0 := p.sigCoef[0] + ic0
+	s1 := p.sigCoef[1] + ic1
+	s2 := p.sigCoef[2] + ic2
+	s3 := p.sigCoef[3] + ic3
+	for b := 0; b < len(x); b += 4 {
+		xr, hr, gr := x[b:b+4:b+4], h[b:b+4:b+4], grad[b:b+4:b+4]
+		h0, h1, h2, h3 := hr[0], hr[1], hr[2], hr[3]
+		base := ic0*h0 + ic1*h1 + ic2*h2 + ic3*h3
+		gr[0] = (s0*h0 - base) * xr[0] / 2
+		gr[1] = (s1*h1 - base) * xr[1] / 2
+		gr[2] = (s2*h2 - base) * xr[2] / 2
+		gr[3] = (s3*h3 - base) * xr[3] / 2
+	}
+}
+
+// Gradient implements optimize.Objective. Like LastGradient, it is defined
+// where the objective is finite.
+//
+//lint:hotpath
+func (p *problem) Gradient(x, grad []float64) {
+	p.Value(x)
+	p.LastGradient(x, grad)
+}
+
+// LastGradient implements optimize.Stepper: ∇F at x, the point of the most
+// recent Value or Step, from the aggregates and per-receiver terms that
+// evaluation kept — no aggregate pass and no logarithm.
+//
+//lint:hotpath
+func (p *problem) LastGradient(x, grad []float64) {
+	p.coefficients()
+	p.gradientFromCoefs(x, grad)
+}
+
+// Step implements optimize.Stepper: the trial P(x + s·d), its Eq. (5)
+// value and the squared move Σ(trial_i − x_i)², in two passes over the
+// rows. The first builds each row, projects it onto the capped simplex (6)
+// and accumulates the constraint-(7) power; the second scales radially when
+// that power exceeds the budget, accumulates the aggregates and sums the
+// move. Each float operation is the one, in the order, that building the
+// point, Project, Value and an index-order move sum perform, so the results
+// are bit-identical to that sequence (FuzzStepMatchesSeparate).
+//
+//lint:hotpath
+func (p *problem) Step(x, d []float64, s float64, trial []float64) (float64, float64) {
+	m := p.m
+	power := 0.0
+	for b := 0; b < len(trial); b += m {
+		row, xr, dr := trial[b:b+m:b+m], x[b:b+m:b+m], d[b:b+m:b+m]
+		if m == 4 {
+			// Unrolled: the loop form keeps a bounds check per element of
+			// xr and dr, which BenchmarkOptimalSolve shows.
+			row[0] = xr[0] + s*dr[0]
+			row[1] = xr[1] + s*dr[1]
+			row[2] = xr[2] + s*dr[2]
+			row[3] = xr[3] + s*dr[3]
+		} else {
+			for k := range row {
+				row[k] = xr[k] + s*dr[k]
+			}
+		}
+		t := optimize.ProjectCappedSimplexScratch(row, p.maxSwing, p.scratch)
+		power += p.resist * (t / 2) * (t / 2)
+	}
+	scale, alpha := power > p.budget, 0.0
+	if scale {
+		alpha = math.Sqrt(p.budget / power)
+	}
+	move2 := p.aggregate(x, trial, scale, alpha)
+	return p.objective(), move2
+}
+
+// aggregate fills the workspace with the O(N·M) two-pass form of the
+// Eq. (12) sums at y: per TX the swing-power row sum T_j = Σ_k (y_jk/2)²,
+// then the per-RX intended-signal u_i and total-incident Σ_j h_ji·T_j
+// accumulators; the interference v_i is the difference. It is also Step's
+// second pass: with scale set, each row of y is first multiplied by alpha
+// in place (RadialScale's product), and the return is the squared move
+// Σ(y_i − x_i)² in index order — zero when Value passes y = x. The M = 4
+// case of every paper scenario runs fully register-resident; both paths
+// accumulate in the same order, so they are bit-identical.
+func (p *problem) aggregate(x, y []float64, scale bool, alpha float64) float64 {
+	if p.m == 4 {
+		return p.aggregate4(x, y, scale, alpha)
+	}
+	m := p.m
+	u, v := p.sig, p.interf
+	clear(u)
+	clear(v)
+	move2 := 0.0
+	for b := 0; b < len(y); b += m {
+		row, xr, hrow := y[b:b+m:b+m], x[b:b+m:b+m], p.h[b:b+m:b+m]
+		if scale {
+			for k := range row {
+				row[k] *= alpha
+			}
+		}
+		for k, yv := range row {
+			dv := yv - xr[k]
+			move2 += dv * dv
+		}
 		t := 0.0
-		for _, xv := range row {
-			half := xv / 2
+		for _, yv := range row {
+			half := yv / 2
 			t += half * half
 		}
 		if t == 0 {
 			continue // dark TX: contributes to nobody
 		}
-		hrow := p.h[j*m : j*m+m]
-		for i := 0; i < m; i++ {
-			hji := hrow[i]
+		for i, hji := range hrow {
 			if hji == 0 {
 				continue
 			}
@@ -269,23 +433,41 @@ func (p *problem) aggregates(x []float64) {
 	for i := 0; i < m; i++ {
 		v[i] -= u[i]
 	}
+	return move2
 }
 
-func (p *problem) aggregates4(x []float64) {
-	n := p.n
+// aggregate4 is aggregate for M = 4, with its accumulators in registers.
+func (p *problem) aggregate4(x, y []float64, scale bool, alpha float64) float64 {
 	h := p.h
-	_ = x[4*n-1]
-	_ = h[4*n-1]
-	var u0, u1, u2, u3, v0, v1, v2, v3 float64
-	for j := 0; j < n; j++ {
-		b := j * 4
-		q0 := x[b] / 2
-		q1 := x[b+1] / 2
-		q2 := x[b+2] / 2
-		q3 := x[b+3] / 2
+	var u0, u1, u2, u3, v0, v1, v2, v3, move2 float64
+	for b := 0; b < len(y); b += 4 {
+		// Four-wide row views: one bounds check each, none per element.
+		row, xr, hr := y[b:b+4:b+4], x[b:b+4:b+4], h[b:b+4:b+4]
+		r0, r1, r2, r3 := row[0], row[1], row[2], row[3]
+		if scale {
+			r0 *= alpha
+			r1 *= alpha
+			r2 *= alpha
+			r3 *= alpha
+			row[0], row[1], row[2], row[3] = r0, r1, r2, r3
+		}
+		// The move and the aggregates are separate accumulator chains, so
+		// summing the move first changes no result and frees registers.
+		d := r0 - xr[0]
+		move2 += d * d
+		d = r1 - xr[1]
+		move2 += d * d
+		d = r2 - xr[2]
+		move2 += d * d
+		d = r3 - xr[3]
+		move2 += d * d
+		q0 := r0 / 2
+		q1 := r1 / 2
+		q2 := r2 / 2
+		q3 := r3 / 2
 		q0, q1, q2, q3 = q0*q0, q1*q1, q2*q2, q3*q3
 		t := q0 + q1 + q2 + q3
-		h0, h1, h2, h3 := h[b], h[b+1], h[b+2], h[b+3]
+		h0, h1, h2, h3 := hr[0], hr[1], hr[2], hr[3]
 		u0 += h0 * q0
 		u1 += h1 * q1
 		u2 += h2 * q2
@@ -298,168 +480,7 @@ func (p *problem) aggregates4(x []float64) {
 	u, v := p.sig, p.interf
 	u[0], u[1], u[2], u[3] = u0, u1, u2, u3
 	v[0], v[1], v[2], v[3] = v0-u0, v1-u1, v2-u2, v3-u3
-}
-
-// objective reduces the aggregates to the Eq. (5) sum-log objective.
-func (p *problem) objective() float64 {
-	obj := 0.0
-	for i := 0; i < p.m; i++ {
-		s := p.scale * p.sig[i]
-		iv := p.scale * p.interf[i]
-		sinr := s * s / (p.noise + iv*iv)
-		t := p.bw * math.Log2(1+sinr)
-		if t <= 0 {
-			return math.Inf(-1)
-		}
-		obj += math.Log(t)
-	}
-	return obj
-}
-
-// Value implements optimize.Objective.
-//
-//lint:hotpath
-func (p *problem) Value(x []float64) float64 {
-	p.aggregates(x)
-	return p.objective()
-}
-
-// starvedCoef is the signal-path sentinel for a receiver with zero
-// throughput: push its strongest links up hard so the line search can
-// restore feasibility. Large enough to dominate every regular coefficient,
-// small enough that squaring the resulting gradient entries stays far from
-// ±Inf (see gradientFromCoefs).
-const starvedCoef = 1e30
-
-// coefficients turns the aggregates into the per-receiver gradient
-// coefficients:
-//
-//	dF/dq^{j,i} (via RX i's signal)       = sigCoef[i]·H_{j,i}
-//	dF/dq^{j,k} (via RX i's interference) = −intCoef[i]·H_{j,i}, i≠k
-//
-// It returns the Eq. (5) objective for free (the fused path) — −Inf when
-// any receiver is starved — accumulated in the exact order objective()
-// uses, so the fused value is bit-identical to Value's.
-func (p *problem) coefficients() float64 {
-	c := p.scale
-	obj := 0.0
-	for i := 0; i < p.m; i++ {
-		s := c * p.sig[i]
-		iv := c * p.interf[i]
-		d := p.noise + iv*iv
-		sinr := s * s / d
-		t := p.bw * math.Log2(1+sinr)
-		if t <= 0 {
-			p.sigCoef[i] = starvedCoef
-			p.intCoef[i] = 0
-			obj = math.Inf(-1)
-			continue
-		}
-		if !math.IsInf(obj, -1) {
-			obj += math.Log(t)
-		}
-		g := p.bw / (t * (1 + sinr) * math.Ln2) // dF/dSINR_i
-		p.sigCoef[i] = g * 2 * c * c * p.sig[i] / d
-		p.intCoef[i] = g * 2 * c * c * c * c * p.sig[i] * p.sig[i] * p.interf[i] / (d * d)
-	}
-	return obj
-}
-
-// gradientFromCoefs folds the coefficients into ∇F in O(N·M): for TX j the
-// interference term Σ_i intCoef[i]·h_ji is shared by every branch k, so it
-// is accumulated once per row and the per-branch derivative is
-//
-//	dF/dq^{j,k} = (sigCoef[k] + intCoef[k])·h_jk − Σ_i intCoef[i]·h_ji
-//
-// then chained through q = (x/2)²: dq/dx = x/2.
-func (p *problem) gradientFromCoefs(x, grad []float64) {
-	n, m := p.n, p.m
-	starved := false
-	for i := 0; i < m; i++ {
-		//lint:ignore floatcmp starvedCoef is a sentinel assigned verbatim, never computed; identity is the test
-		if p.sigCoef[i] == starvedCoef {
-			starved = true
-			break
-		}
-	}
-	if m == 4 {
-		p.gradientFromCoefs4(x, grad)
-	} else {
-		for j := 0; j < n; j++ {
-			hrow := p.h[j*m : j*m+m]
-			base := 0.0
-			for i := 0; i < m; i++ {
-				base += p.intCoef[i] * hrow[i]
-			}
-			for k := 0; k < m; k++ {
-				dq := (p.sigCoef[k]+p.intCoef[k])*hrow[k] - base
-				grad[j*m+k] = dq * x[j*m+k] / 2
-			}
-		}
-	}
-	if !starved {
-		return
-	}
-	// Starved-receiver guard: the sentinel coefficient is deliberately
-	// enormous, and the solver's gnorm² reduction squares every entry —
-	// clamp to a safely squarable magnitude so the rescue direction
-	// survives without overflowing to ±Inf (an entry that already
-	// cancelled to NaN via Inf−Inf drops out as 0). Regular instances
-	// never enter here, so the polished paths keep their exact float
-	// behaviour.
-	const gradCap = 1e12
-	for i, g := range grad {
-		switch {
-		case math.IsNaN(g):
-			grad[i] = 0
-		case g > gradCap:
-			grad[i] = gradCap
-		case g < -gradCap:
-			grad[i] = -gradCap
-		}
-	}
-}
-
-func (p *problem) gradientFromCoefs4(x, grad []float64) {
-	n := p.n
-	h := p.h
-	_ = x[4*n-1]
-	_ = h[4*n-1]
-	_ = grad[4*n-1]
-	ic0, ic1, ic2, ic3 := p.intCoef[0], p.intCoef[1], p.intCoef[2], p.intCoef[3]
-	s0 := p.sigCoef[0] + ic0
-	s1 := p.sigCoef[1] + ic1
-	s2 := p.sigCoef[2] + ic2
-	s3 := p.sigCoef[3] + ic3
-	for j := 0; j < n; j++ {
-		b := j * 4
-		h0, h1, h2, h3 := h[b], h[b+1], h[b+2], h[b+3]
-		base := ic0*h0 + ic1*h1 + ic2*h2 + ic3*h3
-		grad[b] = (s0*h0 - base) * x[b] / 2
-		grad[b+1] = (s1*h1 - base) * x[b+1] / 2
-		grad[b+2] = (s2*h2 - base) * x[b+2] / 2
-		grad[b+3] = (s3*h3 - base) * x[b+3] / 2
-	}
-}
-
-// Gradient implements optimize.Objective.
-//
-//lint:hotpath
-func (p *problem) Gradient(x, grad []float64) {
-	p.aggregates(x)
-	p.coefficients()
-	p.gradientFromCoefs(x, grad)
-}
-
-// ValueGradient implements optimize.ValueGradienter: one aggregate pass
-// serves both the objective and the gradient.
-//
-//lint:hotpath
-func (p *problem) ValueGradient(x, grad []float64) float64 {
-	p.aggregates(x)
-	obj := p.coefficients()
-	p.gradientFromCoefs(x, grad)
-	return obj
+	return move2
 }
 
 // Project implements optimize.Projector: per-TX capped simplex for

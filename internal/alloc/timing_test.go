@@ -54,14 +54,19 @@ func BenchmarkProblemGradient(b *testing.B) {
 	}
 }
 
-func BenchmarkProblemValueGradient(b *testing.B) {
+// BenchmarkProblemStep times one line-search trial as the solver runs it:
+// the fused build, projection, evaluation and move sum along the gradient,
+// at a step long enough that the budget scaling applies.
+func BenchmarkProblemStep(b *testing.B) {
 	p := newProblem(testEnv(fig7RX()), 1.19)
 	x := benchPoint(p)
 	grad := make([]float64, len(x))
+	p.Gradient(x, grad)
+	trial := make([]float64, len(x))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.ValueGradient(x, grad)
+		_, _ = p.Step(x, grad, 0.05, trial)
 	}
 }
 

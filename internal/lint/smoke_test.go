@@ -88,7 +88,8 @@ func TestHotpathAlignment(t *testing.T) {
 	pinned := []struct{ id, test string }{
 		{"(*densevlc/internal/alloc.problem).Value", "alloc.TestGradientAllocationFree"},
 		{"(*densevlc/internal/alloc.problem).Gradient", "alloc.TestGradientAllocationFree"},
-		{"(*densevlc/internal/alloc.problem).ValueGradient", "alloc.TestGradientAllocationFree"},
+		{"(*densevlc/internal/alloc.problem).Step", "alloc.TestGradientAllocationFree"},
+		{"(*densevlc/internal/alloc.problem).LastGradient", "alloc.TestGradientAllocationFree"},
 		{"(*densevlc/internal/alloc.problem).Project", "alloc.TestGradientAllocationFree"},
 		{"densevlc/internal/optimize.ProjectCappedSimplex", "optimize.TestProjectionAllocationFree"},
 		{"densevlc/internal/optimize.ProjectCappedSimplexScratch", "optimize.TestProjectionAllocationFree"},

@@ -134,40 +134,58 @@ func TestProjectionAllocationFree(t *testing.T) {
 	}
 }
 
-// fusedQuadratic wraps quadratic with a ValueGradient implementation and
-// counts which paths Maximize takes.
-type fusedQuadratic struct {
+// stepQuadratic is quadratic as a Stepper over proj, counting which entry
+// points Maximize uses. Its Step is the plain loop's arithmetic verbatim.
+type stepQuadratic struct {
 	quadratic
-	valueCalls, gradCalls, fusedCalls int
+	proj                                        Projector
+	valueCalls, gradCalls, stepCalls, lastGrads int
 }
 
-func (q *fusedQuadratic) Value(x []float64) float64 {
+func (q *stepQuadratic) Value(x []float64) float64 {
 	q.valueCalls++
 	return q.quadratic.Value(x)
 }
 
-func (q *fusedQuadratic) Gradient(x, g []float64) {
+func (q *stepQuadratic) Gradient(x, g []float64) {
 	q.gradCalls++
 	q.quadratic.Gradient(x, g)
 }
 
-func (q *fusedQuadratic) ValueGradient(x, g []float64) float64 {
-	q.fusedCalls++
+func (q *stepQuadratic) Step(x, d []float64, s float64, trial []float64) (float64, float64) {
+	q.stepCalls++
+	for i := range trial {
+		trial[i] = x[i] + s*d[i]
+	}
+	q.proj.Project(trial)
+	move2 := 0.0
+	for i := range trial {
+		dv := trial[i] - x[i]
+		move2 += dv * dv
+	}
+	return q.quadratic.Value(trial), move2
+}
+
+func (q *stepQuadratic) LastGradient(x, g []float64) {
+	q.lastGrads++
 	q.quadratic.Gradient(x, g)
-	return q.quadratic.Value(x)
 }
 
 func TestMaximizePrefersFusedPath(t *testing.T) {
-	q := &fusedQuadratic{quadratic: quadratic{c: []float64{1, -2, 3}}}
-	res, err := Maximize(q, noProjection(), []float64{0, 0, 0}, Options{})
+	q := &stepQuadratic{quadratic: quadratic{c: []float64{1, -2, 3}}, proj: noProjection()}
+	res, err := Maximize(q, q.proj, []float64{0, 0, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.fusedCalls == 0 {
-		t.Error("ValueGradienter implemented but fused path never taken")
+	if q.stepCalls == 0 || q.lastGrads == 0 {
+		t.Errorf("Stepper implemented but fused path not taken: %d steps, %d gradients",
+			q.stepCalls, q.lastGrads)
 	}
 	if q.gradCalls != 0 {
-		t.Errorf("split Gradient called %d times despite fused path", q.gradCalls)
+		t.Errorf("plain Gradient called %d times despite fused path", q.gradCalls)
+	}
+	if q.valueCalls != 1 {
+		t.Errorf("Value called %d times, want once (the start point)", q.valueCalls)
 	}
 
 	// The fused path must not change the trajectory: same point, value and
@@ -177,21 +195,132 @@ func TestMaximizePrefersFusedPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Value != plain.Value || res.Iterations != plain.Iterations {
-		t.Errorf("fused solve (f=%x, it=%d) diverged from split solve (f=%x, it=%d)",
+		t.Errorf("fused solve (f=%x, it=%d) diverged from plain solve (f=%x, it=%d)",
 			res.Value, res.Iterations, plain.Value, plain.Iterations)
 	}
 	for i := range res.X {
 		if res.X[i] != plain.X[i] {
-			t.Errorf("x[%d]: fused %x vs split %x", i, res.X[i], plain.X[i])
+			t.Errorf("x[%d]: fused %x vs plain %x", i, res.X[i], plain.X[i])
+		}
+	}
+}
+
+// cliff is a concave quadratic with its maximiser (3, 3) beyond a cliff:
+// the value is −Inf where x_0 + x_1 > 4 and NaN where x_0 > 2.5, so long
+// line-search trials land on non-finite values. It records the last point
+// it evaluated and fails the test when a gradient is requested anywhere
+// but at a finite, just-evaluated point.
+type cliff struct {
+	t                       *testing.T
+	last                    []float64
+	lastF                   float64
+	evals, nonFinite, grads int
+}
+
+func (c *cliff) value(x []float64) float64 {
+	switch {
+	case x[0] > 2.5:
+		return math.NaN()
+	case x[0]+x[1] > 4:
+		return math.Inf(-1)
+	}
+	return quadratic{c: []float64{3, 3}}.Value(x)
+}
+
+func (c *cliff) Value(x []float64) float64 {
+	f := c.value(x)
+	c.evals++
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		c.nonFinite++
+	}
+	c.last, c.lastF = append(c.last[:0], x...), f
+	return f
+}
+
+func (c *cliff) Gradient(x, g []float64) {
+	c.grads++
+	if f := c.value(x); math.IsNaN(f) || math.IsInf(f, 0) {
+		c.t.Errorf("gradient requested at %v, where f = %v", x, f)
+	}
+	quadratic{c: []float64{3, 3}}.Gradient(x, g)
+}
+
+// stepCliff adds the Stepper methods, whose contract is stricter: the
+// gradient point must be the one the most recent evaluation saw.
+type stepCliff struct{ cliff }
+
+func (c *stepCliff) Step(x, d []float64, s float64, trial []float64) (float64, float64) {
+	for i := range trial {
+		trial[i] = x[i] + s*d[i]
+	}
+	move2 := 0.0
+	for i := range trial {
+		dv := trial[i] - x[i]
+		move2 += dv * dv
+	}
+	return c.Value(trial), move2
+}
+
+func (c *stepCliff) LastGradient(x, g []float64) {
+	for i := range x {
+		if x[i] != c.last[i] {
+			c.t.Fatalf("gradient requested at %v, but the last evaluation was at %v", x, c.last)
+		}
+	}
+	if math.IsNaN(c.lastF) || math.IsInf(c.lastF, 0) {
+		c.t.Errorf("gradient requested at %v, where the last evaluation gave f = %v", x, c.lastF)
+	}
+	c.Gradient(x, g)
+}
+
+func TestMaximizeAsksGradientOnlyAtFinitePoints(t *testing.T) {
+	for _, fused := range []bool{false, true} {
+		newObj := func() (Objective, *cliff) {
+			if fused {
+				c := &stepCliff{cliff{t: t}}
+				return c, &c.cliff
+			}
+			c := &cliff{t: t}
+			return c, c
+		}
+
+		// A start on the cliff is rejected before any gradient is asked for.
+		for _, x0 := range [][]float64{{5, 0}, {3, 0}} {
+			obj, c := newObj()
+			if _, err := Maximize(obj, noProjection(), x0, Options{}); err != ErrBadStart {
+				t.Errorf("fused=%v start %v: err = %v, want ErrBadStart", fused, x0, err)
+			}
+			if c.grads != 0 {
+				t.Errorf("fused=%v start %v: %d gradient calls at a non-finite start", fused, x0, c.grads)
+			}
+		}
+
+		// From a finite start the line search keeps landing beyond the
+		// cliff; the objective's own checks fail the test on any gradient
+		// request at a non-finite point.
+		obj, c := newObj()
+		res, err := Maximize(obj, noProjection(), []float64{0, 0}, Options{InitialStep: 4})
+		if err != nil {
+			t.Fatalf("fused=%v: %v", fused, err)
+		}
+		if c.nonFinite == 0 || c.grads < 2 {
+			t.Errorf("fused=%v: %d non-finite trials, %d gradients: the cliff was never tested",
+				fused, c.nonFinite, c.grads)
+		}
+		if s := res.X[0] + res.X[1]; s > 4 || s < 4-1e-6 {
+			t.Errorf("fused=%v: stopped at %v (sum %v), want the cliff edge", fused, res.X, s)
 		}
 	}
 }
 
 // TestMaximizeIterationCountsPinned pins the solver's exact iteration counts
-// on fixed instances. The loop-exit restructure (single converged check in
-// place of the old duplicated break) and the fused-evaluation dispatch must
-// not change how many iterations any solve takes; a diff here means the
-// control flow changed, not just the code shape.
+// on fixed instances, on the plain path and on the fused Stepper path. The
+// loop-exit restructure (single converged check in place of the old
+// duplicated break) and the fused-step dispatch must not change how many
+// iterations any solve takes; a diff here means the control flow changed,
+// not just the code shape. The differential counterpart on the DenseVLC
+// objective, alloc.TestMaximizeFusedMatchesGeneric, holds the two paths to
+// the same X, Value, Iterations and Converged on 200 randomized problems.
 func TestMaximizeIterationCountsPinned(t *testing.T) {
 	cases := []struct {
 		name string
@@ -229,16 +358,19 @@ func TestMaximizeIterationCountsPinned(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		res, err := Maximize(tc.obj, tc.proj, tc.x0, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !res.Converged {
-			t.Errorf("%s: did not converge", tc.name)
-		}
-		if res.Iterations != tc.want {
-			t.Errorf("%s: %d iterations, want %d (solver control flow changed)",
-				tc.name, res.Iterations, tc.want)
+		fused := &stepQuadratic{quadratic: tc.obj.(quadratic), proj: tc.proj}
+		for _, obj := range []Objective{tc.obj, fused} {
+			res, err := Maximize(obj, tc.proj, tc.x0, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if !res.Converged {
+				t.Errorf("%s: did not converge", tc.name)
+			}
+			if res.Iterations != tc.want {
+				t.Errorf("%s (%T): %d iterations, want %d (solver control flow changed)",
+					tc.name, obj, res.Iterations, tc.want)
+			}
 		}
 	}
 }

@@ -23,16 +23,29 @@ type Objective interface {
 	Gradient(x, grad []float64)
 }
 
-// ValueGradienter is an optional Objective extension: a fused evaluation
-// that returns f(x) while writing ∇f(x) into grad. Objectives whose value
-// and gradient share expensive aggregates (DenseVLC's per-receiver
-// signal/interference sums) implement it so one pass serves both; Maximize
-// detects and prefers it. The returned value must be bit-identical to
-// Value(x) so the line search and the gradient step agree on the incumbent.
-type ValueGradienter interface {
+// Stepper is an optional Objective extension that evaluates each
+// line-search point once. Objectives whose value and gradient share
+// expensive terms (DenseVLC's per-receiver signal/interference sums and
+// logs) implement it; Maximize detects and prefers it.
+//
+// Maximize requests a gradient only at the incumbent, and the incumbent is
+// always the point of the most recent evaluation: the projected start point
+// (Value) or the line-search trial just accepted (Step). Every gradient
+// request therefore follows an evaluation of the same point, with a finite
+// value, and LastGradient may build ∇f from terms that evaluation kept.
+type Stepper interface {
 	Objective
-	// ValueGradient writes ∇f(x) into grad and returns f(x).
-	ValueGradient(x, grad []float64) float64
+	// Step writes the trial point P(x + s·d) into trial, where P is the
+	// Projector passed to Maximize, and returns f(trial) and the squared
+	// move Σ(trial_i − x_i)² summed in index order. Both must be
+	// bit-identical to building the point, calling Project and Value, and
+	// summing the move separately, so the Armijo test sees exactly the
+	// numbers the plain loop would.
+	Step(x, d []float64, s float64, trial []float64) (f, move2 float64)
+	// LastGradient writes ∇f(x) into grad, where x is the point of the
+	// most recent Value or Step call (for Step, its trial) and that call
+	// returned a finite value.
+	LastGradient(x, grad []float64)
 }
 
 // Projector maps an arbitrary point onto the feasible set, in place.
@@ -106,24 +119,22 @@ func Maximize(obj Objective, proj Projector, x0 []float64, opts Options) (Result
 	trial := make([]float64, n)
 	step := opts.InitialStep
 
-	// Fused fast path: one pass fills the gradient and refreshes f. The
-	// contract requires ValueGradient(x) == Value(x) bitwise, so the Armijo
-	// comparisons below see exactly the value a separate call would.
-	vg, fused := obj.(ValueGradienter)
+	// Fused path: each trial is built, projected and evaluated in one Step,
+	// and the gradient comes from the accepted trial's own terms. The
+	// Stepper contract makes its numbers bit-identical to the plain loop's.
+	st, fused := obj.(Stepper)
 
 	var it int
 	converged := false
 	for it = 0; it < opts.MaxIterations; it++ {
+		// x is the point of the most recent evaluation: the start point or
+		// the trial accepted below.
 		if fused {
-			f = vg.ValueGradient(x, grad)
+			st.LastGradient(x, grad)
 		} else {
 			obj.Gradient(x, grad)
 		}
-		gnorm2 := 0.0
-		for _, g := range grad {
-			gnorm2 += g * g
-		}
-		if gnorm2 == 0 {
+		if zeroVector(grad) {
 			converged = true
 			break
 		}
@@ -132,24 +143,30 @@ func Maximize(obj Objective, proj Projector, x0 []float64, opts Options) (Result
 		improved := false
 		s := step
 		for bt := 0; bt < 60; bt++ {
-			for i := range trial {
-				trial[i] = x[i] + s*grad[i]
-			}
-			proj.Project(trial)
-			ft := obj.Value(trial)
-			if !math.IsNaN(ft) && !math.IsInf(ft, 0) {
-				// Sufficient increase measured against the actual move,
-				// which projection may have shortened.
-				move2 := 0.0
+			var ft, move2 float64
+			if fused {
+				ft, move2 = st.Step(x, grad, s, trial)
+			} else {
+				for i := range trial {
+					trial[i] = x[i] + s*grad[i]
+				}
+				proj.Project(trial)
+				ft = obj.Value(trial)
 				for i := range trial {
 					d := trial[i] - x[i]
 					move2 += d * d
 				}
+			}
+			if !math.IsNaN(ft) && !math.IsInf(ft, 0) {
+				// Sufficient increase measured against the actual move,
+				// which projection may have shortened.
 				if move2 == 0 {
 					break // projection pinned us; shrinking s won't help
 				}
 				if ft >= f+armijoC*move2/s {
-					copy(x, trial)
+					// The accepted trial becomes the incumbent, and the
+					// last point evaluated.
+					x, trial = trial, x
 					prev := f
 					f = ft
 					improved = true
@@ -174,6 +191,18 @@ func Maximize(obj Objective, proj Projector, x0 []float64, opts Options) (Result
 		}
 	}
 	return Result{X: x, Value: f, Iterations: it, Converged: converged}, nil
+}
+
+// zeroVector reports whether every g_i·g_i is zero, the condition under
+// which Σ g_i² is zero: the squares are non-negative, and a NaN fails both
+// tests alike. It stops at the first non-zero square.
+func zeroVector(g []float64) bool {
+	for _, v := range g {
+		if v*v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func rel(now, prev float64) float64 {

@@ -68,7 +68,9 @@
 #                     round-trip and reference-equivalence, Manchester
 #                     round-trip and decode, correlation-peak, waveform
 #                     Transmit and Lambertian gain reference-equivalence,
-#                     and the chaos-spec and cluster-spec grammars, enough
+#                     the optimal solver's fused line-search step against
+#                     the separate project/value/move calls, and the
+#                     chaos-spec and cluster-spec grammars, enough
 #                     to catch regressions on the seeded corpora plus fresh
 #                     mutations
 set -euo pipefail
@@ -181,7 +183,7 @@ timeout 600 go run -race ./cmd/densevlc -rounds 4 -async > /dev/null
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
-echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, waveform Transmit, Lambertian gain, chaos spec, cluster spec)"
+echo "==> short fuzz (frame codec, control-message codecs, Reed–Solomon codec, Manchester demodulator, correlation peak, waveform Transmit, Lambertian gain, solver step, chaos spec, cluster spec)"
 go test -run='^$' -fuzz='^FuzzDownlinkRoundTrip$' -fuzztime=10s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeMAC$' -fuzztime=5s ./internal/frame/
 go test -run='^$' -fuzz='^FuzzDecodeDownlink$' -fuzztime=5s ./internal/frame/
@@ -194,6 +196,7 @@ go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCorrelationPeakMatchesReference$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzTransmitMatchesReference$' -fuzztime=5s ./internal/phy/
 go test -run='^$' -fuzz='^FuzzGainMatchesReference$' -fuzztime=5s ./internal/optics/
+go test -run='^$' -fuzz='^FuzzStepMatchesSeparate$' -fuzztime=5s ./internal/alloc/
 go test -run='^$' -fuzz='^FuzzChaosSpec$' -fuzztime=5s ./internal/chaos/
 go test -run='^$' -fuzz='^FuzzClusterSpec$' -fuzztime=5s ./internal/cluster/
 
