@@ -96,6 +96,9 @@ func main() {
 		}
 		numRX = *fleet
 	} else {
+		if err := mobility.CheckSpeed(units.MetersPerSecond(*speed)); err != nil {
+			log.Fatal(err)
+		}
 		for range scenario.Scenario2.RXPositions() {
 			traj = append(traj, mobility.NewRandomWaypoint(
 				stats.SplitRand(rng), 0.4, 0.4, 2.6, 2.6, 0, units.MetersPerSecond(*speed)))

@@ -79,10 +79,6 @@ type Options struct {
 	Instances int
 	// Quick shrinks every workload for smoke tests and benchmarks.
 	Quick bool
-	// MaxFailures bounds the failure sweep of the resilience study: the
-	// largest number of transmitters killed at once. Zero selects the
-	// default 8 (the acceptance envelope of the fault-injection layer).
-	MaxFailures int
 	// Workers bounds the worker pool the Monte-Carlo generators fan out
 	// on (internal/parallel). Zero selects runtime.GOMAXPROCS(0); one
 	// forces a serial run. Results are bit-identical for every worker
@@ -121,13 +117,6 @@ func (o Options) instances() int {
 		return 100
 	}
 	return o.Instances
-}
-
-func (o Options) maxFailures() int {
-	if o.MaxFailures <= 0 {
-		return 8
-	}
-	return o.MaxFailures
 }
 
 // trials is the number of repetitions for the synchronisation and PER

@@ -3,30 +3,32 @@ package experiments
 import (
 	"math"
 
-	"densevlc/internal/alloc"
 	"densevlc/internal/chaos"
+	"densevlc/internal/mobility"
 	"densevlc/internal/scenario"
+	"densevlc/internal/sim"
 	"densevlc/internal/stats"
-	"densevlc/internal/units"
 )
 
 // Resilience quantifies the paper's graceful-degradation promise (Sec. 6)
-// under hard transmitter failures: for each k in 0..MaxFailures, k random
-// LEDs go dark, the controller re-allocates on the survivors, and the table
-// reports how much system throughput remains and whether anyone starves.
-// Because every receiver is served by many distributed transmitters, losing
-// up to 8 of 36 should cost throughput smoothly while every receiver keeps
-// its link — the starved column staying at zero is the claim under test.
+// under hard transmitter failures: for each k in 0..8, k random LEDs go
+// dark and the table reports how much system throughput remains and whether
+// anyone starves. Each instance is one static epoch of the shipped loop
+// (sim.Run): the chaos injector fails the transmitters at the round
+// boundary, the receivers report what their pilots measured, the
+// controller's health tracker and decision see those reports, and the plan
+// is scored as the allocation frame carried it over the wire. Because every
+// receiver is served by many distributed transmitters, losing up to 8 of 36
+// should cost throughput smoothly while every receiver keeps its link — the
+// starved column staying at zero is the claim under test.
 //
 // Failures per instance are drawn once as a failing order
 // (chaos.RandomTXFailures), so row k kills a superset of row k-1's
 // casualties: a progressive blackout, not independent draws.
 func Resilience(opts Options) Table {
+	const maxFail = 8
 	set := scenario.Default()
-	policy := alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
-	budget := units.Watts(1.19)
 	n := set.Grid.N()
-	maxFail := opts.maxFailures()
 	inst := opts.instances()
 
 	// Placements and failing orders come off the master stream before any
@@ -47,17 +49,26 @@ func Resilience(opts Options) Table {
 		var sys, minRX, sumLog []float64
 		starved := 0
 		for i := 0; i < inst; i++ {
-			env := set.Env(positions[i], nil)
+			schedule := chaos.NewSchedule()
 			for _, tx := range orders[i][:k] {
-				for rx := range env.H.H[tx] {
-					env.H.H[tx][rx] = 0
-				}
+				schedule.TXFail(0, tx)
 			}
-			swings, err := policy.Allocate(env, budget)
+			var traj []mobility.Trajectory
+			for _, p := range positions[i] {
+				traj = append(traj, mobility.Static{Pos: p})
+			}
+			res, err := sim.Run(sim.Config{
+				Setup:        set,
+				Trajectories: traj,
+				Budget:       1.19,
+				Rounds:       1,
+				Chaos:        schedule,
+				Seed:         opts.Seed,
+			})
 			if err != nil {
 				continue
 			}
-			ev := alloc.Evaluate(env, swings)
+			ev := res.Rounds[0].Eval
 			sys = append(sys, ev.SumThroughput.Bps()/1e6)
 			low := math.Inf(1)
 			for _, tp := range ev.Throughput {

@@ -5,12 +5,31 @@
 package mobility
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
 	"densevlc/internal/geom"
 	"densevlc/internal/units"
 )
+
+// MaxSpeed bounds a receiver's speed. 10 m/s is faster than a sprinting
+// user and twenty times the ACRO gantries' top speed, so no receiver this
+// system serves moves faster. The bound also keeps the random-waypoint
+// model advancing: each leg of at most a few metres must take a time that
+// still moves the clock, and at 1e300 m/s (or +Inf) a leg takes less time
+// than the clock can add, so Position would never return.
+const MaxSpeed units.MetersPerSecond = 10
+
+// CheckSpeed reports whether v is a usable receiver speed: finite, not
+// negative and at most MaxSpeed. A NaN fails every comparison, so it is
+// refused explicitly.
+func CheckSpeed(v units.MetersPerSecond) error {
+	if math.IsNaN(v.MPerS()) || v < 0 || v > MaxSpeed {
+		return fmt.Errorf("mobility: speed %g m/s is not in [0, %g]", v.MPerS(), MaxSpeed.MPerS())
+	}
+	return nil
+}
 
 // Trajectory yields a receiver's xy position at a given simulated time.
 type Trajectory interface {

@@ -16,6 +16,25 @@ func TestStatic(t *testing.T) {
 	}
 }
 
+func TestCheckSpeed(t *testing.T) {
+	for _, v := range []units.MetersPerSecond{0, 0.25, MaxSpeed} {
+		if err := CheckSpeed(v); err != nil {
+			t.Errorf("CheckSpeed(%g) = %v, want nil", v.MPerS(), err)
+		}
+	}
+	for _, v := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, math.Nextafter(MaxSpeed.MPerS(), 20)} {
+		if err := CheckSpeed(units.MetersPerSecond(v)); err == nil {
+			t.Errorf("CheckSpeed(%g) = nil, want an error", v)
+		}
+	}
+	// At the bound the random-waypoint model still advances: an hour of
+	// motion returns, inside the region.
+	r := NewRandomWaypoint(stats.NewRand(1), 0, 0, 3, 3, 0, MaxSpeed)
+	if p := r.Position(3600); p.X < 0 || p.X > 3 || p.Y < 0 || p.Y > 3 {
+		t.Errorf("position after an hour at MaxSpeed %v left the region", p)
+	}
+}
+
 func TestWaypointsInterpolation(t *testing.T) {
 	w := Waypoints{
 		Points: []geom.Vec{geom.V(0, 0, 0), geom.V(1, 0, 0), geom.V(1, 1, 0)},

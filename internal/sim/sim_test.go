@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"densevlc/internal/alloc"
+	"densevlc/internal/channel"
 	"densevlc/internal/clock"
 	"densevlc/internal/geom"
 	"densevlc/internal/mac"
@@ -248,6 +250,53 @@ func TestRunIncrementalModes(t *testing.T) {
 			t.Errorf("round %d: %d active TXs, full solve %d", round, r.ActiveTXs, want.Rounds[round].ActiveTXs)
 		}
 	}
+
+	// A RelDelta no gain delta can exceed leaves only the staleness cap:
+	// with RX1 crossing the room, which moves its column far past any
+	// finite threshold, the policy runs on epochs 0, K, 2K, … and never in
+	// between. The adaptation study's refresh periods rest on this.
+	const stale = 3
+	var now units.Seconds
+	traj := staticTrajectories()
+	traj[0] = epochClock{Trajectory: mobility.Waypoints{
+		Points: []geom.Vec{geom.V(0.5, 0.5, 0), geom.V(2.5, 2.5, 0)},
+		Speed:  0.25,
+	}, now: &now}
+	probe := &epochPolicy{Policy: base.Policy, now: &now}
+	capped := base
+	capped.Trajectories, capped.Policy, capped.Rounds = traj, probe, 10
+	capped.Trigger = mac.Trigger{RelDelta: math.MaxFloat64, MaxStaleEpochs: stale}
+	if _, err := Run(capped); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, stale, 2 * stale, 3 * stale}; !slices.Equal(probe.epochs, want) {
+		t.Errorf("capped trigger solved on epochs %v, want %v", probe.epochs, want)
+	}
+}
+
+// epochClock is a trajectory that notes the time of the round Drive is
+// setting up, so a policy called later in that epoch knows which it is.
+type epochClock struct {
+	mobility.Trajectory
+	now *units.Seconds
+}
+
+func (c epochClock) Position(t units.Seconds) geom.Vec {
+	*c.now = t
+	return c.Trajectory.Position(t)
+}
+
+// epochPolicy records the epoch of each solve (RoundDuration 1 s, so an
+// epoch's time is its index).
+type epochPolicy struct {
+	alloc.Policy
+	now    *units.Seconds
+	epochs []int
+}
+
+func (p *epochPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
+	p.epochs = append(p.epochs, int(p.now.S()))
+	return p.Policy.Allocate(env, budget)
 }
 
 // countingNetwork counts the controller's multicasts.

@@ -26,6 +26,7 @@ import (
 	"math"
 	"strconv"
 
+	"densevlc/internal/mobility"
 	"densevlc/internal/units"
 )
 
@@ -61,7 +62,8 @@ func DefaultSpec() Spec {
 }
 
 // Validate reports whether the spec is usable. Non-finite fields are
-// rejected explicitly since NaN compares false against every bound.
+// rejected explicitly since NaN compares false against every bound; the
+// speed must pass mobility.CheckSpeed.
 func (sp Spec) Validate() error {
 	for _, f := range []struct {
 		name string
@@ -69,7 +71,6 @@ func (sp Spec) Validate() error {
 	}{
 		{"rate", sp.ArrivalRate},
 		{"dwell", sp.MeanDwell.S()},
-		{"speed", sp.Speed.MPerS()},
 		{"minwatts", sp.MinWattsPerUser.W()},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
@@ -78,6 +79,9 @@ func (sp Spec) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("workload: %s %g must not be negative", f.name, f.v)
 		}
+	}
+	if err := mobility.CheckSpeed(sp.Speed); err != nil {
+		return fmt.Errorf("workload: %w", err)
 	}
 	if sp.Fleet < 1 {
 		return fmt.Errorf("workload: fleet %d must be at least 1", sp.Fleet)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"densevlc/internal/units"
 )
 
 func TestSpecString(t *testing.T) {
@@ -15,10 +17,23 @@ func TestSpecString(t *testing.T) {
 }
 
 func TestSpecValidateRejectsNonFinite(t *testing.T) {
-	sp := DefaultSpec()
-	sp.ArrivalRate = math.NaN()
-	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
-		t.Errorf("NaN rate: got %v, want finiteness error", err)
+	cases := []struct {
+		field string
+		set   func(sp *Spec)
+	}{
+		{"rate", func(sp *Spec) { sp.ArrivalRate = math.NaN() }},
+		{"speed", func(sp *Spec) { sp.Speed = units.MetersPerSecond(math.NaN()) }},
+		{"speed", func(sp *Spec) { sp.Speed = units.MetersPerSecond(math.Inf(1)) }},
+		// Finite, but so fast a random-waypoint leg cannot advance the
+		// clock: Position would spin forever.
+		{"speed", func(sp *Spec) { sp.Speed = 1e300 }},
+	}
+	for i, c := range cases {
+		sp := DefaultSpec()
+		c.set(&sp)
+		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("case %d: got %v, want an error naming %s", i, err, c.field)
+		}
 	}
 }
 
