@@ -44,10 +44,11 @@ func (e *Env) Validate() error {
 	return nil
 }
 
-// checkRequest is the check every Policy.Allocate makes first: a valid
-// environment and a finite, non-negative budget. A NaN budget would pass a
-// plain budget < 0 test and run to an empty allocation.
-func checkRequest(env *Env, budget units.Watts) error {
+// CheckRequest is the check every Policy.Allocate makes first, and every
+// solver that wraps a policy: a valid environment and a finite,
+// non-negative budget. A NaN budget would pass a plain budget < 0 test and
+// run to an empty allocation.
+func CheckRequest(env *Env, budget units.Watts) error {
 	if err := env.Validate(); err != nil {
 		return err
 	}

@@ -19,7 +19,7 @@ func (SISO) Name() string { return "SISO" }
 // Allocate implements Policy. The budget is still honoured: receivers are
 // served in order of their best channel until activations no longer fit.
 func (SISO) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := checkRequest(env, budget); err != nil {
+	if err := CheckRequest(env, budget); err != nil {
 		return nil, err
 	}
 	type pick struct {
@@ -97,7 +97,7 @@ func (DMISO) Assignments(env *Env) []Assignment {
 // Allocate implements Policy. D-MISO ignores power efficiency by design but
 // still cannot overspend the budget: activations stop when it is exhausted.
 func (d DMISO) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := checkRequest(env, budget); err != nil {
+	if err := CheckRequest(env, budget); err != nil {
 		return nil, err
 	}
 	return SwingsFromAssignments(env, d.Assignments(env), budget, false), nil

@@ -124,7 +124,7 @@ func (h Heuristic) Validate() error {
 
 // Allocate implements Policy.
 func (h Heuristic) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := checkRequest(env, budget); err != nil {
+	if err := CheckRequest(env, budget); err != nil {
 		return nil, err
 	}
 	if err := h.Validate(); err != nil {
@@ -214,7 +214,7 @@ func fillSJRAdaptive(env *Env, sjr [][]float64) {
 
 // Allocate implements Policy.
 func (a AdaptiveKappa) Allocate(env *Env, budget units.Watts) (channel.Swings, error) {
-	if err := checkRequest(env, budget); err != nil {
+	if err := CheckRequest(env, budget); err != nil {
 		return nil, err
 	}
 	return SwingsFromAssignments(env, a.Rank(env), budget, a.AllowPartial), nil

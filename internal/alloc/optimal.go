@@ -65,7 +65,7 @@ func (o Optimal) AllocateWarm(env *Env, budget units.Watts, prev channel.Swings)
 }
 
 func (o Optimal) allocate(env *Env, budget units.Watts, warm channel.Swings) (channel.Swings, error) {
-	if err := checkRequest(env, budget); err != nil {
+	if err := CheckRequest(env, budget); err != nil {
 		return nil, err
 	}
 	if budget == 0 {

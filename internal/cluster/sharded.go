@@ -17,8 +17,9 @@ const DefaultBoundaryTolerance = 0.25
 
 // Sharded runs any alloc.Policy per cooperation cluster and stitches the
 // per-cluster solutions into one global swing matrix. It implements
-// alloc.Policy, so everything that takes a policy — the controller, sweeps,
-// experiments — can shard transparently.
+// alloc.Policy, so sweeps and experiments can shard transparently; the MAC
+// controller needs no wrapper, since it solves every decision through its
+// own Workspace.
 //
 // Feasibility is compositional: clusters own disjoint transmitters, so the
 // per-TX swing bound (6) holds cluster-locally, and the budget is split
@@ -128,11 +129,8 @@ func (w *Workspace) Solve(env *alloc.Env, budget units.Watts) (channel.Swings, e
 // and the stitch, not O(N·M) copying. Cancellation stops the per-cluster
 // fan-out between cluster solves.
 func (w *Workspace) SolveDirtyContext(ctx context.Context, env *alloc.Env, budget units.Watts, dirty func(c int) bool) (channel.Swings, error) {
-	if err := env.Validate(); err != nil {
+	if err := alloc.CheckRequest(env, budget); err != nil {
 		return nil, err
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("cluster: negative power budget %.3f", budget.W())
 	}
 	if err := w.clus.FormInto(env.H, w.Spec); err != nil {
 		return nil, err

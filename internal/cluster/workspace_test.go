@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -197,6 +198,24 @@ func TestWorkspaceRejectsBadInput(t *testing.T) {
 	}
 	if _, err := w.Solve(&alloc.Env{}, paperBudget); err == nil {
 		t.Error("invalid env accepted")
+	}
+}
+
+// TestShardedRefusesNonFiniteBudget feeds an all-zero 36×4 environment,
+// where every receiver is TX-less and no policy runs, so the sharded
+// solver's own check is the only one: it must refuse what the policy would.
+func TestShardedRefusesNonFiniteBudget(t *testing.T) {
+	set := scenario.Default()
+	env := &alloc.Env{Params: set.Params, LED: set.LED, H: channel.NewMatrix(36, 4)}
+	policy := alloc.Heuristic{AllowPartial: true}
+	sh := Sharded{Inner: policy}
+	for _, budget := range []units.Watts{units.Watts(math.NaN()), units.Watts(math.Inf(1))} {
+		if _, err := policy.Allocate(env, budget); err == nil {
+			t.Fatalf("policy accepts budget %v", budget)
+		}
+		if _, err := sh.Allocate(env, budget); err == nil {
+			t.Errorf("sharded solve accepts budget %v", budget)
+		}
 	}
 }
 

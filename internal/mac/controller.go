@@ -16,6 +16,8 @@ import (
 // Controller hosts DenseVLC's decision logic (Sec. 3.2): it ingests channel
 // reports, recomputes the swing allocation with the configured policy, and
 // produces the allocation commands and data frames the transmitters act on.
+// Every decision solves through one cooperation-cluster workspace, so a
+// receiver no transmitter hears costs no budget and fails no solve.
 //
 // The controller is a pure state machine: feed it uplink messages with
 // HandleUplink, ask for decisions with Reallocate, and build wire frames
@@ -23,7 +25,6 @@ import (
 // outside.
 type Controller struct {
 	N, M   int
-	Policy alloc.Policy
 	Budget units.Watts
 	Params channel.Params
 	LED    led.Model
@@ -53,9 +54,11 @@ type Controller struct {
 	txZeroEpochs []int       // consecutive epochs with zero gain everywhere
 	txState      []LinkState // current classification
 
-	// Sharded re-allocation (EnableSharding): the cooperation-cluster
-	// workspace.
-	shard *cluster.Workspace
+	// solver is the cooperation-cluster workspace every decision solves
+	// through, with the policy as its Inner. NewController gives it the
+	// all-covering formation, which reproduces the global solve bit for bit;
+	// EnableSharding swaps in a tighter one.
+	solver *cluster.Workspace
 	// env is the persistent input of every solve. Its channel matrix is
 	// refreshed in place, so the steady-state epoch loop allocates nothing
 	// on the solve path, and between epochs it holds the gains the current
@@ -124,8 +127,9 @@ func NewController(n, m int, policy alloc.Policy, budget units.Watts, params cha
 	}
 	return &Controller{
 		N: n, M: m,
-		Policy: policy, Budget: budget,
+		Budget: budget,
 		Params: params, LED: ledModel,
+		solver:       cluster.NewWorkspace(cluster.Spec{}, policy, 1),
 		gains:        g,
 		fresh:        make([]bool, m),
 		txEverSeen:   make([]bool, n),
@@ -244,27 +248,23 @@ func (c *Controller) fillEnv(rxDirty []bool) {
 	}
 }
 
-// EnableSharding routes Reallocate through a cooperation-cluster workspace:
-// clusters are re-formed from the health-masked gains each epoch, each
-// cluster is solved with the controller's policy on its budget share, and
-// only dirty clusters — those with a fresh report from a member receiver, or
-// any cluster after a membership change — are re-solved. Plans produced by
-// the sharded path alias the workspace stitch buffer and are valid until the
-// next Reallocate.
-//
-// Call before the first Reallocate; workers bounds the per-cluster fan-out
-// (0 = all cores). The stitched plan is identical for every workers value.
+// EnableSharding replaces the controller's all-covering formation with sp
+// and its serial per-cluster loop with a fan-out over workers (0 = all
+// cores). Clusters are re-formed from the health-masked gains each epoch,
+// each is solved with the controller's policy on its budget share, and only
+// dirty clusters — those with a fresh report from a member receiver, or any
+// cluster after a membership change — are re-solved. The stitched plan is
+// identical for every workers value.
 func (c *Controller) EnableSharding(sp cluster.Spec, workers int) {
-	c.shard = cluster.NewWorkspace(sp, c.Policy, workers)
+	c.solver.Spec, c.solver.Workers = sp, workers
 }
 
-// Clustering exposes the shard map of the last sharded Reallocate, or nil
-// when sharding is disabled or no reallocation has happened yet.
+// Clustering exposes the shard map of the last Reallocate that reached the
+// solver; it holds no clusters before the first one. Under the default all-covering
+// formation it is one cluster owning every transmitter in play, plus one
+// TX-less cluster per receiver no transmitter hears.
 func (c *Controller) Clustering() *cluster.Clustering {
-	if c.shard == nil {
-		return nil
-	}
-	return c.shard.Clustering()
+	return c.solver.Clustering()
 }
 
 // clusterDirty reports whether cluster ci must be re-solved this epoch: true
@@ -278,7 +278,7 @@ func (c *Controller) clusterDirty(ci int) bool {
 	if c.epochDirty != nil {
 		dirtyRX = c.epochDirty
 	}
-	for _, rx := range c.shard.Clustering().Clusters[ci].RXs {
+	for _, rx := range c.solver.Clustering().Clusters[ci].RXs {
 		if dirtyRX[rx] {
 			return true
 		}
@@ -358,14 +358,15 @@ func (c *Controller) DeadTXs() []int {
 // solve are untouched, so the decision would reproduce itself. With the
 // Trigger enabled, epochs whose fresh reports all moved less than the
 // threshold are likewise answered from the cache after an O(N·fresh) dirty
-// check.
+// check. The plan's swing matrix aliases the solver's stitch buffer: it is
+// valid until the next Reallocate that solves.
 func (c *Controller) Reallocate() (Plan, error) {
 	//lint:ignore ctxflow context-free convenience wrapper over ReallocateContext, which accepts the caller's context
 	return c.ReallocateContext(context.Background())
 }
 
 // ReallocateContext is Reallocate under the caller's context: cancellation
-// stops the sharded per-cluster fan-out between cluster solves.
+// stops the per-cluster fan-out between cluster solves.
 func (c *Controller) ReallocateContext(ctx context.Context) (Plan, error) {
 	healthChanged := c.updateHealth()
 	anyFresh := false
@@ -413,13 +414,7 @@ func (c *Controller) ReallocateContext(ctx context.Context) (Plan, error) {
 	}
 
 	c.epochDirty = rxDirty
-	var swings channel.Swings
-	var err error
-	if c.shard != nil {
-		swings, err = c.shard.SolveDirtyContext(ctx, c.refreshEnv(rxDirty), c.Budget, c.clusterDirty)
-	} else {
-		swings, err = c.Policy.Allocate(c.refreshEnv(rxDirty), c.Budget)
-	}
+	swings, err := c.solver.SolveDirtyContext(ctx, c.refreshEnv(rxDirty), c.Budget, c.clusterDirty)
 	c.epochDirty = nil
 	if err != nil {
 		// refreshEnv already wrote this epoch's gains, so the matrix no

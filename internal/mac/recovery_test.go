@@ -214,3 +214,47 @@ func TestDeadTXStaysExcludedWithoutReports(t *testing.T) {
 		t.Errorf("TX 7 state after recovery evidence = %v, want healthy", ctrl.TXState(7))
 	}
 }
+
+// TestDarkReceiverLeavesOthersServed reports all-zero gains for one of two
+// receivers — no transmitter reaches it — and requires the plan to serve
+// the other and leave the dark one without a beamspot, under the heuristic
+// and under Optimal, which refuses the same environment when called
+// directly.
+func TestDarkReceiverLeavesOthersServed(t *testing.T) {
+	params, ledModel := testParams()
+	gains, m := trueGains(36)
+	const dark, lit = 0, 1
+	for j := range gains {
+		gains[j][dark] = 0
+	}
+	budget := units.Watts(0.6)
+	for _, policy := range []alloc.Policy{
+		alloc.Heuristic{Kappa: 1.3, AllowPartial: true},
+		alloc.Optimal{Workers: 1},
+	} {
+		t.Run(policy.Name(), func(t *testing.T) {
+			ctrl := NewController(len(gains), m, policy, budget, params, ledModel)
+			feedReports(t, ctrl, gains, nil)
+			plan, err := ctrl.Reallocate()
+			if err != nil {
+				t.Fatalf("one dark receiver failed the decision: %v", err)
+			}
+			if got := plan.ServedBy[dark]; len(got) != 0 {
+				t.Errorf("dark RX %d served by %v", dark, got)
+			}
+			if plan.Leader[dark] != -1 {
+				t.Errorf("dark RX %d has leader %d", dark, plan.Leader[dark])
+			}
+			if len(plan.ServedBy[lit]) == 0 {
+				t.Fatalf("lit RX %d left unserved", lit)
+			}
+			if p := plan.Swings.CommPower(params.DynamicResistance); p > budget+1e-9 {
+				t.Errorf("plan draws %v, budget %v", p, budget)
+			}
+			env := &alloc.Env{Params: params, LED: ledModel, H: ctrl.env.H}
+			if ev := alloc.Evaluate(env, plan.Swings); !(ev.Throughput[lit] > 0) {
+				t.Errorf("lit RX %d throughput %v, want positive", lit, ev.Throughput[lit])
+			}
+		})
+	}
+}

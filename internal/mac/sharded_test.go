@@ -38,52 +38,65 @@ func (p *countingPolicy) take() int {
 	return n
 }
 
-// TestShardedControllerMatchesGlobal runs two controllers over the same
-// reports — one plain, one sharded with the all-covering formation — and
-// requires bit-identical plans: the controller-level face of the
+// TestShardedControllerMatchesGlobal feeds the same reports to a default
+// controller and to one sharded with the all-covering formation over four
+// workers, and requires both plans to match a direct Allocate on the
+// reported environment bit for bit: the controller-level face of the
 // cluster-vs-global equivalence contract.
 func TestShardedControllerMatchesGlobal(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	set := scenario.Default()
 	env := set.Env(scenario.Fig7Instance(), nil)
 	budget := units.Watts(1.19)
-	policy := alloc.Heuristic{Kappa: 1.3, AllowPartial: true}
-
-	plain := NewController(env.H.N, env.H.M, policy, budget, set.Params, set.LED)
-	sharded := NewController(env.H.N, env.H.M, policy, budget, set.Params, set.LED)
-	sharded.EnableSharding(cluster.Spec{}, 4)
-
-	for epoch := 0; epoch < 3; epoch++ {
-		feedReports(t, plain, env.H.H, nil)
-		feedReports(t, sharded, env.H.H, nil)
-		pp, err := plain.Reallocate()
+	for _, policy := range []alloc.Policy{
+		alloc.Heuristic{Kappa: 1.3, AllowPartial: true},
+		alloc.Optimal{Workers: 1},
+	} {
+		want, err := policy.Allocate(env, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := sharded.Reallocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range pp.Swings {
-			for i := range pp.Swings[j] {
-				if pp.Swings[j][i] != ps.Swings[j][i] {
-					t.Fatalf("epoch %d: swing (%d,%d) = %v sharded, %v plain",
-						epoch, j, i, ps.Swings[j][i], pp.Swings[j][i])
+		plain := NewController(env.H.N, env.H.M, policy, budget, set.Params, set.LED)
+		sharded := NewController(env.H.N, env.H.M, policy, budget, set.Params, set.LED)
+		sharded.EnableSharding(cluster.Spec{}, 4)
+		for _, ctrl := range []*Controller{plain, sharded} {
+			for epoch := 0; epoch < 3; epoch++ {
+				feedReports(t, ctrl, env.H.H, nil)
+				plan, err := ctrl.Reallocate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					for i := range want[j] {
+						if plan.Swings[j][i] != want[j][i] {
+							t.Fatalf("%s epoch %d: swing (%d,%d) = %v, direct solve %v",
+								policy.Name(), epoch, j, i, plan.Swings[j][i], want[j][i])
+						}
+					}
+				}
+				for i, lead := range plan.Leader {
+					if w := directLeader(env.H.H, want, i); lead != w {
+						t.Fatalf("%s epoch %d: leader[%d] = %d, direct solve %d", policy.Name(), epoch, i, lead, w)
+					}
 				}
 			}
-		}
-		for i := range pp.Leader {
-			if pp.Leader[i] != ps.Leader[i] {
-				t.Fatalf("epoch %d: leader[%d] = %d sharded, %d plain", epoch, i, ps.Leader[i], pp.Leader[i])
+			if c := ctrl.Clustering(); c.K() != 1 {
+				t.Fatalf("all-covering formation: %d clusters, want 1", c.K())
 			}
 		}
 	}
-	if c := sharded.Clustering(); c == nil || c.K() != 1 {
-		t.Fatalf("all-covering formation: clustering %+v, want 1 cluster", sharded.Clustering())
+}
+
+// directLeader is the beamspot leader of rx under swings: the serving
+// transmitter with the best gain, or -1.
+func directLeader(gains [][]float64, swings channel.Swings, rx int) int {
+	lead, best := -1, 0.0
+	for j := range swings {
+		if swings[j][rx] > 0 && gains[j][rx] > best {
+			lead, best = j, gains[j][rx]
+		}
 	}
-	if plain.Clustering() != nil {
-		t.Error("plain controller reports a clustering")
-	}
+	return lead
 }
 
 // TestShardedControllerDirtyReuse checks the per-cluster re-allocation
@@ -147,8 +160,9 @@ func TestShardedControllerDirtyReuse(t *testing.T) {
 	}
 }
 
-// TestShardedControllerRecovery kills a transmitter and checks the sharded
-// path excludes it within one control epoch, like the plain path does.
+// TestShardedControllerRecovery kills a transmitter and checks that a
+// threshold:0.5 formation excludes it within one control epoch, as the
+// all-covering one does.
 func TestShardedControllerRecovery(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	set := scenario.Default()

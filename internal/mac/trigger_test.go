@@ -15,7 +15,8 @@ import (
 
 // TestQuietEpochReturnsCachedPlan is the quiet-epoch regression pin: a
 // Reallocate with no fresh reports and no health transition returns the
-// cached plan without a single solver call, on the plain path.
+// cached plan without a single solver call, under the default
+// all-covering formation.
 func TestQuietEpochReturnsCachedPlan(t *testing.T) {
 	set := scenario.Default()
 	env := set.Env(scenario.Fig7Instance(), nil)

@@ -59,11 +59,8 @@ var (
 // ZeroForcing computes the zero-forcing solution for the environment under
 // the given communication power budget.
 func ZeroForcing(env *alloc.Env, budget units.Watts) (Result, error) {
-	if err := env.Validate(); err != nil {
+	if err := alloc.CheckRequest(env, budget); err != nil {
 		return Result{}, err
-	}
-	if budget < 0 {
-		return Result{}, fmt.Errorf("precode: negative budget %.3f", budget.W())
 	}
 	n, m := env.N(), env.M()
 

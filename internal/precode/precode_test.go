@@ -110,8 +110,10 @@ func TestZeroForcingRankDeficient(t *testing.T) {
 
 func TestZeroForcingErrors(t *testing.T) {
 	env := paperEnv(scenario.Scenario2.RXPositions())
-	if _, err := ZeroForcing(env, -1); err == nil {
-		t.Error("negative budget accepted")
+	for _, budget := range []units.Watts{-1, units.Watts(math.NaN()), units.Watts(math.Inf(1))} {
+		if _, err := ZeroForcing(env, budget); err == nil {
+			t.Errorf("budget %v accepted", budget)
+		}
 	}
 	if _, err := ZeroForcing(&alloc.Env{}, 1); err == nil {
 		t.Error("invalid env accepted")

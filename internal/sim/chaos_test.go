@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"densevlc/internal/alloc"
 	"densevlc/internal/chaos"
 	"densevlc/internal/scenario"
 )
@@ -102,6 +103,35 @@ func TestChaosRXBlockageAndRecovery(t *testing.T) {
 	}
 	if restored < clear/2 {
 		t.Errorf("clearing the blockage did not restore RX1: %.0f bps vs %.0f before", restored, clear)
+	}
+}
+
+// TestChaosFullBlockageUnderOptimal blocks one receiver completely, so no
+// transmitter reaches it for three rounds. Optimal refuses an environment
+// with an unservable receiver, but the controller solves per cooperation
+// cluster and the dark receiver's cluster owns no transmitter: the run must
+// go on serving the others and serve the blocked one again once cleared.
+func TestChaosFullBlockageUnderOptimal(t *testing.T) {
+	cfg := chaosConfig(chaos.NewSchedule().RXBlock(2, 0, 0).RXUnblock(5, 0))
+	cfg.Rounds = 8
+	cfg.Policy = alloc.Optimal{Workers: 1}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("full blockage ended the run: %v", err)
+	}
+	if len(res.Rounds) != cfg.Rounds {
+		t.Fatalf("%d rounds, want %d", len(res.Rounds), cfg.Rounds)
+	}
+	for _, r := range res.Rounds {
+		blocked := r.Round >= 2 && r.Round < 5
+		for i, tp := range r.Eval.Throughput {
+			switch {
+			case i == 0 && blocked && tp != 0:
+				t.Errorf("round %d: blocked RX1 gets %v", r.Round, tp)
+			case !(i == 0 && blocked) && !(tp > 0):
+				t.Errorf("round %d: RX%d starved", r.Round, i+1)
+			}
+		}
 	}
 }
 

@@ -43,8 +43,10 @@
 #                     static and under churn, three runs over
 #   9. chaos smoke  — one fault-injected end-to-end run per engine
 #                     (tx-blackout preset; the asynchronous run under the
-#                     race detector), a clock-skew run through the
-#                     waveform data phase, plus the resilience experiment;
+#                     race detector), a full blockage of one receiver
+#                     through the asynchronous runtime under the race
+#                     detector, a clock-skew run through the waveform
+#                     data phase, plus the resilience experiment;
 #                     goroutine teardown after each run is the leak
 #                     checker's territory and is asserted by the -race
 #                     suites in step 8
@@ -148,11 +150,14 @@ go test -race -count=3 -run 'TestRuntimesAgree' ./internal/node/
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
 # runtime error, and the dedicated chaos tests assert the recovery properties.
-# The asynchronous run goes under the race detector: its goroutine-per-node
-# runtime is where a data race in the fault path would show.
-echo "==> chaos smoke (tx-blackout, both engines, async under -race; clock-skew through the waveform data phase; resilience experiment)"
+# The asynchronous runs go under the race detector: their goroutine-per-node
+# runtime is where a data race in the fault path would show. The full
+# blockage leaves RX 0 unheard by every transmitter for rounds 2-4; the run
+# must carry on serving the others and serve RX 0 again from round 5.
+echo "==> chaos smoke (tx-blackout, both engines, async under -race; full RX blockage, async under -race; clock-skew through the waveform data phase; resilience experiment)"
 go run ./cmd/densevlc -rounds 4 -udp=false -chaos tx-blackout > /dev/null
 go run -race ./cmd/densevlc -rounds 4 -udp=false -async -chaos tx-blackout > /dev/null
+go run -race ./cmd/densevlc -rounds 8 -udp=false -async -chaos '2:rxblock:0:0;5:rxunblock:0' > /dev/null
 go run ./cmd/densevlc -rounds 4 -udp=false -waveform -chaos clock-skew > /dev/null
 go run ./cmd/experiments -quick resilience > /dev/null
 
