@@ -68,8 +68,9 @@
 #                     control-message codecs (report, ack, allocation, pilot
 #                     schedule), Reed–Solomon block-decode, encode/decode
 #                     round-trip and reference-equivalence, Manchester
-#                     round-trip and decode, correlation-peak, waveform
-#                     Transmit and Lambertian gain reference-equivalence,
+#                     round-trip and decode, correlation-peak (any
+#                     template, and the chip templates the screened search
+#                     takes), waveform Transmit and Lambertian gain reference-equivalence,
 #                     the optimal solver's fused line-search step against
 #                     the separate project/value/move calls, and the
 #                     chaos-spec and cluster-spec grammars, enough
@@ -199,6 +200,7 @@ go test -run='^$' -fuzz='^FuzzDecodeBlockMatchesReference$' -fuzztime=5s ./inter
 go test -run='^$' -fuzz='^FuzzManchesterRoundTrip$' -fuzztime=10s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzManchesterDecode$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzCorrelationPeakMatchesReference$' -fuzztime=5s ./internal/dsp/
+go test -run='^$' -fuzz='^FuzzCorrelationPeakChipTemplate$' -fuzztime=5s ./internal/dsp/
 go test -run='^$' -fuzz='^FuzzTransmitMatchesReference$' -fuzztime=5s ./internal/phy/
 go test -run='^$' -fuzz='^FuzzGainMatchesReference$' -fuzztime=5s ./internal/optics/
 go test -run='^$' -fuzz='^FuzzStepMatchesSeparate$' -fuzztime=5s ./internal/alloc/
