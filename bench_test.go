@@ -248,7 +248,8 @@ func floorRXToggle(rx []geom.Vec) (a, bpos geom.Vec) {
 }
 
 // BenchmarkMoveRX1024 pins the geometry kernel alone: one receiver move on
-// the 1024-TX floor is one 1024-gain column refresh, zero allocations.
+// the 1024-TX floor and the Env call that refreshes its column, 1024 gains,
+// zero allocations (one column stays below the parallel fan-out).
 func BenchmarkMoveRX1024(b *testing.B) {
 	rows, cols, _ := experiments.ClusterScaleDims(false)
 	set := scenario.FloorGrid(rows, cols)
@@ -263,5 +264,32 @@ func BenchmarkMoveRX1024(b *testing.B) {
 		} else {
 			mv.MoveRX(7, posA)
 		}
+		mv.Env()
+	}
+}
+
+// BenchmarkMoveRXFloorBatch is floor-churn's refresh shape: 50 of 60
+// receivers move on the 240-TX floor, then one Env call refreshes their
+// 12,000 gains, split across GOMAXPROCS cores.
+func BenchmarkMoveRXFloorBatch(b *testing.B) {
+	const fleet, moving = 60, 50
+	set := scenario.FloorGrid(15, 16)
+	rng := stats.NewRand(1)
+	posA := set.UniformRXs(rng, fleet)
+	posB := make([]geom.Vec, fleet)
+	for i, p := range posA {
+		posB[i] = geom.V(p.X+0.04, p.Y, 0)
+	}
+	mv := set.NewMover(posA, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pos := posB
+		if i%2 == 1 {
+			pos = posA
+		}
+		for s := 0; s < moving; s++ {
+			mv.MoveRX(s, pos[s])
+		}
+		mv.Env()
 	}
 }

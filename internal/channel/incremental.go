@@ -4,26 +4,36 @@ import (
 	"densevlc/internal/optics"
 )
 
-// UpdateColumn recomputes the gains from every emitter to the single
-// detector det and writes them into column rx of the matrix: the row-local
-// channel refresh behind incremental re-allocation. When one receiver moves
-// only its column of H changes, so the O(N) kernel replaces the O(N·M)
-// BuildMatrix rebuild. The per-entry arithmetic is exactly BuildMatrix's,
-// so updating every column in turn reproduces a full rebuild bit for bit.
-// A non-nil blocker zeroes occluded links.
+// UpdateColumns recomputes rows [lo, hi) of the listed columns of the
+// matrix: for every receiver rx in cols and every emitter j in [lo, hi), the
+// gain from emitters[j] to dets[rx]. It is the row-local channel refresh
+// behind incremental re-allocation: when receivers move only their columns
+// of H change, so the O(N·len(cols)) kernel replaces the O(N·M) BuildMatrix
+// rebuild. The per-entry arithmetic is exactly BuildMatrix's, so refreshing
+// every column reproduces a full rebuild bit for bit, and disjoint row
+// ranges may be refreshed concurrently. emitters has one entry per row and
+// dets one per column; a non-nil blocker zeroes occluded links.
 //
 //lint:hotpath
-func (m *Matrix) UpdateColumn(rx int, emitters []optics.Emitter, det optics.Detector, blocker Blocker) {
-	if rx < 0 || rx >= m.M || len(emitters) != m.N {
-		//lint:ignore apipanic dimension mismatch is a caller bug; hot callers size emitters from the same Setup as H
-		panic("channel: UpdateColumn: rx or emitter dimensions disagree with the matrix")
+func (m *Matrix) UpdateColumns(lo, hi int, cols []int, emitters []optics.Emitter, dets []optics.Detector, blocker Blocker) {
+	bad := lo < 0 || lo > hi || hi > m.N || len(emitters) != m.N || len(dets) != m.M
+	for _, rx := range cols {
+		bad = bad || rx < 0 || rx >= m.M
 	}
-	for j := range emitters {
-		if blocker != nil && blocker.Blocked(emitters[j].Pos, det.Pos) {
-			m.H[j][rx] = 0
-			continue
+	if bad {
+		//lint:ignore apipanic dimension mismatch is a caller bug; hot callers size emitters, dets and cols from the same Setup as H
+		panic("channel: UpdateColumns: row range, column, emitter or detector count disagrees with the matrix")
+	}
+	rows, ems := m.H[lo:hi], emitters[lo:hi]
+	for _, rx := range cols {
+		det := dets[rx]
+		for j := range ems {
+			if blocker != nil && blocker.Blocked(ems[j].Pos, det.Pos) {
+				rows[j][rx] = 0
+				continue
+			}
+			rows[j][rx] = optics.Gain(ems[j], det)
 		}
-		m.H[j][rx] = optics.Gain(emitters[j], det)
 	}
 }
 

@@ -40,8 +40,9 @@ func (b diskBlocker) Blocked(from, to geom.Vec) bool {
 }
 
 // TestIncrementalVsScratchColumnUpdate is the row-local refresh property:
-// moving one receiver and updating only its column reproduces the full
-// BuildMatrix rebuild bit for bit, with and without a blocker.
+// moving receivers and refreshing only their columns, whole or in row
+// blocks, reproduces the full BuildMatrix rebuild bit for bit, with and
+// without a blocker.
 func TestIncrementalVsScratchColumnUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	emitters := testEmitters(12)
@@ -49,9 +50,20 @@ func TestIncrementalVsScratchColumnUpdate(t *testing.T) {
 		dets := testDetectors(rng, 7)
 		m := BuildMatrix(emitters, dets, blocker)
 		for step := 0; step < 50; step++ {
-			rx := rng.Intn(len(dets))
-			dets[rx] = testDetector(rng.Float64()*2, rng.Float64()*2)
-			m.UpdateColumn(rx, emitters, dets[rx], blocker)
+			// One to three receivers move (possibly the same one twice);
+			// the rows are refreshed in one pass or in blocks split at a
+			// random row.
+			cols := make([]int, 1+rng.Intn(3))
+			for k := range cols {
+				cols[k] = rng.Intn(len(dets))
+				dets[cols[k]] = testDetector(rng.Float64()*2, rng.Float64()*2)
+			}
+			if split := rng.Intn(m.N + 1); step%2 == 0 {
+				m.UpdateColumns(split, m.N, cols, emitters, dets, blocker)
+				m.UpdateColumns(0, split, cols, emitters, dets, blocker)
+			} else {
+				m.UpdateColumns(0, m.N, cols, emitters, dets, blocker)
+			}
 
 			want := BuildMatrix(emitters, dets, blocker)
 			for j := 0; j < m.N; j++ {
@@ -67,16 +79,14 @@ func TestIncrementalVsScratchColumnUpdate(t *testing.T) {
 }
 
 // TestUpdateColumnEveryColumnIsFullRebuild drives the same property from
-// the other side: updating every column of a stale matrix equals a from-
+// the other side: refreshing every column of a stale matrix equals a from-
 // scratch build.
 func TestUpdateColumnEveryColumnIsFullRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	emitters := testEmitters(8)
 	stale := BuildMatrix(emitters, testDetectors(rng, 5), nil)
 	dets := testDetectors(rng, 5)
-	for i := range dets {
-		stale.UpdateColumn(i, emitters, dets[i], nil)
-	}
+	stale.UpdateColumns(0, stale.N, []int{4, 0, 2, 1, 3}, emitters, dets, nil)
 	want := BuildMatrix(emitters, dets, nil)
 	for j := 0; j < want.N; j++ {
 		for i := 0; i < want.M; i++ {
@@ -89,11 +99,16 @@ func TestUpdateColumnEveryColumnIsFullRebuild(t *testing.T) {
 
 func TestUpdateColumnPanicsOnBadDimensions(t *testing.T) {
 	emitters := testEmitters(4)
-	m := BuildMatrix(emitters, testDetectors(rand.New(rand.NewSource(1)), 3), nil)
+	dets := testDetectors(rand.New(rand.NewSource(1)), 3)
+	m := BuildMatrix(emitters, dets, nil)
 	for name, fn := range map[string]func(){
-		"rx out of range":   func() { m.UpdateColumn(3, emitters, testDetector(1, 1), nil) },
-		"emitter count off": func() { m.UpdateColumn(0, emitters[:2], testDetector(1, 1), nil) },
-		"columninto length": func() { m.ColumnInto(make([]float64, 3), 0) },
+		"rx out of range":    func() { m.UpdateColumns(0, m.N, []int{3}, emitters, dets, nil) },
+		"negative rx":        func() { m.UpdateColumns(0, m.N, []int{-1}, emitters, dets, nil) },
+		"emitter count off":  func() { m.UpdateColumns(0, m.N, []int{0}, emitters[:2], dets, nil) },
+		"detector count off": func() { m.UpdateColumns(0, m.N, []int{0}, emitters, dets[:2], nil) },
+		"rows past the end":  func() { m.UpdateColumns(0, m.N+1, []int{0}, emitters, dets, nil) },
+		"rows reversed":      func() { m.UpdateColumns(2, 1, []int{0}, emitters, dets, nil) },
+		"columninto length":  func() { m.ColumnInto(make([]float64, 3), 0) },
 	} {
 		func() {
 			defer func() {
@@ -128,10 +143,11 @@ func TestColumnIntoMatchesColumn(t *testing.T) {
 func TestUpdateColumnIsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	emitters := testEmitters(12)
-	m := BuildMatrix(emitters, testDetectors(rng, 7), nil)
-	det := testDetector(0.7, 1.3)
-	if n := testing.AllocsPerRun(100, func() { m.UpdateColumn(3, emitters, det, nil) }); n != 0 {
-		t.Errorf("UpdateColumn allocates %.1f times, want 0", n)
+	dets := testDetectors(rng, 7)
+	m := BuildMatrix(emitters, dets, nil)
+	cols := []int{3, 5}
+	if n := testing.AllocsPerRun(100, func() { m.UpdateColumns(0, m.N, cols, emitters, dets, nil) }); n != 0 {
+		t.Errorf("UpdateColumns allocates %.1f times, want 0", n)
 	}
 	dst := make([]float64, m.N)
 	if n := testing.AllocsPerRun(100, func() { m.ColumnInto(dst, 3) }); n != 0 {

@@ -98,9 +98,11 @@ func TestHotpathAlignment(t *testing.T) {
 		{"densevlc/internal/cluster.stitchInto", "cluster.TestWorkspaceSteadyStateIsAllocationFree"},
 		{"(*densevlc/internal/mac.Controller).fillEnv", "mac.TestRefreshEnvIsAllocationFree"},
 		{"(*densevlc/internal/mac.Controller).refreshRXDirty", "mac.TestTriggerSkipIsAllocationFree"},
-		{"(*densevlc/internal/channel.Matrix).UpdateColumn", "channel.TestUpdateColumnIsAllocationFree"},
+		{"(*densevlc/internal/channel.Matrix).UpdateColumns", "channel.TestUpdateColumnIsAllocationFree"},
 		{"(*densevlc/internal/channel.Matrix).ColumnInto", "channel.TestUpdateColumnIsAllocationFree"},
 		{"(*densevlc/internal/scenario.Mover).MoveRX", "scenario.TestMoveRXIsAllocationFree"},
+		{"(*densevlc/internal/scenario.Mover).settle", "scenario.TestMoveRXIsAllocationFree"},
+		{"(*densevlc/internal/scenario.Medium).Move", "scenario.TestMoveRXIsAllocationFree"},
 		{"densevlc/internal/rs.remainder", "rs.TestRemainderAndEncodeIntoDoNotAllocate"},
 		{"densevlc/internal/rs.EncodeInto", "rs.TestRemainderAndEncodeIntoDoNotAllocate"},
 		{"densevlc/internal/dsp.CorrelationPeak", "dsp.TestCorrelationPeakDoesNotAllocate"},

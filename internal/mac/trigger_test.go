@@ -2,6 +2,7 @@ package mac
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"densevlc/internal/alloc"
@@ -306,12 +307,12 @@ func TestIncrementalVsScratchController(t *testing.T) {
 	set := scenario.Default()
 	rng := stats.NewRand(89)
 	mv := set.NewMover(set.UniformRXs(rng, 6), nil)
-	env := mv.Env()
+	n, m := mv.Env().H.N, mv.Env().H.M
 
 	policy := alloc.Heuristic{AllowPartial: true}
 	budget := units.Watts(1.19)
 	mk := func(trigger Trigger) *Controller {
-		c := NewController(env.H.N, env.H.M, policy, budget, set.Params, set.LED)
+		c := NewController(n, m, policy, budget, set.Params, set.LED)
 		c.Trigger = trigger
 		c.EnableSharding(cluster.Spec{Threshold: 0.6}, 1)
 		return c
@@ -320,11 +321,20 @@ func TestIncrementalVsScratchController(t *testing.T) {
 	scratch := mk(Trigger{})
 
 	for epoch := 0; epoch < 8; epoch++ {
+		// The Mover refreshes H only when Env is called, so the gains are
+		// read through Env after every move, and the moved column must
+		// differ from the one the previous epoch reported.
 		if epoch > 0 {
-			mv.MoveRX(epoch%env.H.M, geom.V(rng.Float64()*set.Room.Width.M(), rng.Float64()*set.Room.Depth.M(), 0))
+			rx := epoch % m
+			before := mv.Env().H.Column(rx)
+			mv.MoveRX(rx, geom.V(rng.Float64()*set.Room.Width.M(), rng.Float64()*set.Room.Depth.M(), 0))
+			if after := mv.Env().H.Column(rx); slices.Equal(after, before) {
+				t.Fatalf("epoch %d: moving RX %d left its column unchanged", epoch, rx)
+			}
 		}
-		feedReports(t, triggered, env.H.H, nil)
-		feedReports(t, scratch, env.H.H, nil)
+		gains := mv.Env().H.H
+		feedReports(t, triggered, gains, nil)
+		feedReports(t, scratch, gains, nil)
 		pt, err := triggered.Reallocate()
 		if err != nil {
 			t.Fatal(err)

@@ -193,13 +193,9 @@ func (a *async) Data(ep *sim.Epoch) error {
 		ActiveTXs:        ep.ActiveTXs,
 		ChaosEvents:      ep.ChaosEvents,
 		DeadTXs:          len(ctrl.DeadTXs()),
+		StarvedRXs:       ep.StarvedRXs,
 		DecisionTime:     ep.DecisionTime,
 		SystemThroughput: ep.Eval.SumThroughput,
-	}
-	for _, txs := range plan.ServedBy {
-		if len(txs) == 0 {
-			rs.StarvedRXs++
-		}
 	}
 	arq := mac.NewARQ(maxAttempts)
 	send := func(p mac.PendingFrame) error {

@@ -78,8 +78,17 @@ func NewMedium(s Setup, rx []geom.Vec, syncMethod clock.Method, measurementNoise
 // Setup returns the deployment the medium models.
 func (md *Medium) Setup() Setup { return md.mv.setup }
 
-// Move places receiver i at the xy position p.
-func (md *Medium) Move(i int, p geom.Vec) { md.mv.MoveRX(i, p) }
+// Move places receiver i at the xy position p and refreshes its gains at
+// once, on the calling goroutine. A runtime may call the medium while
+// holding its own lock (node.Hub does), so the medium never goes through
+// Mover.Env, whose large refreshes start and wait for goroutines: it
+// refreshes here and reads the Mover's environment directly.
+//
+//lint:hotpath
+func (md *Medium) Move(i int, p geom.Vec) {
+	md.mv.MoveRX(i, p)
+	md.mv.settle()
+}
 
 // Positions returns a copy of the receivers' current xy positions.
 func (md *Medium) Positions() []geom.Vec {
@@ -103,7 +112,7 @@ func (md *Medium) Gain(tx, rx int) float64 {
 	if md.vacant[rx] {
 		return 0
 	}
-	return md.faults.Gain(md.mv.Env().H, tx, rx)
+	return md.faults.Gain(md.mv.env.H, tx, rx)
 }
 
 // Pilot returns receiver rx's estimate of transmitter tx's gain from its
@@ -123,7 +132,7 @@ func (md *Medium) Pilot(rng *rand.Rand, tx, rx int) float64 {
 // Truth returns the faulted environment — what the photodiodes can
 // actually receive — as a fresh copy to score a plan against.
 func (md *Medium) Truth() *alloc.Env {
-	env := *md.mv.Env()
+	env := *md.mv.env
 	env.H = channel.NewMatrix(env.H.N, env.H.M)
 	for j, row := range env.H.H {
 		for i := range row {

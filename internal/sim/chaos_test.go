@@ -9,6 +9,7 @@ import (
 	"densevlc/internal/alloc"
 	"densevlc/internal/chaos"
 	"densevlc/internal/scenario"
+	"densevlc/internal/workload"
 )
 
 func chaosConfig(schedule *chaos.Schedule) Config {
@@ -155,5 +156,49 @@ func TestChaosFailedTXNeverAllocated(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunCountsStarvedRXs runs a churn workload with one slot opaquely
+// blocked from round 1. Every round, the receivers the plan leaves without
+// a serving transmitter must be exactly the vacant slots plus the blocked
+// one, the count node.RunContext reports for the same deployment
+// (TestChurnComposesWithChaos).
+func TestRunCountsStarvedRXs(t *testing.T) {
+	const blocked = 1
+	sp := workload.DefaultSpec()
+	sp.ArrivalRate, sp.MeanDwell, sp.Fleet = 2, 3, 4
+	res, err := Run(Config{
+		Setup:         scenario.Default(),
+		Workload:      &sp,
+		Budget:        1.19,
+		Rounds:        8,
+		RoundDuration: 1,
+		Chaos:         chaos.NewSchedule().RXBlock(1, blocked, 0),
+		Seed:          4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vacant, dark := 0, 0
+	for r, rm := range res.Rounds {
+		want := 0
+		for i, on := range rm.Churn.Active {
+			switch {
+			case !on:
+				want++
+				vacant++
+			case i == blocked && r >= 1:
+				want++
+				dark++
+			}
+		}
+		if rm.StarvedRXs != want {
+			t.Errorf("round %d: %d receivers unserved, want %d (occupancy %v, slot %d blocked from round 1)",
+				r, rm.StarvedRXs, want, rm.Churn.Active, blocked)
+		}
+	}
+	if vacant == 0 || dark == 0 {
+		t.Fatalf("the run never held a vacant slot (%d) or an occupied blocked one (%d)", vacant, dark)
 	}
 }

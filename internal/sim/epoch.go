@@ -193,6 +193,11 @@ func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 		if err != nil {
 			return err
 		}
+		for _, txs := range ep.Plan.ServedBy {
+			if len(txs) == 0 {
+				ep.StarvedRXs++
+			}
+		}
 		af, err := ctrl.AllocationFrame(ep.Plan)
 		if err != nil {
 			return err

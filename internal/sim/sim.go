@@ -156,6 +156,11 @@ type RoundMetrics struct {
 	Goodput []units.BitsPerSecond
 	// ActiveTXs is the number of communicating transmitters.
 	ActiveTXs int
+	// StarvedRXs counts the receivers this round's plan leaves without any
+	// serving transmitter, vacant churn slots included — the paper's
+	// graceful-degradation promise is that no occupied receiver is among
+	// them while transmitters remain to serve everyone.
+	StarvedRXs int
 	// Swings is the commanded swing matrix as the transmitters understood
 	// it — what Eval scores against the true channel.
 	Swings channel.Swings
