@@ -194,10 +194,11 @@ func main() {
 	os.Exit(0)
 }
 
-// formatRound renders one synchronous round as a line: the plan's power and
-// throughput, then per receiver its throughput and PER. A tenancy slot that
-// hosts no user this round shows "-" in both columns rather than a receiver
-// that loses every frame.
+// formatRound renders one round of either runtime as a line: the plan's
+// power and throughput, then per receiver its throughput and PER. A tenancy
+// slot that hosts no user this round shows "-" in both columns rather than
+// a receiver that loses every frame. Dark, dead and starved transmitter and
+// receiver counts and the churn step follow when there are any.
 func formatRound(r sim.RoundMetrics) string {
 	vacant := func(rx int) bool { return r.Churn != nil && !r.Churn.Active[rx] }
 	var b strings.Builder
@@ -223,12 +224,22 @@ func formatRound(r sim.RoundMetrics) string {
 	if len(r.FailedTXs) > 0 {
 		fmt.Fprintf(&b, "  dark TXs %v", r.FailedTXs)
 	}
+	if r.DeadTXs > 0 || r.StarvedRXs > 0 {
+		fmt.Fprintf(&b, "  dead TXs %d  starved RXs %d", r.DeadTXs, r.StarvedRXs)
+	}
 	if r.Churn != nil {
-		fmt.Fprintf(&b, "  pop %d (+%d/-%d) handovers %d",
-			r.Churn.Step.Population, r.Churn.Step.Arrivals, r.Churn.Step.Departures,
-			r.Churn.Handover.Handovers)
+		st := r.Churn.Step
+		fmt.Fprintf(&b, "  pop %d (+%d/-%d, %d rejected) handovers %d",
+			st.Population, st.Arrivals, st.Departures, st.Rejections, r.Churn.Handover.Handovers)
 	}
 	return b.String()
+}
+
+// asyncColumns renders what an asynchronous round adds to its formatRound
+// line: whether every report beat the deadline, and the ARQ counters.
+func asyncColumns(r node.RoundStats) string {
+	return fmt.Sprintf("  reports ok %-5v  sent %2d  delivered %2d  retried %d  failed %d",
+		r.ReportsOK, r.FramesSent, r.FramesAckd, r.Retransmits, r.FramesFailed)
 }
 
 // printTrace reports the applied chaos events, if any.
@@ -247,18 +258,8 @@ func runAsync(cfg node.Config) {
 	if err != nil {
 		log.Fatalf("async run: %v", err)
 	}
-	for k, r := range res.Rounds {
-		fmt.Printf("round %2d  reports ok %-5v  active TXs %2d  sent %2d  delivered %2d  retried %d  failed %d",
-			r.Round, r.ReportsOK, r.ActiveTXs, r.FramesSent, r.FramesAckd, r.Retransmits, r.FramesFailed)
-		if r.DeadTXs > 0 || r.StarvedRXs > 0 {
-			fmt.Printf("  dead TXs %d  starved RXs %d", r.DeadTXs, r.StarvedRXs)
-		}
-		fmt.Printf("  system %6.2f Mb/s", r.SystemThroughput.Bps()/1e6)
-		if k < len(res.Steps) {
-			st := res.Steps[k]
-			fmt.Printf("  pop %d (+%d/-%d, %d rejected)", st.Population, st.Arrivals, st.Departures, st.Rejections)
-		}
-		fmt.Println()
+	for _, r := range res.Rounds {
+		fmt.Println(formatRound(r.RoundMetrics) + asyncColumns(r))
 	}
 	printTrace(res.Trace)
 	fmt.Printf("\n%d application payloads delivered end to end\n", res.Delivered)

@@ -36,17 +36,3 @@ func (m *Matrix) UpdateColumns(lo, hi int, cols []int, emitters []optics.Emitter
 		}
 	}
 }
-
-// ColumnInto copies the gains from every TX to rx into dst, the
-// allocation-free sibling of Column. dst must have length N.
-//
-//lint:hotpath
-func (m *Matrix) ColumnInto(dst []float64, rx int) {
-	if len(dst) != m.N {
-		//lint:ignore apipanic dimension mismatch is a caller bug; hot callers size dst from the same matrix
-		panic("channel: ColumnInto: dst length disagrees with the matrix")
-	}
-	for j := 0; j < m.N; j++ {
-		dst[j] = m.H[j][rx]
-	}
-}

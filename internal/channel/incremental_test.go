@@ -108,7 +108,6 @@ func TestUpdateColumnPanicsOnBadDimensions(t *testing.T) {
 		"detector count off": func() { m.UpdateColumns(0, m.N, []int{0}, emitters, dets[:2], nil) },
 		"rows past the end":  func() { m.UpdateColumns(0, m.N+1, []int{0}, emitters, dets, nil) },
 		"rows reversed":      func() { m.UpdateColumns(2, 1, []int{0}, emitters, dets, nil) },
-		"columninto length":  func() { m.ColumnInto(make([]float64, 3), 0) },
 	} {
 		func() {
 			defer func() {
@@ -118,21 +117,6 @@ func TestUpdateColumnPanicsOnBadDimensions(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestColumnIntoMatchesColumn(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	m := BuildMatrix(testEmitters(8), testDetectors(rng, 5), nil)
-	dst := make([]float64, m.N)
-	for rx := 0; rx < m.M; rx++ {
-		m.ColumnInto(dst, rx)
-		want := m.Column(rx)
-		for j := range dst {
-			if dst[j] != want[j] {
-				t.Fatalf("rx %d: ColumnInto[%d] = %v, Column %v", rx, j, dst[j], want[j])
-			}
-		}
 	}
 }
 
@@ -148,9 +132,5 @@ func TestUpdateColumnIsAllocationFree(t *testing.T) {
 	cols := []int{3, 5}
 	if n := testing.AllocsPerRun(100, func() { m.UpdateColumns(0, m.N, cols, emitters, dets, nil) }); n != 0 {
 		t.Errorf("UpdateColumns allocates %.1f times, want 0", n)
-	}
-	dst := make([]float64, m.N)
-	if n := testing.AllocsPerRun(100, func() { m.ColumnInto(dst, 3) }); n != 0 {
-		t.Errorf("ColumnInto allocates %.1f times, want 0", n)
 	}
 }

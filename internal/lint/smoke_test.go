@@ -99,7 +99,6 @@ func TestHotpathAlignment(t *testing.T) {
 		{"(*densevlc/internal/mac.Controller).fillEnv", "mac.TestRefreshEnvIsAllocationFree"},
 		{"(*densevlc/internal/mac.Controller).refreshRXDirty", "mac.TestTriggerSkipIsAllocationFree"},
 		{"(*densevlc/internal/channel.Matrix).UpdateColumns", "channel.TestUpdateColumnIsAllocationFree"},
-		{"(*densevlc/internal/channel.Matrix).ColumnInto", "channel.TestUpdateColumnIsAllocationFree"},
 		{"(*densevlc/internal/scenario.Mover).MoveRX", "scenario.TestMoveRXIsAllocationFree"},
 		{"(*densevlc/internal/scenario.Mover).settle", "scenario.TestMoveRXIsAllocationFree"},
 		{"(*densevlc/internal/scenario.Medium).Move", "scenario.TestMoveRXIsAllocationFree"},

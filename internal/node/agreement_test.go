@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,7 +21,8 @@ import (
 // runtime with their default policies on the same noise-free static
 // deployment: both drive the one optical medium, so every round's system
 // throughput and active-TX count must agree bit for bit, with and without
-// faults.
+// faults, and so must the rest of the record both fill: injected events,
+// dark, dead and starved counts, and whether the reports arrived.
 func TestRuntimesAgree(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	const rounds = 5
@@ -77,6 +79,21 @@ func TestRuntimesAgree(t *testing.T) {
 					if a.ActiveTXs != s.ActiveTXs {
 						t.Errorf("round %d: node %d active TXs, sim %d", r, a.ActiveTXs, s.ActiveTXs)
 					}
+					if a.ChaosEvents != s.ChaosEvents {
+						t.Errorf("round %d: node %d chaos events, sim %d", r, a.ChaosEvents, s.ChaosEvents)
+					}
+					if !slices.Equal(a.FailedTXs, s.FailedTXs) {
+						t.Errorf("round %d: node dark TXs %v, sim %v", r, a.FailedTXs, s.FailedTXs)
+					}
+					if a.StarvedRXs != s.StarvedRXs {
+						t.Errorf("round %d: node %d starved RXs, sim %d", r, a.StarvedRXs, s.StarvedRXs)
+					}
+					if a.DeadTXs != s.DeadTXs {
+						t.Errorf("round %d: node %d dead TXs, sim %d", r, a.DeadTXs, s.DeadTXs)
+					}
+					if a.ReportsOK != s.ReportsOK {
+						t.Errorf("round %d: node reports ok %v, sim %v", r, a.ReportsOK, s.ReportsOK)
+					}
 				}
 			})
 		}
@@ -110,8 +127,8 @@ func TestRuntimesAgreeUnderChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Rounds) != rounds || len(res.Steps) != rounds {
-					t.Fatalf("node ran %d rounds with %d steps, want %d", len(res.Rounds), len(res.Steps), rounds)
+				if len(res.Rounds) != rounds {
+					t.Fatalf("node ran %d rounds, want %d", len(res.Rounds), rounds)
 				}
 				return res
 			}
@@ -123,8 +140,8 @@ func TestRuntimesAgreeUnderChurn(t *testing.T) {
 					if !a.ReportsOK {
 						t.Fatalf("run %d round %d: node missed reports", k, r)
 					}
-					if got.Steps[r] != s.Churn.Step {
-						t.Errorf("run %d round %d: node step %+v, sim %+v", k, r, got.Steps[r], s.Churn.Step)
+					if a.Churn.Step != s.Churn.Step {
+						t.Errorf("run %d round %d: node step %+v, sim %+v", k, r, a.Churn.Step, s.Churn.Step)
 					}
 					if math.Float64bits(float64(a.SystemThroughput)) != math.Float64bits(float64(s.Eval.SumThroughput)) {
 						t.Errorf("run %d round %d: node throughput %v, sim %v", k, r, a.SystemThroughput, s.Eval.SumThroughput)

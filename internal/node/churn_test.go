@@ -74,13 +74,13 @@ func TestChurnRunDeliversUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rounds) != 6 || len(res.Steps) != 6 {
-		t.Fatalf("%d rounds, %d steps", len(res.Rounds), len(res.Steps))
+	if len(res.Rounds) != 6 {
+		t.Fatalf("%d rounds", len(res.Rounds))
 	}
 	population := 0
-	for _, st := range res.Steps {
-		if st.Population > population {
-			population = st.Population
+	for _, r := range res.Rounds {
+		if r.Churn.Step.Population > population {
+			population = r.Churn.Step.Population
 		}
 	}
 	if population == 0 {
@@ -123,9 +123,9 @@ func TestChurnRunTraceDeterministic(t *testing.T) {
 	if !bytes.Equal(a.WorkloadTrace, b.WorkloadTrace) {
 		t.Fatalf("traces diverged:\n%s\nvs\n%s", a.WorkloadTrace, b.WorkloadTrace)
 	}
-	for k := range a.Steps {
-		if a.Steps[k] != b.Steps[k] {
-			t.Fatalf("step %d: %+v vs %+v", k, a.Steps[k], b.Steps[k])
+	for k := range a.Rounds {
+		if as, bs := a.Rounds[k].Churn.Step, b.Rounds[k].Churn.Step; as != bs {
+			t.Fatalf("step %d: %+v vs %+v", k, as, bs)
 		}
 	}
 	steps, _, trace := standaloneEngine(t, churnSpec(), 8, 3)
@@ -133,8 +133,8 @@ func TestChurnRunTraceDeterministic(t *testing.T) {
 		t.Fatalf("runtime trace differs from the standalone engine's:\n%s\nvs\n%s", a.WorkloadTrace, trace)
 	}
 	for k := range steps {
-		if a.Steps[k] != steps[k] {
-			t.Fatalf("step %d: runtime %+v, standalone %+v", k, a.Steps[k], steps[k])
+		if got := a.Rounds[k].Churn.Step; got != steps[k] {
+			t.Fatalf("step %d: runtime %+v, standalone %+v", k, got, steps[k])
 		}
 	}
 }
@@ -203,8 +203,8 @@ func TestChurnRunDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rounds) != 1 || len(res.Steps) != 1 {
-		t.Fatalf("%d rounds, %d steps", len(res.Rounds), len(res.Steps))
+	if len(res.Rounds) != 1 || res.Rounds[0].Churn == nil {
+		t.Fatalf("%d rounds, want 1 with its churn step", len(res.Rounds))
 	}
 }
 

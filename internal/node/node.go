@@ -109,31 +109,19 @@ const (
 	reportTimeout = 2 * time.Second
 )
 
-// RoundStats summarises one asynchronous round.
+// RoundStats is one asynchronous round: sim.Drive's record of it plus the
+// ARQ counters of its data phase.
 type RoundStats struct {
-	Round      int
-	ReportsOK  bool
+	sim.RoundMetrics
 	FramesSent int // transmissions, including retries
 	FramesAckd int // unique frames acknowledged
 	// Retransmits counts extra attempts the ARQ spent.
 	Retransmits int
 	// FramesFailed counts frames that exhausted their attempt budget.
 	FramesFailed int
-	ActiveTXs    int
-	// ChaosEvents counts fault events injected at this round's boundary.
-	ChaosEvents int
-	// DeadTXs is the number of transmitters the controller's link-health
-	// tracker classifies dead after this round's reallocation.
-	DeadTXs int
-	// StarvedRXs counts receivers left without any serving transmitter by
-	// this round's plan — the paper's graceful-degradation promise is that
-	// this stays zero while transmitters remain to serve everyone.
-	StarvedRXs int
-	// DecisionTime is the wall-clock cost of this round's Reallocate call —
-	// the sample the churn benchmarks reduce to p50/p99 decision latency.
-	DecisionTime time.Duration
-	// SystemThroughput is the analytic Eq. 12 score of the commanded
-	// allocation against the true channel at round time.
+	// SystemThroughput repeats Eval.SumThroughput, the analytic Eq. 12
+	// score of the commanded allocation against the true channel. It stays
+	// only because bench/ reads it.
 	SystemThroughput units.BitsPerSecond
 }
 
@@ -184,19 +172,11 @@ func (a *async) Dispatch() error { return nil }
 
 // Data runs the data phase with stop-and-wait-per-round ARQ: send every
 // frame, wait for acknowledgements, retransmit the stragglers until the
-// attempt budget runs out. It records the round's stats.
+// attempt budget runs out. It records the round's ARQ counters, which
+// RunContext pairs with Drive's record of the round.
 func (a *async) Data(ep *sim.Epoch) error {
 	ctrl, hub, link, plan := a.p.Controller, a.hub, a.p.Link, ep.Plan
-	rs := RoundStats{
-		Round:            ep.Round,
-		ReportsOK:        ep.ReportsOK,
-		ActiveTXs:        ep.ActiveTXs,
-		ChaosEvents:      ep.ChaosEvents,
-		DeadTXs:          len(ctrl.DeadTXs()),
-		StarvedRXs:       ep.StarvedRXs,
-		DecisionTime:     ep.DecisionTime,
-		SystemThroughput: ep.Eval.SumThroughput,
-	}
+	var rs RoundStats
 	arq := mac.NewARQ(maxAttempts)
 	send := func(p mac.PendingFrame) error {
 		df, err := ctrl.DataFrameWithSeq(plan, p.RX, p.Payload, p.Seq)
@@ -286,8 +266,5 @@ func (a *async) Data(ep *sim.Epoch) error {
 	rs.FramesAckd = arq.Delivered()
 	rs.FramesFailed = arq.Failed() + arq.Outstanding()
 	a.res.Rounds = append(a.res.Rounds, rs)
-	if ep.Churn != nil {
-		a.res.Steps = append(a.res.Steps, ep.Churn.Step)
-	}
 	return nil
 }

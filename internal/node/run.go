@@ -69,9 +69,6 @@ type Result struct {
 	// Trace records the chaos events applied during the run (empty without
 	// a schedule). Its bytes are deterministic for a given seed+schedule.
 	Trace *chaos.Trace
-	// Steps is the workload engine's per-round population summary, index-
-	// aligned with Rounds (nil without Config.Workload).
-	Steps []workload.StepStats
 	// WorkloadTrace is the engine's canonical churn event log (nil without
 	// Config.Workload): byte-identical across runs with the same seed and
 	// spec.
@@ -110,7 +107,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, 1)
-	res := &Result{}
+	res := &Result{Rounds: make([]RoundStats, 0, cfg.Rounds)}
 	out, runErr := sim.Drive(sim.Config{
 		Setup:            cfg.Setup,
 		Trajectories:     cfg.Trajectories,
@@ -168,6 +165,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, runErr // refused before the first round
 	}
 	res.Trace, res.WorkloadTrace = out.Trace, out.WorkloadTrace
+	for k, r := range out.Rounds {
+		res.Rounds[k].RoundMetrics = r
+		res.Rounds[k].SystemThroughput = r.Eval.SumThroughput
+	}
 	for _, d := range res.DeliveredPerRX {
 		res.Delivered += d
 	}

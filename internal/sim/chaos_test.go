@@ -51,6 +51,14 @@ func TestChaosBlackoutDegradesGracefully(t *testing.T) {
 			}
 		}
 	}
+	// Detection, as node.RunContext records it: none dead before the
+	// blackout, every anchor dead by the final round.
+	if got := res.Rounds[1].DeadTXs; got != 0 {
+		t.Errorf("pre-failure round already had %d dead TXs", got)
+	}
+	if got := res.Rounds[len(res.Rounds)-1].DeadTXs; got != len(scenario.AnchorTXs) {
+		t.Errorf("final round classifies %d TXs dead, want %d", got, len(scenario.AnchorTXs))
+	}
 	if res.Trace.Len() != len(scenario.AnchorTXs) {
 		t.Errorf("trace has %d events, want %d", res.Trace.Len(), len(scenario.AnchorTXs))
 	}
@@ -138,22 +146,27 @@ func TestChaosFullBlockageUnderOptimal(t *testing.T) {
 
 // TestChaosFailedTXNeverAllocated: once a transmitter is dark its zero-gain
 // row can earn no swing, so it must vanish from the commanded allocation in
-// the very epoch it fails.
+// the very epoch it fails. The plan checked is the allocation frame as the
+// transmitters decode it.
 func TestChaosFailedTXNeverAllocated(t *testing.T) {
 	schedule := chaos.NewSchedule().TXFail(2, 7).TXFail(2, 9)
-	res, err := Run(chaosConfig(schedule))
+	cfg := chaosConfig(schedule)
+	tap := newWireTap(t)
+	cfg.Network = tap
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tap.plans) != len(res.Rounds) {
+		t.Fatalf("%d allocation frames in %d rounds", len(tap.plans), len(res.Rounds))
 	}
 	for _, r := range res.Rounds {
 		if r.Round < 2 {
 			continue
 		}
-		for _, tx := range []int{7, 9} {
-			for rx := range r.Eval.Throughput {
-				if r.Swings[tx][rx] > 0 {
-					t.Errorf("round %d: dark TX %d holds swing for RX %d", r.Round, tx, rx)
-				}
+		for _, c := range tap.plans[r.Round].Commands {
+			if (c.TX == 7 || c.TX == 9) && c.RX >= 0 && c.Swing() > 0 {
+				t.Errorf("round %d: dark TX %d holds swing for RX %d", r.Round, c.TX, c.RX)
 			}
 		}
 	}

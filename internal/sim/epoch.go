@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"densevlc/internal/alloc"
 	"densevlc/internal/channel"
@@ -34,8 +33,8 @@ type Runtime interface {
 	// Dispatch has the transmitters apply the allocation Drive has just
 	// multicast.
 	Dispatch() error
-	// Data runs the data phase of ep.Plan and keeps the round's record in
-	// the runtime's own result.
+	// Data runs the data phase of ep.Plan. Drive appends ep's record to
+	// the result once Data returns without error.
 	Data(ep *Epoch) error
 }
 
@@ -56,13 +55,10 @@ type Plant struct {
 }
 
 // Epoch is one round as Drive hands it to the runtime's data phase: the
-// round's record so far, the plan it commands, whether every report
-// arrived and what the decision took.
+// round's record so far and the plan it commands.
 type Epoch struct {
 	RoundMetrics
-	Plan         mac.Plan
-	ReportsOK    bool
-	DecisionTime time.Duration
+	Plan mac.Plan
 }
 
 // Drive runs the epochs of the deployment cfg describes, for both runtimes.
@@ -72,10 +68,10 @@ type Epoch struct {
 // (churn step, receiver moves, chaos), the pilot-schedule multicast and the
 // runtime's measurement, the timed decision, the allocation multicast and
 // the runtime's dispatch, the score of the commanded plan against the
-// medium's truth, and the runtime's data phase. Drive returns the run's
-// traces and means; each runtime keeps the per-round record it reports.
-// Drive closes the network when it returns, and an error in the round loop
-// comes back with the result so far.
+// medium's truth, and the runtime's data phase. Drive keeps every round's
+// record and returns it with the run's traces and means. Drive closes the
+// network when it returns, and an error in the round loop comes back with
+// the result so far: the rounds that ran and their means.
 func Drive(cfg Config, attach func(p *Plant) (Runtime, error)) (*Result, error) {
 	net := cfg.Network
 	if net == nil {
@@ -117,21 +113,23 @@ func Drive(cfg Config, attach func(p *Plant) (Runtime, error)) (*Result, error) 
 	}
 
 	injector := chaos.NewInjector(cfg.Chaos)
-	res := &Result{Trace: injector.Trace()}
+	res := &Result{Rounds: make([]RoundMetrics, 0, cfg.Rounds), Trace: injector.Trace()}
 	err = p.run(rt, injector, res)
 	if engine != nil {
 		res.WorkloadTrace = engine.TraceBytes()
 	}
-	if err != nil {
-		return res, err
+	for _, r := range res.Rounds {
+		res.MeanSystemThroughput += r.Eval.SumThroughput
+		res.MeanCommPower += r.Eval.CommPower
 	}
-	res.MeanSystemThroughput /= units.BitsPerSecond(cfg.Rounds)
-	res.MeanCommPower /= units.Watts(cfg.Rounds)
-	return res, nil
+	if n := len(res.Rounds); n > 0 {
+		res.MeanSystemThroughput /= units.BitsPerSecond(n)
+		res.MeanCommPower /= units.Watts(n)
+	}
+	return res, err
 }
 
-// run is Drive's round loop; it sums each round's throughput and power into
-// res.
+// run is Drive's round loop; it appends each round's record to res.
 func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 	cfg, ctrl := p.Config, p.Controller
 	var tracker *workload.Tracker
@@ -193,6 +191,7 @@ func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 		if err != nil {
 			return err
 		}
+		ep.DeadTXs = len(ctrl.DeadTXs())
 		for _, txs := range ep.Plan.ServedBy {
 			if len(txs) == 0 {
 				ep.StarvedRXs++
@@ -216,10 +215,10 @@ func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 		if err != nil {
 			return err
 		}
-		ep.Swings = channel.NewSwings(p.N, p.M)
+		swings := channel.NewSwings(p.N, p.M)
 		for _, c := range a.Commands {
 			if c.RX >= 0 {
-				ep.Swings[c.TX][c.RX] = c.Swing()
+				swings[c.TX][c.RX] = c.Swing()
 			}
 			if c.Communicating() {
 				ep.ActiveTXs++
@@ -227,7 +226,7 @@ func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 		}
 		var truth *alloc.Env
 		rt.Medium(func(md *scenario.Medium) { truth = md.Truth() })
-		ep.Eval = alloc.Evaluate(truth, ep.Swings)
+		ep.Eval = alloc.Evaluate(truth, swings)
 		if p.Engine != nil {
 			ep.Churn = &ChurnMetrics{
 				Step:     step,
@@ -239,8 +238,7 @@ func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 		if err := rt.Data(&ep); err != nil {
 			return err
 		}
-		res.MeanSystemThroughput += ep.Eval.SumThroughput
-		res.MeanCommPower += ep.Eval.CommPower
+		res.Rounds = append(res.Rounds, ep.RoundMetrics)
 	}
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"densevlc/internal/alloc"
 	"densevlc/internal/channel"
@@ -142,11 +143,19 @@ func finiteNonNegative(x float64) bool {
 	return x >= 0 && !math.IsInf(x, 1)
 }
 
-// RoundMetrics records one round's outcome.
+// RoundMetrics records one round's outcome. It is the per-round record of
+// both runtimes: Drive fills it, the lock-step data phase adds PER and
+// goodput, and package node pairs it with its ARQ counters.
 type RoundMetrics struct {
 	Round       int
 	Time        units.Seconds
 	RXPositions []geom.Vec
+	// ReportsOK reports whether every receiver's channel report reached the
+	// controller before the decision.
+	ReportsOK bool
+	// DecisionTime is the wall-clock cost of this round's Reallocate call,
+	// the record's only wall-clock field.
+	DecisionTime time.Duration
 	// Eval scores the commanded allocation against the true channel.
 	Eval alloc.Evaluation
 	// PER per receiver: waveform-measured when WaveformPHY is on, the
@@ -161,9 +170,9 @@ type RoundMetrics struct {
 	// graceful-degradation promise is that no occupied receiver is among
 	// them while transmitters remain to serve everyone.
 	StarvedRXs int
-	// Swings is the commanded swing matrix as the transmitters understood
-	// it — what Eval scores against the true channel.
-	Swings channel.Swings
+	// DeadTXs is the number of transmitters the controller's link-health
+	// tracker classifies dead after this round's reallocation.
+	DeadTXs int
 	// ChaosEvents counts fault events injected at this round's boundary.
 	ChaosEvents int
 	// FailedTXs lists the transmitters dark during this round.
@@ -202,12 +211,7 @@ type Result struct {
 
 // Run executes the simulation: Drive's epoch on the lock-step runtime.
 func Run(cfg Config) (*Result, error) {
-	ls := &lockstep{}
-	res, err := Drive(cfg, ls.attach)
-	if res != nil {
-		res.Rounds = ls.rounds
-	}
-	return res, err
+	return Drive(cfg, (&lockstep{}).attach)
 }
 
 // attach builds every node's MAC state machine and network link.
@@ -240,7 +244,6 @@ type lockstep struct {
 	txLinks []transport.NodeLink
 	rxNodes []*mac.RXNode
 	rxLinks []transport.NodeLink
-	rounds  []RoundMetrics
 }
 
 func (ls *lockstep) Medium(f func(md *scenario.Medium)) { f(ls.p.Medium) }
@@ -320,7 +323,7 @@ func (ls *lockstep) Dispatch() error {
 }
 
 // Data scores the data phase per receiver, by the closed-form PER model or
-// through the waveform PHY, and keeps the round.
+// through the waveform PHY.
 func (ls *lockstep) Data(ep *Epoch) error {
 	m := ls.p.M
 	ep.PER = make([]float64, m)
@@ -341,7 +344,6 @@ func (ls *lockstep) Data(ep *Epoch) error {
 			ep.Goodput[i] = units.BitsPerSecond(float64(8*payloadLen) * (1 - ep.PER[i]) / cycle)
 		}
 	}
-	ls.rounds = append(ls.rounds, ep.RoundMetrics)
 	return nil
 }
 

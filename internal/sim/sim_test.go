@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"densevlc/internal/alloc"
 	"densevlc/internal/channel"
 	"densevlc/internal/clock"
+	"densevlc/internal/frame"
 	"densevlc/internal/geom"
 	"densevlc/internal/mac"
 	"densevlc/internal/mobility"
@@ -95,6 +98,66 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if a.MeanSystemThroughput != b.MeanSystemThroughput {
 		t.Error("same seed should reproduce the run")
+	}
+	// The decision's wall-clock cost is the only field of the record that
+	// may differ.
+	for _, res := range []*Result{a, b} {
+		for k := range res.Rounds {
+			res.Rounds[k].DecisionTime = 0
+		}
+	}
+	if !reflect.DeepEqual(a.Rounds, b.Rounds) {
+		t.Error("same seed gave different round records")
+	}
+}
+
+// failingPolicy fails its solve on call failAt; the default formation
+// solves once per round, so that is round failAt.
+type failingPolicy struct {
+	alloc.Policy
+	failAt, calls int
+}
+
+func (p *failingPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
+	p.calls++
+	if p.calls == p.failAt+1 {
+		return nil, errors.New("injected solver failure")
+	}
+	return p.Policy.Allocate(env, budget)
+}
+
+// TestRunMeansCoverRoundsThatRan: a run that fails part way returns the
+// rounds it completed and their means, not their sums.
+func TestRunMeansCoverRoundsThatRan(t *testing.T) {
+	const failAt = 3
+	res, err := Run(Config{
+		Setup:        scenario.Default(),
+		Trajectories: staticTrajectories(),
+		Policy:       &failingPolicy{Policy: alloc.Heuristic{Kappa: 1.3, AllowPartial: true}, failAt: failAt},
+		Budget:       0.6,
+		Rounds:       6,
+		Seed:         1,
+	})
+	if err == nil {
+		t.Fatal("the injected solver failure did not end the run")
+	}
+	if res == nil {
+		t.Fatal("the failed run returned no result")
+	}
+	if len(res.Rounds) != failAt {
+		t.Fatalf("the failed run kept %d rounds, want %d", len(res.Rounds), failAt)
+	}
+	var tput units.BitsPerSecond
+	var power units.Watts
+	for _, r := range res.Rounds {
+		tput += r.Eval.SumThroughput
+		power += r.Eval.CommPower
+	}
+	if want := tput / failAt; res.MeanSystemThroughput != want {
+		t.Errorf("mean throughput %v, want %v over %d rounds", res.MeanSystemThroughput, want, failAt)
+	}
+	if want := power / failAt; res.MeanCommPower != want {
+		t.Errorf("mean power %v, want %v over %d rounds", res.MeanCommPower, want, failAt)
 	}
 }
 
@@ -299,23 +362,40 @@ func (p *epochPolicy) Allocate(env *alloc.Env, budget units.Watts) (channel.Swin
 	return p.Policy.Allocate(env, budget)
 }
 
-// countingNetwork counts the controller's multicasts.
-type countingNetwork struct {
+// wireTap records what the controller multicasts: the count, and every
+// allocation frame decoded as the transmitters decode it, one per round.
+type wireTap struct {
 	transport.Network
+	t          testing.TB
 	multicasts int
+	plans      []mac.Allocation
 }
 
-func (c *countingNetwork) Controller() transport.ControllerLink {
-	return countingLink{ControllerLink: c.Network.Controller(), net: c}
+func newWireTap(t testing.TB) *wireTap {
+	return &wireTap{Network: transport.NewMemNetwork(), t: t}
 }
 
-type countingLink struct {
+func (w *wireTap) Controller() transport.ControllerLink {
+	return tapLink{ControllerLink: w.Network.Controller(), tap: w}
+}
+
+type tapLink struct {
 	transport.ControllerLink
-	net *countingNetwork
+	tap *wireTap
 }
 
-func (l countingLink) Multicast(data []byte) error {
-	l.net.multicasts++
+func (l tapLink) Multicast(data []byte) error {
+	l.tap.multicasts++
+	d, _, err := frame.DecodeDownlink(data)
+	if err == nil && d.MAC.Protocol == mac.ProtoAllocation {
+		var a mac.Allocation
+		if a, err = mac.DecodeAllocation(d.MAC.Payload); err == nil {
+			l.tap.plans = append(l.tap.plans, a)
+		}
+	}
+	if err != nil {
+		l.tap.t.Errorf("multicast %d does not decode: %v", l.tap.multicasts, err)
+	}
 	return l.ControllerLink.Multicast(data)
 }
 
@@ -324,7 +404,7 @@ func (l countingLink) Multicast(data []byte) error {
 // not one announcement per transmitter.
 func TestRunMulticastsTwicePerRound(t *testing.T) {
 	const rounds = 5
-	net := &countingNetwork{Network: transport.NewMemNetwork()}
+	net := newWireTap(t)
 	if _, err := Run(Config{
 		Setup:            scenario.Default(),
 		Trajectories:     staticTrajectories(),

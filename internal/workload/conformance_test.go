@@ -5,16 +5,20 @@ import (
 
 	"densevlc/internal/alloc"
 	"densevlc/internal/cluster"
+	"densevlc/internal/frame"
 	"densevlc/internal/mac"
 	"densevlc/internal/scenario"
 	"densevlc/internal/sim"
+	"densevlc/internal/transport"
 	"densevlc/internal/units"
 	"densevlc/internal/workload"
 )
 
 // churnRun executes one seeded end-to-end churn run through the full
-// synchronous system (real MAC frames over the in-memory transport).
-func churnRun(t *testing.T, seed int64, trigger mac.Trigger) (*sim.Result, workload.Spec, units.Watts) {
+// synchronous system (real MAC frames over the in-memory transport). It
+// also returns every round's allocation frame as the transmitters decode
+// it.
+func churnRun(t *testing.T, seed int64, trigger mac.Trigger) (*sim.Result, workload.Spec, units.Watts, []mac.Allocation) {
 	t.Helper()
 	sp := workload.DefaultSpec()
 	sp.ArrivalRate = 1.5
@@ -22,6 +26,7 @@ func churnRun(t *testing.T, seed int64, trigger mac.Trigger) (*sim.Result, workl
 	sp.Fleet = 6
 	sp.MinWattsPerUser = 0.15
 	budget := units.Watts(1.19)
+	tap := &allocTap{Network: transport.NewMemNetwork(), t: t}
 	res, err := sim.Run(sim.Config{
 		Setup:         scenario.Default(),
 		Workload:      &sp,
@@ -30,12 +35,47 @@ func churnRun(t *testing.T, seed int64, trigger mac.Trigger) (*sim.Result, workl
 		Rounds:        25,
 		RoundDuration: 1.0,
 		Trigger:       trigger,
+		Network:       tap,
 		Seed:          seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, sp, budget
+	if len(tap.plans) != len(res.Rounds) {
+		t.Fatalf("%d allocation frames in %d rounds", len(tap.plans), len(res.Rounds))
+	}
+	return res, sp, budget, tap.plans
+}
+
+// allocTap keeps every allocation frame the controller multicasts, decoded
+// as the transmitters decode it.
+type allocTap struct {
+	transport.Network
+	t     testing.TB
+	plans []mac.Allocation
+}
+
+func (a *allocTap) Controller() transport.ControllerLink {
+	return allocTapLink{ControllerLink: a.Network.Controller(), tap: a}
+}
+
+type allocTapLink struct {
+	transport.ControllerLink
+	tap *allocTap
+}
+
+func (l allocTapLink) Multicast(data []byte) error {
+	d, _, err := frame.DecodeDownlink(data)
+	if err == nil && d.MAC.Protocol == mac.ProtoAllocation {
+		var a mac.Allocation
+		if a, err = mac.DecodeAllocation(d.MAC.Payload); err == nil {
+			l.tap.plans = append(l.tap.plans, a)
+		}
+	}
+	if err != nil {
+		l.tap.t.Errorf("multicast does not decode: %v", err)
+	}
+	return l.ControllerLink.Multicast(data)
 }
 
 // TestChurnBudgetConserved: across arrivals, departures and handovers, the
@@ -49,7 +89,7 @@ func TestChurnBudgetConserved(t *testing.T) {
 	const quantSlack = 1e-3 // W; ≤0.5 mA round-up per wire command
 	for _, seed := range []int64{1, 2, 3} {
 		for _, trigger := range []mac.Trigger{{}, {RelDelta: 0.05, MaxStaleEpochs: 8}} {
-			res, _, budget := churnRun(t, seed, trigger)
+			res, _, budget, _ := churnRun(t, seed, trigger)
 			for _, r := range res.Rounds {
 				if r.Eval.CommPower.W() > budget.W()+quantSlack {
 					t.Errorf("seed %d trigger %+v round %d: power %.6f W exceeds budget %.2f W beyond quantization slack",
@@ -65,23 +105,19 @@ func TestChurnBudgetConserved(t *testing.T) {
 // channel column the same epoch the user departs, so the invariant is
 // asserted for every round and every inactive slot — stronger than the
 // required "one epoch after leaving", and it holds on the trigger path too
-// (a column collapsing to zero is always an over-threshold change).
+// (a column collapsing to zero is always an over-threshold change). The plan checked is the allocation frame as the
+// transmitters decode it.
 func TestChurnDepartedUsersHoldNoSwing(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, trigger := range []mac.Trigger{{}, {RelDelta: 0.05, MaxStaleEpochs: 8}} {
-			res, _, _ := churnRun(t, seed, trigger)
+			res, _, _, plans := churnRun(t, seed, trigger)
 			departures := 0
-			for _, r := range res.Rounds {
+			for k, r := range res.Rounds {
 				departures += r.Churn.Step.Departures
-				for i, active := range r.Churn.Active {
-					if active {
-						continue
-					}
-					for j := range r.Swings {
-						if r.Swings[j][i] != 0 {
-							t.Errorf("seed %d trigger %+v round %d: free slot %d holds swing %.3g from TX %d",
-								seed, trigger, r.Round, i, r.Swings[j][i].A(), j)
-						}
+				for _, c := range plans[k].Commands {
+					if c.RX >= 0 && !r.Churn.Active[c.RX] && c.Swing() != 0 {
+						t.Errorf("seed %d trigger %+v round %d: free slot %d holds swing %.3g from TX %d",
+							seed, trigger, r.Round, c.RX, c.Swing().A(), c.TX)
 					}
 				}
 			}
@@ -100,7 +136,7 @@ func TestChurnDepartedUsersHoldNoSwing(t *testing.T) {
 func TestChurnAdmittedUsersHaveServingSets(t *testing.T) {
 	set := scenario.Default()
 	for _, seed := range []int64{1, 2, 3} {
-		res, _, _ := churnRun(t, seed, mac.Trigger{})
+		res, _, _, _ := churnRun(t, seed, mac.Trigger{})
 		admittedRounds := 0
 		for _, r := range res.Rounds {
 			env := set.Env(r.RXPositions, nil)
@@ -145,8 +181,8 @@ func TestChurnAdmittedUsersHaveServingSets(t *testing.T) {
 // TestChurnRunDeterministic: the full system run — churn trace and every
 // round metric — is byte-reproducible for a given seed.
 func TestChurnRunDeterministic(t *testing.T) {
-	a, _, _ := churnRun(t, 7, mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: 8})
-	b, _, _ := churnRun(t, 7, mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: 8})
+	a, _, _, _ := churnRun(t, 7, mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: 8})
+	b, _, _, _ := churnRun(t, 7, mac.Trigger{RelDelta: 0.05, MaxStaleEpochs: 8})
 	if string(a.WorkloadTrace) != string(b.WorkloadTrace) {
 		t.Fatalf("churn traces diverged:\n%s\nvs\n%s", a.WorkloadTrace, b.WorkloadTrace)
 	}

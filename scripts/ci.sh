@@ -140,10 +140,12 @@ go test -race -run 'TestIncrementalVsScratch' \
     ./internal/channel/ ./internal/scenario/ ./internal/cluster/ \
     ./internal/mac/ ./internal/alloc/ ./internal/workload/
 
-# Both runtimes run one epoch driver (sim.Drive) and must agree round for
-# round: same throughput bits, active TXs and, under churn, population
+# Both runtimes run one epoch driver (sim.Drive), which keeps one round
+# record (sim.RoundMetrics) for either, and must agree round for round on
+# the fields both fill: throughput bits, active TXs, chaos events, dark,
+# dead and starved counts, report arrival and, under churn, population
 # steps. The full -race pass covers these tests; run them again, three
-# times, so the runtime contract is named in the gate and a score that
+# times, so the runtime contract is named in the gate and a record that
 # depends on goroutine scheduling cannot pass on one lucky run.
 echo "==> runtime agreement under -race (explicit)"
 go test -race -count=3 -run 'TestRuntimesAgree' ./internal/node/
