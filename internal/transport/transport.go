@@ -5,9 +5,12 @@
 //
 // Two interchangeable implementations exist: an in-memory network for tests
 // and simulations, and a UDP network over the loopback interface that
-// exercises the real socket path (cmd/densevlc). Both fan the downlink out
-// to every registered node; the node's MAC (frame.PHY.TXIDMask) decides
-// relevance, exactly as with real multicast.
+// exercises the real socket path (cmd/densevlc). Both deliver every
+// downlink frame to every registered node: the in-memory network copies it
+// into each node's queue, the UDP network sends it once as an IP multicast
+// that the kernel copies to every node socket. The node's MAC
+// (frame.PHY.TXIDMask) decides relevance, as with the prototype's Ethernet
+// multicast.
 package transport
 
 import (

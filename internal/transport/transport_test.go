@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"net"
 	"testing"
 	"time"
 
@@ -12,9 +13,9 @@ import (
 // networks under test, built fresh per case.
 type netFixture struct {
 	name string
+	net  Network
 	ctrl ControllerLink
 	a, b NodeLink
-	done func()
 }
 
 // newNode registers a node link on net, failing the test on error.
@@ -36,8 +37,8 @@ func fixtures(t *testing.T) []netFixture {
 	}
 	udpA, udpB := newNode(t, udp), newNode(t, udp)
 	return []netFixture{
-		{"mem", mem.Controller(), newNode(t, mem), newNode(t, mem), func() { mem.Close() }},
-		{"udp", udp.Controller(), udpA, udpB, func() { udp.Close() }},
+		{"mem", mem, mem.Controller(), newNode(t, mem), newNode(t, mem)},
+		{"udp", udp, udp.Controller(), udpA, udpB},
 	}
 }
 
@@ -59,7 +60,7 @@ func TestMulticastReachesAllNodes(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	for _, fx := range fixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			defer fx.done()
+			defer fx.net.Close()
 			payload := []byte("beamspot update")
 			if err := fx.ctrl.Multicast(payload); err != nil {
 				t.Fatal(err)
@@ -78,7 +79,7 @@ func TestUplinkReachesController(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	for _, fx := range fixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			defer fx.done()
+			defer fx.net.Close()
 			if err := fx.a.SendUplink([]byte("report-a")); err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func TestRealFrameOverBothTransports(t *testing.T) {
 	}
 	for _, fx := range fixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			defer fx.done()
+			defer fx.net.Close()
 			if err := fx.ctrl.Multicast(wire); err != nil {
 				t.Fatal(err)
 			}
@@ -152,27 +153,115 @@ func TestIsolationBetweenDirections(t *testing.T) {
 
 func TestClosedNetworkErrors(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	mem := NewMemNetwork()
-	ctrl := mem.Controller()
-	node := newNode(t, mem)
-	mem.Close()
-	if err := ctrl.Multicast([]byte("x")); err != ErrClosed {
-		t.Errorf("multicast after close: %v", err)
+	for _, fx := range fixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			fx.net.Close()
+			if err := fx.ctrl.Multicast([]byte("x")); err != ErrClosed {
+				t.Errorf("multicast after close: %v", err)
+			}
+			if err := fx.a.SendUplink([]byte("x")); err != ErrClosed {
+				t.Errorf("uplink after close: %v", err)
+			}
+			// Channels are closed.
+			if _, ok := <-fx.a.Downlink(); ok {
+				t.Error("downlink channel still open")
+			}
+			if _, ok := <-fx.ctrl.Uplink(); ok {
+				t.Error("uplink channel still open")
+			}
+			// New nodes rejected after close.
+			if _, err := fx.net.NewNode(); err != ErrClosed {
+				t.Errorf("node after close: %v", err)
+			}
+			// Double close is fine.
+			if err := fx.net.Close(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	if err := node.SendUplink([]byte("x")); err != ErrClosed {
-		t.Errorf("uplink after close: %v", err)
+}
+
+// TestUDPNetworksDoNotCrossTalk opens two UDP networks at once: each
+// multicast reaches every node of its own network exactly once and no node
+// of the other.
+func TestUDPNetworksDoNotCrossTalk(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	var nets [2]*UDPNetwork
+	var nodes [2][]NodeLink
+	for i := range nets {
+		udp, err := NewUDPNetwork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer udp.Close()
+		nets[i] = udp
+		for j := 0; j < 3; j++ {
+			nodes[i] = append(nodes[i], newNode(t, udp))
+		}
 	}
-	// Channels are closed.
-	if _, ok := <-node.Downlink(); ok {
-		t.Error("downlink channel still open")
+	if nets[0].group.String() == nets[1].group.String() {
+		t.Fatalf("both networks multicast to %v", nets[0].group)
 	}
-	// New nodes rejected after close.
-	if _, err := mem.NewNode(); err != ErrClosed {
-		t.Errorf("node after close: %v", err)
+	payloads := [2]string{"network 0", "network 1"}
+	for i, udp := range nets {
+		if err := udp.Controller().Multicast([]byte(payloads[i])); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Double close is fine.
-	if err := mem.Close(); err != nil {
-		t.Error(err)
+	for i := range nets {
+		for j, node := range nodes[i] {
+			if got := recvWithin(t, node.Downlink(), time.Second); string(got) != payloads[i] {
+				t.Errorf("network %d node %d: got %q, want %q", i, j, got, payloads[i])
+			}
+		}
+	}
+	// A second copy or the other network's frame would arrive as fast as
+	// the first did.
+	for i := range nets {
+		for j, node := range nodes[i] {
+			select {
+			case got := <-node.Downlink():
+				t.Errorf("network %d node %d: stray frame %q", i, j, got)
+			case <-time.After(50 * time.Millisecond):
+			}
+		}
+	}
+}
+
+// TestUDPNodesBindTheGroup checks every node socket's local address: the
+// network's group address at the controller's port, never the wildcard.
+// Uplinks from those sockets still reach the controller.
+func TestUDPNodesBindTheGroup(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	udp, err := NewUDPNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer udp.Close()
+	ctrl := udp.ControllerAddr()
+	if !ctrl.IP.IsLoopback() {
+		t.Errorf("controller bound to %v, want a loopback address", ctrl)
+	}
+	const n = 4
+	for i := 0; i < n; i++ {
+		node := newNode(t, udp)
+		local := node.(*udpNode).conn.LocalAddr().(*net.UDPAddr)
+		if local.IP.IsUnspecified() || !local.IP.IsMulticast() {
+			t.Errorf("node %d bound to %v, want a multicast group address", i, local)
+		}
+		if local.String() != udp.group.String() || local.Port != ctrl.Port {
+			t.Errorf("node %d bound to %v, want %v at the controller's port %d", i, local, udp.group, ctrl.Port)
+		}
+		if err := node.SendUplink([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[byte]bool{}
+	for i := 0; i < n; i++ {
+		got[recvWithin(t, udp.Controller().Uplink(), time.Second)[0]] = true
+	}
+	if len(got) != n {
+		t.Errorf("controller heard uplinks %v, want all %d nodes", got, n)
 	}
 }
 

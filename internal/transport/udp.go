@@ -1,21 +1,32 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"syscall"
 )
 
-// UDPNetwork implements the network over UDP sockets on the loopback
-// interface. The controller fans the downlink out to every node's socket —
-// emulated multicast, the standard fallback where true multicast routing is
-// unavailable — and nodes send uplink datagrams to the controller's socket.
+// UDPNetwork implements the network over IPv4 UDP on the loopback
+// interface. The downlink is a real IP multicast: the controller sends each
+// frame once, to a group address, and the kernel delivers a copy to every
+// node socket that joined the group — the prototype's Ethernet multicast.
+// Nodes send uplink datagrams to the controller's unicast socket.
+//
+// The controller socket holds 127.0.0.1:P and sends with TTL 0, so no
+// datagram leaves the host. Every node socket is bound to group:P, with the
+// controller's own port P: that port is held exclusively on 127.0.0.1, so
+// two networks, in one process or in several, never share a (group, port)
+// pair and never hear each other's downlink.
 //
 // Frames larger than maxDatagram are rejected rather than fragmented.
 type UDPNetwork struct {
 	mu       sync.Mutex
 	ctrlConn *net.UDPConn
 	ctrlAddr *net.UDPAddr
+	group    *net.UDPAddr
 	nodes    []*udpNode
 	uplink   chan []byte
 	closed   bool
@@ -24,21 +35,101 @@ type UDPNetwork struct {
 
 const maxDatagram = 60 * 1024
 
+var (
+	// loopback is the interface address both sides of the network use.
+	loopback = [4]byte{127, 0, 0, 1}
+	// groupIP is the downlink's multicast group, in the organisation-local
+	// scope of RFC 2365.
+	groupIP = [4]byte{239, 255, 86, 67}
+)
+
 // NewUDPNetwork opens the controller socket on 127.0.0.1 with an ephemeral
-// port and starts its receive loop.
+// port, makes it send multicast on loopback only, and starts its receive
+// loop.
 func NewUDPNetwork() (*UDPNetwork, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IP(loopback[:])})
 	if err != nil {
 		return nil, fmt.Errorf("transport: controller socket: %w", err)
 	}
+	if err := multicastOnLoopback(conn); err != nil {
+		_ = conn.Close() // the setup error is the one worth reporting
+		return nil, fmt.Errorf("transport: controller socket: %w", err)
+	}
+	addr := conn.LocalAddr().(*net.UDPAddr)
 	n := &UDPNetwork{
 		ctrlConn: conn,
-		ctrlAddr: conn.LocalAddr().(*net.UDPAddr),
+		ctrlAddr: addr,
+		group:    &net.UDPAddr{IP: net.IP(groupIP[:]), Port: addr.Port},
 		uplink:   make(chan []byte, queueSize),
 	}
 	n.wg.Add(1)
 	go n.ctrlLoop()
 	return n, nil
+}
+
+// multicastOnLoopback sets the controller socket's multicast options: send
+// through the loopback interface, deliver to this host's members, and give
+// every datagram TTL 0 so none is forwarded beyond the host.
+func multicastOnLoopback(conn *net.UDPConn) error {
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		return err
+	}
+	var serr error
+	err = raw.Control(func(fd uintptr) {
+		s := int(fd)
+		if serr = syscall.SetsockoptInet4Addr(s, syscall.IPPROTO_IP, syscall.IP_MULTICAST_IF, loopback); serr != nil {
+			serr = fmt.Errorf("IP_MULTICAST_IF: %w", serr)
+			return
+		}
+		if serr = syscall.SetsockoptInt(s, syscall.IPPROTO_IP, syscall.IP_MULTICAST_LOOP, 1); serr != nil {
+			serr = fmt.Errorf("IP_MULTICAST_LOOP: %w", serr)
+			return
+		}
+		if serr = syscall.SetsockoptInt(s, syscall.IPPROTO_IP, syscall.IP_MULTICAST_TTL, 0); serr != nil {
+			serr = fmt.Errorf("IP_MULTICAST_TTL: %w", serr)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return serr
+}
+
+// joinGroup opens a node socket bound to group (the multicast address
+// itself, not the wildcard) and joined to it on the loopback interface. net.ListenMulticastUDP is
+// no use here: it binds the wildcard address, which collides with the
+// controller's port and would expose the node on every interface.
+func joinGroup(group *net.UDPAddr) (*net.UDPConn, error) {
+	syscall.ForkLock.RLock()
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM, syscall.IPPROTO_UDP)
+	if err == nil {
+		syscall.CloseOnExec(fd)
+	}
+	syscall.ForkLock.RUnlock()
+	if err != nil {
+		return nil, fmt.Errorf("socket: %w", err)
+	}
+	// f owns fd. FilePacketConn works on a duplicate, so closing f on
+	// return releases the original on every path and cannot fail the
+	// connection handed out.
+	f := os.NewFile(uintptr(fd), "udp4 "+group.String())
+	defer func() { _ = f.Close() }()
+	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1); err != nil {
+		return nil, fmt.Errorf("SO_REUSEADDR: %w", err)
+	}
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Port: group.Port, Addr: groupIP}); err != nil {
+		return nil, fmt.Errorf("bind %v: %w", group, err)
+	}
+	mreq := &syscall.IPMreq{Multiaddr: groupIP, Interface: loopback}
+	if err := syscall.SetsockoptIPMreq(fd, syscall.IPPROTO_IP, syscall.IP_ADD_MEMBERSHIP, mreq); err != nil {
+		return nil, fmt.Errorf("join %v on loopback: %w", group.IP, err)
+	}
+	pc, err := net.FilePacketConn(f)
+	if err != nil {
+		return nil, err
+	}
+	return pc.(*net.UDPConn), nil
 }
 
 func (n *UDPNetwork) ctrlLoop() {
@@ -70,17 +161,16 @@ func (n *UDPNetwork) ControllerAddr() *net.UDPAddr { return n.ctrlAddr }
 // Controller returns the controller link.
 func (n *UDPNetwork) Controller() ControllerLink { return (*udpController)(n) }
 
-// NewNode implements Network: it opens a node socket and registers it for
-// downlink fan-out, or returns ErrClosed once the network is closed.
+// NewNode implements Network: it opens a node socket joined to the
+// downlink group, or returns ErrClosed once the network is closed.
 func (n *UDPNetwork) NewNode() (NodeLink, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, err := joinGroup(n.group)
 	if err != nil {
 		return nil, fmt.Errorf("transport: node socket: %w", err)
 	}
 	node := &udpNode{
 		net:  n,
 		conn: conn,
-		addr: conn.LocalAddr().(*net.UDPAddr),
 		down: make(chan []byte, queueSize),
 	}
 	n.mu.Lock()
@@ -116,28 +206,28 @@ func (n *UDPNetwork) Close() error {
 	return nil
 }
 
+// sendErr reports a failed send. A send on a closed socket is ErrClosed,
+// as on MemNetwork.
+func sendErr(op string, err error) error {
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, net.ErrClosed) {
+		return ErrClosed
+	}
+	return fmt.Errorf("transport: %s: %w", op, err)
+}
+
 type udpController UDPNetwork
 
+// Multicast sends data once, to the group; the kernel copies it to every
+// node socket.
 func (c *udpController) Multicast(data []byte) error {
 	if len(data) > maxDatagram {
 		return fmt.Errorf("transport: frame of %d bytes exceeds datagram limit", len(data))
 	}
-	n := (*UDPNetwork)(c)
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return ErrClosed
-	}
-	nodes := append([]*udpNode(nil), n.nodes...)
-	n.mu.Unlock()
-
-	for _, node := range nodes {
-		// Sent from the controller socket so nodes could reply directly.
-		if _, err := n.ctrlConn.WriteToUDP(data, node.addr); err != nil {
-			return fmt.Errorf("transport: multicast to %v: %w", node.addr, err)
-		}
-	}
-	return nil
+	_, err := c.ctrlConn.WriteToUDP(data, c.group)
+	return sendErr("multicast", err)
 }
 
 func (c *udpController) Uplink() <-chan []byte { return c.uplink }
@@ -147,7 +237,6 @@ func (c *udpController) Close() error { return (*UDPNetwork)(c).Close() }
 type udpNode struct {
 	net  *UDPNetwork
 	conn *net.UDPConn
-	addr *net.UDPAddr
 	down chan []byte
 }
 
@@ -175,7 +264,7 @@ func (u *udpNode) SendUplink(data []byte) error {
 		return fmt.Errorf("transport: frame of %d bytes exceeds datagram limit", len(data))
 	}
 	_, err := u.conn.WriteToUDP(data, u.net.ctrlAddr)
-	return err
+	return sendErr("uplink", err)
 }
 
 func (u *udpNode) Close() error { return u.conn.Close() }

@@ -62,7 +62,9 @@
 #  12. UDP smoke    — the CLI's default path over UDP loopback, once
 #                     synchronous and once asynchronous under the race
 #                     detector, time-bounded: every other densevlc smoke runs
-#                     in memory (-udp=false)
+#                     in memory (-udp=false); then two synchronous UDP runs
+#                     at once, which must print what each prints alone (the
+#                     downlink multicast of one run never reaches the other)
 #  13. short fuzz   — a few seconds each of the downlink round-trip,
 #                     MAC-decode and downlink-decode fuzzers (frame), the
 #                     control-message codecs (report, ack, allocation, pilot
@@ -188,6 +190,30 @@ timeout 600 go run -race ./cmd/experiments -quick churn > /dev/null
 echo "==> UDP smoke (default transport, both engines, async under -race, time-bounded)"
 timeout 600 go run ./cmd/densevlc -rounds 4 > /dev/null
 timeout 600 go run -race ./cmd/densevlc -rounds 4 -async > /dev/null
+
+# Two UDP runs at once, one on the seed of a solo run and one on another
+# seed. Each joins the same multicast group on its own port; a frame that
+# crossed between them would change the rounds. Every output but its first
+# line (the controller's address) must equal the solo run with its seed.
+echo "==> UDP smoke (two concurrent runs match their solo runs)"
+udpdir=$(mktemp -d)
+trap 'rm -rf "$udpdir"' EXIT
+go build -o "$udpdir/densevlc" ./cmd/densevlc
+for seed in 1 2; do
+    timeout 600 "$udpdir/densevlc" -rounds 6 -seed "$seed" | tail -n +2 > "$udpdir/solo-$seed.txt"
+done
+timeout 600 "$udpdir/densevlc" -rounds 6 -seed 1 > "$udpdir/both-1.txt" &
+pid1=$!
+timeout 600 "$udpdir/densevlc" -rounds 6 -seed 2 > "$udpdir/both-2.txt" &
+pid2=$!
+wait "$pid1"
+wait "$pid2"
+for seed in 1 2; do
+    if ! tail -n +2 "$udpdir/both-$seed.txt" | diff "$udpdir/solo-$seed.txt" - >&2; then
+        echo "UDP smoke: the concurrent seed-$seed run differs from its solo run" >&2
+        exit 1
+    fi
+done
 
 # Short fuzz budget: -fuzz requires exactly one matching target per package,
 # so each fuzzer gets its own invocation.
