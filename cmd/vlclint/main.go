@@ -16,20 +16,19 @@
 //	go run ./cmd/vlclint ./...
 //	go run ./cmd/vlclint -rules unitsafety,floatcmp ./internal/...
 //	go run ./cmd/vlclint -json ./... > findings.json
-//	go run ./cmd/vlclint -baseline scripts/lint_baseline.json ./...
-//	go run ./cmd/vlclint -baseline scripts/lint_baseline.json -update-baseline ./...
 //	go run ./cmd/vlclint -timing ./...
 //	go run ./cmd/vlclint -list
 //
 // Findings print as "file:line: [rule] message" (or a JSON array with
 // -json) and the process exits 1 when any are present, so the tool gates CI
-// (scripts/ci.sh). Suppress a single finding with a
+// (scripts/ci.sh). Accept a single finding with a
 // //lint:ignore <rule> <reason> comment on the offending line or the line
-// above; record an audited interprocedural finding in the baseline file
-// instead (-baseline filters findings through it, -update-baseline rewrites
-// it, keeping audited reasons and marking new entries UNAUDITED). A
-// //lint:ignore naming a rule the suite does not have suppresses nothing and
-// is itself reported.
+// above. A //lint:ignore naming a rule the suite does not have suppresses
+// nothing and is itself reported, and so is one whose rule ran but that
+// covered no finding, so an acceptance cannot outlive its site. Run the
+// interprocedural rules over the whole module (./...): on a subset, a
+// finding reached only from a package outside it is not found, and its
+// directive reads as stale.
 // -timing reports per-rule wall clock and surviving finding counts on
 // stderr in suite order (the shared call-graph build is accounted
 // separately as "callgraph"), so a slow analyzer shows up before it slows
@@ -60,11 +59,9 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	rules := flag.String("rules", "", "comma-separated analyzer names to run (default: all)")
-	baselinePath := flag.String("baseline", "", "filter findings through a baseline JSON file of audited sites")
-	updateBaseline := flag.Bool("update-baseline", false, "rewrite the -baseline file from current findings (new entries marked UNAUDITED) and exit")
 	timing := flag.Bool("timing", false, "report per-rule wall clock and finding counts on stderr")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: vlclint [-list] [-json] [-timing] [-rules a,b,...] [-baseline file.json [-update-baseline]] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: vlclint [-list] [-json] [-timing] [-rules a,b,...] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -74,10 +71,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *updateBaseline && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "vlclint: -update-baseline requires -baseline <file>")
-		os.Exit(2)
 	}
 
 	analyzers, err := selectAnalyzers(*rules)
@@ -109,36 +102,6 @@ func main() {
 		}
 	} else {
 		findings = lint.Run(pkgs, analyzers)
-	}
-
-	if *updateBaseline {
-		var prev *lint.Baseline
-		if _, statErr := os.Stat(*baselinePath); statErr == nil {
-			prev, err = lint.LoadBaseline(*baselinePath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vlclint:", err)
-				os.Exit(2)
-			}
-		}
-		next := lint.UpdateBaseline(prev, findings)
-		if err := lint.WriteBaseline(*baselinePath, next); err != nil {
-			fmt.Fprintln(os.Stderr, "vlclint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "vlclint: wrote %s (%d entries)\n", *baselinePath, len(next.Entries))
-		return
-	}
-	if *baselinePath != "" {
-		baseline, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vlclint:", err)
-			os.Exit(2)
-		}
-		var stale []lint.BaselineEntry
-		findings, stale = baseline.Apply(findings)
-		for _, e := range stale {
-			fmt.Fprintf(os.Stderr, "vlclint: stale baseline entry (no finding matches): %s\n", e)
-		}
 	}
 
 	if *asJSON {

@@ -119,6 +119,7 @@ func (o Optimal) allocate(env *Env, budget units.Watts, warm channel.Swings) (ch
 		x  []float64
 		ok bool
 	}
+	//lint:ignore ctxflow Policy.Allocate is context-free by design (a pure function of setup, gains and budget); the CPU-bound multistart has no cancellation point finer than one seed solve, and callers bound it with Workers
 	cands, err := parallel.Map(context.Background(), o.Workers, len(seeds), func(i int) (candidate, error) {
 		p := prob.clone()
 		res, err := optimize.Maximize(p, p, seeds[i], opts)

@@ -94,6 +94,7 @@ func (o Options) workers() int { return parallel.Workers(o.Workers) }
 // as table cells), so task errors can only be captured panics — those
 // resurface on the calling goroutine, exactly like a serial run.
 func fanOut[T any](o Options, n int, fn func(i int) T) []T {
+	//lint:ignore ctxflow generators are context-free figure-table producers keyed by (figure, Options), so regenerating a golden stays one call; fanOut's tasks are infallible and CPU-bound
 	out, err := parallel.Map(context.Background(), o.workers(), n, func(i int) (T, error) {
 		return fn(i), nil
 	})

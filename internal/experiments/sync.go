@@ -151,9 +151,7 @@ func Table5(opts Options) Table {
 		if err != nil {
 			return phy.PERResult{}
 		}
-		res, err := link.MeasurePER(phy.PERConfig{
-			PayloadLen: 128, Frames: frames, ACKTurnaround: 17e-3,
-		}, signals)
+		res, err := link.MeasurePER(phy.PERConfig{PayloadLen: 128, Frames: frames}, signals)
 		if err != nil {
 			return phy.PERResult{}
 		}

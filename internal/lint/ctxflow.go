@@ -18,8 +18,8 @@ import (
 //     library that needs one should accept it from its caller.
 //
 // Context-free public APIs that fan out internally (alloc.Policy.Allocate,
-// the experiment generators) are recorded in scripts/lint_baseline.json
-// with their audit reasons rather than suppressed inline.
+// the experiment generators) carry a //lint:ignore ctxflow directive with
+// the audit reason on the line above their context.Background().
 var analyzerCtxFlow = &Analyzer{
 	Name:      "ctxflow",
 	Doc:       "require context propagation and forbid context.Background/TODO in internal/ libraries",

@@ -452,6 +452,25 @@ func Convenience() {
 			want: nil,
 		},
 		{
+			name: "stale directive is reported",
+			files: []fixtureSrc{{
+				path: "densevlc/internal/cf",
+				file: "cf8.go",
+				src: `package cf
+
+import "context"
+
+func inner8(ctx context.Context) {}
+
+func Forward(ctx context.Context) {
+	//lint:ignore ctxflow once a convenience wrapper; it now forwards its caller's context
+	inner8(ctx)
+}
+`,
+			}},
+			want: []string{"cf8.go:8 ignore"},
+		},
+		{
 			name: "roots outside internal/ pass",
 			files: []fixtureSrc{{
 				path: "densevlc/cmd/tool",

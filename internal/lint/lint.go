@@ -59,12 +59,8 @@
 //
 // The reason is mandatory and the rule must be one of the suite's; a
 // directive without a reason, or naming no rule of the suite, is itself
-// reported.
-// Audited interprocedural findings that question an API's design rather
-// than a line of code (context-free public entry points, documented cold
-// fallbacks) live in the checked-in baseline scripts/lint_baseline.json
-// instead (baseline.go); cmd/vlclint -baseline filters findings through it
-// and reports entries that no longer match anything as stale.
+// reported. So is a directive whose rule ran but that covered no finding:
+// the accepted site is gone or has moved, and the acceptance goes with it.
 package lint
 
 import (
@@ -133,8 +129,9 @@ func Analyzers() []*Analyzer {
 
 // Run applies the analyzers to every package — building the call graph once
 // when any interprocedural analyzer is selected — drops findings covered by
-// //lint:ignore directives, reports malformed directives, and returns the
-// remainder sorted by position.
+// //lint:ignore directives, reports malformed directives and directives of a
+// selected rule that covered nothing, and returns the remainder sorted by
+// position.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	findings, _ := run(pkgs, analyzers, false)
 	return findings
@@ -157,7 +154,7 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []RuleTiming) 
 
 func run(pkgs []*Package, analyzers []*Analyzer, timed bool) ([]Finding, []RuleTiming) {
 	var all []Finding
-	sup := suppressions{rules: make(map[string]map[int][]string), known: make(map[string]bool)}
+	sup := suppressions{byLine: make(map[string]map[int][]*directive), known: make(map[string]bool)}
 	for _, a := range Analyzers() {
 		sup.known[a.Name] = true
 	}
@@ -199,7 +196,7 @@ func run(pkgs []*Package, analyzers []*Analyzer, timed bool) ([]Finding, []RuleT
 			kept = append(kept, f)
 		}
 	}
-	all = kept
+	all = append(kept, sup.stale(analyzers)...)
 	if timed {
 		counts := make(map[string]int)
 		for _, f := range all {
@@ -228,10 +225,19 @@ func run(pkgs []*Package, analyzers []*Analyzer, timed bool) ([]Finding, []RuleT
 // ignorePrefix introduces a suppression directive comment.
 const ignorePrefix = "lint:ignore"
 
+// directive is one well-formed //lint:ignore comment.
+type directive struct {
+	pos  token.Position
+	rule string
+	used bool // it covered at least one finding
+}
+
 // suppressions indexes //lint:ignore directives by file and line.
 type suppressions struct {
-	// rules maps filename -> line -> suppressed rule names on that line.
-	rules map[string]map[int][]string
+	// byLine maps filename -> line -> the directives on that line.
+	byLine map[string]map[int][]*directive
+	// dirs holds every directive in collection order.
+	dirs []*directive
 	// known names every rule of the full suite, whatever subset runs, so a
 	// directive for a misspelled or deleted rule is reported, not kept.
 	known     map[string]bool
@@ -239,17 +245,40 @@ type suppressions struct {
 }
 
 // covers reports whether a directive on the finding's line or the line
-// directly above names the finding's rule.
+// directly above names the finding's rule, and marks each such directive
+// used.
 func (s suppressions) covers(f Finding) bool {
-	lines := s.rules[f.Pos.Filename]
+	covered := false
+	lines := s.byLine[f.Pos.Filename]
 	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
-		for _, rule := range lines[line] {
-			if rule == f.Rule {
-				return true
+		for _, d := range lines[line] {
+			if d.rule == f.Rule {
+				d.used = true
+				covered = true
 			}
 		}
 	}
-	return false
+	return covered
+}
+
+// stale reports each directive whose rule ran but that covered no finding.
+// Directives for rules left out of the run stay silent.
+func (s suppressions) stale(ran []*Analyzer) []Finding {
+	selected := make(map[string]bool, len(ran))
+	for _, a := range ran {
+		selected[a.Name] = true
+	}
+	var out []Finding
+	for _, d := range s.dirs {
+		if selected[d.rule] && !d.used {
+			out = append(out, Finding{
+				Pos:     d.pos,
+				Rule:    "ignore",
+				Message: fmt.Sprintf("//lint:ignore %s covers no finding on this line or the next; delete it", d.rule),
+			})
+		}
+	}
+	return out
 }
 
 func collectSuppressions(pkg *Package, s *suppressions) {
@@ -279,10 +308,12 @@ func collectSuppressions(pkg *Package, s *suppressions) {
 					})
 					continue
 				}
-				if s.rules[pos.Filename] == nil {
-					s.rules[pos.Filename] = make(map[int][]string)
+				d := &directive{pos: pos, rule: fields[0]}
+				if s.byLine[pos.Filename] == nil {
+					s.byLine[pos.Filename] = make(map[int][]*directive)
 				}
-				s.rules[pos.Filename][pos.Line] = append(s.rules[pos.Filename][pos.Line], fields[0])
+				s.byLine[pos.Filename][pos.Line] = append(s.byLine[pos.Filename][pos.Line], d)
+				s.dirs = append(s.dirs, d)
 			}
 		}
 	}

@@ -615,3 +615,60 @@ func unselected() time.Time {
 		t.Errorf("message should name the unknown rule: %s", got[0].Message)
 	}
 }
+
+// TestStaleSuppressionIsReported checks that a directive whose rule ran but
+// covered no finding is itself reported, while one that covers a finding,
+// or whose rule was not selected, stays silent.
+func TestStaleSuppressionIsReported(t *testing.T) {
+	tests := []struct {
+		name string
+		src  string
+		want []string
+	}{
+		{
+			name: "selected rule, no finding: reported",
+			src: `package alloc
+
+func stale() int {
+	//lint:ignore determinism nothing here reads the clock
+	return 1
+}
+`,
+			want: []string{"stale.go:4 ignore"},
+		},
+		{
+			name: "covers a finding: silent",
+			src: `package alloc
+
+import "time"
+
+func covered() time.Time {
+	//lint:ignore determinism wall clock is the point here
+	return time.Now()
+}
+`,
+			want: nil,
+		},
+		{
+			name: "rule not selected: silent",
+			src: `package alloc
+
+func unselected() int {
+	//lint:ignore floatcmp no float comparison here, but floatcmp does not run
+	return 1
+}
+`,
+			want: nil,
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			pkg := fixturePkg(t, "densevlc/internal/alloc", "stale.go", tc.src)
+			got := Run([]*Package{pkg}, []*Analyzer{analyzerDeterminism})
+			assertFindings(t, got, tc.want...)
+			if len(got) > 0 && !strings.Contains(got[0].Message, "determinism") {
+				t.Errorf("message should name the directive's rule: %s", got[0].Message)
+			}
+		})
+	}
+}

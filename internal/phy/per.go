@@ -2,6 +2,7 @@ package phy
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 
 	"densevlc/internal/frame"
@@ -21,29 +22,36 @@ type PERResult struct {
 	Goodput units.BitsPerSecond
 }
 
+// ACKTurnaround is the dead time per data-phase frame cycle: WiFi ACK round
+// trip plus MAC guard periods. The prototype's BeagleBone WiFi uplink
+// measures ≈17 ms.
+const ACKTurnaround units.Seconds = 17e-3
+
+// Goodput is the application throughput of the data phase: payloadLen
+// bytes delivered with probability 1−per once per frame cycle, which is the
+// pilot + preamble + frame air time at symbolRate plus the ACK turnaround.
+func Goodput(payloadLen int, per float64, symbolRate units.Hertz) units.BitsPerSecond {
+	symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(payloadLen))
+	cycle := symbols/symbolRate.Hz() + ACKTurnaround.S()
+	return units.BitsPerSecond(float64(8*payloadLen) * (1 - per) / cycle)
+}
+
 // PERConfig parameterises a PER run.
 type PERConfig struct {
 	// PayloadLen is the iperf datagram size per frame (bytes).
 	PayloadLen int
 	// Frames is the number of frames to send.
 	Frames int
-	// ACKTurnaround is the dead time per frame cycle: WiFi ACK round trip
-	// plus MAC guard periods. The prototype's BeagleBone WiFi uplink
-	// measures ≈17 ms.
-	ACKTurnaround units.Seconds
 }
 
 // MeasurePER sends cfg.Frames random-payload frames through the link and
-// reports the frame error rate and goodput. signals supplies each frame's
-// transmitters, drawing any per-frame timing from the link's stream after
-// the frame's payload; the link reads the returned slice before the next
-// call, so signals may reuse it.
+// reports the frame error rate and goodput; both counts must be positive.
+// signals supplies each frame's transmitters, drawing any per-frame timing
+// from the link's stream after the frame's payload; the link reads the
+// returned slice before the next call, so signals may reuse it.
 func (l *Link) MeasurePER(cfg PERConfig, signals func(rng *rand.Rand) []TXSignal) (PERResult, error) {
-	if cfg.PayloadLen <= 0 {
-		cfg.PayloadLen = 128
-	}
-	if cfg.Frames <= 0 {
-		cfg.Frames = 100
+	if cfg.PayloadLen <= 0 || cfg.Frames <= 0 {
+		return PERResult{}, fmt.Errorf("phy: PER run needs a positive payload and frame count, got %d bytes × %d frames", cfg.PayloadLen, cfg.Frames)
 	}
 
 	res := PERResult{Frames: cfg.Frames}
@@ -61,14 +69,6 @@ func (l *Link) MeasurePER(cfg PERConfig, signals func(rng *rand.Rand) []TXSignal
 	}
 
 	res.PER = float64(res.Errors) / float64(res.Frames)
-
-	// Goodput: payload bits delivered per frame cycle. One cycle is the
-	// pilot + preamble + frame air time plus the ACK turnaround.
-	symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(cfg.PayloadLen))
-	airTime := symbols / l.cfg.SymbolRate.Hz()
-	cycle := airTime + cfg.ACKTurnaround.S()
-	if cycle > 0 {
-		res.Goodput = units.BitsPerSecond(float64(8*cfg.PayloadLen) * (1 - res.PER) / cycle)
-	}
+	res.Goodput = Goodput(cfg.PayloadLen, res.PER, l.cfg.SymbolRate)
 	return res, nil
 }

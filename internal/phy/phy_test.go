@@ -184,14 +184,14 @@ func TestMeasurePERTable5Shape(t *testing.T) {
 	txs := make([]TXSignal, 4)
 
 	l := paperLink(t, 8)
-	sameBBB, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3},
+	sameBBB, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40},
 		func(*rand.Rand) []TXSignal { return amp2 })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	l = paperLink(t, 9)
-	noSync, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3},
+	noSync, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40},
 		func(rng *rand.Rand) []TXSignal {
 			// Second BBB free-runs its own frame stream: both of its TXs
 			// share one clock, so one offset draw per frame.
@@ -210,7 +210,7 @@ func TestMeasurePERTable5Shape(t *testing.T) {
 	}
 
 	l = paperLink(t, 10)
-	withSync, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40, ACKTurnaround: 17e-3},
+	withSync, err := l.MeasurePER(PERConfig{PayloadLen: 64, Frames: 40},
 		func(rng *rand.Rand) []TXSignal {
 			for tx := range txs {
 				txs[tx] = TXSignal{Amplitude: amp4, Offset: units.Seconds(1.2e-6 * rng.Float64()), ClockPPM: 40*rng.Float64() - 20}
@@ -239,14 +239,13 @@ func TestMeasurePERTable5Shape(t *testing.T) {
 	}
 }
 
-func TestMeasurePERDefaults(t *testing.T) {
+func TestMeasurePERRejectsEmptyRun(t *testing.T) {
 	l := paperLink(t, 11)
-	res, err := l.MeasurePER(PERConfig{Frames: 2}, func(*rand.Rand) []TXSignal { return []TXSignal{{Amplitude: strongAmplitude}} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Frames != 2 {
-		t.Errorf("frames = %d", res.Frames)
+	one := func(*rand.Rand) []TXSignal { return []TXSignal{{Amplitude: strongAmplitude}} }
+	for _, cfg := range []PERConfig{{Frames: 2}, {PayloadLen: 64}, {PayloadLen: -1, Frames: 2}, {PayloadLen: 64, Frames: -1}} {
+		if _, err := l.MeasurePER(cfg, one); err == nil {
+			t.Errorf("MeasurePER(%+v) accepted a non-positive count", cfg)
+		}
 	}
 }
 

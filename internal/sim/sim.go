@@ -161,14 +161,20 @@ type RoundMetrics struct {
 	// PER per receiver: waveform-measured when WaveformPHY is on, the
 	// analytic channel.FramePER model otherwise.
 	PER []float64
-	// Goodput per receiver (waveform runs only).
+	// Goodput per receiver, from PER by phy.Goodput in both PHY modes.
 	Goodput []units.BitsPerSecond
 	// ActiveTXs is the number of communicating transmitters.
 	ActiveTXs int
 	// StarvedRXs counts the receivers this round's plan leaves without any
-	// serving transmitter, vacant churn slots included — the paper's
-	// graceful-degradation promise is that no occupied receiver is among
-	// them while transmitters remain to serve everyone.
+	// serving transmitter, vacant churn slots included. It is a measurement,
+	// not a guarantee. Algorithm 1 gives each transmitter to its strongest
+	// receiver and the budget buys the top of the SJR ranking, so a
+	// receiver whose transmitters all rank below that cut gets none, even
+	// with every transmitter alive. A receiver that roams into a dim spot
+	// can hit this: in round 2 of `densevlc -rounds 8 -udp=false` (seed 1),
+	// RX 1's seven transmitters rank 17th and below, and 1.19 W buys 16.
+	// The resilience study and mac's recovery sweep hold it at zero on the
+	// anchored Fig. 6/7 placements only.
 	StarvedRXs int
 	// DeadTXs is the number of transmitters the controller's link-health
 	// tracker classifies dead after this round's reallocation.
@@ -335,13 +341,11 @@ func (ls *lockstep) Data(ep *Epoch) error {
 	} else {
 		// Fast path: the closed-form PER model at the data phase's
 		// bandwidth-time product (1 MHz noise band, 5 µs chips), and the
-		// matching goodput at the Table 5 frame cycle.
+		// matching goodput at the Table 5 frame cycle (100 Ksymbols/s).
 		const bt = 5
-		symbols := float64(frame.PilotSymbols + frame.PreambleSymbols + 8*frame.AirLen(payloadLen))
-		cycle := symbols/100e3 + 17e-3
 		for i, sinr := range ep.Eval.SINR {
 			ep.PER[i] = channel.FramePER(sinr, payloadLen, bt)
-			ep.Goodput[i] = units.BitsPerSecond(float64(8*payloadLen) * (1 - ep.PER[i]) / cycle)
+			ep.Goodput[i] = phy.Goodput(payloadLen, ep.PER[i], 100e3)
 		}
 	}
 	return nil
@@ -363,9 +367,8 @@ func (ls *lockstep) waveform(ep *Epoch) error {
 		}
 		var txs []phy.TXSignal
 		res, err := link.MeasurePER(phy.PERConfig{
-			PayloadLen:    payloadLen,
-			Frames:        ls.p.Config.FramesPerRound,
-			ACKTurnaround: 17e-3,
+			PayloadLen: payloadLen,
+			Frames:     ls.p.Config.FramesPerRound,
 		}, func(r *rand.Rand) []phy.TXSignal {
 			txs = md.Signals(r, rx, members, txs[:0])
 			return txs

@@ -14,8 +14,9 @@
 #                     (determinism, maporder, floatcmp, errdrop, apipanic,
 #                     unitsafety) plus the four interprocedural rules over
 #                     the module call graph (hotalloc, ctxflow, lockorder,
-#                     lockscope), filtered through the audited baseline
-#                     scripts/lint_baseline.json (see DESIGN.md
+#                     lockscope); accepted findings carry inline
+#                     //lint:ignore directives, and a directive that
+#                     covers no finding fails the step too (see DESIGN.md
 #                     "Interprocedural analysis" and "Concurrency
 #                     discipline")
 #   6. go test      — the full unit/integration/property/golden suite,
@@ -99,12 +100,12 @@ go build ./...
 echo "==> lint fixtures (analyzer test suite)"
 go test -short ./internal/lint/
 
-echo "==> vlclint ./... (baseline: scripts/lint_baseline.json)"
-if ! go run ./cmd/vlclint -baseline scripts/lint_baseline.json ./...; then
-    # Re-emit the unbaselined findings as JSON so CI can publish them as an
+echo "==> vlclint ./..."
+if ! go run ./cmd/vlclint ./...; then
+    # Re-emit the findings as JSON so CI can publish them as an
     # artifact (.github/workflows/ci.yml uploads vlclint-findings.json on
     # failure).
-    go run ./cmd/vlclint -json -baseline scripts/lint_baseline.json ./... > vlclint-findings.json || true
+    go run ./cmd/vlclint -json ./... > vlclint-findings.json || true
     echo "vlclint: findings written to vlclint-findings.json" >&2
     exit 1
 fi
