@@ -484,8 +484,9 @@ func (s *heldScanner) scanExpr(expr ast.Expr, held *[]heldLock, suppressChanOp b
 }
 
 // blockingStdlibCall classifies standard-library calls that block the
-// calling goroutine: sync.WaitGroup.Wait, time.Sleep, and the net package's
-// read/write/accept/dial/listen families.
+// calling goroutine: sync.WaitGroup.Wait, time.Sleep, the net package's
+// read/write/accept/dial/listen families, and the raw socket reads of the
+// syscall package, which park an OS thread until a datagram arrives.
 func blockingStdlibCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(pkg, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -506,6 +507,11 @@ func blockingStdlibCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 			if strings.HasPrefix(name, prefix) {
 				return fmt.Sprintf("network I/O (net %s)", name), true
 			}
+		}
+	case "syscall":
+		switch name := fn.Name(); name {
+		case "Recvfrom", "Recvmsg", "Read":
+			return fmt.Sprintf("blocking socket read (syscall.%s)", name), true
 		}
 	}
 	return "", false

@@ -416,6 +416,45 @@ func nap2() { time.Sleep(time.Millisecond) }
 			want: []string{"ls4.go:12 lockscope"},
 		},
 		{
+			// A raw socket read parks its OS thread until a datagram
+			// arrives: the udpNode.Receive shape must release the lock
+			// first, and each of the three reads held under it is flagged.
+			name: "raw socket reads under a lock flagged",
+			files: []fixtureSrc{{
+				path: "densevlc/internal/ls",
+				file: "ls9.go",
+				src: `package ls
+
+import (
+	"sync"
+	"syscall"
+)
+
+type S struct {
+	mu sync.Mutex
+	fd int
+}
+
+func (s *S) RecvHeld(buf []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, _, _ = syscall.Recvfrom(s.fd, buf, 0)
+	_, _, _, _, _ = syscall.Recvmsg(s.fd, buf, nil, 0)
+	_, _ = syscall.Read(s.fd, buf)
+}
+
+func (s *S) RecvReleased(buf []byte) (int, error) {
+	s.mu.Lock()
+	fd := s.fd
+	s.mu.Unlock()
+	n, _, err := syscall.Recvfrom(fd, buf, 0)
+	return n, err
+}
+`,
+			}},
+			want: []string{"ls9.go:16 lockscope", "ls9.go:17 lockscope", "ls9.go:18 lockscope"},
+		},
+		{
 			// The hub.deliver / memController idioms: copy under the lock,
 			// release, then block; try-send with default stays allowed.
 			name: "copy-then-send and select-with-default pass",

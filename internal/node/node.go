@@ -14,35 +14,48 @@ import (
 	"densevlc/internal/units"
 )
 
-// runTX is a transmitter node's event loop: it consumes controller frames
+// runTX is a transmitter node's event loop: it reads controller frames
 // from its link, keeps its MAC state, and acts on the medium. It returns
-// when the context is cancelled or the link closes.
-func runTX(ctx context.Context, id int, link transport.NodeLink, hub *Hub) error {
+// when the link closes, which sim.Drive's teardown does before RunContext
+// cancels.
+func runTX(id int, link transport.NodeLink, hub *Hub) error {
 	n := mac.NewTXNode(id)
 	for {
-		select {
-		case <-ctx.Done():
+		raw, err := link.Receive()
+		if errors.Is(err, transport.ErrClosed) {
 			return nil
-		case raw, ok := <-link.Downlink():
-			if !ok {
-				return nil
-			}
-			d, _, err := frame.DecodeDownlink(raw)
-			if err != nil {
-				continue // corrupted control frame: drop, like real Ethernet
-			}
-			action, err := n.HandleDownlink(d)
-			if err != nil {
-				continue
-			}
-			switch action {
-			case mac.TXReconfigure:
-				hub.Configure(id, n.Cmd.RX, n.Cmd.Swing(), n.Cmd.Leader)
-			case mac.TXPilotSlot:
-				hub.Pilot(id)
-			case mac.TXTransmit:
-				hub.Transmit(id, d)
-			}
+		} else if err != nil {
+			return err
+		}
+		d, _, err := frame.DecodeDownlink(raw)
+		if err != nil {
+			continue // corrupted control frame: drop, like real Ethernet
+		}
+		action, err := n.HandleDownlink(d)
+		if err != nil {
+			continue
+		}
+		switch action {
+		case mac.TXReconfigure:
+			hub.Configure(id, n.Cmd.RX, n.Cmd.Swing(), n.Cmd.Leader)
+		case mac.TXPilotSlot:
+			hub.Pilot(id)
+		case mac.TXTransmit:
+			hub.Transmit(id, d)
+		}
+	}
+}
+
+// drainDownlink discards a receiver's controller frames so the control
+// multicast does not back up on its link; data physically reaches
+// receivers through the hub, not the wire. It returns when the link
+// closes.
+func drainDownlink(link transport.NodeLink) error {
+	for {
+		if _, err := link.Receive(); errors.Is(err, transport.ErrClosed) {
+			return nil
+		} else if err != nil {
+			return err
 		}
 	}
 }
@@ -90,12 +103,6 @@ func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub
 			// exactly once.
 			if payload != nil {
 				*delivered++
-			}
-		// Drain the downlink so control multicast does not back up; data
-		// physically reaches receivers through the hub, not the wire.
-		case _, ok := <-link.Downlink():
-			if !ok {
-				return nil
 			}
 		}
 	}

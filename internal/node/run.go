@@ -142,7 +142,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("node: TX %d link: %w", j, err)
 			}
 			id := j
-			spawn(func() error { return runTX(ctx, id, link, hub) })
+			spawn(func() error { return runTX(id, link, hub) })
 		}
 		res.DeliveredPerRX = make([]int, p.M)
 		for i := 0; i < p.M; i++ {
@@ -152,12 +152,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			id, delivered := i, &res.DeliveredPerRX[i]
 			spawn(func() error { return runRX(ctx, id, p.N, link, hub, delivered) })
+			spawn(func() error { return drainDownlink(link) })
 		}
 		return &async{ctx: ctx, cfg: cfg, p: p, hub: hub, res: res}, nil
 	})
 
-	// Drive has closed the network; stop the node goroutines too. Once
-	// they have exited, their delivery counters are final.
+	// Drive has closed the network, which ends every Receive and so the
+	// transmitters and the downlink drains; cancelling stops the receivers.
+	// Once they have exited, their delivery counters are final.
 	cancel()
 	wg.Wait()
 

@@ -254,11 +254,16 @@ type lockstep struct {
 
 func (ls *lockstep) Medium(f func(md *scenario.Medium)) { f(ls.p.Medium) }
 
-// downlink has every transmitter decode the control frame just multicast,
-// each of them finding want in it, and every receiver drain it.
+// downlink has every transmitter read and decode the control frame just
+// multicast, each of them finding want in it, and every receiver drain it.
+// The frame is already queued on every link, so no Receive blocks.
 func (ls *lockstep) downlink(want mac.TXAction) error {
 	for k, node := range ls.txNodes {
-		d, _, err := frame.DecodeDownlink(<-ls.txLinks[k].Downlink())
+		raw, err := ls.txLinks[k].Receive()
+		if err != nil {
+			return fmt.Errorf("sim: TX %d downlink: %w", k, err)
+		}
+		d, _, err := frame.DecodeDownlink(raw)
 		if err != nil {
 			return fmt.Errorf("sim: TX %d decode: %w", k, err)
 		}
@@ -268,8 +273,10 @@ func (ls *lockstep) downlink(want mac.TXAction) error {
 			return fmt.Errorf("sim: TX %d took action %d, want %d", k, action, want)
 		}
 	}
-	for _, link := range ls.rxLinks {
-		<-link.Downlink()
+	for i, link := range ls.rxLinks {
+		if _, err := link.Receive(); err != nil {
+			return fmt.Errorf("sim: RX %d downlink: %w", i, err)
+		}
 	}
 	return nil
 }

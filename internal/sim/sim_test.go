@@ -257,24 +257,48 @@ func TestRunConfigErrors(t *testing.T) {
 	}
 }
 
+// TestRunOverUDPNetwork: six mobile, noisy rounds over UDP loopback keep
+// the very round records the in-memory network gives on the same seed.
+// Each transmitter reads its own socket in turn, so this pins that the
+// synchronous reads take every multicast once and in order.
 func TestRunOverUDPNetwork(t *testing.T) {
+	traj := staticTrajectories()
+	traj[0] = mobility.Waypoints{Points: []geom.Vec{geom.V(0.75, 0.75, 0), geom.V(2.25, 2.25, 0)}, Speed: 0.5}
+	traj[3] = mobility.Waypoints{Points: []geom.Vec{geom.V(2.5, 0.5, 0), geom.V(0.5, 2.5, 0)}, Speed: 0.4}
+	run := func(net transport.Network) []RoundMetrics {
+		t.Helper()
+		res, err := Run(Config{
+			Setup:            scenario.Default(),
+			Trajectories:     traj,
+			Budget:           0.3,
+			Rounds:           6,
+			MeasurementNoise: 0.02,
+			Network:          net,
+			Seed:             6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range res.Rounds {
+			res.Rounds[k].DecisionTime = 0
+		}
+		return res.Rounds
+	}
 	udp, err := transport.NewUDPNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
-		Setup:        scenario.Default(),
-		Trajectories: staticTrajectories(),
-		Budget:       0.3,
-		Rounds:       1,
-		Network:      udp,
-		Seed:         6,
-	})
-	if err != nil {
-		t.Fatal(err)
+	got, want := run(udp), run(transport.NewMemNetwork())
+	if got[0].RXPositions[0] == got[len(got)-1].RXPositions[0] {
+		t.Fatal("receiver did not move")
 	}
-	if res.Rounds[0].ActiveTXs == 0 {
-		t.Error("no active TXs over UDP transport")
+	for _, r := range got {
+		if r.ActiveTXs == 0 {
+			t.Errorf("round %d: no active TXs over UDP transport", r.Round)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("UDP and in-memory runs of one seed gave different round records")
 	}
 }
 

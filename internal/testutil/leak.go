@@ -4,7 +4,7 @@
 // during a test that is still running when the test finishes (after
 // Close/RunContext teardown, or after parallel.Map returns) is a leak. Every
 // `go` statement in the module has a suite that runs under it: transport,
-// lossy transport, node, chaos, mac and parallel.
+// node, chaos, mac and parallel.
 package testutil
 
 import (

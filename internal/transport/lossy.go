@@ -66,9 +66,7 @@ func (l *LossyNetwork) NewNode() (NodeLink, error) {
 	downGate := &dropGate{rng: stats.SplitRand(l.rng), loss: l.down}
 	upGate := &dropGate{rng: stats.SplitRand(l.rng), loss: l.up}
 	l.mu.Unlock()
-	node := &lossyNode{inner: n, down: make(chan []byte, queueSize), downGate: downGate, upGate: upGate}
-	go node.filter()
-	return node, nil
+	return &lossyNode{inner: n, downGate: downGate, upGate: upGate}, nil
 }
 
 // Close implements Network.
@@ -76,27 +74,23 @@ func (l *LossyNetwork) Close() error { return l.inner.Close() }
 
 type lossyNode struct {
 	inner    NodeLink
-	down     chan []byte
 	downGate *dropGate
 	upGate   *dropGate
 }
 
-// filter pipes the inner downlink through the drop gate; it exits (and
-// closes the filtered channel) when the inner channel closes.
-func (n *lossyNode) filter() {
-	defer close(n.down)
-	for msg := range n.inner.Downlink() {
-		if n.downGate.drop() {
-			continue
+// Receive takes frames from the inner link until one passes the drop
+// gate, drawing the gate once per inner frame in the caller's goroutine.
+func (n *lossyNode) Receive() ([]byte, error) {
+	for {
+		msg, err := n.inner.Receive()
+		if err != nil {
+			return nil, err
 		}
-		select {
-		case n.down <- msg:
-		default:
+		if !n.downGate.drop() {
+			return msg, nil
 		}
 	}
 }
-
-func (n *lossyNode) Downlink() <-chan []byte { return n.down }
 
 func (n *lossyNode) SendUplink(data []byte) error {
 	if n.upGate.drop() {

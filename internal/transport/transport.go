@@ -11,12 +11,20 @@
 // that the kernel copies to every node socket. The node's MAC
 // (frame.PHY.TXIDMask) decides relevance, as with the prototype's Ethernet
 // multicast.
+//
+// A node takes its downlink frames with a blocking NodeLink.Receive, the
+// way each prototype board reads its own NIC: no goroutine or channel
+// stands between the link and the caller. Receive returns ErrClosed once
+// the network or the link is closed, and closing wakes a Receive blocked
+// on an idle link. The controller's uplink stays a channel, so the node
+// runtime can select on it together with its timers.
 package transport
 
 import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrClosed is returned by operations on a closed network.
@@ -34,9 +42,10 @@ type ControllerLink interface {
 
 // NodeLink is a transmitter's or receiver's side of the network.
 type NodeLink interface {
-	// Downlink yields controller frames. The channel closes when the
-	// network closes.
-	Downlink() <-chan []byte
+	// Receive blocks until the next controller frame arrives and returns
+	// it as a slice the caller owns. It returns ErrClosed once the network
+	// or the link is closed; closing either wakes a blocked Receive.
+	Receive() ([]byte, error)
 	// SendUplink delivers a frame to the controller.
 	SendUplink(data []byte) error
 	io.Closer
@@ -84,7 +93,8 @@ func (n *MemNetwork) NewNode() (NodeLink, error) {
 	return node, nil
 }
 
-// Close shuts the network down, closing all channels.
+// Close shuts the network down: it closes the uplink channel and every
+// node link.
 func (n *MemNetwork) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -94,7 +104,7 @@ func (n *MemNetwork) Close() error {
 	n.closed = true
 	close(n.uplink)
 	for _, node := range n.nodes {
-		close(node.down)
+		node.closeLocked()
 	}
 	return nil
 }
@@ -109,6 +119,9 @@ func (c *memController) Multicast(data []byte) error {
 		return ErrClosed
 	}
 	for _, node := range n.nodes {
+		if node.closed.Load() {
+			continue
+		}
 		msg := append([]byte(nil), data...)
 		select {
 		case node.down <- msg:
@@ -126,14 +139,27 @@ func (c *memController) Close() error { return (*MemNetwork)(c).Close() }
 type memNode struct {
 	net  *MemNetwork
 	down chan []byte
+	// closed is set, under net.mu, just before down closes; Receive reads
+	// it without the lock so a closed link stops yielding queued frames.
+	closed atomic.Bool
 }
 
-func (m *memNode) Downlink() <-chan []byte { return m.down }
+// Receive takes the next frame from the node's queue.
+func (m *memNode) Receive() ([]byte, error) {
+	if m.closed.Load() {
+		return nil, ErrClosed
+	}
+	msg, ok := <-m.down
+	if !ok {
+		return nil, ErrClosed
+	}
+	return msg, nil
+}
 
 func (m *memNode) SendUplink(data []byte) error {
 	m.net.mu.Lock()
 	defer m.net.mu.Unlock()
-	if m.net.closed {
+	if m.net.closed || m.closed.Load() {
 		return ErrClosed
 	}
 	msg := append([]byte(nil), data...)
@@ -145,4 +171,20 @@ func (m *memNode) SendUplink(data []byte) error {
 	}
 }
 
-func (m *memNode) Close() error { return nil }
+// Close closes this link alone: its queue stops filling and a blocked
+// Receive returns ErrClosed.
+func (m *memNode) Close() error {
+	m.net.mu.Lock()
+	defer m.net.mu.Unlock()
+	m.closeLocked()
+	return nil
+}
+
+// closeLocked closes the link once; the caller holds net.mu, which
+// Multicast holds while it fills the queue.
+func (m *memNode) closeLocked() {
+	if m.closed.Swap(true) {
+		return
+	}
+	close(m.down)
+}

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -42,6 +44,49 @@ func fixtures(t *testing.T) []netFixture {
 	}
 }
 
+// received is the outcome of one Receive call.
+type received struct {
+	msg []byte
+	err error
+}
+
+// receiveAsync runs one node.Receive on its own goroutine. The goroutine
+// ends when a frame arrives or the link closes.
+func receiveAsync(node NodeLink) <-chan received {
+	ch := make(chan received, 1)
+	go func() {
+		msg, err := node.Receive()
+		ch <- received{msg, err}
+	}()
+	return ch
+}
+
+// receiveWithin fails the test unless node yields a frame within d.
+func receiveWithin(t *testing.T, node NodeLink, d time.Duration) []byte {
+	t.Helper()
+	select {
+	case r := <-receiveAsync(node):
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.msg
+	case <-time.After(d):
+		t.Fatal("timed out waiting for frame")
+		return nil
+	}
+}
+
+// receiveNothing fails the test if node yields a frame within d. The
+// pending Receive returns once the test closes the link.
+func receiveNothing(t *testing.T, node NodeLink, d time.Duration, what string) {
+	t.Helper()
+	select {
+	case r := <-receiveAsync(node):
+		t.Errorf("%s: %q, %v", what, r.msg, r.err)
+	case <-time.After(d):
+	}
+}
+
 func recvWithin(t *testing.T, ch <-chan []byte, d time.Duration) []byte {
 	t.Helper()
 	select {
@@ -66,7 +111,7 @@ func TestMulticastReachesAllNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, node := range []NodeLink{fx.a, fx.b} {
-				got := recvWithin(t, node.Downlink(), time.Second)
+				got := receiveWithin(t, node, time.Second)
 				if !bytes.Equal(got, payload) {
 					t.Errorf("got %q", got)
 				}
@@ -115,7 +160,7 @@ func TestRealFrameOverBothTransports(t *testing.T) {
 			if err := fx.ctrl.Multicast(wire); err != nil {
 				t.Fatal(err)
 			}
-			got := recvWithin(t, fx.a.Downlink(), time.Second)
+			got := receiveWithin(t, fx.a, time.Second)
 			decoded, _, err := frame.DecodeDownlink(got)
 			if err != nil {
 				t.Fatal(err)
@@ -137,11 +182,7 @@ func TestIsolationBetweenDirections(t *testing.T) {
 	if err := node.SendUplink([]byte("up")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case msg := <-node.Downlink():
-		t.Errorf("uplink leaked to downlink: %q", msg)
-	case <-time.After(20 * time.Millisecond):
-	}
+	receiveNothing(t, node, 20*time.Millisecond, "uplink leaked to downlink")
 	if err := ctrl.Multicast([]byte("down")); err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +203,8 @@ func TestClosedNetworkErrors(t *testing.T) {
 			if err := fx.a.SendUplink([]byte("x")); err != ErrClosed {
 				t.Errorf("uplink after close: %v", err)
 			}
-			// Channels are closed.
-			if _, ok := <-fx.a.Downlink(); ok {
-				t.Error("downlink channel still open")
+			if _, err := fx.a.Receive(); err != ErrClosed {
+				t.Errorf("receive after close: %v", err)
 			}
 			if _, ok := <-fx.ctrl.Uplink(); ok {
 				t.Error("uplink channel still open")
@@ -210,7 +250,7 @@ func TestUDPNetworksDoNotCrossTalk(t *testing.T) {
 	}
 	for i := range nets {
 		for j, node := range nodes[i] {
-			if got := recvWithin(t, node.Downlink(), time.Second); string(got) != payloads[i] {
+			if got := receiveWithin(t, node, time.Second); string(got) != payloads[i] {
 				t.Errorf("network %d node %d: got %q, want %q", i, j, got, payloads[i])
 			}
 		}
@@ -219,11 +259,7 @@ func TestUDPNetworksDoNotCrossTalk(t *testing.T) {
 	// the first did.
 	for i := range nets {
 		for j, node := range nodes[i] {
-			select {
-			case got := <-node.Downlink():
-				t.Errorf("network %d node %d: stray frame %q", i, j, got)
-			case <-time.After(50 * time.Millisecond):
-			}
+			receiveNothing(t, node, 50*time.Millisecond, fmt.Sprintf("network %d node %d: stray frame", i, j))
 		}
 	}
 }
@@ -245,7 +281,12 @@ func TestUDPNodesBindTheGroup(t *testing.T) {
 	const n = 4
 	for i := 0; i < n; i++ {
 		node := newNode(t, udp)
-		local := node.(*udpNode).conn.LocalAddr().(*net.UDPAddr)
+		sa, err := syscall.Getsockname(node.(*udpNode).fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in4 := sa.(*syscall.SockaddrInet4)
+		local := &net.UDPAddr{IP: net.IP(in4.Addr[:]), Port: in4.Port}
 		if local.IP.IsUnspecified() || !local.IP.IsMulticast() {
 			t.Errorf("node %d bound to %v, want a multicast group address", i, local)
 		}
@@ -272,19 +313,12 @@ func TestUDPCloseUnblocksLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := newNode(t, udp)
-	done := make(chan struct{})
-	go func() {
-		<-node.Downlink() // closes on shutdown
-		close(done)
-	}()
+	pending := receiveAsync(node)
+	time.Sleep(20 * time.Millisecond) // let Receive block
 	if err := udp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("node loop did not exit on close")
-	}
+	receiveClosed(t, pending, 2*time.Second, "node receive on close")
 	// New nodes rejected after close.
 	if _, err := udp.NewNode(); err != ErrClosed {
 		t.Errorf("node after close: %v", err)
@@ -336,7 +370,7 @@ func TestLossyNetworkDropRates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const n = 400
+	const n = 200 // within queueSize, so the in-memory queues drop nothing
 	for i := 0; i < n; i++ {
 		if err := ctrl.Multicast([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -345,18 +379,28 @@ func TestLossyNetworkDropRates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Give the filter goroutine a moment to drain.
-	time.Sleep(50 * time.Millisecond)
-	down := 0
-	for {
-		select {
-		case <-node.Downlink():
+	// The in-memory queue holds every frame, so the lossy link yields the
+	// survivors and then blocks. Once it has taken the last frame from the
+	// queue, closing the link ends the count without losing that frame.
+	survivors := make(chan int, 1)
+	go func() {
+		down := 0
+		for {
+			if _, err := node.Receive(); err != nil {
+				survivors <- down
+				return
+			}
 			down++
-			continue
-		default:
 		}
-		break
+	}()
+	inner := node.(*lossyNode).inner.(*memNode)
+	for len(inner.down) > 0 {
+		time.Sleep(time.Millisecond)
 	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	down := <-survivors
 	up := 0
 	for {
 		select {
@@ -389,7 +433,7 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	if err := lossy.Controller().Multicast([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got := recvWithin(t, node.Downlink(), time.Second)
+	got := receiveWithin(t, node, time.Second)
 	if string(got) != "hello" {
 		t.Errorf("got %q", got)
 	}
@@ -404,7 +448,7 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	if err := clamped.Controller().Multicast([]byte("down")); err != nil {
 		t.Fatal(err)
 	}
-	if got := recvWithin(t, cn.Downlink(), time.Second); string(got) != "down" {
+	if got := receiveWithin(t, cn, time.Second); string(got) != "down" {
 		t.Errorf("downlink at loss -1: got %q", got)
 	}
 	for i := 0; i < 64; i++ {
@@ -427,15 +471,125 @@ func TestLossyNetworkCloseUnblocksFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pending := receiveAsync(node)
+	time.Sleep(20 * time.Millisecond) // let Receive block
 	if err := lossy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-node.Downlink():
-		if ok {
-			t.Error("expected closed channel")
+	receiveClosed(t, pending, 2*time.Second, "filtered downlink on close")
+}
+
+// closeCase builds one network with one node link for the close tests.
+type closeCase struct {
+	name string
+	open func(t *testing.T) (Network, NodeLink)
+}
+
+func closeCases() []closeCase {
+	withNode := func(t *testing.T, net Network) (Network, NodeLink) {
+		t.Helper()
+		return net, newNode(t, net)
+	}
+	udp := func(t *testing.T) Network {
+		t.Helper()
+		u, err := NewUDPNetwork()
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("filtered downlink did not close")
+		return u
+	}
+	return []closeCase{
+		{"mem", func(t *testing.T) (Network, NodeLink) { return withNode(t, NewMemNetwork()) }},
+		{"udp", func(t *testing.T) (Network, NodeLink) { return withNode(t, udp(t)) }},
+		{"lossy-mem", func(t *testing.T) (Network, NodeLink) {
+			return withNode(t, NewLossyNetwork(NewMemNetwork(), 0, 0, 3))
+		}},
+		{"lossy-udp", func(t *testing.T) (Network, NodeLink) {
+			return withNode(t, NewLossyNetwork(udp(t), 0, 0, 3))
+		}},
+	}
+}
+
+// receiveClosed fails the test unless the pending Receive returns
+// ErrClosed within d.
+func receiveClosed(t *testing.T, pending <-chan received, d time.Duration, what string) {
+	t.Helper()
+	select {
+	case r := <-pending:
+		if r.err != ErrClosed {
+			t.Errorf("%s: Receive returned %q, %v; want ErrClosed", what, r.msg, r.err)
+		}
+	case <-time.After(d):
+		t.Fatalf("%s: Receive still blocked after %v", what, d)
+	}
+}
+
+// TestReceiveUnblocksOnClose: on every implementation, closing the network
+// or the link alone wakes a Receive blocked on an idle link, a Receive
+// after close returns ErrClosed at once even with a frame queued, and a
+// real empty datagram is delivered as an empty frame rather than taken
+// for the close.
+func TestReceiveUnblocksOnClose(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	for _, c := range closeCases() {
+		t.Run(c.name+"/network", func(t *testing.T) {
+			net, node := c.open(t)
+			pending := receiveAsync(node)
+			time.Sleep(20 * time.Millisecond) // let Receive block
+			if err := net.Close(); err != nil {
+				t.Fatal(err)
+			}
+			receiveClosed(t, pending, time.Second, "blocked")
+			receiveClosed(t, receiveAsync(node), 100*time.Millisecond, "after close")
+		})
+		t.Run(c.name+"/link", func(t *testing.T) {
+			net, node := c.open(t)
+			defer net.Close()
+			pending := receiveAsync(node)
+			time.Sleep(20 * time.Millisecond)
+			if err := node.Close(); err != nil {
+				t.Fatal(err)
+			}
+			receiveClosed(t, pending, time.Second, "blocked")
+			receiveClosed(t, receiveAsync(node), 100*time.Millisecond, "after close")
+			if err := node.SendUplink([]byte("x")); err != ErrClosed {
+				t.Errorf("uplink on a closed link: %v", err)
+			}
+			if err := node.Close(); err != nil {
+				t.Errorf("second close: %v", err)
+			}
+		})
+		t.Run(c.name+"/queued", func(t *testing.T) {
+			net, node := c.open(t)
+			if err := net.Controller().Multicast([]byte("late")); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond) // let the datagram land
+			if err := net.Close(); err != nil {
+				t.Fatal(err)
+			}
+			receiveClosed(t, receiveAsync(node), 100*time.Millisecond, "queued frame after close")
+		})
+		t.Run(c.name+"/empty", func(t *testing.T) {
+			net, node := c.open(t)
+			defer net.Close()
+			if err := net.Controller().Multicast(nil); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case r := <-receiveAsync(node):
+				if r.err != nil || len(r.msg) != 0 {
+					t.Errorf("empty datagram: Receive returned %q, %v; want an empty frame", r.msg, r.err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("empty datagram not delivered")
+			}
+			pending := receiveAsync(node)
+			time.Sleep(20 * time.Millisecond)
+			if err := net.Close(); err != nil {
+				t.Fatal(err)
+			}
+			receiveClosed(t, pending, time.Second, "blocked after an empty frame")
+		})
 	}
 }

@@ -1,11 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -20,6 +21,12 @@ import (
 // controller's own port P: that port is held exclusively on 127.0.0.1, so
 // two networks, in one process or in several, never share a (group, port)
 // pair and never hear each other's downlink.
+//
+// A node socket is a plain blocking socket that never joins Go's
+// netpoller: Receive is one read(2) on the caller's goroutine (which holds
+// its OS thread while it waits) and SendUplink one sendto. Close marks the
+// link closed and shuts the socket's read side down, which wakes a blocked
+// read; it closes the descriptor once no call is in flight.
 //
 // Frames larger than maxDatagram are rejected rather than fragmented.
 type UDPNetwork struct {
@@ -97,39 +104,37 @@ func multicastOnLoopback(conn *net.UDPConn) error {
 }
 
 // joinGroup opens a node socket bound to group (the multicast address
-// itself, not the wildcard) and joined to it on the loopback interface. net.ListenMulticastUDP is
-// no use here: it binds the wildcard address, which collides with the
-// controller's port and would expose the node on every interface.
-func joinGroup(group *net.UDPAddr) (*net.UDPConn, error) {
-	syscall.ForkLock.RLock()
-	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM, syscall.IPPROTO_UDP)
-	if err == nil {
-		syscall.CloseOnExec(fd)
-	}
-	syscall.ForkLock.RUnlock()
+// itself, not the wildcard) and joined to it on the loopback interface.
+// net.ListenMulticastUDP is no use here: it binds the wildcard address,
+// which collides with the controller's port and would expose the node on
+// every interface. The socket is a plain blocking one that never reaches
+// Go's netpoller, so a read is one system call and a multicast does not wake
+// the poller once per member.
+func joinGroup(group *net.UDPAddr) (int, error) {
+	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, syscall.IPPROTO_UDP)
 	if err != nil {
-		return nil, fmt.Errorf("socket: %w", err)
+		return -1, fmt.Errorf("socket: %w", err)
 	}
-	// f owns fd. FilePacketConn works on a duplicate, so closing f on
-	// return releases the original on every path and cannot fail the
-	// connection handed out.
-	f := os.NewFile(uintptr(fd), "udp4 "+group.String())
-	defer func() { _ = f.Close() }()
+	if err := bindMember(fd, group); err != nil {
+		_ = syscall.Close(fd) // the setup error is the one worth reporting
+		return -1, err
+	}
+	return fd, nil
+}
+
+// bindMember binds fd to group and joins the group on loopback.
+func bindMember(fd int, group *net.UDPAddr) error {
 	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1); err != nil {
-		return nil, fmt.Errorf("SO_REUSEADDR: %w", err)
+		return fmt.Errorf("SO_REUSEADDR: %w", err)
 	}
 	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Port: group.Port, Addr: groupIP}); err != nil {
-		return nil, fmt.Errorf("bind %v: %w", group, err)
+		return fmt.Errorf("bind %v: %w", group, err)
 	}
 	mreq := &syscall.IPMreq{Multiaddr: groupIP, Interface: loopback}
 	if err := syscall.SetsockoptIPMreq(fd, syscall.IPPROTO_IP, syscall.IP_ADD_MEMBERSHIP, mreq); err != nil {
-		return nil, fmt.Errorf("join %v on loopback: %w", group.IP, err)
+		return fmt.Errorf("join %v on loopback: %w", group.IP, err)
 	}
-	pc, err := net.FilePacketConn(f)
-	if err != nil {
-		return nil, err
-	}
-	return pc.(*net.UDPConn), nil
+	return nil
 }
 
 func (n *UDPNetwork) ctrlLoop() {
@@ -164,28 +169,26 @@ func (n *UDPNetwork) Controller() ControllerLink { return (*udpController)(n) }
 // NewNode implements Network: it opens a node socket joined to the
 // downlink group, or returns ErrClosed once the network is closed.
 func (n *UDPNetwork) NewNode() (NodeLink, error) {
-	conn, err := joinGroup(n.group)
+	fd, err := joinGroup(n.group)
 	if err != nil {
 		return nil, fmt.Errorf("transport: node socket: %w", err)
 	}
 	node := &udpNode{
-		net:  n,
-		conn: conn,
-		down: make(chan []byte, queueSize),
+		fd:       fd,
+		ctrlPort: n.ctrlAddr.Port,
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		_ = conn.Close()
+		_ = syscall.Close(fd) // never handed out
 		return nil, ErrClosed
 	}
 	n.nodes = append(n.nodes, node)
-	n.wg.Add(1)
-	go node.loop(&n.wg)
 	return node, nil
 }
 
-// Close shuts down every socket and waits for the receive loops.
+// Close shuts down every socket and waits for the controller's receive
+// loop and for every node's in-flight Receive.
 func (n *UDPNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -193,14 +196,14 @@ func (n *UDPNetwork) Close() error {
 		return nil
 	}
 	n.closed = true
-	nodes := append([]*udpNode(nil), n.nodes...)
+	nodes := n.nodes
 	n.mu.Unlock()
 
 	// Socket close errors during teardown are unactionable: the receive
-	// loops exit on the pending-read error either way.
+	// loop exits on the pending-read error either way.
 	_ = n.ctrlConn.Close()
 	for _, node := range nodes {
-		_ = node.conn.Close()
+		_ = node.Close()
 	}
 	n.wg.Wait()
 	return nil
@@ -234,37 +237,86 @@ func (c *udpController) Uplink() <-chan []byte { return c.uplink }
 
 func (c *udpController) Close() error { return (*UDPNetwork)(c).Close() }
 
+// datagrams pools the receive buffers: one maxDatagram buffer per
+// concurrent Receive rather than one per link.
+var datagrams = sync.Pool{New: func() any { return new([maxDatagram]byte) }}
+
+// udpNode is a node's blocking socket. Every call that uses fd registers
+// in ops under mu while the link is open, and Close waits for them before
+// it releases fd, so a descriptor number is never reused under a call.
 type udpNode struct {
-	net  *UDPNetwork
-	conn *net.UDPConn
-	down chan []byte
+	fd       int
+	ctrlPort int
+
+	mu     sync.Mutex
+	closed atomic.Bool // set under mu; read lock-free after a syscall
+	ops    sync.WaitGroup
 }
 
-func (u *udpNode) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	buf := make([]byte, maxDatagram)
+// begin registers a socket call, or reports that the link is closed.
+func (u *udpNode) begin() bool {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.closed.Load() {
+		return false
+	}
+	u.ops.Add(1)
+	return true
+}
+
+// Receive is one read(2) into a pooled buffer, copied out at the datagram's
+// exact length; unlike recvfrom it allocates no source address. Close wakes
+// a blocked call through shutdown(SHUT_RD), which makes the read return 0
+// bytes; the closed flag, not the length, tells that wake-up from a real
+// empty datagram.
+func (u *udpNode) Receive() ([]byte, error) {
+	if !u.begin() {
+		return nil, ErrClosed
+	}
+	defer u.ops.Done()
+	buf := datagrams.Get().(*[maxDatagram]byte)
+	defer datagrams.Put(buf)
 	for {
-		sz, _, err := u.conn.ReadFromUDP(buf)
-		if err != nil {
-			close(u.down)
-			return
+		sz, err := syscall.Read(u.fd, buf[:])
+		switch {
+		case u.closed.Load():
+			return nil, ErrClosed
+		case err == syscall.EINTR:
+			continue
+		case err != nil:
+			return nil, fmt.Errorf("transport: receive: %w", err)
 		}
-		msg := append([]byte(nil), buf[:sz]...)
-		select {
-		case u.down <- msg:
-		default:
-		}
+		return bytes.Clone(buf[:sz]), nil
 	}
 }
 
-func (u *udpNode) Downlink() <-chan []byte { return u.down }
-
+// SendUplink is one sendto to the controller's socket.
 func (u *udpNode) SendUplink(data []byte) error {
 	if len(data) > maxDatagram {
 		return fmt.Errorf("transport: frame of %d bytes exceeds datagram limit", len(data))
 	}
-	_, err := u.conn.WriteToUDP(data, u.net.ctrlAddr)
-	return sendErr("uplink", err)
+	if !u.begin() {
+		return ErrClosed
+	}
+	defer u.ops.Done()
+	if err := syscall.Sendto(u.fd, data, 0, &syscall.SockaddrInet4{Port: u.ctrlPort, Addr: loopback}); err != nil {
+		return fmt.Errorf("transport: uplink: %w", err)
+	}
+	return nil
 }
 
-func (u *udpNode) Close() error { return u.conn.Close() }
+// Close marks the link closed, wakes a blocked Receive, waits for the
+// calls in flight and releases the socket.
+func (u *udpNode) Close() error {
+	u.mu.Lock()
+	already := u.closed.Swap(true)
+	u.mu.Unlock()
+	if already {
+		return nil
+	}
+	// An unconnected UDP socket answers ENOTCONN, but the shutdown takes
+	// effect all the same: a read returns at once, now and from then on.
+	_ = syscall.Shutdown(u.fd, syscall.SHUT_RD)
+	u.ops.Wait()
+	return syscall.Close(u.fd)
+}

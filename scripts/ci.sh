@@ -41,7 +41,9 @@
 #                     (see below), and so does
 #                     the runtime agreement: sim and node, which share one
 #                     epoch driver, must score every round bit-identically,
-#                     static and under churn, three runs over
+#                     static and under churn, three runs over; and so do
+#                     the transport's blocking reads and their close
+#                     wake-ups, three runs on a single P
 #   9. chaos smoke  — one fault-injected end-to-end run per engine
 #                     (tx-blackout preset; the asynchronous run under the
 #                     race detector), a full blockage of one receiver
@@ -152,6 +154,13 @@ go test -race -run 'TestIncrementalVsScratch' \
 # depends on goroutine scheduling cannot pass on one lucky run.
 echo "==> runtime agreement under -race (explicit)"
 go test -race -count=3 -run 'TestRuntimesAgree' ./internal/node/
+
+# A node's Receive is a plain blocking recvfrom outside Go's netpoller, so
+# a reader parks an OS thread in the kernel. Run the UDP, Receive and Close
+# tests again with one P: a blocked read that held on to the only P would
+# starve every other goroutine and hang these tests.
+echo "==> blocking socket reads on a single P under -race (explicit)"
+GOMAXPROCS=1 go test -race -count=3 -run 'UDP|Receive|Close' ./internal/transport ./internal/sim ./internal/node
 
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
