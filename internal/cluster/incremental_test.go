@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"densevlc/internal/alloc"
+	"densevlc/internal/channel"
 	"densevlc/internal/scenario"
 	"densevlc/internal/stats"
 )
@@ -41,46 +44,48 @@ func TestIncrementalVsScratchAllDirty(t *testing.T) {
 }
 
 // TestWorkspaceDirtyRefreshFollowsGains checks the dirty-aware refresh:
-// a cluster whose gains changed while it was marked clean keeps serving its
-// cached plan, and the moment it goes dirty its sub-environment is
-// re-sliced from the live matrix — the next solve matches a from-scratch
-// one exactly.
+// a cluster whose gains changed while it was marked clean keeps its cached
+// sub-plan, and the moment it goes dirty its sub-environment is re-sliced
+// from the live matrix — the next solve matches a from-scratch one exactly.
 func TestWorkspaceDirtyRefreshFollowsGains(t *testing.T) {
 	rng := stats.NewRand(73)
 	setup := scenario.Default()
 	env := setup.Env(setup.UniformRXs(rng, 6), nil)
 	sp := Spec{Threshold: 0.6}
 
-	// Disable the boundary-coordination pass: it re-damps the stitched
-	// matrix against the live gains every solve, which is exactly what this
-	// test must hold still to observe the refresh skip.
 	w := NewWorkspace(sp, alloc.Heuristic{AllowPartial: true}, 1)
-	w.BoundaryTolerance = -1
 	if _, err := w.Solve(env, paperBudget); err != nil {
 		t.Fatal(err)
 	}
 
 	// Drift every gain (keeping the formation stable enough to reuse) while
-	// claiming everything is clean: the workspace must keep the cached
-	// stitch untouched.
-	cached, err := w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
+	// claiming everything is clean: every cluster must keep its cached
+	// sub-plan, the very matrix with the very values. The stitched matrix
+	// is no witness here, since the boundary coordination pass re-damps it
+	// against the live gains every solve.
+	members := slices.Clone(w.members)
+	cached := make([]channel.Swings, len(w.subs))
+	before := make([]channel.Swings, len(w.subs))
+	for c, sub := range w.subs {
+		cached[c], before[c] = sub.swings, sub.swings.Clone()
 	}
-	before := cached.Clone()
 	for j := range env.H.H {
 		for i := range env.H.H[j] {
 			env.H.H[j][i] *= 1.001
 		}
 	}
-	cached, err = w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return false })
-	if err != nil {
+	if _, err := w.SolveDirtyContext(context.Background(), env, paperBudget, func(int) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if !w.sameMembers(env.H.N, env.H.M) {
+	if !slices.Equal(w.members, members) {
 		t.Skip("perturbation changed the formation; the reuse contract does not apply")
 	}
-	assertSameSwings(t, cached, before, "clean clusters under drifted gains")
+	for c, sub := range w.subs {
+		if len(cached[c]) > 0 && &sub.swings[0] != &cached[c][0] {
+			t.Errorf("clean cluster %d was re-solved", c)
+		}
+		assertSameSwings(t, sub.swings, before[c], fmt.Sprintf("clean cluster %d under drifted gains", c))
+	}
 
 	// Now mark everything dirty: the refresh must pick up the drifted gains
 	// and reproduce a from-scratch solve on the same matrix.
@@ -88,9 +93,7 @@ func TestWorkspaceDirtyRefreshFollowsGains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := NewWorkspace(sp, alloc.Heuristic{AllowPartial: true}, 1)
-	fresh.BoundaryTolerance = -1
-	want, err := fresh.Solve(env, paperBudget)
+	want, err := NewWorkspace(sp, alloc.Heuristic{AllowPartial: true}, 1).Solve(env, paperBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

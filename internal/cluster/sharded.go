@@ -11,9 +11,9 @@ import (
 	"densevlc/internal/units"
 )
 
-// DefaultBoundaryTolerance is the leak fraction above which the coordination
-// pass damps a boundary transmitter (see Workspace.coordinate).
-const DefaultBoundaryTolerance = 0.25
+// boundaryTolerance is the cross-cluster leak fraction above which the
+// coordination pass damps a boundary transmitter (see Workspace.coordinate).
+const boundaryTolerance = 0.25
 
 // Sharded runs any alloc.Policy per cooperation cluster and stitches the
 // per-cluster solutions into one global swing matrix. It implements
@@ -40,10 +40,6 @@ type Sharded struct {
 	// Workers bounds the per-cluster fan-out (0 = all cores, 1 = serial).
 	// The stitched result is identical for every value.
 	Workers int
-	// BoundaryTolerance is the cross-cluster leak fraction above which the
-	// coordination pass damps a transmitter (0 selects
-	// DefaultBoundaryTolerance; negative disables the pass).
-	BoundaryTolerance float64
 }
 
 // Name implements alloc.Policy.
@@ -54,7 +50,6 @@ func (s Sharded) Name() string {
 // Allocate implements alloc.Policy via a throwaway workspace.
 func (s Sharded) Allocate(env *alloc.Env, budget units.Watts) (channel.Swings, error) {
 	w := NewWorkspace(s.Spec, s.Inner, s.Workers)
-	w.BoundaryTolerance = s.BoundaryTolerance
 	got, err := w.Solve(env, budget)
 	if err != nil {
 		return nil, err
@@ -77,8 +72,6 @@ type Workspace struct {
 	Inner alloc.Policy
 	// Workers bounds the per-cluster fan-out.
 	Workers int
-	// BoundaryTolerance as in Sharded.
-	BoundaryTolerance float64
 
 	clus   Clustering
 	subs   []*subProblem
@@ -349,20 +342,16 @@ func stitchInto(global, sub channel.Swings, txs, rxs []int) {
 }
 
 // coordinate is the boundary pass: a transmitter whose gain to some foreign
-// receiver (an RX outside its cluster) exceeds BoundaryTolerance times that
+// receiver (an RX outside its cluster) exceeds boundaryTolerance times that
 // receiver's best gain is an interference boundary the per-cluster solvers
-// could not see. Its swings are damped by sqrt(tol/leak), which caps its
-// cross-cluster interference power near the level a tol-fraction neighbour
-// would cause while never adding power — the budget can only move down. The
-// all-covering single cluster has no foreign receivers, so the pass is a
-// provable no-op there.
+// could not see. Its swings are damped by sqrt(boundaryTolerance/leak),
+// which caps its cross-cluster interference power near the level a
+// boundaryTolerance-fraction neighbour would cause while never adding power
+// — the budget can only move down. The all-covering single cluster has no
+// foreign receivers, so the pass is a provable no-op there.
 func (w *Workspace) coordinate(env *alloc.Env) {
-	tol := w.BoundaryTolerance
-	if tol < 0 || w.clus.K() <= 1 {
+	if w.clus.K() <= 1 {
 		return
-	}
-	if tol == 0 {
-		tol = DefaultBoundaryTolerance
 	}
 	h := env.H
 	w.bestGain = resetFloats(w.bestGain, w.m)
@@ -392,8 +381,8 @@ func (w *Workspace) coordinate(env *alloc.Env) {
 				leak = r
 			}
 		}
-		if leak > tol {
-			scale := math.Sqrt(tol / leak)
+		if leak > boundaryTolerance {
+			scale := math.Sqrt(boundaryTolerance / leak)
 			row := w.global[j]
 			for i := range row {
 				row[i] = units.Amperes(row[i].A() * scale)

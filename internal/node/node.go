@@ -60,6 +60,29 @@ func drainDownlink(link transport.NodeLink) error {
 	}
 }
 
+// pumpUplink hands the controller's uplink frames to uplink, so the data
+// phase and the report wait can select on them together with their timers.
+// It closes uplink once Receive fails, which it does for good when the
+// network closes, and stops without closing it when ctx is done, so a
+// cancelled wait reports the cancellation.
+func pumpUplink(ctx context.Context, link transport.ControllerLink, uplink chan<- []byte) error {
+	for {
+		raw, err := link.Receive()
+		if err != nil {
+			close(uplink)
+			if errors.Is(err, transport.ErrClosed) {
+				return nil
+			}
+			return err
+		}
+		select {
+		case uplink <- raw:
+		case <-ctx.Done():
+			return nil
+		}
+	}
+}
+
 // runRX is a receiver node's event loop: it assembles channel reports from
 // pilot events and acknowledges decoded data frames. It counts each payload
 // handed to the application in *delivered, which only this goroutine
@@ -134,13 +157,14 @@ type RoundStats struct {
 
 // async is the goroutine-per-node Runtime: the transmitter and receiver
 // goroutines move the frames, and the calling goroutine waits for the
-// reports and runs the ARQ data phase.
+// reports and runs the ARQ data phase, taking the uplink from pumpUplink.
 type async struct {
-	ctx context.Context
-	cfg Config
-	p   *sim.Plant
-	hub *Hub
-	res *Result
+	ctx    context.Context
+	cfg    Config
+	p      *sim.Plant
+	hub    *Hub
+	uplink <-chan []byte
+	res    *Result
 }
 
 func (a *async) Medium(f func(md *scenario.Medium)) { a.hub.do(f) }
@@ -159,7 +183,7 @@ func (a *async) Measure() (bool, error) {
 			return false, a.ctx.Err()
 		case <-deadline:
 			return false, nil
-		case raw, ok := <-a.p.Link.Uplink():
+		case raw, ok := <-a.uplink:
 			if !ok {
 				return false, errors.New("node: uplink closed")
 			}
@@ -182,23 +206,24 @@ func (a *async) Dispatch() error { return nil }
 // attempt budget runs out. It records the round's ARQ counters, which
 // RunContext pairs with Drive's record of the round.
 func (a *async) Data(ep *sim.Epoch) error {
-	ctrl, hub, link, plan := a.p.Controller, a.hub, a.p.Link, ep.Plan
+	ctrl, hub, plan := a.p.Controller, a.hub, ep.Plan
 	var rs RoundStats
 	arq := mac.NewARQ(maxAttempts)
-	send := func(p mac.PendingFrame) error {
-		df, err := ctrl.DataFrameWithSeq(plan, p.RX, p.Payload, p.Seq)
-		if err != nil {
-			return nil // unserved receiver: skip silently
-		}
+	// send multicasts df, the frame p describes, and tracks it; p.Attempts
+	// counts its earlier transmissions, so a nonzero one is a retry.
+	send := func(df frame.Downlink, p mac.PendingFrame) error {
 		wire, err := df.Serialize()
 		if err != nil {
 			return err
 		}
-		if err := link.Multicast(wire); err != nil {
+		if err := a.p.Link.Multicast(wire); err != nil {
 			return err
 		}
 		arq.Track(p.Seq, p.RX, p.Payload, p.Attempts)
 		rs.FramesSent++
+		if p.Attempts > 0 {
+			rs.Retransmits++
+		}
 		return nil
 	}
 	for rx := 0; rx < ctrl.M; rx++ {
@@ -220,15 +245,9 @@ func (a *async) Data(ep *sim.Epoch) error {
 			if err != nil {
 				continue
 			}
-			wire, err := df.Serialize()
-			if err != nil {
+			if err := send(df, mac.PendingFrame{Seq: seq, RX: rx, Payload: payload}); err != nil {
 				return err
 			}
-			if err := link.Multicast(wire); err != nil {
-				return err
-			}
-			arq.Track(seq, rx, payload, 0)
-			rs.FramesSent++
 		}
 	}
 	for pass := 0; arq.Outstanding() > 0 && pass < maxAttempts; pass++ {
@@ -243,7 +262,7 @@ func (a *async) Data(ep *sim.Epoch) error {
 				hub.FlushPending()
 			case <-ackDeadline:
 				break acks
-			case raw, ok := <-link.Uplink():
+			case raw, ok := <-a.uplink:
 				if !ok {
 					return errors.New("node: uplink closed")
 				}
@@ -264,10 +283,13 @@ func (a *async) Data(ep *sim.Epoch) error {
 		// under their original sequence numbers.
 		hub.FlushPending()
 		for _, p := range arq.TakeRetryable() {
-			if err := send(p); err != nil {
+			df, err := ctrl.DataFrameWithSeq(plan, p.RX, p.Payload, p.Seq)
+			if err != nil {
+				continue // unserved receiver: skip silently
+			}
+			if err := send(df, p); err != nil {
 				return err
 			}
-			rs.Retransmits++
 		}
 	}
 	rs.FramesAckd = arq.Delivered()

@@ -154,12 +154,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			spawn(func() error { return runRX(ctx, id, p.N, link, hub, delivered) })
 			spawn(func() error { return drainDownlink(link) })
 		}
-		return &async{ctx: ctx, cfg: cfg, p: p, hub: hub, res: res}, nil
+		uplink := make(chan []byte)
+		spawn(func() error { return pumpUplink(ctx, p.Link, uplink) })
+		return &async{ctx: ctx, cfg: cfg, p: p, hub: hub, uplink: uplink, res: res}, nil
 	})
 
 	// Drive has closed the network, which ends every Receive and so the
-	// transmitters and the downlink drains; cancelling stops the receivers.
-	// Once they have exited, their delivery counters are final.
+	// transmitters, the downlink drains and the uplink pump; cancelling
+	// stops the receivers. Once they have exited, their delivery counters
+	// are final.
 	cancel()
 	wg.Wait()
 

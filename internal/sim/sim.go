@@ -295,7 +295,9 @@ func (ls *lockstep) Measure() (bool, error) {
 			}
 		}
 	}
-	// Receivers report when their round completes.
+	// Receivers report when their round completes. The controller reads
+	// each report as it is sent, so at most one waits in its socket: a
+	// fleet's worth (up to 255) would overflow a UDP receive buffer.
 	for i, rx := range ls.rxNodes {
 		if !rx.RoundComplete() {
 			return false, fmt.Errorf("sim: RX %d round incomplete", i)
@@ -307,9 +309,10 @@ func (ls *lockstep) Measure() (bool, error) {
 		if err := ls.rxLinks[i].SendUplink(raw); err != nil {
 			return false, err
 		}
-	}
-	for range ls.rxNodes {
-		rep, _, _, err := frame.DecodeMAC(<-ls.p.Link.Uplink())
+		if raw, err = ls.p.Link.Receive(); err != nil {
+			return false, fmt.Errorf("sim: uplink: report %d: %w", i, err)
+		}
+		rep, _, _, err := frame.DecodeMAC(raw)
 		if err != nil {
 			return false, fmt.Errorf("sim: uplink decode: %w", err)
 		}

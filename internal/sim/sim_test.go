@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"densevlc/internal/alloc"
 	"densevlc/internal/channel"
@@ -302,6 +303,57 @@ func TestRunOverUDPNetwork(t *testing.T) {
 	}
 }
 
+// TestRunOverUDPWideFleet: the widest fleet the wire allows, 255 receiver
+// slots, runs lock-step over UDP loopback to the round records the
+// in-memory network gives. The controller reads each report as it is sent,
+// so no more than one waits in its socket's receive buffer; a report the
+// kernel dropped from a full buffer would leave Receive blocked, which the
+// deadline turns into a failure.
+func TestRunOverUDPWideFleet(t *testing.T) {
+	sp := workload.DefaultSpec()
+	sp.Fleet = 255
+	run := func(net transport.Network) ([]RoundMetrics, error) {
+		res, err := Run(Config{Setup: scenario.Default(), Workload: &sp, Budget: 1.19, Rounds: 2, Network: net, Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		for k := range res.Rounds {
+			res.Rounds[k].DecisionTime = 0
+		}
+		return res.Rounds, nil
+	}
+	udp, err := transport.NewUDPNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		rounds []RoundMetrics
+		err    error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rounds, err := run(udp)
+		done <- outcome{rounds, err}
+	}()
+	var got outcome
+	select {
+	case got = <-done:
+	case <-time.After(30 * time.Second):
+		_ = udp.Close() // wakes the blocked Receive
+		t.Fatalf("lock-step run over UDP with 255 receiver slots still blocked after 30 s (then: %v)", (<-done).err)
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	want, err := run(transport.NewMemNetwork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.rounds, want) {
+		t.Error("UDP and in-memory runs of one seed gave different round records with 255 receiver slots")
+	}
+}
+
 // TestRunIncrementalModes: the trigger is an opt-in knob on the same
 // engine. A static noiseless scenario is its friendliest case — it skips
 // every steady epoch — and the run must land on exactly the full-solve
@@ -442,5 +494,53 @@ func TestRunMulticastsTwicePerRound(t *testing.T) {
 	}
 	if net.multicasts != 2*rounds {
 		t.Errorf("%d multicasts in %d rounds, want %d", net.multicasts, rounds, 2*rounds)
+	}
+}
+
+// lastReportCloses is a network whose last node link, the last receiver's,
+// closes the network in place of sending its report.
+type lastReportCloses struct {
+	transport.Network
+	links, last int
+}
+
+func (n *lastReportCloses) NewNode() (transport.NodeLink, error) {
+	link, err := n.Network.NewNode()
+	if err != nil {
+		return nil, err
+	}
+	n.links++
+	if n.links == n.last {
+		return closingLink{NodeLink: link, net: n.Network}, nil
+	}
+	return link, nil
+}
+
+type closingLink struct {
+	transport.NodeLink
+	net transport.Network
+}
+
+func (l closingLink) SendUplink([]byte) error { return l.net.Close() }
+
+// TestRunReportsClosedUplink: when the network closes while the controller
+// waits for reports, the lock-step engine fails with ErrClosed rather than
+// decoding the nothing a closed link yields.
+func TestRunReportsClosedUplink(t *testing.T) {
+	setup, traj := scenario.Default(), staticTrajectories()
+	net := &lastReportCloses{Network: transport.NewMemNetwork(), last: setup.Grid.N() + len(traj)}
+	_, err := Run(Config{
+		Setup:        setup,
+		Trajectories: traj,
+		Budget:       0.6,
+		Rounds:       2,
+		Network:      net,
+		Seed:         1,
+	})
+	if !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Run = %v, want an error wrapping transport.ErrClosed", err)
+	}
+	if net.links != net.last {
+		t.Errorf("%d node links, want %d", net.links, net.last)
 	}
 }

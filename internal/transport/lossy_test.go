@@ -68,7 +68,8 @@ func TestDropGateDeterministicPerSeed(t *testing.T) {
 func TestLossyNetworkPerLinkStreams(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	drops := func(extraNode bool) []bool {
-		net := NewLossyNetwork(NewMemNetwork(), 0, 0.5, 9)
+		mem := NewMemNetwork()
+		net := NewLossyNetwork(mem, 0, 0.5, 9)
 		defer net.Close()
 		n1, err := net.NewNode()
 		if err != nil {
@@ -79,17 +80,17 @@ func TestLossyNetworkPerLinkStreams(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ctrl := net.Controller()
-		var mask []bool
-		for i := 0; i < 64; i++ {
+		mask := make([]bool, 64)
+		for i := range mask {
 			if err := n1.SendUplink([]byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
-			select {
-			case <-ctrl.Uplink():
-				mask = append(mask, false)
-			default:
-				mask = append(mask, true)
+			// A surviving frame sits in the in-memory queue at once.
+			mask[i] = len(mem.uplink) == 0
+			if !mask[i] {
+				if _, err := net.Controller().Receive(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return mask

@@ -13,11 +13,11 @@
 // multicast.
 //
 // A node takes its downlink frames with a blocking NodeLink.Receive, the
-// way each prototype board reads its own NIC: no goroutine or channel
-// stands between the link and the caller. Receive returns ErrClosed once
-// the network or the link is closed, and closing wakes a Receive blocked
-// on an idle link. The controller's uplink stays a channel, so the node
-// runtime can select on it together with its timers.
+// way each prototype board reads its own NIC, and the controller takes its
+// uplink frames with a blocking ControllerLink.Receive: no goroutine or
+// channel stands between a link and its caller. Receive returns ErrClosed
+// once the network (or, for a node, its link) is closed, and closing wakes
+// a Receive blocked on an idle link.
 package transport
 
 import (
@@ -34,10 +34,10 @@ var ErrClosed = errors.New("transport: closed")
 type ControllerLink interface {
 	// Multicast delivers a downlink frame to every node.
 	Multicast(data []byte) error
-	// Uplink yields frames sent by nodes. The channel closes when the
-	// network closes.
-	Uplink() <-chan []byte
-	io.Closer
+	// Receive blocks until the next node frame arrives and returns it as
+	// a slice the caller owns. It returns ErrClosed once the network is
+	// closed; closing the network wakes a blocked Receive.
+	Receive() ([]byte, error)
 }
 
 // NodeLink is a transmitter's or receiver's side of the network.
@@ -69,7 +69,10 @@ type MemNetwork struct {
 	mu     sync.Mutex
 	uplink chan []byte
 	nodes  []*memNode
-	closed bool
+	// closed is set, under mu, just before uplink closes; the controller's
+	// Receive reads it without the lock so a closed network stops yielding
+	// queued frames.
+	closed atomic.Bool
 }
 
 // NewMemNetwork builds an empty in-memory network.
@@ -85,7 +88,7 @@ func (n *MemNetwork) Controller() ControllerLink { return (*memController)(n) }
 func (n *MemNetwork) NewNode() (NodeLink, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return nil, ErrClosed
 	}
 	node := &memNode{net: n, down: make(chan []byte, queueSize)}
@@ -98,10 +101,9 @@ func (n *MemNetwork) NewNode() (NodeLink, error) {
 func (n *MemNetwork) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Swap(true) {
 		return nil
 	}
-	n.closed = true
 	close(n.uplink)
 	for _, node := range n.nodes {
 		node.closeLocked()
@@ -115,7 +117,7 @@ func (c *memController) Multicast(data []byte) error {
 	n := (*MemNetwork)(c)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed.Load() {
 		return ErrClosed
 	}
 	for _, node := range n.nodes {
@@ -132,9 +134,17 @@ func (c *memController) Multicast(data []byte) error {
 	return nil
 }
 
-func (c *memController) Uplink() <-chan []byte { return c.uplink }
-
-func (c *memController) Close() error { return (*MemNetwork)(c).Close() }
+// Receive takes the next frame from the uplink queue.
+func (c *memController) Receive() ([]byte, error) {
+	if c.closed.Load() {
+		return nil, ErrClosed
+	}
+	msg, ok := <-c.uplink
+	if !ok {
+		return nil, ErrClosed
+	}
+	return msg, nil
+}
 
 type memNode struct {
 	net  *MemNetwork
@@ -159,7 +169,7 @@ func (m *memNode) Receive() ([]byte, error) {
 func (m *memNode) SendUplink(data []byte) error {
 	m.net.mu.Lock()
 	defer m.net.mu.Unlock()
-	if m.net.closed || m.closed.Load() {
+	if m.net.closed.Load() || m.closed.Load() {
 		return ErrClosed
 	}
 	msg := append([]byte(nil), data...)

@@ -50,22 +50,28 @@ type received struct {
 	err error
 }
 
-// receiveAsync runs one node.Receive on its own goroutine. The goroutine
+// receiver is either end of a link: a node's downlink or the controller's
+// uplink.
+type receiver interface {
+	Receive() ([]byte, error)
+}
+
+// receiveAsync runs one link.Receive on its own goroutine. The goroutine
 // ends when a frame arrives or the link closes.
-func receiveAsync(node NodeLink) <-chan received {
+func receiveAsync(link receiver) <-chan received {
 	ch := make(chan received, 1)
 	go func() {
-		msg, err := node.Receive()
+		msg, err := link.Receive()
 		ch <- received{msg, err}
 	}()
 	return ch
 }
 
-// receiveWithin fails the test unless node yields a frame within d.
-func receiveWithin(t *testing.T, node NodeLink, d time.Duration) []byte {
+// receiveWithin fails the test unless link yields a frame within d.
+func receiveWithin(t *testing.T, link receiver, d time.Duration) []byte {
 	t.Helper()
 	select {
-	case r := <-receiveAsync(node):
+	case r := <-receiveAsync(link):
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
@@ -76,28 +82,14 @@ func receiveWithin(t *testing.T, node NodeLink, d time.Duration) []byte {
 	}
 }
 
-// receiveNothing fails the test if node yields a frame within d. The
+// receiveNothing fails the test if link yields a frame within d. The
 // pending Receive returns once the test closes the link.
-func receiveNothing(t *testing.T, node NodeLink, d time.Duration, what string) {
+func receiveNothing(t *testing.T, link receiver, d time.Duration, what string) {
 	t.Helper()
 	select {
-	case r := <-receiveAsync(node):
+	case r := <-receiveAsync(link):
 		t.Errorf("%s: %q, %v", what, r.msg, r.err)
 	case <-time.After(d):
-	}
-}
-
-func recvWithin(t *testing.T, ch <-chan []byte, d time.Duration) []byte {
-	t.Helper()
-	select {
-	case msg, ok := <-ch:
-		if !ok {
-			t.Fatal("channel closed")
-		}
-		return msg
-	case <-time.After(d):
-		t.Fatal("timed out waiting for frame")
-		return nil
 	}
 }
 
@@ -133,7 +125,7 @@ func TestUplinkReachesController(t *testing.T) {
 			}
 			got := map[string]bool{}
 			for i := 0; i < 2; i++ {
-				got[string(recvWithin(t, fx.ctrl.Uplink(), time.Second))] = true
+				got[string(receiveWithin(t, fx.ctrl, time.Second))] = true
 			}
 			if !got["report-a"] || !got["report-b"] {
 				t.Errorf("uplinks = %v", got)
@@ -186,7 +178,7 @@ func TestIsolationBetweenDirections(t *testing.T) {
 	if err := ctrl.Multicast([]byte("down")); err != nil {
 		t.Fatal(err)
 	}
-	got := recvWithin(t, ctrl.Uplink(), time.Second)
+	got := receiveWithin(t, ctrl, time.Second)
 	if string(got) != "up" {
 		t.Errorf("uplink = %q", got)
 	}
@@ -206,8 +198,8 @@ func TestClosedNetworkErrors(t *testing.T) {
 			if _, err := fx.a.Receive(); err != ErrClosed {
 				t.Errorf("receive after close: %v", err)
 			}
-			if _, ok := <-fx.ctrl.Uplink(); ok {
-				t.Error("uplink channel still open")
+			if _, err := fx.ctrl.Receive(); err != ErrClosed {
+				t.Errorf("controller receive after close: %v", err)
 			}
 			// New nodes rejected after close.
 			if _, err := fx.net.NewNode(); err != ErrClosed {
@@ -239,8 +231,8 @@ func TestUDPNetworksDoNotCrossTalk(t *testing.T) {
 			nodes[i] = append(nodes[i], newNode(t, udp))
 		}
 	}
-	if nets[0].group.String() == nets[1].group.String() {
-		t.Fatalf("both networks multicast to %v", nets[0].group)
+	if nets[0].port == nets[1].port {
+		t.Fatalf("both networks multicast to port %d", nets[0].port)
 	}
 	payloads := [2]string{"network 0", "network 1"}
 	for i, udp := range nets {
@@ -290,8 +282,8 @@ func TestUDPNodesBindTheGroup(t *testing.T) {
 		if local.IP.IsUnspecified() || !local.IP.IsMulticast() {
 			t.Errorf("node %d bound to %v, want a multicast group address", i, local)
 		}
-		if local.String() != udp.group.String() || local.Port != ctrl.Port {
-			t.Errorf("node %d bound to %v, want %v at the controller's port %d", i, local, udp.group, ctrl.Port)
+		if in4.Addr != groupIP || local.Port != ctrl.Port {
+			t.Errorf("node %d bound to %v, want %v at the controller's port %d", i, local, net.IP(groupIP[:]), ctrl.Port)
 		}
 		if err := node.SendUplink([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -299,7 +291,7 @@ func TestUDPNodesBindTheGroup(t *testing.T) {
 	}
 	got := map[byte]bool{}
 	for i := 0; i < n; i++ {
-		got[recvWithin(t, udp.Controller().Uplink(), time.Second)[0]] = true
+		got[receiveWithin(t, udp.Controller(), time.Second)[0]] = true
 	}
 	if len(got) != n {
 		t.Errorf("controller heard uplinks %v, want all %d nodes", got, n)
@@ -401,15 +393,11 @@ func TestLossyNetworkDropRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	down := <-survivors
+	// Every surviving uplink sits in the in-memory queue; take them all.
 	up := 0
-	for {
-		select {
-		case <-ctrl.Uplink():
-			up++
-			continue
-		default:
-		}
-		break
+	for len(mem.uplink) > 0 {
+		receiveWithin(t, ctrl, time.Second)
+		up++
 	}
 	check := func(name string, got int) {
 		t.Helper()
@@ -439,7 +427,8 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	}
 	// Out-of-range probabilities saturate: below 0 drops nothing, above 1
 	// drops everything.
-	clamped := NewLossyNetwork(NewMemNetwork(), -1, 2, 1)
+	inner := NewMemNetwork()
+	clamped := NewLossyNetwork(inner, -1, 2, 1)
 	defer clamped.Close()
 	cn, err := clamped.NewNode()
 	if err != nil {
@@ -456,10 +445,8 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	select {
-	case msg := <-clamped.Controller().Uplink():
-		t.Errorf("uplink at loss 2 delivered %v", msg)
-	default:
+	if n := len(inner.uplink); n != 0 {
+		t.Errorf("uplink at loss 2: %d of 64 frames survived", n)
 	}
 }
 
@@ -524,24 +511,82 @@ func receiveClosed(t *testing.T, pending <-chan received, d time.Duration, what 
 	}
 }
 
-// TestReceiveUnblocksOnClose: on every implementation, closing the network
-// or the link alone wakes a Receive blocked on an idle link, a Receive
-// after close returns ErrClosed at once even with a frame queued, and a
-// real empty datagram is delivered as an empty frame rather than taken
-// for the close.
+// linkEnd is one end of a link under the close tests: the receiving side
+// and how a frame reaches it.
+type linkEnd struct {
+	prefix string // subtest name prefix
+	recv   func(net Network, node NodeLink) receiver
+	send   func(net Network, node NodeLink, data []byte) error
+}
+
+var linkEnds = []linkEnd{
+	{
+		"",
+		func(_ Network, node NodeLink) receiver { return node },
+		func(net Network, _ NodeLink, data []byte) error { return net.Controller().Multicast(data) },
+	},
+	{
+		"ctrl-",
+		func(net Network, _ NodeLink) receiver { return net.Controller() },
+		func(_ Network, node NodeLink, data []byte) error { return node.SendUplink(data) },
+	},
+}
+
+// TestReceiveUnblocksOnClose: on every implementation, at a node and at
+// the controller, closing the network wakes a Receive blocked on an idle
+// link, a Receive after close returns ErrClosed at once even with a frame
+// queued, and a real empty datagram is delivered as an empty frame rather
+// than taken for the close. Closing a node's link alone wakes its Receive
+// the same way.
 func TestReceiveUnblocksOnClose(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	for _, c := range closeCases() {
-		t.Run(c.name+"/network", func(t *testing.T) {
-			net, node := c.open(t)
-			pending := receiveAsync(node)
-			time.Sleep(20 * time.Millisecond) // let Receive block
-			if err := net.Close(); err != nil {
-				t.Fatal(err)
-			}
-			receiveClosed(t, pending, time.Second, "blocked")
-			receiveClosed(t, receiveAsync(node), 100*time.Millisecond, "after close")
-		})
+		for _, end := range linkEnds {
+			t.Run(c.name+"/"+end.prefix+"network", func(t *testing.T) {
+				net, node := c.open(t)
+				link := end.recv(net, node)
+				pending := receiveAsync(link)
+				time.Sleep(20 * time.Millisecond) // let Receive block
+				if err := net.Close(); err != nil {
+					t.Fatal(err)
+				}
+				receiveClosed(t, pending, time.Second, "blocked")
+				receiveClosed(t, receiveAsync(link), 100*time.Millisecond, "after close")
+			})
+			t.Run(c.name+"/"+end.prefix+"queued", func(t *testing.T) {
+				net, node := c.open(t)
+				if err := end.send(net, node, []byte("late")); err != nil {
+					t.Fatal(err)
+				}
+				time.Sleep(20 * time.Millisecond) // let the datagram land
+				if err := net.Close(); err != nil {
+					t.Fatal(err)
+				}
+				receiveClosed(t, receiveAsync(end.recv(net, node)), 100*time.Millisecond, "queued frame after close")
+			})
+			t.Run(c.name+"/"+end.prefix+"empty", func(t *testing.T) {
+				net, node := c.open(t)
+				defer net.Close()
+				link := end.recv(net, node)
+				if err := end.send(net, node, nil); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case r := <-receiveAsync(link):
+					if r.err != nil || len(r.msg) != 0 {
+						t.Errorf("empty datagram: Receive returned %q, %v; want an empty frame", r.msg, r.err)
+					}
+				case <-time.After(time.Second):
+					t.Fatal("empty datagram not delivered")
+				}
+				pending := receiveAsync(link)
+				time.Sleep(20 * time.Millisecond)
+				if err := net.Close(); err != nil {
+					t.Fatal(err)
+				}
+				receiveClosed(t, pending, time.Second, "blocked after an empty frame")
+			})
+		}
 		t.Run(c.name+"/link", func(t *testing.T) {
 			net, node := c.open(t)
 			defer net.Close()
@@ -558,38 +603,6 @@ func TestReceiveUnblocksOnClose(t *testing.T) {
 			if err := node.Close(); err != nil {
 				t.Errorf("second close: %v", err)
 			}
-		})
-		t.Run(c.name+"/queued", func(t *testing.T) {
-			net, node := c.open(t)
-			if err := net.Controller().Multicast([]byte("late")); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(20 * time.Millisecond) // let the datagram land
-			if err := net.Close(); err != nil {
-				t.Fatal(err)
-			}
-			receiveClosed(t, receiveAsync(node), 100*time.Millisecond, "queued frame after close")
-		})
-		t.Run(c.name+"/empty", func(t *testing.T) {
-			net, node := c.open(t)
-			defer net.Close()
-			if err := net.Controller().Multicast(nil); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case r := <-receiveAsync(node):
-				if r.err != nil || len(r.msg) != 0 {
-					t.Errorf("empty datagram: Receive returned %q, %v; want an empty frame", r.msg, r.err)
-				}
-			case <-time.After(time.Second):
-				t.Fatal("empty datagram not delivered")
-			}
-			pending := receiveAsync(node)
-			time.Sleep(20 * time.Millisecond)
-			if err := net.Close(); err != nil {
-				t.Fatal(err)
-			}
-			receiveClosed(t, pending, time.Second, "blocked after an empty frame")
 		})
 	}
 }

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -22,22 +21,21 @@ import (
 // two networks, in one process or in several, never share a (group, port)
 // pair and never hear each other's downlink.
 //
-// A node socket is a plain blocking socket that never joins Go's
-// netpoller: Receive is one read(2) on the caller's goroutine (which holds
-// its OS thread while it waits) and SendUplink one sendto. Close marks the
-// link closed and shuts the socket's read side down, which wakes a blocked
-// read; it closes the descriptor once no call is in flight.
+// Both roles use one socket type, a plain blocking socket that never joins
+// Go's netpoller: Receive is one read(2) on the caller's goroutine (which
+// holds its OS thread while it waits), and the controller's Multicast and a
+// node's SendUplink are one sendto each. Closing a socket marks it closed
+// and shuts its read side down, which wakes a blocked read; the descriptor
+// is released once no call is in flight.
 //
 // Frames larger than maxDatagram are rejected rather than fragmented.
 type UDPNetwork struct {
-	mu       sync.Mutex
-	ctrlConn *net.UDPConn
-	ctrlAddr *net.UDPAddr
-	group    *net.UDPAddr
-	nodes    []*udpNode
-	uplink   chan []byte
-	closed   bool
-	wg       sync.WaitGroup
+	ctrl *udpSocket
+	port int // the controller's port P, shared by the group address
+
+	mu     sync.Mutex
+	nodes  []*udpNode
+	closed bool
 }
 
 const maxDatagram = 60 * 1024
@@ -51,117 +49,77 @@ var (
 )
 
 // NewUDPNetwork opens the controller socket on 127.0.0.1 with an ephemeral
-// port, makes it send multicast on loopback only, and starts its receive
-// loop.
+// port and makes it send multicast on loopback only.
 func NewUDPNetwork() (*UDPNetwork, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IP(loopback[:])})
+	fd, err := openSocket(bindController)
 	if err != nil {
 		return nil, fmt.Errorf("transport: controller socket: %w", err)
 	}
-	if err := multicastOnLoopback(conn); err != nil {
-		_ = conn.Close() // the setup error is the one worth reporting
+	sa, err := syscall.Getsockname(fd)
+	if err != nil {
+		_ = syscall.Close(fd) // the lookup error is the one worth reporting
 		return nil, fmt.Errorf("transport: controller socket: %w", err)
 	}
-	addr := conn.LocalAddr().(*net.UDPAddr)
-	n := &UDPNetwork{
-		ctrlConn: conn,
-		ctrlAddr: addr,
-		group:    &net.UDPAddr{IP: net.IP(groupIP[:]), Port: addr.Port},
-		uplink:   make(chan []byte, queueSize),
-	}
-	n.wg.Add(1)
-	go n.ctrlLoop()
-	return n, nil
+	return &UDPNetwork{ctrl: &udpSocket{fd: fd}, port: sa.(*syscall.SockaddrInet4).Port}, nil
 }
 
-// multicastOnLoopback sets the controller socket's multicast options: send
-// through the loopback interface, deliver to this host's members, and give
-// every datagram TTL 0 so none is forwarded beyond the host.
-func multicastOnLoopback(conn *net.UDPConn) error {
-	raw, err := conn.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var serr error
-	err = raw.Control(func(fd uintptr) {
-		s := int(fd)
-		if serr = syscall.SetsockoptInet4Addr(s, syscall.IPPROTO_IP, syscall.IP_MULTICAST_IF, loopback); serr != nil {
-			serr = fmt.Errorf("IP_MULTICAST_IF: %w", serr)
-			return
-		}
-		if serr = syscall.SetsockoptInt(s, syscall.IPPROTO_IP, syscall.IP_MULTICAST_LOOP, 1); serr != nil {
-			serr = fmt.Errorf("IP_MULTICAST_LOOP: %w", serr)
-			return
-		}
-		if serr = syscall.SetsockoptInt(s, syscall.IPPROTO_IP, syscall.IP_MULTICAST_TTL, 0); serr != nil {
-			serr = fmt.Errorf("IP_MULTICAST_TTL: %w", serr)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return serr
-}
-
-// joinGroup opens a node socket bound to group (the multicast address
-// itself, not the wildcard) and joined to it on the loopback interface.
-// net.ListenMulticastUDP is no use here: it binds the wildcard address,
-// which collides with the controller's port and would expose the node on
-// every interface. The socket is a plain blocking one that never reaches
-// Go's netpoller, so a read is one system call and a multicast does not wake
-// the poller once per member.
-func joinGroup(group *net.UDPAddr) (int, error) {
+// openSocket makes a blocking IPv4 UDP socket and runs setup on it. The
+// socket never reaches Go's netpoller, so a read is one system call and a
+// multicast does not wake the poller once per member.
+func openSocket(setup func(fd int) error) (int, error) {
 	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_DGRAM|syscall.SOCK_CLOEXEC, syscall.IPPROTO_UDP)
 	if err != nil {
 		return -1, fmt.Errorf("socket: %w", err)
 	}
-	if err := bindMember(fd, group); err != nil {
+	if err := setup(fd); err != nil {
 		_ = syscall.Close(fd) // the setup error is the one worth reporting
 		return -1, err
 	}
 	return fd, nil
 }
 
-// bindMember binds fd to group and joins the group on loopback.
-func bindMember(fd int, group *net.UDPAddr) error {
-	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1); err != nil {
-		return fmt.Errorf("SO_REUSEADDR: %w", err)
+// bindController binds fd to an ephemeral port on 127.0.0.1 and sets its
+// multicast options: send through the loopback interface, deliver to this
+// host's members, and give every datagram TTL 0 so none is forwarded beyond
+// the host.
+func bindController(fd int) error {
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: loopback}); err != nil {
+		return fmt.Errorf("bind: %w", err)
 	}
-	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Port: group.Port, Addr: groupIP}); err != nil {
-		return fmt.Errorf("bind %v: %w", group, err)
+	if err := syscall.SetsockoptInet4Addr(fd, syscall.IPPROTO_IP, syscall.IP_MULTICAST_IF, loopback); err != nil {
+		return fmt.Errorf("IP_MULTICAST_IF: %w", err)
 	}
-	mreq := &syscall.IPMreq{Multiaddr: groupIP, Interface: loopback}
-	if err := syscall.SetsockoptIPMreq(fd, syscall.IPPROTO_IP, syscall.IP_ADD_MEMBERSHIP, mreq); err != nil {
-		return fmt.Errorf("join %v on loopback: %w", group.IP, err)
+	if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_IP, syscall.IP_MULTICAST_LOOP, 1); err != nil {
+		return fmt.Errorf("IP_MULTICAST_LOOP: %w", err)
+	}
+	if err := syscall.SetsockoptInt(fd, syscall.IPPROTO_IP, syscall.IP_MULTICAST_TTL, 0); err != nil {
+		return fmt.Errorf("IP_MULTICAST_TTL: %w", err)
 	}
 	return nil
 }
 
-func (n *UDPNetwork) ctrlLoop() {
-	defer n.wg.Done()
-	buf := make([]byte, maxDatagram)
-	for {
-		sz, _, err := n.ctrlConn.ReadFromUDP(buf)
-		if err != nil {
-			n.mu.Lock()
-			closed := n.closed
-			n.mu.Unlock()
-			if closed {
-				close(n.uplink)
-				return
-			}
-			continue
-		}
-		msg := append([]byte(nil), buf[:sz]...)
-		select {
-		case n.uplink <- msg:
-		default:
-		}
+// bindMember binds fd to group:port (the multicast address itself, not the
+// wildcard) and joins the group on loopback. net.ListenMulticastUDP is no
+// use here: it binds the wildcard address, which collides with the
+// controller's port and would expose the node on every interface.
+func bindMember(fd, port int) error {
+	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1); err != nil {
+		return fmt.Errorf("SO_REUSEADDR: %w", err)
 	}
+	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Port: port, Addr: groupIP}); err != nil {
+		return fmt.Errorf("bind %v:%d: %w", net.IP(groupIP[:]), port, err)
+	}
+	mreq := &syscall.IPMreq{Multiaddr: groupIP, Interface: loopback}
+	if err := syscall.SetsockoptIPMreq(fd, syscall.IPPROTO_IP, syscall.IP_ADD_MEMBERSHIP, mreq); err != nil {
+		return fmt.Errorf("join %v on loopback: %w", net.IP(groupIP[:]), err)
+	}
+	return nil
 }
 
 // ControllerAddr returns the controller's UDP address (for logging).
-func (n *UDPNetwork) ControllerAddr() *net.UDPAddr { return n.ctrlAddr }
+func (n *UDPNetwork) ControllerAddr() *net.UDPAddr {
+	return &net.UDPAddr{IP: net.IP(loopback[:]), Port: n.port}
+}
 
 // Controller returns the controller link.
 func (n *UDPNetwork) Controller() ControllerLink { return (*udpController)(n) }
@@ -169,14 +127,11 @@ func (n *UDPNetwork) Controller() ControllerLink { return (*udpController)(n) }
 // NewNode implements Network: it opens a node socket joined to the
 // downlink group, or returns ErrClosed once the network is closed.
 func (n *UDPNetwork) NewNode() (NodeLink, error) {
-	fd, err := joinGroup(n.group)
+	fd, err := openSocket(func(fd int) error { return bindMember(fd, n.port) })
 	if err != nil {
 		return nil, fmt.Errorf("transport: node socket: %w", err)
 	}
-	node := &udpNode{
-		fd:       fd,
-		ctrlPort: n.ctrlAddr.Port,
-	}
+	node := &udpNode{udpSocket: &udpSocket{fd: fd}, port: n.port}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -187,8 +142,8 @@ func (n *UDPNetwork) NewNode() (NodeLink, error) {
 	return node, nil
 }
 
-// Close shuts down every socket and waits for the controller's receive
-// loop and for every node's in-flight Receive.
+// Close closes the controller socket and every node socket, each once its
+// calls in flight have returned.
 func (n *UDPNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -199,68 +154,61 @@ func (n *UDPNetwork) Close() error {
 	nodes := n.nodes
 	n.mu.Unlock()
 
-	// Socket close errors during teardown are unactionable: the receive
-	// loop exits on the pending-read error either way.
-	_ = n.ctrlConn.Close()
+	// Socket close errors during teardown are unactionable: every blocked
+	// Receive has returned ErrClosed either way.
+	_ = n.ctrl.Close()
 	for _, node := range nodes {
 		_ = node.Close()
 	}
-	n.wg.Wait()
 	return nil
-}
-
-// sendErr reports a failed send. A send on a closed socket is ErrClosed,
-// as on MemNetwork.
-func sendErr(op string, err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, net.ErrClosed) {
-		return ErrClosed
-	}
-	return fmt.Errorf("transport: %s: %w", op, err)
 }
 
 type udpController UDPNetwork
 
-// Multicast sends data once, to the group; the kernel copies it to every
+// Multicast sends data once, to group:P; the kernel copies it to every
 // node socket.
 func (c *udpController) Multicast(data []byte) error {
-	if len(data) > maxDatagram {
-		return fmt.Errorf("transport: frame of %d bytes exceeds datagram limit", len(data))
-	}
-	_, err := c.ctrlConn.WriteToUDP(data, c.group)
-	return sendErr("multicast", err)
+	return c.ctrl.send(data, syscall.SockaddrInet4{Port: c.port, Addr: groupIP})
 }
 
-func (c *udpController) Uplink() <-chan []byte { return c.uplink }
+// Receive takes the next uplink datagram from the controller socket.
+func (c *udpController) Receive() ([]byte, error) { return c.ctrl.Receive() }
 
-func (c *udpController) Close() error { return (*UDPNetwork)(c).Close() }
+// udpNode is a node's socket, which sends its uplink to 127.0.0.1:port.
+type udpNode struct {
+	*udpSocket
+	port int
+}
+
+// SendUplink is one sendto to the controller's socket.
+func (u *udpNode) SendUplink(data []byte) error {
+	return u.send(data, syscall.SockaddrInet4{Port: u.port, Addr: loopback})
+}
 
 // datagrams pools the receive buffers: one maxDatagram buffer per
-// concurrent Receive rather than one per link.
+// concurrent Receive rather than one per socket.
 var datagrams = sync.Pool{New: func() any { return new([maxDatagram]byte) }}
 
-// udpNode is a node's blocking socket. Every call that uses fd registers
-// in ops under mu while the link is open, and Close waits for them before
-// it releases fd, so a descriptor number is never reused under a call.
-type udpNode struct {
-	fd       int
-	ctrlPort int
+// udpSocket is one blocking socket, the controller's or a node's. Every
+// call that uses fd registers in ops under mu while the socket is open, and
+// Close waits for them before it releases fd, so a descriptor number is
+// never reused under a call.
+type udpSocket struct {
+	fd int
 
 	mu     sync.Mutex
 	closed atomic.Bool // set under mu; read lock-free after a syscall
 	ops    sync.WaitGroup
 }
 
-// begin registers a socket call, or reports that the link is closed.
-func (u *udpNode) begin() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.closed.Load() {
+// begin registers a socket call, or reports that the socket is closed.
+func (s *udpSocket) begin() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
 		return false
 	}
-	u.ops.Add(1)
+	s.ops.Add(1)
 	return true
 }
 
@@ -269,17 +217,17 @@ func (u *udpNode) begin() bool {
 // a blocked call through shutdown(SHUT_RD), which makes the read return 0
 // bytes; the closed flag, not the length, tells that wake-up from a real
 // empty datagram.
-func (u *udpNode) Receive() ([]byte, error) {
-	if !u.begin() {
+func (s *udpSocket) Receive() ([]byte, error) {
+	if !s.begin() {
 		return nil, ErrClosed
 	}
-	defer u.ops.Done()
+	defer s.ops.Done()
 	buf := datagrams.Get().(*[maxDatagram]byte)
 	defer datagrams.Put(buf)
 	for {
-		sz, err := syscall.Read(u.fd, buf[:])
+		sz, err := syscall.Read(s.fd, buf[:])
 		switch {
-		case u.closed.Load():
+		case s.closed.Load():
 			return nil, ErrClosed
 		case err == syscall.EINTR:
 			continue
@@ -290,33 +238,33 @@ func (u *udpNode) Receive() ([]byte, error) {
 	}
 }
 
-// SendUplink is one sendto to the controller's socket.
-func (u *udpNode) SendUplink(data []byte) error {
+// send is one sendto of data to the given address.
+func (s *udpSocket) send(data []byte, to syscall.SockaddrInet4) error {
 	if len(data) > maxDatagram {
 		return fmt.Errorf("transport: frame of %d bytes exceeds datagram limit", len(data))
 	}
-	if !u.begin() {
+	if !s.begin() {
 		return ErrClosed
 	}
-	defer u.ops.Done()
-	if err := syscall.Sendto(u.fd, data, 0, &syscall.SockaddrInet4{Port: u.ctrlPort, Addr: loopback}); err != nil {
-		return fmt.Errorf("transport: uplink: %w", err)
+	defer s.ops.Done()
+	if err := syscall.Sendto(s.fd, data, 0, &to); err != nil {
+		return fmt.Errorf("transport: send: %w", err)
 	}
 	return nil
 }
 
-// Close marks the link closed, wakes a blocked Receive, waits for the
-// calls in flight and releases the socket.
-func (u *udpNode) Close() error {
-	u.mu.Lock()
-	already := u.closed.Swap(true)
-	u.mu.Unlock()
+// Close marks the socket closed, wakes a blocked Receive, waits for the
+// calls in flight and releases the descriptor.
+func (s *udpSocket) Close() error {
+	s.mu.Lock()
+	already := s.closed.Swap(true)
+	s.mu.Unlock()
 	if already {
 		return nil
 	}
 	// An unconnected UDP socket answers ENOTCONN, but the shutdown takes
 	// effect all the same: a read returns at once, now and from then on.
-	_ = syscall.Shutdown(u.fd, syscall.SHUT_RD)
-	u.ops.Wait()
-	return syscall.Close(u.fd)
+	_ = syscall.Shutdown(s.fd, syscall.SHUT_RD)
+	s.ops.Wait()
+	return syscall.Close(s.fd)
 }
