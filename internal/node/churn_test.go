@@ -13,6 +13,7 @@ import (
 	"densevlc/internal/scenario"
 	"densevlc/internal/stats"
 	"densevlc/internal/testutil"
+	"densevlc/internal/transport"
 	"densevlc/internal/units"
 	"densevlc/internal/workload"
 )
@@ -174,6 +175,33 @@ func TestRunContextWireLimits(t *testing.T) {
 	for _, r := range res.Rounds {
 		if !r.ReportsOK {
 			t.Errorf("round %d: reports incomplete with 255 slots", r.Round)
+		}
+	}
+}
+
+// TestAsyncRunOverUDPWideFleet: the widest fleet the wire allows, 255
+// receiver slots, runs asynchronously over UDP loopback with every round's
+// reports complete. The slots report at once, so the controller's socket
+// must hold a fleet's reports; one the kernel dropped would cost its round
+// the report deadline and its ReportsOK flag.
+func TestAsyncRunOverUDPWideFleet(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	udp, err := transport.NewUDPNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := churnSpec()
+	sp.Fleet = 255
+	cfg := churnConfig(sp, 3, 1)
+	cfg.Network = udp
+	cfg.Timeout = 10 * time.Second
+	res, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Rounds {
+		if !r.ReportsOK {
+			t.Errorf("round %d: reports incomplete over UDP with 255 slots", r.Round)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // from its link, keeps its MAC state, and acts on the medium. It returns
 // when the link closes, which sim.Drive's teardown does before RunContext
 // cancels.
-func runTX(id int, link transport.NodeLink, hub *Hub) error {
+func runTX(id int, link transport.TXLink, hub *Hub) error {
 	n := mac.NewTXNode(id)
 	for {
 		raw, err := link.Receive()
@@ -42,20 +42,6 @@ func runTX(id int, link transport.NodeLink, hub *Hub) error {
 			hub.Pilot(id)
 		case mac.TXTransmit:
 			hub.Transmit(id, d)
-		}
-	}
-}
-
-// drainDownlink discards a receiver's controller frames so the control
-// multicast does not back up on its link; data physically reaches
-// receivers through the hub, not the wire. It returns when the link
-// closes.
-func drainDownlink(link transport.NodeLink) error {
-	for {
-		if _, err := link.Receive(); errors.Is(err, transport.ErrClosed) {
-			return nil
-		} else if err != nil {
-			return err
 		}
 	}
 }
@@ -106,9 +92,7 @@ func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub
 				if err != nil {
 					continue
 				}
-				if err := link.SendUplink(raw); err != nil && !errors.Is(err, transport.ErrClosed) {
-					continue
-				}
+				_ = link.SendUplink(raw)
 			}
 		case rx, ok := <-hub.Receptions(id):
 			if !ok {

@@ -70,9 +70,9 @@ func TestAsyncRunDeliversFrames(t *testing.T) {
 	}
 }
 
-func TestAsyncRunNoSyncCollapses(t *testing.T) {
-	defer testutil.CheckLeaks(t)()
-	res, err := RunContext(context.Background(), Config{
+// noSyncConfig is one in-memory round with unsynchronised beamspots.
+func noSyncConfig() Config {
+	return Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
@@ -82,7 +82,12 @@ func TestAsyncRunNoSyncCollapses(t *testing.T) {
 		MeasurementNoise: 0.02,
 		Seed:             2,
 		Timeout:          30 * time.Second,
-	})
+	}
+}
+
+func TestAsyncRunNoSyncCollapses(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	res, err := RunContext(context.Background(), noSyncConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +254,16 @@ func TestAsyncRunErrors(t *testing.T) {
 	}
 }
 
-// countingNetwork counts the node links a run asks for.
+// countingNetwork counts the transmitter and receiver links a run asks
+// for.
 type countingNetwork struct {
 	transport.Network
 	nodes int
+}
+
+func (n *countingNetwork) NewTX() (transport.TXLink, error) {
+	n.nodes++
+	return n.Network.NewTX()
 }
 
 func (n *countingNetwork) NewNode() (transport.NodeLink, error) {
@@ -320,26 +331,27 @@ func TestRxFromAddr(t *testing.T) {
 	}
 }
 
-func TestAsyncRunARQRecoversFromUplinkLoss(t *testing.T) {
-	defer testutil.CheckLeaks(t)()
-	// Drop 30% of uplink frames (reports and ACKs): the controller's ARQ
-	// must retransmit and the dedup window must keep deliveries unique.
-	lossy := transport.NewLossyNetwork(transport.NewMemNetwork(), 0, 0.3, 11)
-	res, err := RunContext(context.Background(), Config{
+// uplinkLossConfig drops 30% of uplink frames (reports and ACKs) on a
+// fresh in-memory network.
+func uplinkLossConfig() Config {
+	return Config{
 		Setup:            scenario.Default(),
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
 		Sync:             clock.MethodNLOSVLC,
-		Network:          lossy,
+		Network:          transport.NewLossyNetwork(transport.NewMemNetwork(), 0, 0.3, 11),
 		Rounds:           2,
 		FramesPerRX:      3,
 		MeasurementNoise: 0.02,
 		Seed:             5,
 		Timeout:          60 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// checkARQRecovers: under uplink loss the controller's ARQ must retransmit
+// and the dedup window must keep deliveries unique.
+func checkARQRecovers(t *testing.T, res *Result) {
+	t.Helper()
 	totalRetries, totalAcked, totalSent := 0, 0, 0
 	for _, r := range res.Rounds {
 		totalRetries += r.Retransmits
@@ -358,6 +370,15 @@ func TestAsyncRunARQRecoversFromUplinkLoss(t *testing.T) {
 		t.Errorf("delivered %d exceeds unique frames %d — dedup broken",
 			res.Delivered, totalSent-totalRetries)
 	}
+}
+
+func TestAsyncRunARQRecoversFromUplinkLoss(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	res, err := RunContext(context.Background(), uplinkLossConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkARQRecovers(t, res)
 }
 
 func TestAsyncRunCountsEveryDelivery(t *testing.T) {

@@ -137,7 +137,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		hub := NewHub(p.Medium, cfg.Seed)
 		for j := 0; j < p.N; j++ {
-			link, err := p.Network.NewNode()
+			link, err := p.Network.NewTX()
 			if err != nil {
 				return nil, fmt.Errorf("node: TX %d link: %w", j, err)
 			}
@@ -152,7 +152,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			id, delivered := i, &res.DeliveredPerRX[i]
 			spawn(func() error { return runRX(ctx, id, p.N, link, hub, delivered) })
-			spawn(func() error { return drainDownlink(link) })
 		}
 		uplink := make(chan []byte)
 		spawn(func() error { return pumpUplink(ctx, p.Link, uplink) })
@@ -160,9 +159,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	})
 
 	// Drive has closed the network, which ends every Receive and so the
-	// transmitters, the downlink drains and the uplink pump; cancelling
-	// stops the receivers. Once they have exited, their delivery counters
-	// are final.
+	// transmitters and the uplink pump; cancelling stops the receivers.
+	// Once they have exited, their delivery counters are final.
 	cancel()
 	wg.Wait()
 

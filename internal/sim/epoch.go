@@ -243,7 +243,7 @@ func (p *Plant) run(rt Runtime, injector *chaos.Injector, res *Result) error {
 	return nil
 }
 
-// multicast serialises a control frame and sends it to every node.
+// multicast serialises a control frame and sends it to every transmitter.
 func multicast(link transport.ControllerLink, d frame.Downlink) error {
 	wire, err := d.Serialize()
 	if err != nil {

@@ -222,20 +222,22 @@ func Run(cfg Config) (*Result, error) {
 
 // attach builds every node's MAC state machine and network link.
 func (ls *lockstep) attach(p *Plant) (Runtime, error) {
-	links := make([]transport.NodeLink, p.N+p.M)
-	for k := range links {
-		link, err := p.Network.NewNode()
-		if err != nil {
-			return nil, fmt.Errorf("sim: node %d link: %w", k, err)
-		}
-		links[k] = link
-	}
-	ls.p, ls.txLinks, ls.rxLinks = p, links[:p.N], links[p.N:]
+	ls.p = p
 	for j := 0; j < p.N; j++ {
+		link, err := p.Network.NewTX()
+		if err != nil {
+			return nil, fmt.Errorf("sim: TX %d link: %w", j, err)
+		}
 		ls.txNodes = append(ls.txNodes, mac.NewTXNode(j))
+		ls.txLinks = append(ls.txLinks, link)
 	}
 	for i := 0; i < p.M; i++ {
+		link, err := p.Network.NewNode()
+		if err != nil {
+			return nil, fmt.Errorf("sim: RX %d link: %w", i, err)
+		}
 		ls.rxNodes = append(ls.rxNodes, mac.NewRXNode(i, p.N))
+		ls.rxLinks = append(ls.rxLinks, link)
 	}
 	return ls, nil
 }
@@ -247,7 +249,7 @@ func (ls *lockstep) attach(p *Plant) (Runtime, error) {
 type lockstep struct {
 	p       *Plant
 	txNodes []*mac.TXNode
-	txLinks []transport.NodeLink
+	txLinks []transport.TXLink
 	rxNodes []*mac.RXNode
 	rxLinks []transport.NodeLink
 }
@@ -255,8 +257,8 @@ type lockstep struct {
 func (ls *lockstep) Medium(f func(md *scenario.Medium)) { f(ls.p.Medium) }
 
 // downlink has every transmitter read and decode the control frame just
-// multicast, each of them finding want in it, and every receiver drain it.
-// The frame is already queued on every link, so no Receive blocks.
+// multicast, each of them finding want in it. The frame is already queued
+// on every transmitter link, so no Receive blocks.
 func (ls *lockstep) downlink(want mac.TXAction) error {
 	for k, node := range ls.txNodes {
 		raw, err := ls.txLinks[k].Receive()
@@ -271,11 +273,6 @@ func (ls *lockstep) downlink(want mac.TXAction) error {
 			return err
 		} else if action != want {
 			return fmt.Errorf("sim: TX %d took action %d, want %d", k, action, want)
-		}
-	}
-	for i, link := range ls.rxLinks {
-		if _, err := link.Receive(); err != nil {
-			return fmt.Errorf("sim: RX %d downlink: %w", i, err)
 		}
 	}
 	return nil
@@ -296,8 +293,7 @@ func (ls *lockstep) Measure() (bool, error) {
 		}
 	}
 	// Receivers report when their round completes. The controller reads
-	// each report as it is sent, so at most one waits in its socket: a
-	// fleet's worth (up to 255) would overflow a UDP receive buffer.
+	// each report as it is sent, so at most one waits in its socket.
 	for i, rx := range ls.rxNodes {
 		if !rx.RoundComplete() {
 			return false, fmt.Errorf("sim: RX %d round incomplete", i)

@@ -497,11 +497,17 @@ func TestRunMulticastsTwicePerRound(t *testing.T) {
 	}
 }
 
-// lastReportCloses is a network whose last node link, the last receiver's,
-// closes the network in place of sending its report.
+// lastReportCloses is a network whose last link, the last receiver's,
+// closes the network in place of sending its report. It counts transmitter
+// and receiver links alike.
 type lastReportCloses struct {
 	transport.Network
 	links, last int
+}
+
+func (n *lastReportCloses) NewTX() (transport.TXLink, error) {
+	n.links++
+	return n.Network.NewTX()
 }
 
 func (n *lastReportCloses) NewNode() (transport.NodeLink, error) {

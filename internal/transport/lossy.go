@@ -7,9 +7,9 @@ import (
 	"densevlc/internal/stats"
 )
 
-// dropGate drops frames on one link direction independently with a fixed
-// probability. Each link direction owns a gate with an independent seeded
-// stream, so adding a node never perturbs the drops another link observes.
+// dropGate drops frames on one link independently with a fixed
+// probability. Each link owns a gate with an independent seeded stream, so
+// adding a link never perturbs the drops another link observes.
 type dropGate struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -27,9 +27,9 @@ func (g *dropGate) drop() bool {
 // independently with a fixed per-link probability — the fault-injection
 // vehicle for testing the MAC's retransmission logic under loss.
 //
-// Determinism: the master seed splits into one stream per link direction in
-// NewNode registration order, so a run's drop pattern is a pure function of
-// (seed, loss probabilities, registration order, per-link frame order).
+// Determinism: the master seed splits into one stream per link in
+// registration order, so a run's drop pattern is a pure function of (seed,
+// loss probabilities, registration order, per-link frame order).
 type LossyNetwork struct {
 	inner    Network
 	mu       sync.Mutex
@@ -49,54 +49,68 @@ func NewLossyNetwork(inner Network, downlinkLoss, uplinkLoss float64, seed int64
 	}
 }
 
-// Controller implements Network. Downlink loss applies per node (each
-// node's copy of a multicast is dropped independently, as with real
-// per-link corruption), so the controller link passes frames through.
+// Controller implements Network. Downlink loss applies per transmitter
+// (each transmitter's copy of a multicast is dropped independently, as with
+// real per-link corruption), so the controller link passes frames through.
 func (l *LossyNetwork) Controller() ControllerLink {
 	return l.inner.Controller()
 }
 
-// NewNode implements Network.
-func (l *LossyNetwork) NewNode() (NodeLink, error) {
-	n, err := l.inner.NewNode()
+// gate splits the next link's stream off the master stream.
+func (l *LossyNetwork) gate(loss float64) *dropGate {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &dropGate{rng: stats.SplitRand(l.rng), loss: loss}
+}
+
+// NewTX implements Network.
+func (l *LossyNetwork) NewTX() (TXLink, error) {
+	tx, err := l.inner.NewTX()
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	downGate := &dropGate{rng: stats.SplitRand(l.rng), loss: l.down}
-	upGate := &dropGate{rng: stats.SplitRand(l.rng), loss: l.up}
-	l.mu.Unlock()
-	return &lossyNode{inner: n, downGate: downGate, upGate: upGate}, nil
+	return &lossyTX{TXLink: tx, gate: l.gate(l.down)}, nil
+}
+
+// NewNode implements Network.
+func (l *LossyNetwork) NewNode() (NodeLink, error) {
+	rx, err := l.inner.NewNode()
+	if err != nil {
+		return nil, err
+	}
+	return &lossyNode{NodeLink: rx, gate: l.gate(l.up)}, nil
 }
 
 // Close implements Network.
 func (l *LossyNetwork) Close() error { return l.inner.Close() }
 
-type lossyNode struct {
-	inner    NodeLink
-	downGate *dropGate
-	upGate   *dropGate
+type lossyTX struct {
+	TXLink
+	gate *dropGate
 }
 
 // Receive takes frames from the inner link until one passes the drop
 // gate, drawing the gate once per inner frame in the caller's goroutine.
-func (n *lossyNode) Receive() ([]byte, error) {
+func (t *lossyTX) Receive() ([]byte, error) {
 	for {
-		msg, err := n.inner.Receive()
+		msg, err := t.TXLink.Receive()
 		if err != nil {
 			return nil, err
 		}
-		if !n.downGate.drop() {
+		if !t.gate.drop() {
 			return msg, nil
 		}
 	}
 }
 
-func (n *lossyNode) SendUplink(data []byte) error {
-	if n.upGate.drop() {
-		return nil
-	}
-	return n.inner.SendUplink(data)
+type lossyNode struct {
+	NodeLink
+	gate *dropGate
 }
 
-func (n *lossyNode) Close() error { return n.inner.Close() }
+func (n *lossyNode) SendUplink(data []byte) error {
+	if n.gate.drop() {
+		return nil
+	}
+	return n.NodeLink.SendUplink(data)
+}

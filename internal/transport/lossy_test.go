@@ -62,12 +62,13 @@ func TestDropGateDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestLossyNetworkPerLinkStreams checks that each registered link direction
-// gets its own stream in registration order: the first node's drops are
-// unchanged by whether a second node registers.
+// TestLossyNetworkPerLinkStreams checks that each registered link gets its
+// own stream in registration order: the first receiver's drops are
+// unchanged by whether a transmitter and a second receiver register after
+// it.
 func TestLossyNetworkPerLinkStreams(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	drops := func(extraNode bool) []bool {
+	drops := func(extraLinks bool) []bool {
 		mem := NewMemNetwork()
 		net := NewLossyNetwork(mem, 0, 0.5, 9)
 		defer net.Close()
@@ -75,7 +76,10 @@ func TestLossyNetworkPerLinkStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if extraNode {
+		if extraLinks {
+			if _, err := net.NewTX(); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := net.NewNode(); err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +102,7 @@ func TestLossyNetworkPerLinkStreams(t *testing.T) {
 	a, b := drops(false), drops(true)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("frame %d: registering a second node perturbed node 1's uplink drops", i)
+			t.Fatalf("frame %d: registering more links perturbed the first receiver's uplink drops", i)
 		}
 	}
 }

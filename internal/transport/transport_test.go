@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"syscall"
 	"testing"
 	"time"
@@ -12,36 +11,67 @@ import (
 	"densevlc/internal/testutil"
 )
 
-// networks under test, built fresh per case.
+// netFixture is one network under test with two transmitter and two
+// receiver links, built fresh per case.
 type netFixture struct {
 	name string
 	net  Network
 	ctrl ControllerLink
-	a, b NodeLink
+	txs  [2]TXLink
+	rxs  [2]NodeLink
 }
 
-// newNode registers a node link on net, failing the test on error.
-func newNode(t *testing.T, net Network) NodeLink {
+// newTX registers a transmitter link on net, failing the test on error.
+func newTX(t *testing.T, net Network) TXLink {
 	t.Helper()
-	node, err := net.NewNode()
+	tx, err := net.NewTX()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return node
+	return tx
 }
 
-func fixtures(t *testing.T) []netFixture {
+// newRX registers a receiver link on net, failing the test on error.
+func newRX(t *testing.T, net Network) NodeLink {
 	t.Helper()
-	mem := NewMemNetwork()
+	rx, err := net.NewNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rx
+}
+
+// newUDP opens a UDP network, failing the test on error.
+func newUDP(t *testing.T) *UDPNetwork {
+	t.Helper()
 	udp, err := NewUDPNetwork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	udpA, udpB := newNode(t, udp), newNode(t, udp)
-	return []netFixture{
-		{"mem", mem, mem.Controller(), newNode(t, mem), newNode(t, mem)},
-		{"udp", udp, udp.Controller(), udpA, udpB},
+	return udp
+}
+
+// fixtures builds one fresh network of each kind, each with its links: in
+// memory, UDP, and both behind a lossless LossyNetwork.
+func fixtures(t *testing.T) []netFixture {
+	t.Helper()
+	fxs := []netFixture{
+		{name: "mem", net: NewMemNetwork()},
+		{name: "udp", net: newUDP(t)},
+		{name: "lossy-mem", net: NewLossyNetwork(NewMemNetwork(), 0, 0, 3)},
+		{name: "lossy-udp", net: NewLossyNetwork(newUDP(t), 0, 0, 3)},
 	}
+	for k := range fxs {
+		fx := &fxs[k]
+		fx.ctrl = fx.net.Controller()
+		for j := range fx.txs {
+			fx.txs[j] = newTX(t, fx.net)
+		}
+		for j := range fx.rxs {
+			fx.rxs[j] = newRX(t, fx.net)
+		}
+	}
+	return fxs
 }
 
 // received is the outcome of one Receive call.
@@ -50,8 +80,8 @@ type received struct {
 	err error
 }
 
-// receiver is either end of a link: a node's downlink or the controller's
-// uplink.
+// receiver is either end of a link: a transmitter's downlink or the
+// controller's uplink.
 type receiver interface {
 	Receive() ([]byte, error)
 }
@@ -93,6 +123,9 @@ func receiveNothing(t *testing.T, link receiver, d time.Duration, what string) {
 	}
 }
 
+// TestMulticastReachesAllNodes: on every implementation, a multicast
+// reaches each transmitter link exactly once, and each receiver's uplink
+// reaches the controller.
 func TestMulticastReachesAllNodes(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	for _, fx := range fixtures(t) {
@@ -102,11 +135,26 @@ func TestMulticastReachesAllNodes(t *testing.T) {
 			if err := fx.ctrl.Multicast(payload); err != nil {
 				t.Fatal(err)
 			}
-			for _, node := range []NodeLink{fx.a, fx.b} {
-				got := receiveWithin(t, node, time.Second)
-				if !bytes.Equal(got, payload) {
-					t.Errorf("got %q", got)
+			for k, tx := range fx.txs {
+				if got := receiveWithin(t, tx, time.Second); !bytes.Equal(got, payload) {
+					t.Errorf("TX %d: got %q", k, got)
 				}
+			}
+			// A second copy would arrive as fast as the first did.
+			for k, tx := range fx.txs {
+				receiveNothing(t, tx, 20*time.Millisecond, fmt.Sprintf("TX %d: second copy", k))
+			}
+			for k, rx := range fx.rxs {
+				if err := rx.SendUplink([]byte{byte(k)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := map[byte]bool{}
+			for range fx.rxs {
+				got[receiveWithin(t, fx.ctrl, time.Second)[0]] = true
+			}
+			if len(got) != len(fx.rxs) {
+				t.Errorf("controller heard uplinks %v, want all %d receivers", got, len(fx.rxs))
 			}
 		})
 	}
@@ -117,10 +165,10 @@ func TestUplinkReachesController(t *testing.T) {
 	for _, fx := range fixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			defer fx.net.Close()
-			if err := fx.a.SendUplink([]byte("report-a")); err != nil {
+			if err := fx.rxs[0].SendUplink([]byte("report-a")); err != nil {
 				t.Fatal(err)
 			}
-			if err := fx.b.SendUplink([]byte("report-b")); err != nil {
+			if err := fx.rxs[1].SendUplink([]byte("report-b")); err != nil {
 				t.Fatal(err)
 			}
 			got := map[string]bool{}
@@ -152,7 +200,7 @@ func TestRealFrameOverBothTransports(t *testing.T) {
 			if err := fx.ctrl.Multicast(wire); err != nil {
 				t.Fatal(err)
 			}
-			got := receiveWithin(t, fx.a, time.Second)
+			got := receiveWithin(t, fx.txs[0], time.Second)
 			decoded, _, err := frame.DecodeDownlink(got)
 			if err != nil {
 				t.Fatal(err)
@@ -170,11 +218,11 @@ func TestIsolationBetweenDirections(t *testing.T) {
 	mem := NewMemNetwork()
 	defer mem.Close()
 	ctrl := mem.Controller()
-	node := newNode(t, mem)
-	if err := node.SendUplink([]byte("up")); err != nil {
+	tx, rx := newTX(t, mem), newRX(t, mem)
+	if err := rx.SendUplink([]byte("up")); err != nil {
 		t.Fatal(err)
 	}
-	receiveNothing(t, node, 20*time.Millisecond, "uplink leaked to downlink")
+	receiveNothing(t, tx, 20*time.Millisecond, "uplink leaked to downlink")
 	if err := ctrl.Multicast([]byte("down")); err != nil {
 		t.Fatal(err)
 	}
@@ -192,18 +240,21 @@ func TestClosedNetworkErrors(t *testing.T) {
 			if err := fx.ctrl.Multicast([]byte("x")); err != ErrClosed {
 				t.Errorf("multicast after close: %v", err)
 			}
-			if err := fx.a.SendUplink([]byte("x")); err != ErrClosed {
+			if err := fx.rxs[0].SendUplink([]byte("x")); err != ErrClosed {
 				t.Errorf("uplink after close: %v", err)
 			}
-			if _, err := fx.a.Receive(); err != ErrClosed {
+			if _, err := fx.txs[0].Receive(); err != ErrClosed {
 				t.Errorf("receive after close: %v", err)
 			}
 			if _, err := fx.ctrl.Receive(); err != ErrClosed {
 				t.Errorf("controller receive after close: %v", err)
 			}
-			// New nodes rejected after close.
+			// New links rejected after close.
+			if _, err := fx.net.NewTX(); err != ErrClosed {
+				t.Errorf("TX after close: %v", err)
+			}
 			if _, err := fx.net.NewNode(); err != ErrClosed {
-				t.Errorf("node after close: %v", err)
+				t.Errorf("RX after close: %v", err)
 			}
 			// Double close is fine.
 			if err := fx.net.Close(); err != nil {
@@ -214,21 +265,18 @@ func TestClosedNetworkErrors(t *testing.T) {
 }
 
 // TestUDPNetworksDoNotCrossTalk opens two UDP networks at once: each
-// multicast reaches every node of its own network exactly once and no node
-// of the other.
+// multicast reaches every transmitter of its own network exactly once and
+// no transmitter of the other.
 func TestUDPNetworksDoNotCrossTalk(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	var nets [2]*UDPNetwork
-	var nodes [2][]NodeLink
+	var txs [2][]TXLink
 	for i := range nets {
-		udp, err := NewUDPNetwork()
-		if err != nil {
-			t.Fatal(err)
-		}
+		udp := newUDP(t)
 		defer udp.Close()
 		nets[i] = udp
 		for j := 0; j < 3; j++ {
-			nodes[i] = append(nodes[i], newNode(t, udp))
+			txs[i] = append(txs[i], newTX(t, udp))
 		}
 	}
 	if nets[0].port == nets[1].port {
@@ -241,79 +289,135 @@ func TestUDPNetworksDoNotCrossTalk(t *testing.T) {
 		}
 	}
 	for i := range nets {
-		for j, node := range nodes[i] {
-			if got := receiveWithin(t, node, time.Second); string(got) != payloads[i] {
-				t.Errorf("network %d node %d: got %q, want %q", i, j, got, payloads[i])
+		for j, tx := range txs[i] {
+			if got := receiveWithin(t, tx, time.Second); string(got) != payloads[i] {
+				t.Errorf("network %d TX %d: got %q, want %q", i, j, got, payloads[i])
 			}
 		}
 	}
 	// A second copy or the other network's frame would arrive as fast as
 	// the first did.
 	for i := range nets {
-		for j, node := range nodes[i] {
-			receiveNothing(t, node, 50*time.Millisecond, fmt.Sprintf("network %d node %d: stray frame", i, j))
+		for j, tx := range txs[i] {
+			receiveNothing(t, tx, 50*time.Millisecond, fmt.Sprintf("network %d TX %d: stray frame", i, j))
 		}
 	}
 }
 
-// TestUDPNodesBindTheGroup checks every node socket's local address: the
-// network's group address at the controller's port, never the wildcard.
-// Uplinks from those sockets still reach the controller.
-func TestUDPNodesBindTheGroup(t *testing.T) {
-	defer testutil.CheckLeaks(t)()
-	udp, err := NewUDPNetwork()
+// sockAddr returns the local address of the UDP socket behind link, seen
+// through a lossless LossyNetwork if need be.
+func sockAddr(t *testing.T, link any) *syscall.SockaddrInet4 {
+	t.Helper()
+	var s *udpSocket
+	switch l := link.(type) {
+	case *lossyTX:
+		return sockAddr(t, l.TXLink)
+	case *lossyNode:
+		return sockAddr(t, l.NodeLink)
+	case *udpSocket:
+		s = l
+	case *udpNode:
+		s = l.sock
+	default:
+		t.Fatalf("%T is no UDP link", link)
+	}
+	sa, err := syscall.Getsockname(s.fd)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sa.(*syscall.SockaddrInet4)
+}
+
+// TestUDPNodesBindTheGroup checks every socket's local address, directly
+// and behind a LossyNetwork: a transmitter's is the network's group address
+// at the controller's port, a receiver's is 127.0.0.1, never the wildcard
+// or the group. Uplinks from the receiver sockets reach the controller.
+func TestUDPNodesBindTheGroup(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	for _, wrap := range []struct {
+		name string
+		net  func(*UDPNetwork) Network
+	}{
+		{"udp", func(u *UDPNetwork) Network { return u }},
+		{"lossy-udp", func(u *UDPNetwork) Network { return NewLossyNetwork(u, 0, 0, 3) }},
+	} {
+		t.Run(wrap.name, func(t *testing.T) {
+			udp := newUDP(t)
+			defer udp.Close()
+			net, ctrl := wrap.net(udp), udp.ControllerAddr()
+			if !ctrl.IP.IsLoopback() {
+				t.Errorf("controller bound to %v, want a loopback address", ctrl)
+			}
+			const n = 4
+			for i := 0; i < n; i++ {
+				if sa := sockAddr(t, newTX(t, net)); sa.Addr != groupIP || sa.Port != ctrl.Port {
+					t.Errorf("TX %d bound to %v:%d, want the group %v at the controller's port %d", i, sa.Addr, sa.Port, groupIP, ctrl.Port)
+				}
+				rx := newRX(t, net)
+				if sa := sockAddr(t, rx); sa.Addr != loopback || sa.Port == 0 || sa.Port == ctrl.Port {
+					t.Errorf("RX %d bound to %v:%d, want 127.0.0.1 at a port of its own", i, sa.Addr, sa.Port)
+				}
+				if err := rx.SendUplink([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := map[byte]bool{}
+			for i := 0; i < n; i++ {
+				got[receiveWithin(t, udp.Controller(), time.Second)[0]] = true
+			}
+			if len(got) != n {
+				t.Errorf("controller heard uplinks %v, want all %d receivers", got, n)
+			}
+		})
+	}
+}
+
+// TestUDPControllerHoldsAFleetOfReports: the controller socket's receive
+// buffer, read back from the kernel, holds a report from each of the
+// wire's 255 receiver slots, and 255 report-sized uplinks sent at once all
+// arrive.
+func TestUDPControllerHoldsAFleetOfReports(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	udp := newUDP(t)
 	defer udp.Close()
-	ctrl := udp.ControllerAddr()
-	if !ctrl.IP.IsLoopback() {
-		t.Errorf("controller bound to %v, want a loopback address", ctrl)
+	if got, err := syscall.GetsockoptInt(udp.ctrl.fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF); err != nil {
+		t.Fatal(err)
+	} else if got < ctrlRcvbuf {
+		t.Errorf("controller SO_RCVBUF = %d B, want at least %d", got, ctrlRcvbuf)
 	}
-	const n = 4
-	for i := 0; i < n; i++ {
-		node := newNode(t, udp)
-		sa, err := syscall.Getsockname(node.(*udpNode).fd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in4 := sa.(*syscall.SockaddrInet4)
-		local := &net.UDPAddr{IP: net.IP(in4.Addr[:]), Port: in4.Port}
-		if local.IP.IsUnspecified() || !local.IP.IsMulticast() {
-			t.Errorf("node %d bound to %v, want a multicast group address", i, local)
-		}
-		if in4.Addr != groupIP || local.Port != ctrl.Port {
-			t.Errorf("node %d bound to %v, want %v at the controller's port %d", i, local, net.IP(groupIP[:]), ctrl.Port)
-		}
-		if err := node.SendUplink([]byte{byte(i)}); err != nil {
+	const fleet = 255
+	report := make([]byte, 4+8*64+10) // 64 gains and a MAC header
+	for i := 0; i < fleet; i++ {
+		report[0] = byte(i)
+		if err := newRX(t, udp).SendUplink(report); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := map[byte]bool{}
-	for i := 0; i < n; i++ {
-		got[receiveWithin(t, udp.Controller(), time.Second)[0]] = true
+	heard := map[byte]bool{}
+	for range fleet {
+		heard[receiveWithin(t, udp.Controller(), time.Second)[0]] = true
 	}
-	if len(got) != n {
-		t.Errorf("controller heard uplinks %v, want all %d nodes", got, n)
+	if len(heard) != fleet {
+		t.Errorf("controller heard %d of %d receivers", len(heard), fleet)
 	}
 }
 
 func TestUDPCloseUnblocksLoops(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	udp, err := NewUDPNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := newNode(t, udp)
-	pending := receiveAsync(node)
+	udp := newUDP(t)
+	tx := newTX(t, udp)
+	pending := receiveAsync(tx)
 	time.Sleep(20 * time.Millisecond) // let Receive block
 	if err := udp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	receiveClosed(t, pending, 2*time.Second, "node receive on close")
-	// New nodes rejected after close.
+	receiveClosed(t, pending, 2*time.Second, "TX receive on close")
+	// New links rejected after close.
+	if _, err := udp.NewTX(); err != ErrClosed {
+		t.Errorf("TX after close: %v", err)
+	}
 	if _, err := udp.NewNode(); err != ErrClosed {
-		t.Errorf("node after close: %v", err)
+		t.Errorf("RX after close: %v", err)
 	}
 	if err := udp.Close(); err != nil {
 		t.Error("double close should be nil")
@@ -322,17 +426,14 @@ func TestUDPCloseUnblocksLoops(t *testing.T) {
 
 func TestOversizedDatagramRejected(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	udp, err := NewUDPNetwork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	udp := newUDP(t)
 	defer udp.Close()
-	node := newNode(t, udp)
+	rx := newRX(t, udp)
 	big := make([]byte, maxDatagram+1)
 	if err := udp.Controller().Multicast(big); err == nil {
 		t.Error("oversized multicast accepted")
 	}
-	if err := node.SendUplink(big); err == nil {
+	if err := rx.SendUplink(big); err == nil {
 		t.Error("oversized uplink accepted")
 	}
 }
@@ -342,7 +443,7 @@ func TestMemOverflowDropsInsteadOfBlocking(t *testing.T) {
 	mem := NewMemNetwork()
 	defer mem.Close()
 	ctrl := mem.Controller()
-	newNode(t, mem) // never drained
+	newTX(t, mem) // never drained
 	for i := 0; i < queueSize+50; i++ {
 		if err := ctrl.Multicast([]byte{byte(i)}); err != nil {
 			t.Fatalf("multicast %d: %v", i, err)
@@ -357,17 +458,14 @@ func TestLossyNetworkDropRates(t *testing.T) {
 	lossy := NewLossyNetwork(mem, 0.5, 0.5, 7)
 	defer lossy.Close()
 	ctrl := lossy.Controller()
-	node, err := lossy.NewNode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx, rx := newTX(t, lossy), newRX(t, lossy)
 
 	const n = 200 // within queueSize, so the in-memory queues drop nothing
 	for i := 0; i < n; i++ {
 		if err := ctrl.Multicast([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := node.SendUplink([]byte{byte(i)}); err != nil {
+		if err := rx.SendUplink([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -378,18 +476,18 @@ func TestLossyNetworkDropRates(t *testing.T) {
 	go func() {
 		down := 0
 		for {
-			if _, err := node.Receive(); err != nil {
+			if _, err := tx.Receive(); err != nil {
 				survivors <- down
 				return
 			}
 			down++
 		}
 	}()
-	inner := node.(*lossyNode).inner.(*memNode)
+	inner := tx.(*lossyTX).TXLink.(*memTX)
 	for len(inner.down) > 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := node.Close(); err != nil {
+	if err := tx.Close(); err != nil {
 		t.Fatal(err)
 	}
 	down := <-survivors
@@ -414,14 +512,11 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	mem := NewMemNetwork()
 	lossy := NewLossyNetwork(mem, 0, 0, 1)
 	defer lossy.Close()
-	node, err := lossy.NewNode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tx := newTX(t, lossy)
 	if err := lossy.Controller().Multicast([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got := receiveWithin(t, node, time.Second)
+	got := receiveWithin(t, tx, time.Second)
 	if string(got) != "hello" {
 		t.Errorf("got %q", got)
 	}
@@ -430,18 +525,15 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	inner := NewMemNetwork()
 	clamped := NewLossyNetwork(inner, -1, 2, 1)
 	defer clamped.Close()
-	cn, err := clamped.NewNode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, crx := newTX(t, clamped), newRX(t, clamped)
 	if err := clamped.Controller().Multicast([]byte("down")); err != nil {
 		t.Fatal(err)
 	}
-	if got := receiveWithin(t, cn, time.Second); string(got) != "down" {
+	if got := receiveWithin(t, ctx, time.Second); string(got) != "down" {
 		t.Errorf("downlink at loss -1: got %q", got)
 	}
 	for i := 0; i < 64; i++ {
-		if err := cn.SendUplink([]byte{byte(i)}); err != nil {
+		if err := crx.SendUplink([]byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -452,13 +544,8 @@ func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 
 func TestLossyNetworkCloseUnblocksFilter(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	mem := NewMemNetwork()
-	lossy := NewLossyNetwork(mem, 0.1, 0, 2)
-	node, err := lossy.NewNode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending := receiveAsync(node)
+	lossy := NewLossyNetwork(NewMemNetwork(), 0.1, 0, 2)
+	pending := receiveAsync(newTX(t, lossy))
 	time.Sleep(20 * time.Millisecond) // let Receive block
 	if err := lossy.Close(); err != nil {
 		t.Fatal(err)
@@ -466,33 +553,26 @@ func TestLossyNetworkCloseUnblocksFilter(t *testing.T) {
 	receiveClosed(t, pending, 2*time.Second, "filtered downlink on close")
 }
 
-// closeCase builds one network with one node link for the close tests.
+// closeCase builds one network with one transmitter and one receiver link
+// for the close tests.
 type closeCase struct {
 	name string
-	open func(t *testing.T) (Network, NodeLink)
+	open func(t *testing.T) (Network, TXLink, NodeLink)
 }
 
 func closeCases() []closeCase {
-	withNode := func(t *testing.T, net Network) (Network, NodeLink) {
+	withLinks := func(t *testing.T, net Network) (Network, TXLink, NodeLink) {
 		t.Helper()
-		return net, newNode(t, net)
-	}
-	udp := func(t *testing.T) Network {
-		t.Helper()
-		u, err := NewUDPNetwork()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return u
+		return net, newTX(t, net), newRX(t, net)
 	}
 	return []closeCase{
-		{"mem", func(t *testing.T) (Network, NodeLink) { return withNode(t, NewMemNetwork()) }},
-		{"udp", func(t *testing.T) (Network, NodeLink) { return withNode(t, udp(t)) }},
-		{"lossy-mem", func(t *testing.T) (Network, NodeLink) {
-			return withNode(t, NewLossyNetwork(NewMemNetwork(), 0, 0, 3))
+		{"mem", func(t *testing.T) (Network, TXLink, NodeLink) { return withLinks(t, NewMemNetwork()) }},
+		{"udp", func(t *testing.T) (Network, TXLink, NodeLink) { return withLinks(t, newUDP(t)) }},
+		{"lossy-mem", func(t *testing.T) (Network, TXLink, NodeLink) {
+			return withLinks(t, NewLossyNetwork(NewMemNetwork(), 0, 0, 3))
 		}},
-		{"lossy-udp", func(t *testing.T) (Network, NodeLink) {
-			return withNode(t, NewLossyNetwork(udp(t), 0, 0, 3))
+		{"lossy-udp", func(t *testing.T) (Network, TXLink, NodeLink) {
+			return withLinks(t, NewLossyNetwork(newUDP(t), 0, 0, 3))
 		}},
 	}
 }
@@ -515,36 +595,37 @@ func receiveClosed(t *testing.T, pending <-chan received, d time.Duration, what 
 // and how a frame reaches it.
 type linkEnd struct {
 	prefix string // subtest name prefix
-	recv   func(net Network, node NodeLink) receiver
-	send   func(net Network, node NodeLink, data []byte) error
+	recv   func(net Network, tx TXLink) receiver
+	send   func(net Network, rx NodeLink, data []byte) error
 }
 
 var linkEnds = []linkEnd{
 	{
 		"",
-		func(_ Network, node NodeLink) receiver { return node },
+		func(_ Network, tx TXLink) receiver { return tx },
 		func(net Network, _ NodeLink, data []byte) error { return net.Controller().Multicast(data) },
 	},
 	{
 		"ctrl-",
-		func(net Network, _ NodeLink) receiver { return net.Controller() },
-		func(_ Network, node NodeLink, data []byte) error { return node.SendUplink(data) },
+		func(net Network, _ TXLink) receiver { return net.Controller() },
+		func(_ Network, rx NodeLink, data []byte) error { return rx.SendUplink(data) },
 	},
 }
 
-// TestReceiveUnblocksOnClose: on every implementation, at a node and at
-// the controller, closing the network wakes a Receive blocked on an idle
-// link, a Receive after close returns ErrClosed at once even with a frame
-// queued, and a real empty datagram is delivered as an empty frame rather
-// than taken for the close. Closing a node's link alone wakes its Receive
-// the same way.
+// TestReceiveUnblocksOnClose: on every implementation, at a transmitter
+// and at the controller, closing the network wakes a Receive blocked on an
+// idle link, a Receive after close returns ErrClosed at once even with a
+// frame queued, and a real empty datagram is delivered as an empty frame
+// rather than taken for the close. Closing a transmitter's link alone wakes
+// its Receive the same way, and closing a receiver's link alone makes its
+// SendUplink return ErrClosed.
 func TestReceiveUnblocksOnClose(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	for _, c := range closeCases() {
 		for _, end := range linkEnds {
 			t.Run(c.name+"/"+end.prefix+"network", func(t *testing.T) {
-				net, node := c.open(t)
-				link := end.recv(net, node)
+				net, tx, _ := c.open(t)
+				link := end.recv(net, tx)
 				pending := receiveAsync(link)
 				time.Sleep(20 * time.Millisecond) // let Receive block
 				if err := net.Close(); err != nil {
@@ -554,21 +635,21 @@ func TestReceiveUnblocksOnClose(t *testing.T) {
 				receiveClosed(t, receiveAsync(link), 100*time.Millisecond, "after close")
 			})
 			t.Run(c.name+"/"+end.prefix+"queued", func(t *testing.T) {
-				net, node := c.open(t)
-				if err := end.send(net, node, []byte("late")); err != nil {
+				net, tx, rx := c.open(t)
+				if err := end.send(net, rx, []byte("late")); err != nil {
 					t.Fatal(err)
 				}
 				time.Sleep(20 * time.Millisecond) // let the datagram land
 				if err := net.Close(); err != nil {
 					t.Fatal(err)
 				}
-				receiveClosed(t, receiveAsync(end.recv(net, node)), 100*time.Millisecond, "queued frame after close")
+				receiveClosed(t, receiveAsync(end.recv(net, tx)), 100*time.Millisecond, "queued frame after close")
 			})
 			t.Run(c.name+"/"+end.prefix+"empty", func(t *testing.T) {
-				net, node := c.open(t)
+				net, tx, rx := c.open(t)
 				defer net.Close()
-				link := end.recv(net, node)
-				if err := end.send(net, node, nil); err != nil {
+				link := end.recv(net, tx)
+				if err := end.send(net, rx, nil); err != nil {
 					t.Fatal(err)
 				}
 				select {
@@ -588,20 +669,25 @@ func TestReceiveUnblocksOnClose(t *testing.T) {
 			})
 		}
 		t.Run(c.name+"/link", func(t *testing.T) {
-			net, node := c.open(t)
+			net, tx, rx := c.open(t)
 			defer net.Close()
-			pending := receiveAsync(node)
+			pending := receiveAsync(tx)
 			time.Sleep(20 * time.Millisecond)
-			if err := node.Close(); err != nil {
+			if err := tx.Close(); err != nil {
 				t.Fatal(err)
 			}
 			receiveClosed(t, pending, time.Second, "blocked")
-			receiveClosed(t, receiveAsync(node), 100*time.Millisecond, "after close")
-			if err := node.SendUplink([]byte("x")); err != ErrClosed {
+			receiveClosed(t, receiveAsync(tx), 100*time.Millisecond, "after close")
+			if err := rx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := rx.SendUplink([]byte("x")); err != ErrClosed {
 				t.Errorf("uplink on a closed link: %v", err)
 			}
-			if err := node.Close(); err != nil {
-				t.Errorf("second close: %v", err)
+			for _, link := range []interface{ Close() error }{tx, rx} {
+				if err := link.Close(); err != nil {
+					t.Errorf("second close of %T: %v", link, err)
+				}
 			}
 		})
 	}

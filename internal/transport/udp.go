@@ -12,21 +12,27 @@ import (
 // UDPNetwork implements the network over IPv4 UDP on the loopback
 // interface. The downlink is a real IP multicast: the controller sends each
 // frame once, to a group address, and the kernel delivers a copy to every
-// node socket that joined the group — the prototype's Ethernet multicast.
-// Nodes send uplink datagrams to the controller's unicast socket.
+// transmitter socket, the only sockets that join the group — the
+// prototype's Ethernet multicast. Receivers send uplink datagrams to the
+// controller's unicast socket from sockets bound to 127.0.0.1.
 //
 // The controller socket holds 127.0.0.1:P and sends with TTL 0, so no
-// datagram leaves the host. Every node socket is bound to group:P, with the
-// controller's own port P: that port is held exclusively on 127.0.0.1, so
-// two networks, in one process or in several, never share a (group, port)
-// pair and never hear each other's downlink.
+// datagram leaves the host. Every transmitter socket is bound to group:P,
+// with the controller's own port P: that port is held exclusively on
+// 127.0.0.1, so two networks, in one process or in several, never share a
+// (group, port) pair and never hear each other's downlink.
 //
-// Both roles use one socket type, a plain blocking socket that never joins
+// The controller socket's receive buffer holds a report from each of the
+// wire's 255 receivers at once (ctrlRcvbuf). Linux caps the request at
+// net.core.rmem_max (212,992 B by default, enough); if that cap leaves
+// less, NewUDPNetwork fails and names the setting.
+//
+// All roles use one socket type, a plain blocking socket that never joins
 // Go's netpoller: Receive is one read(2) on the caller's goroutine (which
 // holds its OS thread while it waits), and the controller's Multicast and a
-// node's SendUplink are one sendto each. Closing a socket marks it closed
-// and shuts its read side down, which wakes a blocked read; the descriptor
-// is released once no call is in flight.
+// receiver's SendUplink are one sendto each. Closing a socket marks it
+// closed and shuts its read side down, which wakes a blocked read; the
+// descriptor is released once no call is in flight.
 //
 // Frames larger than maxDatagram are rejected rather than fragmented.
 type UDPNetwork struct {
@@ -34,11 +40,16 @@ type UDPNetwork struct {
 	port int // the controller's port P, shared by the group address
 
 	mu     sync.Mutex
-	nodes  []*udpNode
+	socks  []*udpSocket // every transmitter and receiver socket
 	closed bool
 }
 
 const maxDatagram = 60 * 1024
+
+// ctrlRcvbuf is the controller's receive buffer in the kernel's accounting:
+// 255 receivers (mac.CheckWireLimits), each report of up to 64 gains (about
+// 530 B) charged 1,280 B of skb truesize on loopback.
+const ctrlRcvbuf = 255 * 1280
 
 var (
 	// loopback is the interface address both sides of the network use.
@@ -78,13 +89,30 @@ func openSocket(setup func(fd int) error) (int, error) {
 	return fd, nil
 }
 
-// bindController binds fd to an ephemeral port on 127.0.0.1 and sets its
-// multicast options: send through the loopback interface, deliver to this
-// host's members, and give every datagram TTL 0 so none is forwarded beyond
-// the host.
-func bindController(fd int) error {
+// bindLoopback binds fd to an ephemeral port on 127.0.0.1.
+func bindLoopback(fd int) error {
 	if err := syscall.Bind(fd, &syscall.SockaddrInet4{Addr: loopback}); err != nil {
 		return fmt.Errorf("bind: %w", err)
+	}
+	return nil
+}
+
+// bindController binds fd to an ephemeral port on 127.0.0.1, sizes its
+// receive buffer to ctrlRcvbuf and sets its multicast options: send through
+// the loopback interface, deliver to this host's members, and give every
+// datagram TTL 0 so none is forwarded beyond the host.
+func bindController(fd int) error {
+	if err := bindLoopback(fd); err != nil {
+		return err
+	}
+	// Linux caps the value set at net.core.rmem_max, then doubles it.
+	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, ctrlRcvbuf/2); err != nil {
+		return fmt.Errorf("SO_RCVBUF: %w", err)
+	}
+	if got, err := syscall.GetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF); err != nil {
+		return fmt.Errorf("SO_RCVBUF: %w", err)
+	} else if got < ctrlRcvbuf {
+		return fmt.Errorf("SO_RCVBUF: %d B, under the %d B of 255 reports; raise net.core.rmem_max to %d", got, ctrlRcvbuf, ctrlRcvbuf/2)
 	}
 	if err := syscall.SetsockoptInet4Addr(fd, syscall.IPPROTO_IP, syscall.IP_MULTICAST_IF, loopback); err != nil {
 		return fmt.Errorf("IP_MULTICAST_IF: %w", err)
@@ -101,7 +129,7 @@ func bindController(fd int) error {
 // bindMember binds fd to group:port (the multicast address itself, not the
 // wildcard) and joins the group on loopback. net.ListenMulticastUDP is no
 // use here: it binds the wildcard address, which collides with the
-// controller's port and would expose the node on every interface.
+// controller's port and would expose the transmitter on every interface.
 func bindMember(fd, port int) error {
 	if err := syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_REUSEADDR, 1); err != nil {
 		return fmt.Errorf("SO_REUSEADDR: %w", err)
@@ -124,26 +152,46 @@ func (n *UDPNetwork) ControllerAddr() *net.UDPAddr {
 // Controller returns the controller link.
 func (n *UDPNetwork) Controller() ControllerLink { return (*udpController)(n) }
 
-// NewNode implements Network: it opens a node socket joined to the
+// NewTX implements Network: it opens a transmitter socket joined to the
 // downlink group, or returns ErrClosed once the network is closed.
-func (n *UDPNetwork) NewNode() (NodeLink, error) {
-	fd, err := openSocket(func(fd int) error { return bindMember(fd, n.port) })
+func (n *UDPNetwork) NewTX() (TXLink, error) {
+	s, err := n.open("TX", func(fd int) error { return bindMember(fd, n.port) })
 	if err != nil {
-		return nil, fmt.Errorf("transport: node socket: %w", err)
+		return nil, err
 	}
-	node := &udpNode{udpSocket: &udpSocket{fd: fd}, port: n.port}
+	return s, nil
+}
+
+// NewNode implements Network: it opens a receiver socket bound to
+// 127.0.0.1 (sendto would bind the wildcard), or returns ErrClosed once the
+// network is closed.
+func (n *UDPNetwork) NewNode() (NodeLink, error) {
+	s, err := n.open("RX", bindLoopback)
+	if err != nil {
+		return nil, err
+	}
+	return &udpNode{sock: s, port: n.port}, nil
+}
+
+// open makes a socket with setup and registers it for Close.
+func (n *UDPNetwork) open(role string, setup func(fd int) error) (*udpSocket, error) {
+	fd, err := openSocket(setup)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %s socket: %w", role, err)
+	}
+	s := &udpSocket{fd: fd}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
 		_ = syscall.Close(fd) // never handed out
 		return nil, ErrClosed
 	}
-	n.nodes = append(n.nodes, node)
-	return node, nil
+	n.socks = append(n.socks, s)
+	return s, nil
 }
 
-// Close closes the controller socket and every node socket, each once its
-// calls in flight have returned.
+// Close closes the controller socket and every transmitter and receiver
+// socket, each once its calls in flight have returned.
 func (n *UDPNetwork) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -151,14 +199,14 @@ func (n *UDPNetwork) Close() error {
 		return nil
 	}
 	n.closed = true
-	nodes := n.nodes
+	socks := n.socks
 	n.mu.Unlock()
 
 	// Socket close errors during teardown are unactionable: every blocked
 	// Receive has returned ErrClosed either way.
 	_ = n.ctrl.Close()
-	for _, node := range nodes {
-		_ = node.Close()
+	for _, s := range socks {
+		_ = s.Close()
 	}
 	return nil
 }
@@ -166,7 +214,7 @@ func (n *UDPNetwork) Close() error {
 type udpController UDPNetwork
 
 // Multicast sends data once, to group:P; the kernel copies it to every
-// node socket.
+// transmitter socket.
 func (c *udpController) Multicast(data []byte) error {
 	return c.ctrl.send(data, syscall.SockaddrInet4{Port: c.port, Addr: groupIP})
 }
@@ -174,25 +222,27 @@ func (c *udpController) Multicast(data []byte) error {
 // Receive takes the next uplink datagram from the controller socket.
 func (c *udpController) Receive() ([]byte, error) { return c.ctrl.Receive() }
 
-// udpNode is a node's socket, which sends its uplink to 127.0.0.1:port.
+// udpNode is a receiver's socket, which only sends, to 127.0.0.1:port.
 type udpNode struct {
-	*udpSocket
+	sock *udpSocket
 	port int
 }
 
 // SendUplink is one sendto to the controller's socket.
 func (u *udpNode) SendUplink(data []byte) error {
-	return u.send(data, syscall.SockaddrInet4{Port: u.port, Addr: loopback})
+	return u.sock.send(data, syscall.SockaddrInet4{Port: u.port, Addr: loopback})
 }
+
+func (u *udpNode) Close() error { return u.sock.Close() }
 
 // datagrams pools the receive buffers: one maxDatagram buffer per
 // concurrent Receive rather than one per socket.
 var datagrams = sync.Pool{New: func() any { return new([maxDatagram]byte) }}
 
-// udpSocket is one blocking socket, the controller's or a node's. Every
-// call that uses fd registers in ops under mu while the socket is open, and
-// Close waits for them before it releases fd, so a descriptor number is
-// never reused under a call.
+// udpSocket is one blocking socket: the controller's, a transmitter's or a
+// receiver's. Every call that uses fd registers in ops under mu while the
+// socket is open, and Close waits for them before it releases fd, so a
+// descriptor number is never reused under a call.
 type udpSocket struct {
 	fd int
 

@@ -43,7 +43,11 @@
 #                     epoch driver, must score every round bit-identically,
 #                     static and under churn, three runs over; and so do
 #                     the transport's blocking reads and their close
-#                     wake-ups, three runs on a single P
+#                     wake-ups, three runs on a single P; and the node
+#                     runtime's in-memory scenarios once more on
+#                     testing/synctest's fake clock (GOEXPERIMENT=synctest),
+#                     where a timer fires only once every node goroutine
+#                     is blocked
 #   9. chaos smoke  — one fault-injected end-to-end run per engine
 #                     (tx-blackout preset; the asynchronous run under the
 #                     race detector), a full blockage of one receiver
@@ -161,6 +165,15 @@ go test -race -count=3 -run 'TestRuntimesAgree' ./internal/node/
 # starve every other goroutine and hang these tests.
 echo "==> blocking socket reads on a single P under -race (explicit)"
 GOMAXPROCS=1 go test -race -count=3 -run 'UDP|Receive|Close' ./internal/transport ./internal/sim ./internal/node
+
+# The node runtime decides by wall-clock timers: the report deadline, the
+# half-timeout flush and the ACK deadline. internal/node/synctest_test.go,
+# built only under GOEXPERIMENT=synctest, runs its in-memory RunContext
+# scenarios on testing/synctest's fake clock, where time moves only once
+# every goroutine is blocked, so no timer can cut in-flight work and the
+# waits cost no wall time.
+echo "==> node runtime on fake time under -race (GOEXPERIMENT=synctest)"
+GOEXPERIMENT=synctest go test -race ./internal/node -run Synctest
 
 # Chaos smoke: one fault-injected end-to-end run per engine. The tx-blackout
 # preset kills every receiver's best server mid-run; the commands fail on any
