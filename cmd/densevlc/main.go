@@ -150,8 +150,8 @@ func main() {
 			Trigger:          trigger,
 		}
 		if *churn {
-			// Every tenancy slot is a receiver goroutine whose photodiode
-			// lights up when a user arrives; FramesPerRX caps each user's
+			// Every tenancy slot is a receiver whose photodiode lights up
+			// when a user arrives; FramesPerRX caps each user's
 			// per-round traffic demand.
 			cfg.Workload = &churnSpec
 			cfg.FramesPerRX = 8

@@ -26,7 +26,7 @@ func main() {
 	}
 
 	for _, loss := range []float64{0, 0.3} {
-		net := transport.NewLossyNetwork(transport.NewMemNetwork(), 0, loss, 42)
+		net := transport.NewLossyNetwork(transport.NewMemNetwork(), loss, 42)
 		res, err := node.RunContext(context.Background(), node.Config{
 			Setup:            scenario.Default(),
 			Trajectories:     traj,

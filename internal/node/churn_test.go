@@ -241,7 +241,7 @@ func TestChurnRunDefaults(t *testing.T) {
 // a blockage, and a vacant slot is dark however clear its attenuation.
 func TestHubOccupancyComposesWithAttenuation(t *testing.T) {
 	md := scenario.NewMedium(scenario.Default(), scenario.Fig7Instance(), clock.MethodNLOSVLC, 0)
-	hub := NewHub(md, 1)
+	hub := NewHub(md, nil, 1)
 	var clear, got *channel.Matrix
 	hub.do(func(md *scenario.Medium) { clear = md.Truth().H })
 

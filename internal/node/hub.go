@@ -1,7 +1,7 @@
 // Package node is DenseVLC's asynchronous runtime: one goroutine per
-// transmitter and one per receiver, all talking over a transport.Network
-// exactly as the distributed prototype's BeagleBones do — no lock-step,
-// every node reacts to the frames it receives, and the controller works
+// transmitter, each reading its own downlink link exactly as the
+// distributed prototype's BeagleBones read their NICs — no lock-step, every
+// transmitter reacts to the frames it receives, and the controller works
 // with timeouts and whatever reports arrive in time. The epoch itself is
 // sim.Drive's, the loop the synchronous engine runs too; RunContext plugs
 // the goroutines, the report deadline and the stop-and-wait ARQ into it.
@@ -10,7 +10,10 @@
 // data), and the scenario.Medium it wraps — the same medium the
 // synchronous engine drives — synthesises what each photodiode observes:
 // pilot gain measurements with estimator noise, and frame deliveries drawn
-// from the waveform-level PHY of package phy.
+// from the waveform-level PHY of package phy. A receiver, like the
+// paper's, owns no clock and reads no socket: the Hub steps its MAC state
+// machine on each observation, and it sends its channel reports and ACKs
+// on its uplink link.
 package node
 
 import (
@@ -22,31 +25,26 @@ import (
 	"densevlc/internal/mac"
 	"densevlc/internal/scenario"
 	"densevlc/internal/stats"
+	"densevlc/internal/transport"
 	"densevlc/internal/units"
 )
 
-// PilotEvent is what a receiver's front-end reports for one pilot slot.
-type PilotEvent struct {
-	TX   int
-	Gain float64
-}
-
-// Reception is a decoded data frame arriving at a receiver.
-type Reception struct {
-	MAC frame.MAC
-}
-
-// Hub is the shared optical medium as the node goroutines see it: a
-// scenario.Medium behind a lock, the receivers' pilot and reception
-// streams, and the data frames waiting for their beamspot to assemble. All
-// methods are safe for concurrent use by the node goroutines.
+// Hub is the shared optical medium as the node goroutines see it, and the
+// receivers on it: a scenario.Medium behind a lock, each receiver's MAC
+// state and uplink, and the data frames waiting for their beamspot to
+// assemble. A receiver has no goroutine of its own: the transmitter whose
+// pilot slot or beamspot reaches it steps its state machine, as the
+// lock-step engine does. All methods are safe for concurrent use by the
+// node goroutines, and none sends on an uplink under the lock.
 type Hub struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	medium *scenario.Medium
 
-	pilotCh []chan PilotEvent
-	rxCh    []chan Reception
+	rxs   []*mac.RXNode
+	links []transport.NodeLink
+	// delivered counts each receiver's payloads handed to the application.
+	delivered []int
 
 	// pending data transmissions grouped by sequence number.
 	pending map[uint16]*airFrame
@@ -59,21 +57,26 @@ type airFrame struct {
 	waits int // how many TXs are expected to join
 }
 
-// NewHub wraps the medium for the node goroutines; its draws (pilot
-// noise, data-frame timing, per-frame PHY streams) come from one stream
-// seeded by seed.
-func NewHub(md *scenario.Medium, seed int64) *Hub {
-	n, m := md.Setup().Grid.N(), len(md.Positions())
+// uplink is a frame a receiver sends once the hub's lock is released.
+type uplink struct {
+	rx  int
+	raw []byte
+}
+
+// NewHub wraps the medium for the node goroutines, with receiver i sending
+// on links[i]; its draws (pilot noise, data-frame timing, per-frame PHY
+// streams) come from one stream seeded by seed.
+func NewHub(md *scenario.Medium, links []transport.NodeLink, seed int64) *Hub {
 	hub := &Hub{
-		rng:     stats.NewRand(seed),
-		medium:  md,
-		pilotCh: make([]chan PilotEvent, m),
-		rxCh:    make([]chan Reception, m),
-		pending: map[uint16]*airFrame{},
+		rng:       stats.NewRand(seed),
+		medium:    md,
+		links:     links,
+		delivered: make([]int, len(links)),
+		pending:   map[uint16]*airFrame{},
 	}
-	for i := 0; i < m; i++ {
-		hub.pilotCh[i] = make(chan PilotEvent, 2*n)
-		hub.rxCh[i] = make(chan Reception, 64)
+	n := md.Setup().Grid.N()
+	for i := range links {
+		hub.rxs = append(hub.rxs, mac.NewRXNode(i, n))
 	}
 	return hub
 }
@@ -86,12 +89,6 @@ func (h *Hub) do(f func(md *scenario.Medium)) {
 	f(h.medium)
 }
 
-// PilotEvents returns receiver i's pilot-measurement stream.
-func (h *Hub) PilotEvents(i int) <-chan PilotEvent { return h.pilotCh[i] }
-
-// Receptions returns receiver i's decoded-frame stream.
-func (h *Hub) Receptions(i int) <-chan Reception { return h.rxCh[i] }
-
 // Configure records one transmitter's current command (called by TX
 // goroutines when an allocation arrives).
 func (h *Hub) Configure(tx int, servesRX int, swing units.Amperes, leader bool) {
@@ -100,17 +97,23 @@ func (h *Hub) Configure(tx int, servesRX int, swing units.Amperes, leader bool) 
 	h.medium.Configure(tx, servesRX, swing, leader)
 }
 
-// Pilot runs transmitter tx's measurement slot: every receiver observes the
-// channel gain with M2M4-grade estimation noise.
+// Pilot runs transmitter tx's measurement slot: every receiver records the
+// channel gain with M2M4-grade estimation noise, and each receiver whose
+// round this slot completes sends its channel report.
 func (h *Hub) Pilot(tx int) {
+	var reports []uplink
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, ch := range h.pilotCh {
-		g := h.medium.Pilot(h.rng, tx, i)
-		select {
-		case ch <- PilotEvent{TX: tx, Gain: g}:
-		default: // receiver not draining: drop, like a missed slot
+	for i, rx := range h.rxs {
+		if err := rx.RecordMeasurement(tx, h.medium.Pilot(h.rng, tx, i)); err != nil || !rx.RoundComplete() {
+			continue
 		}
+		if raw, err := frame.SerializeMAC(rx.BuildReport()); err == nil {
+			reports = append(reports, uplink{rx: i, raw: raw})
+		}
+	}
+	h.mu.Unlock()
+	for _, r := range reports {
+		_ = h.links[r.rx].SendUplink(r.raw) // a lost report is the deadline's to absorb
 	}
 }
 
@@ -149,15 +152,16 @@ func (h *Hub) Transmit(tx int, d frame.Downlink) {
 }
 
 // deliver runs the beamspot's superposed frame through the waveform PHY
-// and, if it decodes, pushes it to the receiver.
+// and, if it decodes, hands it to the receiver, which acknowledges it. Each
+// payload counts once; a retransmission the receiver already has is
+// acknowledged again, as the controller may have missed the first ACK.
 func (h *Hub) deliver(af *airFrame) {
-	if af.rx < 0 || af.rx >= len(h.rxCh) {
+	if af.rx < 0 || af.rx >= len(h.rxs) {
 		return
 	}
 	h.mu.Lock()
 	txs := h.medium.Signals(h.rng, af.rx, af.txs, nil)
 	link, err := h.medium.NewLink(stats.SplitRand(h.rng))
-	ch := h.rxCh[af.rx]
 	h.mu.Unlock()
 	if err != nil {
 		return
@@ -166,16 +170,24 @@ func (h *Hub) deliver(af *airFrame) {
 	if err != nil {
 		return // frame lost on air
 	}
-	select {
-	case ch <- Reception{MAC: got}:
-	default:
+	h.mu.Lock()
+	payload, ack, handled := h.rxs[af.rx].HandleData(got)
+	if payload != nil {
+		h.delivered[af.rx]++
+	}
+	h.mu.Unlock()
+	if !handled {
+		return
+	}
+	if raw, err := frame.SerializeMAC(ack); err == nil {
+		_ = h.links[af.rx].SendUplink(raw) // a lost ACK is the ARQ's to absorb
 	}
 }
 
 // FlushPending force-delivers frames whose beamspots never fully assembled
 // (a TX missed the downlink); the controller calls it at round boundaries.
 // Frames go out in sequence-number order: each delivery draws from the
-// hub's stream and queues at its receiver in that order.
+// hub's stream and is acknowledged in that order.
 func (h *Hub) FlushPending() {
 	h.mu.Lock()
 	seqs := make([]uint16, 0, len(h.pending))

@@ -69,52 +69,6 @@ func pumpUplink(ctx context.Context, link transport.ControllerLink, uplink chan<
 	}
 }
 
-// runRX is a receiver node's event loop: it assembles channel reports from
-// pilot events and acknowledges decoded data frames. It counts each payload
-// handed to the application in *delivered, which only this goroutine
-// writes; the caller reads it after the goroutine has exited.
-func runRX(ctx context.Context, id, numTX int, link transport.NodeLink, hub *Hub, delivered *int) error {
-	n := mac.NewRXNode(id, numTX)
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case ev, ok := <-hub.PilotEvents(id):
-			if !ok {
-				return nil
-			}
-			if err := n.RecordMeasurement(ev.TX, ev.Gain); err != nil {
-				continue
-			}
-			if n.RoundComplete() {
-				rep := n.BuildReport()
-				raw, err := frame.SerializeMAC(rep)
-				if err != nil {
-					continue
-				}
-				_ = link.SendUplink(raw)
-			}
-		case rx, ok := <-hub.Receptions(id):
-			if !ok {
-				return nil
-			}
-			payload, ack, handled := n.HandleData(rx.MAC)
-			if !handled {
-				continue
-			}
-			if raw, err := frame.SerializeMAC(ack); err == nil {
-				_ = link.SendUplink(raw)
-			}
-			// payload is nil for deduplicated retransmissions: the ACK
-			// above still goes out, but the application sees each frame
-			// exactly once.
-			if payload != nil {
-				*delivered++
-			}
-		}
-	}
-}
-
 // ARQ and report-collection bounds of the asynchronous epoch.
 const (
 	// maxAttempts bounds transmissions per frame (one retransmission).
@@ -139,9 +93,10 @@ type RoundStats struct {
 	SystemThroughput units.BitsPerSecond
 }
 
-// async is the goroutine-per-node Runtime: the transmitter and receiver
-// goroutines move the frames, and the calling goroutine waits for the
-// reports and runs the ARQ data phase, taking the uplink from pumpUplink.
+// async is the goroutine-per-node Runtime: the transmitter goroutines move
+// the frames, the hub answers for the receivers, and the calling goroutine
+// waits for the reports and runs the ARQ data phase, taking the uplink from
+// pumpUplink.
 type async struct {
 	ctx    context.Context
 	cfg    Config

@@ -271,11 +271,66 @@ func (n *countingNetwork) NewNode() (transport.NodeLink, error) {
 	return n.Network.NewNode()
 }
 
+// uplinkLog is the receivers' uplink in the hub tests: every receiver's
+// link sends into it, and it keeps the frames in the order they were sent.
+type uplinkLog struct {
+	mu     sync.Mutex
+	frames [][]byte
+}
+
+func (l *uplinkLog) SendUplink(data []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.frames = append(l.frames, append([]byte(nil), data...))
+	return nil
+}
+
+func (l *uplinkLog) Close() error { return nil }
+
+// sent decodes the frames sent so far, failing the test on one that does
+// not decode.
+func (l *uplinkLog) sent(t *testing.T) []frame.MAC {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]frame.MAC, len(l.frames))
+	for k, raw := range l.frames {
+		m, _, _, err := frame.DecodeMAC(raw)
+		if err != nil {
+			t.Fatalf("uplink frame %d: %v", k, err)
+		}
+		out[k] = m
+	}
+	return out
+}
+
 // scenario3Hub is a noise-free hub over the paper room with the receivers
-// at Scenario 3's positions.
-func scenario3Hub() *Hub {
+// at Scenario 3's positions, all of them sending into the returned log.
+func scenario3Hub() (*Hub, *uplinkLog) {
 	md := scenario.NewMedium(scenario.Default(), scenario.Scenario3.RXPositions(), clock.MethodNLOSVLC, 0)
-	return NewHub(md, 1)
+	up := &uplinkLog{}
+	links := make([]transport.NodeLink, len(md.Positions()))
+	for i := range links {
+		links[i] = up
+	}
+	return NewHub(md, links, 1), up
+}
+
+// acks decodes the acknowledgements among frames, in order.
+func acks(t *testing.T, frames []frame.MAC) []mac.Ack {
+	t.Helper()
+	var out []mac.Ack
+	for _, m := range frames {
+		if m.Protocol != mac.ProtoAck {
+			continue
+		}
+		ack, err := mac.DecodeAck(m.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ack)
+	}
+	return out
 }
 
 // TestHubConfigure: a transmitter's command reaches the medium the hub
@@ -283,7 +338,7 @@ func scenario3Hub() *Hub {
 // deployment's parameters.
 func TestHubConfigure(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	hub := scenario3Hub()
+	hub, _ := scenario3Hub()
 	hub.Configure(7, 0, 0.9, true)
 	hub.Configure(99, 0, 0.9, false)
 	hub.do(func(md *scenario.Medium) {
@@ -296,26 +351,42 @@ func TestHubConfigure(t *testing.T) {
 	})
 }
 
+// TestHubPilotDeliversToAllReceivers: every receiver measures every pilot
+// slot, and the slot that completes its round makes it send one channel
+// report with a gain per transmitter.
 func TestHubPilotDeliversToAllReceivers(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	hub := scenario3Hub()
-	hub.Pilot(7)
-	for i := 0; i < 4; i++ {
-		select {
-		case ev := <-hub.PilotEvents(i):
-			if ev.TX != 7 || ev.Gain < 0 {
-				t.Errorf("RX%d event = %+v", i, ev)
-			}
-		default:
-			t.Errorf("RX%d got no pilot event", i)
+	hub, up := scenario3Hub()
+	n := scenario.Default().Grid.N()
+	for j := 0; j < n; j++ {
+		if got := len(up.sent(t)); got != 0 {
+			t.Fatalf("%d reports sent before pilot slot %d of %d", got, j, n)
 		}
+		hub.Pilot(j)
+	}
+	frames := up.sent(t)
+	if len(frames) != 4 {
+		t.Fatalf("%d uplink frames after a full pilot round, want one report per receiver (4)", len(frames))
+	}
+	reports := make([]mac.Report, 4)
+	for _, m := range frames {
+		if m.Protocol != mac.ProtoReport {
+			t.Fatalf("uplink frame of protocol 0x%04x, want a report", m.Protocol)
+		}
+		rep, err := mac.DecodeReport(m.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RX < 0 || rep.RX >= 4 || reports[rep.RX].Gains != nil {
+			t.Fatalf("report from RX %d: unknown or repeated receiver", rep.RX)
+		}
+		if len(rep.Gains) != n {
+			t.Fatalf("RX %d reported %d gains, want %d", rep.RX, len(rep.Gains), n)
+		}
+		reports[rep.RX] = rep
 	}
 	// RX1 sits under TX8 (index 7): its gain must dominate the others'.
-	hub2 := scenario3Hub()
-	hub2.Pilot(7)
-	g0 := (<-hub2.PilotEvents(0)).Gain
-	g3 := (<-hub2.PilotEvents(3)).Gain
-	if g0 <= g3 {
+	if g0, g3 := reports[0].Gains[7], reports[3].Gains[7]; g0 <= g3 {
 		t.Errorf("gain ordering wrong: %v vs %v", g0, g3)
 	}
 }
@@ -339,7 +410,7 @@ func uplinkLossConfig() Config {
 		Trajectories:     asyncTrajectories(),
 		Budget:           1.19,
 		Sync:             clock.MethodNLOSVLC,
-		Network:          transport.NewLossyNetwork(transport.NewMemNetwork(), 0, 0.3, 11),
+		Network:          transport.NewLossyNetwork(transport.NewMemNetwork(), 0.3, 11),
 		Rounds:           2,
 		FramesPerRX:      3,
 		MeasurementNoise: 0.02,
@@ -414,41 +485,88 @@ func TestAsyncRunCountsEveryDelivery(t *testing.T) {
 	}
 }
 
+// dataFrame is a data frame for RX 0 with sequence number seq, addressed
+// to the transmitters in mask.
+func dataFrame(seq uint16, mask uint64) frame.Downlink {
+	return frame.Downlink{
+		PHY: frame.PHY{TXIDMask: mask},
+		MAC: frame.MAC{Dst: mac.RXAddr(0), Src: mac.ControllerAddr, Protocol: mac.ProtoData,
+			Payload: []byte{byte(seq >> 8), byte(seq), 'x'}},
+	}
+}
+
 // TestHubFlushPendingDeliversInSeqOrder: frames whose beamspot never fully
 // assembled are delivered at a flush in sequence-number order, so the
-// receiver's queue and the hub's draws do not depend on map iteration.
+// receiver's ACKs and the hub's draws do not depend on map iteration.
 func TestHubFlushPendingDeliversInSeqOrder(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	const frames = 8
 	for rep := 0; rep < 20; rep++ {
-		hub := scenario3Hub()
+		hub, up := scenario3Hub()
 		// TX 7 serves RX 0 alone; TX 8 is addressed too but never joins,
 		// so every frame stays pending until the flush.
 		hub.Configure(7, 0, 0.9, true)
 		for k := 0; k < frames; k++ {
-			seq := uint16(100 + 3*k)
-			hub.Transmit(7, frame.Downlink{
-				PHY: frame.PHY{TXIDMask: frame.MaskOf(7, 8)},
-				MAC: frame.MAC{Dst: mac.RXAddr(0), Src: mac.ControllerAddr, Protocol: mac.ProtoData,
-					Payload: []byte{byte(seq >> 8), byte(seq), 'x'}},
-			})
+			hub.Transmit(7, dataFrame(uint16(100+3*k), frame.MaskOf(7, 8)))
 		}
-		select {
-		case rx := <-hub.Receptions(0):
-			t.Fatalf("rep %d: frame delivered before the flush: %v", rep, rx.MAC.Payload)
-		default:
+		if sent := up.sent(t); len(sent) != 0 {
+			t.Fatalf("rep %d: %d frames acknowledged before the flush", rep, len(sent))
 		}
 		hub.FlushPending()
-		for k := 0; k < frames; k++ {
-			select {
-			case rx := <-hub.Receptions(0):
-				seq := uint16(rx.MAC.Payload[0])<<8 | uint16(rx.MAC.Payload[1])
-				if want := uint16(100 + 3*k); seq != want {
-					t.Fatalf("rep %d: delivery %d carries seq %d, want %d", rep, k, seq, want)
-				}
-			default:
-				t.Fatalf("rep %d: %d of %d flushed frames arrived", rep, k, frames)
+		got := acks(t, up.sent(t))
+		if len(got) != frames {
+			t.Fatalf("rep %d: %d of %d flushed frames acknowledged", rep, len(got), frames)
+		}
+		for k, ack := range got {
+			if want := uint16(100 + 3*k); ack.RX != 0 || ack.Seq != want {
+				t.Fatalf("rep %d: ACK %d is RX %d seq %d, want RX 0 seq %d", rep, k, ack.RX, ack.Seq, want)
 			}
 		}
+		if hub.delivered[0] != frames {
+			t.Fatalf("rep %d: %d payloads delivered, want %d", rep, hub.delivered[0], frames)
+		}
+	}
+}
+
+// TestHubConcurrentDeliveriesAckEveryFrame has four transmitter goroutines
+// each send the same frames to one receiver as single-TX beamspots, so
+// every frame reaches it four times and the receiver's state machine is
+// stepped from all four goroutines at once. Every delivery is
+// acknowledged, and each payload counts once. Run it under -race.
+func TestHubConcurrentDeliveriesAckEveryFrame(t *testing.T) {
+	defer testutil.CheckLeaks(t)()
+	const frames = 32
+	// Each of these hears RX 0 at half TX 7's gain; at 1.3 A its frames
+	// arrive about as strong as TX 7's at 0.9 A, which always decode.
+	txs := []int{1, 6, 8, 13}
+	hub, up := scenario3Hub()
+	for _, tx := range txs {
+		hub.Configure(tx, 0, 1.3, true)
+	}
+	var wg sync.WaitGroup
+	for _, tx := range txs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < frames; k++ {
+				hub.Transmit(tx, dataFrame(uint16(k), frame.MaskOf(tx)))
+			}
+		}()
+	}
+	wg.Wait()
+	perSeq := make([]int, frames)
+	for _, ack := range acks(t, up.sent(t)) {
+		if ack.RX != 0 || int(ack.Seq) >= frames {
+			t.Fatalf("ACK from RX %d for seq %d", ack.RX, ack.Seq)
+		}
+		perSeq[ack.Seq]++
+	}
+	for seq, n := range perSeq {
+		if n != len(txs) {
+			t.Errorf("seq %d acknowledged %d times, want once per delivery (%d)", seq, n, len(txs))
+		}
+	}
+	if hub.delivered[0] != frames {
+		t.Errorf("%d payloads delivered, want each of the %d frames once", hub.delivered[0], frames)
 	}
 }

@@ -76,12 +76,14 @@ type Result struct {
 }
 
 // RunContext runs sim.Drive's epoch on the goroutine-per-node runtime: it
-// spawns every transmitter and every receiver as a goroutine over the
-// transport, runs the configured number of rounds, and shuts everything
-// down. Cancelling ctx aborts the round loop and tears the deployment down,
-// in addition to the cfg.Timeout bound.
+// opens every receiver's uplink link for the hub, spawns every transmitter
+// as a goroutine over the transport, runs the configured number of rounds,
+// and shuts everything down. A run over N transmitters keeps N + 1
+// goroutines of its own: the transmitters and the pump that reads the
+// controller's uplink. Cancelling ctx aborts the round loop and tears the
+// deployment down, in addition to the cfg.Timeout bound.
 //
-// Under cfg.Workload every fleet slot is a receiver goroutine. The driver
+// Under cfg.Workload every fleet slot is a receiver. The driver
 // steps the engine on the calling goroutine at each round boundary
 // (workload.Engine is single-goroutine), and a free slot's photodiode is
 // dark, so the real pilot/report path delivers its dark channel and the
@@ -105,8 +107,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
 
-	var wg sync.WaitGroup
-	errCh := make(chan error, 1)
+	var (
+		wg    sync.WaitGroup
+		errCh = make(chan error, 1)
+		hub   *Hub
+	)
 	res := &Result{Rounds: make([]RoundStats, 0, cfg.Rounds)}
 	out, runErr := sim.Drive(sim.Config{
 		Setup:            cfg.Setup,
@@ -135,7 +140,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				}
 			}()
 		}
-		hub := NewHub(p.Medium, cfg.Seed)
+		links := make([]transport.NodeLink, p.M)
+		for i := range links {
+			link, err := p.Network.NewNode()
+			if err != nil {
+				return nil, fmt.Errorf("node: RX %d link: %w", i, err)
+			}
+			links[i] = link
+		}
+		hub = NewHub(p.Medium, links, cfg.Seed)
 		for j := 0; j < p.N; j++ {
 			link, err := p.Network.NewTX()
 			if err != nil {
@@ -144,29 +157,21 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			id := j
 			spawn(func() error { return runTX(id, link, hub) })
 		}
-		res.DeliveredPerRX = make([]int, p.M)
-		for i := 0; i < p.M; i++ {
-			link, err := p.Network.NewNode()
-			if err != nil {
-				return nil, fmt.Errorf("node: RX %d link: %w", i, err)
-			}
-			id, delivered := i, &res.DeliveredPerRX[i]
-			spawn(func() error { return runRX(ctx, id, p.N, link, hub, delivered) })
-		}
 		uplink := make(chan []byte)
 		spawn(func() error { return pumpUplink(ctx, p.Link, uplink) })
 		return &async{ctx: ctx, cfg: cfg, p: p, hub: hub, uplink: uplink, res: res}, nil
 	})
 
 	// Drive has closed the network, which ends every Receive and so the
-	// transmitters and the uplink pump; cancelling stops the receivers.
-	// Once they have exited, their delivery counters are final.
+	// transmitters and the uplink pump. Once they have exited, no beamspot
+	// can reach a receiver and the hub's delivery counts are final.
 	cancel()
 	wg.Wait()
 
 	if out == nil {
 		return nil, runErr // refused before the first round
 	}
+	res.DeliveredPerRX = hub.delivered
 	res.Trace, res.WorkloadTrace = out.Trace, out.WorkloadTrace
 	for k, r := range out.Rounds {
 		res.Rounds[k].RoundMetrics = r

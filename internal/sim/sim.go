@@ -74,7 +74,9 @@ type Config struct {
 	FramesPerRound int
 	// Network carries the control plane. Nil selects a fresh in-memory
 	// network; pass a transport.UDPNetwork to exercise real sockets
-	// (cmd/densevlc does). The simulator closes it when the run ends.
+	// (cmd/densevlc does). The simulator closes it when the run ends. Run
+	// refuses a transport.LossyNetwork, whose lost reports only the
+	// asynchronous runtime can wait out.
 	Network transport.Network
 	// Chaos optionally schedules fault events (TX failures, receiver
 	// blockage, clock steps) applied at round boundaries. The synchronous
@@ -220,8 +222,13 @@ func Run(cfg Config) (*Result, error) {
 	return Drive(cfg, (&lockstep{}).attach)
 }
 
-// attach builds every node's MAC state machine and network link.
+// attach builds every node's MAC state machine and network link. It
+// refuses a LossyNetwork before opening any: Measure reads exactly one
+// report per receiver and cannot wait out a lost one.
 func (ls *lockstep) attach(p *Plant) (Runtime, error) {
+	if _, lossy := p.Network.(*transport.LossyNetwork); lossy {
+		return nil, errors.New("sim: the lock-step engine reads exactly one report per receiver and cannot wait out a lost one, so it refuses a LossyNetwork; node.RunContext runs over one")
+	}
 	ls.p = p
 	for j := 0; j < p.N; j++ {
 		link, err := p.Network.NewTX()

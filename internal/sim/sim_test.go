@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -548,5 +549,39 @@ func TestRunReportsClosedUplink(t *testing.T) {
 	}
 	if net.links != net.last {
 		t.Errorf("%d node links, want %d", net.links, net.last)
+	}
+}
+
+// TestRunRefusesLossyNetwork: a lossy network may drop a report the
+// lock-step engine waits for, so Run refuses one before opening any link.
+// A guard closes the network after 10 s, so a hang fails the test rather
+// than the test binary.
+func TestRunRefusesLossyNetwork(t *testing.T) {
+	inner := &lastReportCloses{Network: transport.NewMemNetwork()} // last 0: counts links only
+	net := transport.NewLossyNetwork(inner, 0.3, 1)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(Config{
+			Setup:        scenario.Default(),
+			Trajectories: staticTrajectories(),
+			Budget:       0.6,
+			Rounds:       3,
+			Network:      net,
+			Seed:         1,
+		})
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		_ = net.Close()
+		t.Fatalf("Run over a lossy network still blocked after 10 s; closing it returned %v", <-done)
+	}
+	if err == nil || !strings.Contains(err.Error(), "LossyNetwork") {
+		t.Fatalf("Run = %v, want the lossy network refused", err)
+	}
+	if inner.links != 0 {
+		t.Errorf("Run opened %d node links before refusing", inner.links)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // dropGate drops frames on one link independently with a fixed
-// probability. Each link owns a gate with an independent seeded stream, so
-// adding a link never perturbs the drops another link observes.
+// probability. Each receiver link owns a gate with an independent seeded
+// stream, so adding a link never perturbs the drops another link observes.
 type dropGate struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -23,85 +23,52 @@ func (g *dropGate) drop() bool {
 	return g.rng.Float64() < g.loss
 }
 
-// LossyNetwork wraps a Network and drops frames in each direction
-// independently with a fixed per-link probability — the fault-injection
-// vehicle for testing the MAC's retransmission logic under loss.
+// LossyNetwork wraps a Network and drops receivers' uplink frames (reports
+// and acknowledgements) independently with a fixed per-link probability —
+// the fault-injection vehicle for testing the MAC's retransmission logic
+// under loss on the WiFi return channel. The downlink passes through.
 //
-// Determinism: the master seed splits into one stream per link in
+// Only a runtime that waits out a lost frame can run over it: the
+// asynchronous runtime's report deadline and ARQ do, while the lock-step
+// engine reads exactly one report per receiver and refuses the network.
+//
+// Determinism: the master seed splits into one stream per receiver link in
 // registration order, so a run's drop pattern is a pure function of (seed,
-// loss probabilities, registration order, per-link frame order).
+// loss probability, registration order, per-link frame order).
 type LossyNetwork struct {
-	inner    Network
-	mu       sync.Mutex
-	rng      *rand.Rand // master stream, split per link
-	down, up float64
+	inner Network
+	mu    sync.Mutex
+	rng   *rand.Rand // master stream, split per link
+	loss  float64
 }
 
-// NewLossyNetwork wraps inner with independent uniform drop probabilities
-// in each direction, seeded from the master seed. A probability at or below
-// 0 drops nothing; at or above 1, everything.
-func NewLossyNetwork(inner Network, downlinkLoss, uplinkLoss float64, seed int64) *LossyNetwork {
-	return &LossyNetwork{
-		inner: inner,
-		rng:   stats.NewRand(seed),
-		down:  downlinkLoss,
-		up:    uplinkLoss,
-	}
+// NewLossyNetwork wraps inner with a uniform uplink drop probability,
+// seeded from the master seed. A probability at or below 0 drops nothing;
+// at or above 1, everything.
+func NewLossyNetwork(inner Network, uplinkLoss float64, seed int64) *LossyNetwork {
+	return &LossyNetwork{inner: inner, rng: stats.NewRand(seed), loss: uplinkLoss}
 }
 
-// Controller implements Network. Downlink loss applies per transmitter
-// (each transmitter's copy of a multicast is dropped independently, as with
-// real per-link corruption), so the controller link passes frames through.
-func (l *LossyNetwork) Controller() ControllerLink {
-	return l.inner.Controller()
-}
+// Controller implements Network: the controller's link passes through.
+func (l *LossyNetwork) Controller() ControllerLink { return l.inner.Controller() }
 
-// gate splits the next link's stream off the master stream.
-func (l *LossyNetwork) gate(loss float64) *dropGate {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return &dropGate{rng: stats.SplitRand(l.rng), loss: loss}
-}
+// NewTX implements Network: a transmitter's link passes through.
+func (l *LossyNetwork) NewTX() (TXLink, error) { return l.inner.NewTX() }
 
-// NewTX implements Network.
-func (l *LossyNetwork) NewTX() (TXLink, error) {
-	tx, err := l.inner.NewTX()
-	if err != nil {
-		return nil, err
-	}
-	return &lossyTX{TXLink: tx, gate: l.gate(l.down)}, nil
-}
-
-// NewNode implements Network.
+// NewNode implements Network: the receiver's link gets its own drop gate,
+// split off the master stream.
 func (l *LossyNetwork) NewNode() (NodeLink, error) {
 	rx, err := l.inner.NewNode()
 	if err != nil {
 		return nil, err
 	}
-	return &lossyNode{NodeLink: rx, gate: l.gate(l.up)}, nil
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &lossyNode{NodeLink: rx, gate: &dropGate{rng: stats.SplitRand(l.rng), loss: l.loss}}, nil
 }
 
 // Close implements Network.
 func (l *LossyNetwork) Close() error { return l.inner.Close() }
-
-type lossyTX struct {
-	TXLink
-	gate *dropGate
-}
-
-// Receive takes frames from the inner link until one passes the drop
-// gate, drawing the gate once per inner frame in the caller's goroutine.
-func (t *lossyTX) Receive() ([]byte, error) {
-	for {
-		msg, err := t.TXLink.Receive()
-		if err != nil {
-			return nil, err
-		}
-		if !t.gate.drop() {
-			return msg, nil
-		}
-	}
-}
 
 type lossyNode struct {
 	NodeLink

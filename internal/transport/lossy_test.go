@@ -70,7 +70,7 @@ func TestLossyNetworkPerLinkStreams(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	drops := func(extraLinks bool) []bool {
 		mem := NewMemNetwork()
-		net := NewLossyNetwork(mem, 0, 0.5, 9)
+		net := NewLossyNetwork(mem, 0.5, 9)
 		defer net.Close()
 		n1, err := net.NewNode()
 		if err != nil {

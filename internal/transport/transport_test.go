@@ -58,8 +58,8 @@ func fixtures(t *testing.T) []netFixture {
 	fxs := []netFixture{
 		{name: "mem", net: NewMemNetwork()},
 		{name: "udp", net: newUDP(t)},
-		{name: "lossy-mem", net: NewLossyNetwork(NewMemNetwork(), 0, 0, 3)},
-		{name: "lossy-udp", net: NewLossyNetwork(newUDP(t), 0, 0, 3)},
+		{name: "lossy-mem", net: NewLossyNetwork(NewMemNetwork(), 0, 3)},
+		{name: "lossy-udp", net: NewLossyNetwork(newUDP(t), 0, 3)},
 	}
 	for k := range fxs {
 		fx := &fxs[k]
@@ -310,8 +310,6 @@ func sockAddr(t *testing.T, link any) *syscall.SockaddrInet4 {
 	t.Helper()
 	var s *udpSocket
 	switch l := link.(type) {
-	case *lossyTX:
-		return sockAddr(t, l.TXLink)
 	case *lossyNode:
 		return sockAddr(t, l.NodeLink)
 	case *udpSocket:
@@ -339,7 +337,7 @@ func TestUDPNodesBindTheGroup(t *testing.T) {
 		net  func(*UDPNetwork) Network
 	}{
 		{"udp", func(u *UDPNetwork) Network { return u }},
-		{"lossy-udp", func(u *UDPNetwork) Network { return NewLossyNetwork(u, 0, 0, 3) }},
+		{"lossy-udp", func(u *UDPNetwork) Network { return NewLossyNetwork(u, 0, 3) }},
 	} {
 		t.Run(wrap.name, func(t *testing.T) {
 			udp := newUDP(t)
@@ -455,7 +453,7 @@ func TestMemOverflowDropsInsteadOfBlocking(t *testing.T) {
 func TestLossyNetworkDropRates(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	mem := NewMemNetwork()
-	lossy := NewLossyNetwork(mem, 0.5, 0.5, 7)
+	lossy := NewLossyNetwork(mem, 0.5, 7)
 	defer lossy.Close()
 	ctrl := lossy.Controller()
 	tx, rx := newTX(t, lossy), newRX(t, lossy)
@@ -469,88 +467,75 @@ func TestLossyNetworkDropRates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The in-memory queue holds every frame, so the lossy link yields the
-	// survivors and then blocks. Once it has taken the last frame from the
-	// queue, closing the link ends the count without losing that frame.
-	survivors := make(chan int, 1)
-	go func() {
-		down := 0
-		for {
-			if _, err := tx.Receive(); err != nil {
-				survivors <- down
-				return
-			}
-			down++
+	// The downlink passes through: every multicast is queued for the
+	// transmitter, in order.
+	for i := 0; i < n; i++ {
+		if got := receiveWithin(t, tx, time.Second); len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("downlink frame %d: got %v", i, got)
 		}
-	}()
-	inner := tx.(*lossyTX).TXLink.(*memTX)
-	for len(inner.down) > 0 {
-		time.Sleep(time.Millisecond)
 	}
-	if err := tx.Close(); err != nil {
-		t.Fatal(err)
-	}
-	down := <-survivors
 	// Every surviving uplink sits in the in-memory queue; take them all.
 	up := 0
 	for len(mem.uplink) > 0 {
 		receiveWithin(t, ctrl, time.Second)
 		up++
 	}
-	check := func(name string, got int) {
-		t.Helper()
-		if got < n/4 || got > 3*n/4 {
-			t.Errorf("%s: %d/%d delivered at 50%% loss", name, got, n)
-		}
+	if up < n/4 || up > 3*n/4 {
+		t.Errorf("uplink: %d/%d delivered at 50%% loss", up, n)
 	}
-	check("downlink", down)
-	check("uplink", up)
 }
 
 func TestLossyNetworkZeroLossTransparent(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
 	mem := NewMemNetwork()
-	lossy := NewLossyNetwork(mem, 0, 0, 1)
+	lossy := NewLossyNetwork(mem, 0, 1)
 	defer lossy.Close()
-	tx := newTX(t, lossy)
+	tx, rx := newTX(t, lossy), newRX(t, lossy)
 	if err := lossy.Controller().Multicast([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got := receiveWithin(t, tx, time.Second)
-	if string(got) != "hello" {
-		t.Errorf("got %q", got)
+	if got := receiveWithin(t, tx, time.Second); string(got) != "hello" {
+		t.Errorf("downlink: got %q", got)
+	}
+	if err := rx.SendUplink([]byte("report")); err != nil {
+		t.Fatal(err)
+	}
+	if got := receiveWithin(t, lossy.Controller(), time.Second); string(got) != "report" {
+		t.Errorf("uplink at loss 0: got %q", got)
 	}
 	// Out-of-range probabilities saturate: below 0 drops nothing, above 1
 	// drops everything.
-	inner := NewMemNetwork()
-	clamped := NewLossyNetwork(inner, -1, 2, 1)
-	defer clamped.Close()
-	ctx, crx := newTX(t, clamped), newRX(t, clamped)
-	if err := clamped.Controller().Multicast([]byte("down")); err != nil {
-		t.Fatal(err)
-	}
-	if got := receiveWithin(t, ctx, time.Second); string(got) != "down" {
-		t.Errorf("downlink at loss -1: got %q", got)
-	}
-	for i := 0; i < 64; i++ {
-		if err := crx.SendUplink([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		loss float64
+		want int
+	}{{-1, 64}, {2, 0}} {
+		inner := NewMemNetwork()
+		clamped := NewLossyNetwork(inner, c.loss, 1)
+		crx := newRX(t, clamped)
+		for i := 0; i < 64; i++ {
+			if err := crx.SendUplink([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if n := len(inner.uplink); n != 0 {
-		t.Errorf("uplink at loss 2: %d of 64 frames survived", n)
+		if n := len(inner.uplink); n != c.want {
+			t.Errorf("uplink at loss %v: %d of 64 frames survived, want %d", c.loss, n, c.want)
+		}
+		_ = clamped.Close()
 	}
 }
 
+// TestLossyNetworkCloseUnblocksFilter: a transmitter's Receive on a lossy
+// network, blocked on an idle link, returns ErrClosed when the network
+// closes.
 func TestLossyNetworkCloseUnblocksFilter(t *testing.T) {
 	defer testutil.CheckLeaks(t)()
-	lossy := NewLossyNetwork(NewMemNetwork(), 0.1, 0, 2)
+	lossy := NewLossyNetwork(NewMemNetwork(), 0.1, 2)
 	pending := receiveAsync(newTX(t, lossy))
 	time.Sleep(20 * time.Millisecond) // let Receive block
 	if err := lossy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	receiveClosed(t, pending, 2*time.Second, "filtered downlink on close")
+	receiveClosed(t, pending, 2*time.Second, "downlink on close")
 }
 
 // closeCase builds one network with one transmitter and one receiver link
@@ -569,10 +554,10 @@ func closeCases() []closeCase {
 		{"mem", func(t *testing.T) (Network, TXLink, NodeLink) { return withLinks(t, NewMemNetwork()) }},
 		{"udp", func(t *testing.T) (Network, TXLink, NodeLink) { return withLinks(t, newUDP(t)) }},
 		{"lossy-mem", func(t *testing.T) (Network, TXLink, NodeLink) {
-			return withLinks(t, NewLossyNetwork(NewMemNetwork(), 0, 0, 3))
+			return withLinks(t, NewLossyNetwork(NewMemNetwork(), 0, 3))
 		}},
 		{"lossy-udp", func(t *testing.T) (Network, TXLink, NodeLink) {
-			return withLinks(t, NewLossyNetwork(newUDP(t), 0, 0, 3))
+			return withLinks(t, NewLossyNetwork(newUDP(t), 0, 3))
 		}},
 	}
 }
